@@ -13,7 +13,6 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 from ._util import cross_entropy, fmt_float, worker_count
 from .bias_metrics import GroupedScores, invariant_bias
@@ -51,6 +50,23 @@ class FrontierPoint:
         return 1.0 - self.auc
 
 
+def _midranks(values) -> np.ndarray:
+    """1-based ranks of ``values`` with each tie group given its mean rank
+    (``scipy.stats.rankdata(method="average")``); NaN anywhere makes every
+    rank NaN."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.empty(values.size, dtype=np.intp)
+    dense[order] = np.cumsum(starts)
+    # count[k - 1] .. count[k] - 1 are the 0-based sorted positions of group k
+    count = np.r_[np.flatnonzero(starts), values.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def rank_auc(scores, labels) -> float:
     """Probability a positive outranks a negative, with midrank ties."""
     scores = np.asarray(scores, dtype=float)
@@ -60,7 +76,7 @@ def rank_auc(scores, labels) -> float:
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes")
-    ranks = rankdata(scores, method="average")
+    ranks = _midranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

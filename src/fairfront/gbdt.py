@@ -7,6 +7,10 @@ feature values, with ties broken by lowest feature index then lowest
 threshold, so training is bit-reproducible.  The per-tree output matrix is
 exposed for rebalancing, and ensembles serialize to a self-describing JSON
 document.
+
+Prediction from a whole ensemble packs every tree into one node table and
+walks all trees at once, a chunk of rows at a time; ``Tree.predict`` walks
+one tree and serves training's per-round update.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from ._util import cross_entropy, logit, sigmoid
 _LAMBDA = 1.0          # ridge term on leaf values
 _MARGIN_CLAMP = 10.0
 _MIN_GAIN = 1e-12
+_CHUNK_ROWS = 256      # rows per packed walk: keeps the (trees x rows) blocks small
 
 
 @dataclass
@@ -62,6 +67,114 @@ class Tree:
         return self.feature.size
 
 
+@dataclass(frozen=True)
+class _PackedTrees:
+    """Every tree of an ensemble in one flat node table.
+
+    Tree ``t`` owns the ``width`` slots from ``t * width``; node ``i`` of it
+    sits at slot ``t * width + i``.  An internal node's test is an index into
+    the ensemble's distinct (feature, threshold) pairs, so a chunk of rows
+    compares each distinct test once.  A leaf is its own left and right
+    child, so after ``depth`` steps every row rests on its leaf in every
+    tree, whatever the depth of that leaf and whichever way a NaN row goes.
+    """
+
+    feature: np.ndarray    # (U,) distinct tests: x[feature] <= threshold goes left
+    threshold: np.ndarray  # (U,)
+    test: np.ndarray       # (T * width,) test of each internal node
+    child: np.ndarray      # (2 * T * width,) slot of the left, then right, child
+    value: np.ndarray      # (T * width,) leaf values
+    roots: np.ndarray      # (T,) slot of each root
+    depth: int             # deepest leaf over all trees
+
+    def blocks(self, X):
+        """Yield ``(rows, outputs)`` per chunk of rows of ``X``: a row slice
+        and the (T, rows) matrix of every tree's output on those rows.
+
+        The work arrays, ``outputs`` included, are reused from chunk to
+        chunk: a caller may overwrite ``outputs`` but is done with it
+        before asking for the next chunk.
+        """
+        n_trees, n_tests = self.roots.size, self.feature.size
+        work = None
+        for start in range(0, X.shape[0], _CHUNK_ROWS):
+            chunk = X[start:start + _CHUNK_ROWS]
+            n_rows = chunk.shape[0]
+            if work is None or work[0].shape[1] != n_rows:
+                work = (np.empty((n_trees, n_rows), np.intp), np.empty((n_trees, n_rows), np.intp),
+                        np.empty((n_trees, n_rows), bool))
+            node, index, right = work
+            # (rows, U) outcomes; NaN fails <= and goes right, as in Tree.predict
+            go_right = ~(chunk[:, self.feature] <= self.threshold).ravel()
+            row_offset = np.arange(n_rows) * n_tests
+            node[:] = self.roots[:, None]
+            # packing only stores valid slots, so "clip" never clips; it
+            # lets take write into the work arrays without a copy
+            for _ in range(self.depth):
+                np.take(self.test, node, out=index, mode="clip")
+                index += row_offset
+                np.take(go_right, index, out=right, mode="clip")
+                np.left_shift(node, 1, out=index)
+                index += right
+                np.take(self.child, index, out=node, mode="clip")
+            outputs = index.view(float)
+            np.take(self.value, node, out=outputs, mode="clip")
+            yield slice(start, start + n_rows), outputs
+
+
+def _pack(trees, n_features) -> _PackedTrees:
+    """Pack ``trees`` for the joint walk, rejecting a malformed tree.
+
+    Each tree is walked from its root, so a feature index outside
+    ``[0, n_features)``, a child index out of range, a cycle and arrays of
+    unequal length raise ``ValueError`` naming the tree.
+    """
+    width = max((tree.n_nodes for tree in trees), default=1)
+    pairs = {}
+    test = np.zeros(len(trees) * width, dtype=np.intp)
+    child = np.zeros(2 * len(trees) * width, dtype=np.intp)
+    value = np.zeros(len(trees) * width)
+    depth = 0
+    for t, tree in enumerate(trees):
+        n = tree.n_nodes
+        if n == 0 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)):
+            raise ValueError(f"tree {t}: node arrays must be nonempty, flat and of equal length")
+        feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+        left, right, leaf = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
+        offset = t * width
+        seen = [False] * n
+        stack = [(0, 0)]
+        while stack:
+            node, level = stack.pop()
+            if seen[node]:
+                raise ValueError(f"tree {t}: node {node} is reached twice (a cycle or a shared child)")
+            seen[node] = True
+            slot = offset + node
+            f = feature[node]
+            if f == -1:
+                child[2 * slot] = child[2 * slot + 1] = slot
+                value[slot] = leaf[node]
+                depth = max(depth, level)
+                continue
+            if not 0 <= f < n_features:
+                raise ValueError(f"tree {t}: node {node} splits on feature {f}, outside [0, {n_features})")
+            kids = (left[node], right[node])
+            if not all(0 <= k < n for k in kids):
+                raise ValueError(f"tree {t}: node {node} has children {kids}, outside [0, {n})")
+            test[slot] = pairs.setdefault((f, threshold[node]), len(pairs))
+            child[2 * slot], child[2 * slot + 1] = offset + kids[0], offset + kids[1]
+            stack += [(kids[0], level + 1), (kids[1], level + 1)]
+    return _PackedTrees(
+        np.asarray([f for f, _ in pairs], dtype=np.intp),
+        np.asarray([thr for _, thr in pairs], dtype=float),
+        test,
+        child,
+        value,
+        np.arange(len(trees), dtype=np.intp) * width,
+        depth,
+    )
+
+
 @dataclass
 class Ensemble:
     base_margin: float
@@ -69,17 +182,32 @@ class Ensemble:
     trees: list = field(default_factory=list)
     n_features: int = 0
     link: str = "logistic"
+    # (trees packed, their packing); trees are not modified once added
+    _packing: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
 
+    def _packed(self) -> _PackedTrees:
+        """The packing of ``trees``, rebuilt whenever the list has changed
+        (training appends trees, early stopping rebinds the list)."""
+        trees = tuple(self.trees)
+        cached = self._packing
+        if cached is None or len(cached[0]) != len(trees) or any(a is not b for a, b in zip(cached[0], trees)):
+            self._packing = cached = (trees, _pack(trees, self.n_features))
+        return cached[1]
+
     def predict_raw(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         self._check_features(X)
         raw = np.full(X.shape[0], self.base_margin)
-        for tree in self.trees:
-            raw += self.learning_rate * tree.predict(X)
+        for rows, outputs in self._packed().blocks(X):
+            outputs *= self.learning_rate
+            part = raw[rows]
+            # one add per tree in tree order, so the sum rounds as it always has
+            for scaled in outputs:
+                part += scaled
         return raw
 
     def predict_proba(self, X) -> np.ndarray:
@@ -111,6 +239,8 @@ class Ensemble:
 
     @classmethod
     def from_json(cls, text: str) -> "Ensemble":
+        """Parse an ensemble document, rejecting a malformed one with a
+        ``ValueError`` before any prediction runs."""
         doc = json.loads(text)
         if doc.get("kind") != "fairfront-gbdt":
             raise ValueError("not an ensemble document")
@@ -124,7 +254,13 @@ class Ensemble:
             )
             for t in doc["trees"]
         ]
-        return cls(doc["base_margin"], doc["learning_rate"], trees, doc["n_features"], doc["link"])
+        for t, tree in enumerate(trees):
+            for name in ("threshold", "value"):
+                if not np.all(np.isfinite(getattr(tree, name))):
+                    raise ValueError(f"tree {t}: non-finite {name}")
+        ensemble = cls(doc["base_margin"], doc["learning_rate"], trees, doc["n_features"], doc["link"])
+        ensemble._packed()  # checks the structure of every tree
+        return ensemble
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -143,9 +279,10 @@ def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:
     """
     X = np.asarray(X, dtype=float)
     ensemble._check_features(X)
-    if not ensemble.trees:
-        return np.zeros((X.shape[0], 0))
-    return np.column_stack([tree.predict(X) for tree in ensemble.trees])
+    outputs = np.empty((X.shape[0], ensemble.n_trees))
+    for rows, block in ensemble._packed().blocks(X):
+        outputs[rows] = block.T
+    return outputs
 
 
 def _best_split(X, rows, g, h, w, min_leaf):

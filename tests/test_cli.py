@@ -255,6 +255,34 @@ class TestMitigate:
         assert "base" in capsys.readouterr().err
 
 
+class TestEncode:
+    def test_malformed_model_rejected_before_any_stage(self, workspace, tmp_path, capsys):
+        _, data, model_dir = workspace
+        doc = json.loads((model_dir / "model.json").read_text())
+        doc["trees"][3]["feature"][0] = 99
+        tampered = tmp_path / "model.json"
+        tampered.write_text(json.dumps(doc))
+        out = tmp_path / "enc"
+        code = main(
+            [
+                "encode",
+                "--method",
+                "tree-pca",
+                "--components",
+                "3",
+                "--train",
+                str(data / "train.csv"),
+                "--base",
+                str(tampered),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert "tree 3: node 0 splits on feature 99" in capsys.readouterr().err
+        assert not (out / "encoders.csv").exists()
+
+
 class TestBaselines:
     def test_rescale_cli(self, workspace, tmp_path):
         root, data, model_dir = workspace

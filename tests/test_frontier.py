@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fairfront.frontier import (
     FrontierPoint,
+    _midranks,
     embedded_svg_table,
     evaluate,
     frontier_value,
@@ -48,6 +49,24 @@ class TestEvaluate:
         scores = np.array([0.5, 0.5, 0.5, 0.5])
         labels = np.array([0, 1, 0, 1])
         assert rank_auc(scores, labels) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-np.inf, -1.0, -0.0, 0.0, 0.25, 0.5, np.inf]) | st.floats(allow_nan=False),
+            max_size=60,
+        )
+    )
+    def test_midranks_are_scipy_average_ranks(self, values):
+        from scipy.stats import rankdata
+
+        assert np.array_equal(_midranks(values), rankdata(values, method="average"))
+
+    def test_midranks_propagate_nan_like_scipy(self):
+        from scipy.stats import rankdata
+
+        values = [0.3, np.nan, 0.1]
+        assert np.array_equal(_midranks(values), rankdata(values, method="average"), equal_nan=True)
 
     def test_identical_groups_zero_bias(self):
         rng = np.random.default_rng(1)

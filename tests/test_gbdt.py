@@ -1,8 +1,13 @@
+import json
+import re
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fairfront._util import cross_entropy, sigmoid
-from fairfront.gbdt import Ensemble, GBDTParams, per_tree_outputs, train
+from fairfront.gbdt import Ensemble, GBDTParams, Tree, per_tree_outputs, train
 
 
 def toy_data(rng, n=400, informative=True):
@@ -13,6 +18,57 @@ def toy_data(rng, n=400, informative=True):
         p = np.full(n, 0.5)
     y = (rng.random(n) < p).astype(float)
     return X, y
+
+
+def loop_raw(model, X):
+    """Reference ``predict_raw``: one ``Tree.predict`` per tree, added in
+    tree order."""
+    raw = np.full(X.shape[0], model.base_margin)
+    for tree in model.trees:
+        raw += model.learning_rate * tree.predict(X)
+    return raw
+
+
+def loop_outputs(model, X):
+    """Reference ``per_tree_outputs``."""
+    if not model.trees:
+        return np.zeros((X.shape[0], 0))
+    return np.column_stack([tree.predict(X) for tree in model.trees])
+
+
+def random_tree(rng, depth, n_features, thresholds) -> Tree:
+    """Unbalanced tree of at most ``depth`` levels, leaves at mixed depths,
+    node ids shuffled away from preorder (the root stays node 0)."""
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(level):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(float(rng.normal()))  # internal values must never be returned
+        if level < depth and rng.random() < (0.9 if level == 0 else 0.7):
+            feature[node] = int(rng.integers(n_features))
+            threshold[node] = float(rng.choice(thresholds))
+            left[node] = build(level + 1)
+            right[node] = build(level + 1)
+        return node
+
+    build(0)
+    new_id = np.r_[0, 1 + rng.permutation(len(feature) - 1)]
+    order = np.argsort(new_id)
+
+    def relabel(kids):
+        return np.asarray([new_id[k] if k >= 0 else -1 for k in kids], dtype=np.intp)[order]
+
+    return Tree(
+        np.asarray(feature, dtype=np.intp)[order],
+        np.asarray(threshold)[order],
+        relabel(left),
+        relabel(right),
+        np.asarray(value)[order],
+    )
 
 
 class TestTraining:
@@ -119,6 +175,43 @@ class TestPrediction:
         with pytest.raises(ValueError):
             model.predict_raw(np.zeros((2, 2)))
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        depth=st.integers(1, 6),
+        n_trees=st.integers(0, 12),
+        n_rows=st.sampled_from([0, 1, 2, 255, 300]),
+    )
+    @example(seed=0, depth=3, n_trees=0, n_rows=5)
+    @example(seed=1, depth=6, n_trees=6, n_rows=0)
+    @example(seed=2, depth=6, n_trees=6, n_rows=1)
+    def test_packed_walk_is_bitwise_the_tree_loop(self, seed, depth, n_trees, n_rows):
+        rng = np.random.default_rng(seed)
+        n_features = 3
+        grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])  # shared tests across trees
+        trees = [random_tree(rng, int(rng.integers(1, depth + 1)), n_features, grid) for _ in range(n_trees)]
+        model = Ensemble(float(rng.normal()), float(rng.uniform(0.01, 1.0)), trees, n_features)
+        pool = np.r_[grid, rng.normal(size=8), np.nan, np.inf, -np.inf]
+        X = rng.choice(pool, size=(n_rows, n_features))
+        assert np.array_equal(model.predict_raw(X), loop_raw(model, X))
+        assert np.array_equal(per_tree_outputs(model, X), loop_outputs(model, X))
+
+    def test_packing_follows_the_tree_list(self):
+        rng = np.random.default_rng(9)
+        X, y = toy_data(rng)
+        model = train(X, y, params=GBDTParams(depth=3, rounds=10))
+        Xq = rng.normal(size=(50, 3))
+        first = model.predict_raw(Xq)
+        extra = train(X, 1.0 - y, params=GBDTParams(depth=2, rounds=1)).trees[0]
+        model.trees.append(extra)  # training appends in place
+        assert np.array_equal(model.predict_raw(Xq), loop_raw(model, Xq))
+        assert not np.array_equal(model.predict_raw(Xq), first)
+        model.trees = model.trees[:4]  # early stopping rebinds a prefix
+        assert np.array_equal(model.predict_raw(Xq), loop_raw(model, Xq))
+        assert np.array_equal(per_tree_outputs(model, Xq), loop_outputs(model, Xq))
+        model.trees[1] = extra
+        assert np.array_equal(per_tree_outputs(model, Xq), loop_outputs(model, Xq))
+
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
@@ -134,3 +227,32 @@ class TestSerialization:
     def test_rejects_foreign_documents(self):
         with pytest.raises(ValueError):
             Ensemble.from_json('{"kind": "something-else"}')
+
+    @pytest.mark.parametrize(
+        "field, index, bad, message",
+        [
+            ("feature", 0, 2, "tree 1: node 0 splits on feature 2, outside [0, 2)"),
+            ("feature", 2, -3, "tree 1: node 2 splits on feature -3"),
+            ("left", 0, 5, "tree 1: node 0 has children (5, 2), outside [0, 5)"),
+            ("left", 2, 0, "tree 1: node 0 is reached twice"),
+            ("threshold", 2, float("nan"), "tree 1: non-finite threshold"),
+            ("value", 3, float("inf"), "tree 1: non-finite value"),
+            ("right", None, None, "tree 1: node arrays must be nonempty, flat and of equal length"),
+        ],
+    )
+    def test_rejects_malformed_trees(self, field, index, bad, message):
+        # (feature, threshold, left, right, value) of a stump and of a tree
+        # whose node 2 splits again
+        stump = ([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 2.0])
+        two_level = (
+            [0, -1, 1, -1, -1], [0.0, 0.0, 1.5, 0.0, 0.0], [1, -1, 3, -1, -1], [2, -1, 4, -1, -1],
+            [0.0, -1.0, 0.0, 0.5, 1.5],
+        )
+        trees = [Tree(*(np.asarray(a) for a in arrays)) for arrays in (stump, two_level)]
+        doc = json.loads(Ensemble(0.1, 0.5, trees, n_features=2).to_json())
+        if index is None:
+            doc["trees"][1][field].pop()
+        else:
+            doc["trees"][1][field][index] = bad
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Ensemble.from_json(json.dumps(doc))
