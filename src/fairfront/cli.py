@@ -125,18 +125,24 @@ def _out_dir(path_str) -> Path:
     return out
 
 
-def _load_dataset(path, label, group) -> Dataset:
+def _load_dataset(path, label, group, two_groups=False) -> Dataset:
+    """Load one CSV; with ``two_groups``, reject a file with more than two
+    groups (the bias metrics and the sweep compare group 0 with group 1)."""
     if path is None:
         raise CliError("a dataset path is required")
-    return load_csv(path, label_column=label, group_column=group)
+    ds = load_csv(path, label_column=label, group_column=group)
+    n_groups = np.unique(ds.g).size if two_groups else 0
+    if n_groups > 2:
+        raise ValueError(f"{path}: {n_groups} groups in column {group!r}; only two are supported")
+    return ds
 
 
-def _load_splits(resolved) -> tuple:
+def _load_splits(resolved, two_groups=False) -> tuple:
     """Load train (and optional test), imputing missing cells with
     train-fitted means so every downstream stage sees finite values."""
-    train_ds = _load_dataset(resolved["train"], resolved["label"], resolved["group"])
+    train_ds = _load_dataset(resolved["train"], resolved["label"], resolved["group"], two_groups)
     test_ds = (
-        _load_dataset(resolved["test"], resolved["label"], resolved["group"])
+        _load_dataset(resolved["test"], resolved["label"], resolved["group"], two_groups)
         if resolved.get("test")
         else None
     )
@@ -400,7 +406,7 @@ def cmd_mitigate(args):
     manifest = Manifest("mitigate", resolved, out)
     if resolved["base"] is None:
         raise CliError("mitigate needs --base (train one with train-base)")
-    train_ds, test_ds = _load_splits(resolved)
+    train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     manifest.stage("load")
 
@@ -506,9 +512,9 @@ def cmd_evaluate(args):
 
     fam_train = train_ds = fam_test = test_ds = None
     if resolved["train"]:
-        train_ds = _load_dataset(resolved["train"], label, group)
+        train_ds = _load_dataset(resolved["train"], label, group, two_groups=True)
     if resolved["test"]:
-        test_ds = _load_dataset(resolved["test"], label, group)
+        test_ds = _load_dataset(resolved["test"], label, group, two_groups=True)
     has_nan = any(ds is not None and np.isnan(ds.X).any() for ds in (train_ds, test_ds))
     if has_nan:
         # impute the way mitigate does: with means fitted on the train split
@@ -548,7 +554,7 @@ def cmd_baseline_rescale(args):
     }
     out = _out_dir(resolved["out"])
     manifest = Manifest("baseline-rescale", resolved, out)
-    train_ds, test_ds = _load_splits(resolved)
+    train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     if resolved["features"] == "all":
         selected = list(range(train_ds.X.shape[1]))
@@ -621,7 +627,7 @@ def cmd_baseline_ot(args):
     }
     out = _out_dir(resolved["out"])
     manifest = Manifest("baseline-ot", resolved, out)
-    train_ds, test_ds = _load_splits(resolved)
+    train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     manifest.stage("load")
     params = GBDTParams(

@@ -242,23 +242,23 @@ class Ensemble:
         """Parse an ensemble document, rejecting a malformed one with a
         ``ValueError`` before any prediction runs."""
         doc = json.loads(text)
-        if doc.get("kind") != "fairfront-gbdt":
+        if not isinstance(doc, dict) or doc.get("kind") != "fairfront-gbdt":
             raise ValueError("not an ensemble document")
         trees = [
-            Tree(
-                np.asarray(t["feature"], dtype=np.intp),
-                np.asarray(t["threshold"], dtype=float),
-                np.asarray(t["left"], dtype=np.intp),
-                np.asarray(t["right"], dtype=np.intp),
-                np.asarray(t["value"], dtype=float),
-            )
-            for t in doc["trees"]
+            Tree(*(_node_array(t, i, name, dtype) for name, dtype in _TREE_FIELDS))
+            for i, t in enumerate(_field(doc, "trees", "ensemble", list))
         ]
         for t, tree in enumerate(trees):
             for name in ("threshold", "value"):
                 if not np.all(np.isfinite(getattr(tree, name))):
                     raise ValueError(f"tree {t}: non-finite {name}")
-        ensemble = cls(doc["base_margin"], doc["learning_rate"], trees, doc["n_features"], doc["link"])
+        ensemble = cls(
+            _field(doc, "base_margin", "ensemble", _NUMBER),
+            _field(doc, "learning_rate", "ensemble", _NUMBER),
+            trees,
+            _field(doc, "n_features", "ensemble", int),
+            _field(doc, "link", "ensemble", str),
+        )
         ensemble._packed()  # checks the structure of every tree
         return ensemble
 
@@ -270,6 +270,32 @@ class Ensemble:
     def load(cls, path) -> "Ensemble":
         with open(path) as fh:
             return cls.from_json(fh.read())
+
+
+_TREE_FIELDS = (("feature", np.intp), ("threshold", float), ("left", np.intp), ("right", np.intp), ("value", float))
+_NUMBER = (int, float)
+
+
+def _field(doc, key, where, kind):
+    """``doc[key]``, checked to be a ``kind``; a missing key or a value of
+    another type raises ``ValueError`` naming ``where`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} has type {type(value).__name__}")
+    return value
+
+
+def _node_array(tree_doc, t, name, dtype):
+    """One node array of tree ``t`` from its document."""
+    values = _field(tree_doc, name, f"tree {t}", list)
+    try:
+        return np.asarray(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"tree {t}: bad {name!r} ({exc})") from None
 
 
 def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:

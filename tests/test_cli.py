@@ -2,6 +2,7 @@
 config/flag merging, determinism of CSV artifacts, and re-evaluation
 idempotence."""
 
+import csv
 import json
 
 import pytest
@@ -281,6 +282,88 @@ class TestEncode:
         assert code == 1
         assert "tree 3: node 0 splits on feature 99" in capsys.readouterr().err
         assert not (out / "encoders.csv").exists()
+
+
+    def test_model_with_a_missing_key_is_an_error_line(self, workspace, tmp_path, capsys):
+        _, data, model_dir = workspace
+        doc = json.loads((model_dir / "model.json").read_text())
+        del doc["trees"][2]["threshold"]
+        tampered = tmp_path / "model.json"
+        tampered.write_text(json.dumps(doc))
+        out = tmp_path / "enc"
+        code = main(
+            [
+                "encode",
+                "--method",
+                "tree-pca",
+                "--components",
+                "3",
+                "--train",
+                str(data / "train.csv"),
+                "--base",
+                str(tampered),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert "error: tree 2: missing key 'threshold'" in capsys.readouterr().err
+        assert not (out / "encoders.csv").exists()
+
+
+class TestGroupCount:
+    """Every stage after loading compares group 0 with group 1, so a file
+    with a third group is rejected before any encoder or sweep runs."""
+
+    @pytest.fixture(scope="class")
+    def three_groups(self, workspace, tmp_path_factory):
+        _, data, _ = workspace
+        rows = list(csv.reader((data / "test.csv").open()))
+        column = rows[0].index("group")
+        for row in rows[1::3]:
+            row[column] = "7"
+        path = tmp_path_factory.mktemp("groups") / "three.csv"
+        with path.open("w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        return path
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["mitigate", "--method", "additive", "--estimator", "energy"],
+            ["baseline-rescale", "--iterations", "5"],
+            ["baseline-ot", "--rounds", "5"],
+        ],
+    )
+    def test_fitting_commands_reject_a_third_group(self, workspace, three_groups, tmp_path, capsys, command):
+        _, data, model_dir = workspace
+        out = tmp_path / "out"
+        flags = ["--train", str(data / "train.csv"), "--test", str(three_groups), "--base", str(model_dir / "model.json")]
+        assert main([*command, *flags, "--out", str(out)]) == 1
+        assert f"error: {three_groups}: 3 groups in column 'group'" in capsys.readouterr().err
+        assert not (out / "frontier.csv").exists()
+        assert not (out / "encoders.csv").exists()
+
+    def test_evaluate_rejects_a_third_group(self, workspace, three_groups, tmp_path, capsys):
+        _, data, model_dir = workspace
+        run = run_mitigate(workspace, "run-groups")
+        out = tmp_path / "reval"
+        code = main(
+            [
+                "evaluate",
+                "--candidates",
+                str(run / "candidates.json"),
+                "--base",
+                str(model_dir / "model.json"),
+                "--test",
+                str(three_groups),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+        assert f"error: {three_groups}: 3 groups in column 'group'" in capsys.readouterr().err
+        assert not (out / "frontier.csv").exists()
 
 
 class TestBaselines:

@@ -1,7 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from fairfront import estimators
 from fairfront.bias_metrics import GroupedScores, ThresholdMeasure, cost_bias
 from fairfront.distributions import ABS, SQUARE, EmpiricalDistribution
 from fairfront.estimators import (
@@ -230,6 +235,84 @@ class TestEstimatorValues:
             raw_err += bias_value_and_grad(spec_raw, fam, [0.0], batch_of(m, m))[0] - truth
             unb_err += bias_value_and_grad(spec_unb, fam, [0.0], batch_of(m, m))[0] - truth
         assert abs(unb_err / 400) < abs(raw_err / 400)
+
+
+def pairwise_energy(S0, dS0, S1, dS1):
+    """The energy V-statistic and its gradient from the full pairwise gap
+    and sign matrices: the quadratic oracle for the sorted computation."""
+    m0, m1 = S0.size, S1.size
+    diff01 = S0[:, None] - S1[None, :]
+    value = 2.0 * np.abs(diff01).mean()
+    sgn01 = np.sign(diff01)
+    grad = (2.0 / (m0 * m1)) * (sgn01.sum(axis=1) @ dS0 - sgn01.sum(axis=0) @ dS1)
+    for S, dS in ((S0, dS0), (S1, dS1)):
+        d = S[:, None] - S[None, :]
+        value -= np.abs(d).mean()
+        grad -= (2.0 / (S.size * S.size)) * (np.sign(d).sum(axis=1) @ dS)
+    return float(value), grad
+
+
+def tied_scores(rng, m, ties):
+    """``m`` scores on [-0.5, 1.5]; with ``ties`` drawn from five levels, two
+    of which clip to 0 and 1 under the uniform CDF transform."""
+    if ties:
+        return rng.choice([-0.5, 0.0, 0.25, 0.7, 1.5], size=m)
+    return rng.uniform(-0.5, 1.5, m)
+
+
+SIZES = st.sampled_from([1, 2, 3, 7, 40, 129])
+
+
+class TestSortedEnergyOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), m0=SIZES, m1=SIZES, ties=st.booleans())
+    @example(seed=0, m0=1, m1=1, ties=True)
+    @example(seed=1, m0=1, m1=40, ties=True)
+    @example(seed=2, m0=129, m1=7, ties=True)
+    def test_matches_the_pairwise_statistic(self, seed, m0, m1, ties):
+        rng = np.random.default_rng(seed)
+        S0 = np.clip(tied_scores(rng, m0, ties), 0.0, 1.0)
+        S1 = np.clip(tied_scores(rng, m1, ties), 0.0, 1.0)
+        dS0, dS1 = rng.normal(size=(m0, 4)), rng.normal(size=(m1, 4))
+        value, grad = estimators._energy_vstat(S0, dS0, S1, dS1)
+        oracle_value, oracle_grad = pairwise_energy(S0, dS0, S1, dS1)
+        assert np.array_equal(grad, oracle_grad)
+        assert value >= 0.0
+        assert abs(value - oracle_value) <= 1e-12
+        assert estimators._energy_vstat(S0, None, S1, None, need_grad=False) == (value, None)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m0=SIZES,
+        m1=SIZES,
+        ties=st.booleans(),
+        variant=st.sampled_from(["energy", "invariant-energy-relaxed"]),
+    )
+    @example(seed=3, m0=1, m1=7, ties=True, variant="energy")
+    @example(seed=4, m0=40, m1=3, ties=True, variant="invariant-energy-relaxed")
+    def test_variants_feed_the_statistic(self, seed, m0, m1, ties, variant):
+        # both energy variants return the statistic of the samples they
+        # transform, bitwise in the gradient
+        rng = np.random.default_rng(seed)
+        scores = np.concatenate([tied_scores(rng, m0, ties), tied_scores(rng, m1, ties), rng.uniform(0, 1, 9)])
+        fam = identity_family(scores, n_extra=2, rng=rng)
+        theta = np.zeros(3) if ties else rng.normal(0.0, 0.1, 3)  # theta = 0 keeps the ties
+        spec = BiasEstimatorSpec(variant, logistic(8.0), SQUARE, 16)
+        sorted_vstat = estimators._energy_vstat
+        seen = []
+
+        def spy(*args, **kwargs):
+            seen.append(args)
+            return sorted_vstat(*args, **kwargs)
+
+        with mock.patch.object(estimators, "_energy_vstat", spy):
+            value, grad = bias_value_and_grad(spec, fam, theta, batch_of(m0, m1, np.arange(m0 + m1, scores.size)))
+        (args,) = seen
+        oracle_value, oracle_grad = pairwise_energy(*args)
+        assert np.array_equal(grad, oracle_grad)
+        assert value >= 0.0
+        assert abs(value - oracle_value) <= 1e-12
 
 
 class TestExactRelaxedOracle:

@@ -256,3 +256,22 @@ class TestSerialization:
             doc["trees"][1][field][index] = bad
         with pytest.raises(ValueError, match=re.escape(message)):
             Ensemble.from_json(json.dumps(doc))
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: doc["trees"][1].pop("threshold"), "tree 1: missing key 'threshold'"),
+            (lambda doc: doc["trees"][0].__setitem__("value", 2.0), "tree 0: 'value' has type float"),
+            (lambda doc: doc["trees"][1].__setitem__("left", ["a"] * 3), "tree 1: bad 'left'"),
+            (lambda doc: doc["trees"].__setitem__(0, [0, 1]), "tree 0: expected a JSON object, got list"),
+            (lambda doc: doc.pop("learning_rate"), "ensemble: missing key 'learning_rate'"),
+            (lambda doc: doc.__setitem__("n_features", "2"), "ensemble: 'n_features' has type str"),
+            (lambda doc: doc.__setitem__("trees", {}), "ensemble: 'trees' has type dict"),
+        ],
+    )
+    def test_rejects_missing_and_mistyped_keys(self, edit, message):
+        stump = Tree(*(np.asarray(a) for a in ([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 2.0])))
+        doc = json.loads(Ensemble(0.1, 0.5, [stump, stump], n_features=2).to_json())
+        edit(doc)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            Ensemble.from_json(json.dumps(doc))
