@@ -6,10 +6,7 @@ from .distributions import (
     SQUARE,
     CostFunction,
     EmpiricalDistribution,
-    empirical_cdf,
     ks_distance,
-    left_cdf,
-    quantile,
     transport_cost,
     wasserstein1,
 )

@@ -189,18 +189,6 @@ class EmpiricalDistribution:
         return self.quantile(np.clip(u, np.finfo(float).tiny, 1.0))
 
 
-def empirical_cdf(dist: EmpiricalDistribution, t) -> float:
-    return dist.cdf(t)
-
-
-def left_cdf(dist: EmpiricalDistribution, t) -> float:
-    return dist.left_cdf(t)
-
-
-def quantile(dist: EmpiricalDistribution, p) -> float:
-    return dist.quantile(p)
-
-
 def _merged_levels(d0: EmpiricalDistribution, d1: EmpiricalDistribution):
     """Union of both cumulative-weight grids; quantiles are constant between
     consecutive levels, so integrals over p reduce to finite sums."""

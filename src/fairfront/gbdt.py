@@ -4,13 +4,16 @@ Logistic-loss boosting with squared-error regression trees fit to the
 gradients, second-order leaf values, sample weights, and optional early
 stopping on a validation split.  Split search is exact over sorted unique
 feature values, with ties broken by lowest feature index then lowest
-threshold, so training is bit-reproducible.  The per-tree output matrix is
-exposed for rebalancing, and ensembles serialize to a self-describing JSON
-document.
+threshold, so training is bit-reproducible.  Each feature is sorted once per
+``train`` call; a node's rows stay in that order, filtered from its
+parent's, and one node searches all features at once.  Each round's update
+of the training margins reads every row's leaf from the fit.  The per-tree
+output matrix is exposed for rebalancing, and ensembles serialize to a
+self-describing JSON document.
 
 Prediction from a whole ensemble packs every tree into one node table and
 walks all trees at once, a chunk of rows at a time; ``Tree.predict`` walks
-one tree and serves training's per-round update.
+one tree and serves early stopping's update of the validation margins.
 """
 
 from __future__ import annotations
@@ -311,82 +314,95 @@ def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:
     return outputs
 
 
-def _best_split(X, rows, g, h, w, min_leaf):
-    """Exact split search on one node.
+def _best_split(xs, ws, wgs, w_total, wg_total, min_leaf):
+    """Exact split search on one node, every feature at once.
 
-    Maximizes the weighted-SSE reduction of the gradient targets, which only
-    depends on weighted first moments, so integer-weight duplication yields
-    identical trees.  Returns (gain, feature, threshold) or None.
+    Row ``f`` of the (F, n) matrices ``xs``, ``ws`` and ``wgs`` holds the
+    node's values of feature ``f`` in ascending order, ties by row index, and
+    the weights and weighted gradients of the same rows.  Maximizes the
+    weighted-SSE reduction of the gradient targets, which only depends on
+    weighted first moments, so integer-weight duplication yields identical
+    trees.  A boundary between distinct consecutive values is a candidate
+    when both sides keep ``min_leaf`` weight; each feature takes its first
+    best candidate, and a feature wins only by a strictly larger gain, so
+    ties go to the lowest feature, then the lowest threshold.  Returns
+    (gain, feature, threshold) or None.
     """
-    wn = w[rows]
-    gn = g[rows]
-    w_total = wn.sum()
-    wg_total = (wn * gn).sum()
-    parent_score = wg_total * wg_total / w_total
+    if xs.shape[1] < 2:
+        return None
+    wl = np.cumsum(ws, axis=1)[:, :-1]
+    gl = np.cumsum(wgs, axis=1)[:, :-1]
+    wr = w_total - wl
+    gr = wg_total - gl
+    cand = (xs[:, 1:] > xs[:, :-1]) & (wl >= min_leaf) & (wr >= min_leaf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        parent_score = wg_total * wg_total / w_total
+        gain = np.where(cand, gl * gl / wl + gr * gr / wr - parent_score, -np.inf)
+    at = np.argmax(gain, axis=1)
     best = None
-    for f in range(X.shape[1]):
-        xs = X[rows, f]
-        order = np.argsort(xs, kind="stable")
-        xs_sorted = xs[order]
-        cw = np.cumsum(wn[order])
-        cwg = np.cumsum((wn * gn)[order])
-        # candidate boundaries sit between distinct consecutive values
-        distinct = xs_sorted[1:] > xs_sorted[:-1]
-        if not np.any(distinct):
-            continue
-        cand = np.flatnonzero(distinct)
-        wl = cw[cand]
-        wr = w_total - wl
-        ok = (wl >= min_leaf) & (wr >= min_leaf)
-        if not np.any(ok):
-            continue
-        cand = cand[ok]
-        wl, wr = wl[ok], wr[ok]
-        gl = cwg[cand]
-        gr = wg_total - gl
-        gain = gl * gl / wl + gr * gr / wr - parent_score
-        k = int(np.argmax(gain))
-        if gain[k] > _MIN_GAIN and (best is None or gain[k] > best[0]):
-            threshold = 0.5 * (xs_sorted[cand[k]] + xs_sorted[cand[k] + 1])
-            best = (float(gain[k]), f, threshold)
-    return best
+    for f, (top, k) in enumerate(zip(gain[np.arange(gain.shape[0]), at].tolist(), at.tolist())):
+        if top > _MIN_GAIN and (best is None or top > best[0]):
+            best = (top, f, k)
+    if best is None:
+        return None
+    top, f, k = best
+    return top, f, 0.5 * (xs[f, k] + xs[f, k + 1])
 
 
-def _fit_tree(X, rows, g, h, w, depth, min_leaf) -> Tree:
+def _fit_tree(X, presorted, g, h, w, depth, min_leaf):
+    """Fit one regression tree to the gradients ``g``; returns the tree and
+    the leaf of every training row.
+
+    ``presorted`` is the root's (rows, values, weights) triple of (F, n)
+    tables, each feature's row in that feature's stable ascending order
+    (NaN last).  A node keeps its rows twice: in ascending row order, over
+    which every sum is taken, and in that triple.  A child's rows are its
+    parent's filtered by the split test, which keeps both orders, so no node
+    sorts anything.
+    """
     feature, threshold, left, right, value = [], [], [], [], []
+    wg = w * g
+    wh = w * h
+    leaf_of = np.empty(X.shape[0], dtype=np.intp)
 
-    def leaf_value(node_rows):
-        num = (w[node_rows] * g[node_rows]).sum()
-        den = (w[node_rows] * h[node_rows]).sum() + _LAMBDA
-        return -num / den
-
-    def build(node_rows, level):
+    def build(node_rows, sorted_node, level):
         node_id = len(feature)
         feature.append(-1)
         threshold.append(0.0)
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        split = _best_split(X, node_rows, g, h, w, min_leaf) if level < depth else None
+        wg_total = wg[node_rows].sum()
+        split = None
+        if level < depth:
+            order, xs, ws = sorted_node
+            split = _best_split(xs, ws, wg[order], w[node_rows].sum(), wg_total, min_leaf)
         if split is None:
-            value[node_id] = leaf_value(node_rows)
+            value[node_id] = -wg_total / (wh[node_rows].sum() + _LAMBDA)
+            leaf_of[node_rows] = node_id
             return node_id
         _, f, thr = split
         mask = X[node_rows, f] <= thr
+        sorted_left = sorted_right = None  # a child at the depth limit is a leaf
+        if level + 1 < depth:
+            goes_left = X[order, f] <= thr
+            sorted_left = tuple(a[goes_left].reshape(a.shape[0], -1) for a in sorted_node)
+            sorted_right = tuple(a[~goes_left].reshape(a.shape[0], -1) for a in sorted_node)
         feature[node_id] = f
         threshold[node_id] = thr
-        left[node_id] = build(node_rows[mask], level + 1)
-        right[node_id] = build(node_rows[~mask], level + 1)
+        left[node_id] = build(node_rows[mask], sorted_left, level + 1)
+        right[node_id] = build(node_rows[~mask], sorted_right, level + 1)
         return node_id
 
-    build(rows, 0)
-    return Tree(
+    build(np.arange(X.shape[0]), presorted, 0)
+    tree = Tree(
         np.asarray(feature, dtype=np.intp),
         np.asarray(threshold, dtype=float),
         np.asarray(left, dtype=np.intp),
         np.asarray(right, dtype=np.intp),
         np.asarray(value, dtype=float),
     )
+    return tree, leaf_of
 
 
 def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> Ensemble:
@@ -404,6 +420,10 @@ def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> En
     if not np.all((y == 0) | (y == 1)):
         raise ValueError("labels must be binary 0/1")
     w = np.ones(y.size) if sample_weight is None else np.asarray(sample_weight, dtype=float).ravel()
+    if w.size != y.size:
+        raise ValueError(f"expected {y.size} weights, got {w.size}")
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("weights must be nonnegative with positive total")
 
@@ -413,7 +433,8 @@ def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> En
     if p_bar in (0.0, 1.0) or params.rounds == 0:
         return ensemble
 
-    rows = np.arange(y.size)
+    order = np.argsort(X.T, axis=1, kind="stable")  # X is the same in every round
+    presorted = (order, np.take_along_axis(X.T, order, axis=1), w[order])
     raw = np.full(y.size, base_margin)
     use_valid = valid is not None and params.early_stop_rounds > 0
     if use_valid:
@@ -428,9 +449,9 @@ def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> En
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree = _fit_tree(X, rows, g, h, w, params.depth, params.min_leaf)
+        tree, leaf_of = _fit_tree(X, presorted, g, h, w, params.depth, params.min_leaf)
         ensemble.trees.append(tree)
-        raw += params.learning_rate * tree.predict(X)
+        raw += params.learning_rate * tree.value[leaf_of]
         if use_valid:
             raw_val += params.learning_rate * tree.predict(X_val)
             loss = cross_entropy(sigmoid(raw_val), y_val)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import PROB_EPS, fmt_float, sigmoid
+from ._util import cross_entropy, fmt_float, sigmoid
 from .estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from .linear_family import LinearFamily
 
@@ -95,17 +95,14 @@ def _loss_and_grad(family, theta, rows, labels, loss_kind):
     p = sigmoid(raw)
     if loss_kind == "cross-entropy":
         y = labels[rows]
-        pc = np.clip(p, PROB_EPS, 1.0 - PROB_EPS)
-        value = float(-np.mean(y * np.log(pc) + (1 - y) * np.log(1 - pc)))
         grad = ((p - y) @ (-W)) / rows.size
-        return value, grad
+        return cross_entropy(p, y), grad
     teacher = sigmoid(family.base_scores[rows])
     pc = np.clip(p, 1e-7, 1.0 - 1e-7)
     qc = np.clip(teacher, 1e-7, 1.0 - 1e-7)
-    value = float(np.mean(pc * (np.log(pc) - np.log(qc)) + (1 - pc) * (np.log1p(-pc) - np.log1p(-qc))))
     dldp = np.log(pc) - np.log1p(-pc) - (np.log(qc) - np.log1p(-qc))
     grad = ((dldp * p * (1 - p)) @ (-W)) / rows.size
-    return value, grad
+    return distill_loss(p, teacher), grad
 
 
 def _full_loss(family, theta, labels, loss_kind) -> float:

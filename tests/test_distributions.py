@@ -8,10 +8,7 @@ from fairfront.distributions import (
     SQUARE,
     CostFunction,
     EmpiricalDistribution,
-    empirical_cdf,
     ks_distance,
-    left_cdf,
-    quantile,
     transport_cost,
     wasserstein1,
 )
@@ -70,43 +67,43 @@ class TestConstruction:
 class TestCdf:
     def test_atom_counting(self):
         d = dist([0, 0, 1])
-        assert empirical_cdf(d, 0.0) == pytest.approx(2 / 3)
+        assert d.cdf(0.0) == pytest.approx(2 / 3)
 
     def test_below_min_is_zero(self):
         d = dist([0, 0, 1])
-        assert empirical_cdf(d, -0.5) == 0.0
+        assert d.cdf(-0.5) == 0.0
 
     def test_at_or_above_max_is_one(self):
         d = dist([0, 0, 1])
-        assert empirical_cdf(d, 1.0) == 1.0
-        assert empirical_cdf(d, 5.0) == 1.0
+        assert d.cdf(1.0) == 1.0
+        assert d.cdf(5.0) == 1.0
 
     def test_left_cdf_excludes_atom(self):
         d = dist([0, 0, 1])
-        assert left_cdf(d, 0.0) == 0.0
-        assert left_cdf(d, 1.0) == pytest.approx(2 / 3)
-        assert left_cdf(d, 2.0) == 1.0
+        assert d.left_cdf(0.0) == 0.0
+        assert d.left_cdf(1.0) == pytest.approx(2 / 3)
+        assert d.left_cdf(2.0) == 1.0
 
 
 class TestQuantile:
     def test_definition(self):
         d = dist([1, 2, 3])
-        assert quantile(d, 0.5) == 2.0
+        assert d.quantile(0.5) == 2.0
 
     def test_boundary_attains_level(self):
         d = dist([1, 2, 3])
-        assert quantile(d, 1 / 3) == 1.0
+        assert d.quantile(1 / 3) == 1.0
 
     def test_top_level(self):
         d = dist([1, 2, 3])
-        assert quantile(d, 1.0) == 3.0
+        assert d.quantile(1.0) == 3.0
 
     def test_domain_checked(self):
         d = dist([1, 2, 3])
         with pytest.raises(ValueError):
-            quantile(d, 0.0)
+            d.quantile(0.0)
         with pytest.raises(ValueError):
-            quantile(d, 1.5)
+            d.quantile(1.5)
 
     def test_galois_inequalities(self):
         # t < Q(p) iff F(t) < p, and t <= Q_right(p) iff F_left(t) <= p,

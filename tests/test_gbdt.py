@@ -6,8 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from fairfront._util import cross_entropy, sigmoid
-from fairfront.gbdt import Ensemble, GBDTParams, Tree, per_tree_outputs, train
+from fairfront._util import cross_entropy, logit, sigmoid
+from fairfront.gbdt import _LAMBDA, _MARGIN_CLAMP, _MIN_GAIN, Ensemble, GBDTParams, Tree, per_tree_outputs, train
 
 
 def toy_data(rng, n=400, informative=True):
@@ -71,6 +71,129 @@ def random_tree(rng, depth, n_features, thresholds) -> Tree:
     )
 
 
+def oracle_best_split(X, rows, g, w, min_leaf):
+    """Reference split search: a stable argsort of every feature at every
+    node, one feature at a time."""
+    wn = w[rows]
+    gn = g[rows]
+    w_total = wn.sum()
+    wg_total = (wn * gn).sum()
+    parent_score = wg_total * wg_total / w_total
+    best = None
+    for f in range(X.shape[1]):
+        xs = X[rows, f]
+        order = np.argsort(xs, kind="stable")
+        xs_sorted = xs[order]
+        cw = np.cumsum(wn[order])
+        cwg = np.cumsum((wn * gn)[order])
+        distinct = xs_sorted[1:] > xs_sorted[:-1]
+        if not np.any(distinct):
+            continue
+        cand = np.flatnonzero(distinct)
+        wl = cw[cand]
+        wr = w_total - wl
+        ok = (wl >= min_leaf) & (wr >= min_leaf)
+        if not np.any(ok):
+            continue
+        cand = cand[ok]
+        wl, wr = wl[ok], wr[ok]
+        gl = cwg[cand]
+        gr = wg_total - gl
+        gain = gl * gl / wl + gr * gr / wr - parent_score
+        k = int(np.argmax(gain))
+        if gain[k] > _MIN_GAIN and (best is None or gain[k] > best[0]):
+            threshold = 0.5 * (xs_sorted[cand[k]] + xs_sorted[cand[k] + 1])
+            best = (float(gain[k]), f, threshold)
+    return best
+
+
+def oracle_fit_tree(X, rows, g, h, w, depth, min_leaf) -> Tree:
+    feature, threshold, left, right, value = [], [], [], [], []
+
+    def build(node_rows, level):
+        node_id = len(feature)
+        feature.append(-1)
+        threshold.append(0.0)
+        left.append(-1)
+        right.append(-1)
+        value.append(0.0)
+        split = oracle_best_split(X, node_rows, g, w, min_leaf) if level < depth else None
+        if split is None:
+            num = (w[node_rows] * g[node_rows]).sum()
+            den = (w[node_rows] * h[node_rows]).sum() + _LAMBDA
+            value[node_id] = -num / den
+            return node_id
+        _, f, thr = split
+        mask = X[node_rows, f] <= thr
+        feature[node_id] = f
+        threshold[node_id] = thr
+        left[node_id] = build(node_rows[mask], level + 1)
+        right[node_id] = build(node_rows[~mask], level + 1)
+        return node_id
+
+    build(rows, 0)
+    return Tree(*(np.asarray(a, dtype=t) for a, t in
+                  ((feature, np.intp), (threshold, float), (left, np.intp), (right, np.intp), (value, float))))
+
+
+def oracle_train(X, y, w, params, valid=None) -> Ensemble:
+    """Reference boosting loop: per-node sorts, and every round's update
+    from ``Tree.predict`` on the training rows."""
+    p_bar = float((w * y).sum() / w.sum())
+    base_margin = float(np.clip(logit(p_bar), -_MARGIN_CLAMP, _MARGIN_CLAMP))
+    ensemble = Ensemble(base_margin, params.learning_rate, [], X.shape[1])
+    if p_bar in (0.0, 1.0) or params.rounds == 0:
+        return ensemble
+    rows = np.arange(y.size)
+    raw = np.full(y.size, base_margin)
+    use_valid = valid is not None and params.early_stop_rounds > 0
+    if use_valid:
+        X_val, y_val = valid
+        raw_val = np.full(y_val.size, base_margin)
+        best_loss, best_round, stall = cross_entropy(sigmoid(raw_val), y_val), 0, 0
+    for round_idx in range(params.rounds):
+        p = sigmoid(raw)
+        tree = oracle_fit_tree(X, rows, p - y, p * (1.0 - p), w, params.depth, params.min_leaf)
+        ensemble.trees.append(tree)
+        raw += params.learning_rate * tree.predict(X)
+        if use_valid:
+            raw_val += params.learning_rate * tree.predict(X_val)
+            loss = cross_entropy(sigmoid(raw_val), y_val)
+            if loss < best_loss - 1e-12:
+                best_loss, best_round, stall = loss, round_idx + 1, 0
+            else:
+                stall += 1
+                if stall >= params.early_stop_rounds:
+                    break
+    if use_valid:
+        ensemble.trees = ensemble.trees[:best_round]
+    return ensemble
+
+
+def mixed_features(rng, n, n_features):
+    """Columns that stress the split search's tie rules: normal values,
+    small integers (long runs of equal values), rescaled copies of an
+    earlier column (the same partitions and bitwise-equal gains, so the
+    lowest feature must win), ranks of an earlier column with its ties
+    broken by row index (the same sums at that column's boundaries), and
+    NaN cells."""
+    cols = []
+    for j in range(n_features):
+        kind = int(rng.integers(4)) if j else int(rng.integers(2))
+        if kind == 0:
+            col = rng.normal(size=n)
+        elif kind == 1:
+            col = rng.integers(0, 3, size=n).astype(float)
+        elif kind == 2:
+            col = 3.0 * cols[int(rng.integers(j))] - 1.0
+        else:
+            col = np.argsort(np.argsort(cols[int(rng.integers(j))], kind="stable")).astype(float)
+        cols.append(col)
+    X = np.column_stack(cols)
+    X[rng.random(X.shape) < rng.choice([0.0, 0.15])] = np.nan
+    return X
+
+
 class TestTraining:
     def test_zero_rounds_predicts_label_mean(self):
         rng = np.random.default_rng(0)
@@ -132,6 +255,54 @@ class TestTraining:
         for ta, tb in zip(weighted.trees, duplicated.trees):
             assert np.allclose(ta.value, tb.value, atol=1e-10)
             assert np.array_equal(ta.feature, tb.feature)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(2, 150),
+        n_features=st.integers(1, 6),
+        depth=st.integers(1, 5),
+        min_leaf=st.integers(0, 8),
+        weighted=st.booleans(),
+        early_stop=st.booleans(),
+    )
+    # an unstable sort of these ties sums them in another order, and another feature wins
+    @example(seed=86, n_rows=44, n_features=3, depth=1, min_leaf=0, weighted=False, early_stop=False)
+    @example(seed=76, n_rows=76, n_features=3, depth=1, min_leaf=0, weighted=False, early_stop=False)
+    def test_presorted_training_is_bitwise_the_per_node_sort(
+        self, seed, n_rows, n_features, depth, min_leaf, weighted, early_stop
+    ):
+        rng = np.random.default_rng(seed)
+        X = mixed_features(rng, n_rows + 40, n_features)
+        signal = np.nan_to_num(X[:, 0]) - np.nan_to_num(X[:, -1])
+        y = (rng.random(X.shape[0]) < sigmoid(signal - np.median(signal))).astype(float)
+        valid = (X[n_rows:], y[n_rows:]) if early_stop else None
+        X, y = X[:n_rows], y[:n_rows]
+        w = None
+        if weighted:
+            w = rng.integers(0, 4, size=n_rows).astype(float)
+            w[0] = max(w[0], 1.0)
+        params = GBDTParams(depth=depth, rounds=12, learning_rate=0.3, min_leaf=float(min_leaf), early_stop_rounds=2)
+        model = train(X, y, sample_weight=w, params=params, valid=valid)
+        with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight nodes, as in train
+            reference = oracle_train(X, y, np.ones(n_rows) if w is None else w, params, valid)
+        assert model.to_json() == reference.to_json()
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (lambda w: np.r_[w[:5], np.nan, w[6:]], "weights must be finite"),
+            (lambda w: np.r_[w[:5], np.inf, w[6:]], "weights must be finite"),
+            (lambda w: np.r_[w[:5], -np.inf, w[6:]], "weights must be finite"),
+            (lambda w: w[:-1], "expected 400 weights, got 399"),
+            (lambda w: np.r_[w, 1.0], "expected 400 weights, got 401"),
+        ],
+    )
+    def test_bad_weights_rejected(self, weights, message):
+        rng = np.random.default_rng(10)
+        X, y = toy_data(rng)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            train(X, y, sample_weight=weights(np.ones(y.size)), params=GBDTParams(rounds=5))
 
     def test_early_stopping_improves_validation_loss(self):
         rng = np.random.default_rng(6)

@@ -42,6 +42,21 @@ class TestDistillLoss:
         for _ in range(100):
             assert distill_loss(rng.random(), rng.random()) >= 0.0
 
+    def test_batch_losses_are_the_shared_formulas(self):
+        from fairfront._util import cross_entropy
+        from fairfront.optimizer import _loss_and_grad
+
+        rng = np.random.default_rng(3)
+        fam, y, _ = biased_problem(rng, n=300)
+        rows = rng.permutation(fam.n_records)[:128]
+        # large theta drives some student probabilities into both clips
+        for scale in (0.0, 0.3, 40.0):
+            theta = rng.normal(0, scale, fam.n_params)
+            p = sigmoid(fam.base_scores[rows] - fam.encoder_matrix[rows] @ theta)
+            teacher = sigmoid(fam.base_scores[rows])
+            assert _loss_and_grad(fam, theta, rows, y, "distill")[0] == distill_loss(p, teacher)
+            assert _loss_and_grad(fam, theta, rows, y, "cross-entropy")[0] == cross_entropy(p, y[rows])
+
 
 class TestPenalizedObjective:
     def test_theta_zero_decomposes(self):
