@@ -45,6 +45,10 @@ _VARIANTS = (
     "invariant-energy-relaxed",
 )
 _ENERGY_VARIANTS = ("energy", "invariant-energy-relaxed")
+# cells of a relaxation grid formed at once (512 KB a matrix): memory stays
+# bounded whatever the threshold or pool count, and a block's few matrices
+# stay in cache and are reused by the allocator
+_GRID_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -148,66 +152,67 @@ def b_hat(family: LinearFamily, theta, group_index_sets, t: float, relaxation: R
     return float(m1 - m0), g1 - g0
 
 
-def _group_curves(relaxation, u, du, thresholds, need_grad=True):
-    """Relaxation values/derivatives of one group against many thresholds.
+def _threshold_average(
+    spec, family, theta, batch, thresholds, weights, unbiased, need_grad=True, dthresholds=None, dweights=None
+):
+    """``sum_j w_j h(B_hat(t_j))``, less the unbiased variance terms when
+    ``unbiased``, with its exact theta-gradient.
 
-    Returns ``(R, mean_r, grad_mean, P)`` where R and P are (T, m) matrices of
-    r_s and r_s' at ``u_i - t_j``, ``mean_r`` is the row mean of R, and
-    ``grad_mean`` its theta-gradient (T, d).  Without ``need_grad`` the two
-    gradient pieces are None.
+    The grid is formed in blocks of thresholds of about _GRID_CELLS cells, so
+    memory is bounded for any threshold count; each threshold's row
+    reductions do not depend on the blocking.  The threshold axis is
+    contracted before the Jacobian: every record gets one gradient
+    coefficient and each group costs one (m) @ (m, d) product.
+    ``dthresholds`` and ``dweights`` are the (T, d) Jacobians of thresholds
+    and weights that depend on theta.
     """
-    Z = u[None, :] - thresholds[:, None]
-    if not need_grad:
-        R = relaxation.r(Z)
-        return R, R.mean(axis=1), None, None
-    R, P = relaxation.r_and_prime(Z)
-    mean_r = R.mean(axis=1)
-    grad_mean = (P @ du) / u.size
-    return R, mean_r, grad_mean, P
-
-
-def _variance_term(R, P, du, need_grad):
-    """Per-threshold unbiased variance of the group's relaxation mean (the
-    Bessel-corrected sample variance of r_s(u_i - t), divided by m) and,
-    with ``need_grad``, its analytic theta-gradient; else that slot is None."""
-    m = R.shape[1]
-    if m < 2:
-        raise ValueError("unbiased square correction needs at least two records per group")
-    centered = R - R.mean(axis=1, keepdims=True)
-    v = (centered * centered).sum(axis=1) / (m - 1) / m
-    if not need_grad:
-        return v, None
-    return v, (2.0 / (m * (m - 1))) * ((centered * P) @ du)
-
-
-def _threshold_average(spec, family, theta, batch, thresholds, weights, extra_db=None, need_grad=True):
-    """Weighted sum of h(B_hat(t)) with the exact gradient.
-
-    ``extra_db`` adds a per-threshold gradient term to dB (used when the
-    thresholds are themselves model scores).
-    """
-    u0, du0 = _scores_maybe_grad(family, theta, batch.group0, need_grad)
-    u1, du1 = _scores_maybe_grad(family, theta, batch.group1, need_grad)
     rel = spec.relaxation
-    R0, m0, g0, P0 = _group_curves(rel, u0, du0, thresholds, need_grad)
-    R1, m1, g1, P1 = _group_curves(rel, u1, du1, thresholds, need_grad)
-    B = m1 - m0
+    groups = [_scores_maybe_grad(family, theta, rows, need_grad) for rows in (batch.group0, batch.group1)]
+    if unbiased and min(u.size for u, _ in groups) < 2:
+        raise ValueError("unbiased square correction needs at least two records per group")
+    T = thresholds.size
+    B = np.empty(T)
+    variance = np.zeros(T)
+    coefs = [np.zeros(u.size) for u, _ in groups] if need_grad else None
+    tcoef = np.zeros(T) if need_grad and dthresholds is not None else None
+    step = max(1, _GRID_CELLS // max(u.size for u, _ in groups))
+    for lo in range(0, T, step):
+        blk = slice(lo, lo + step)
+        grids = [rel.grid(u, thresholds[blk], need_grad) for u, _ in groups]
+        means = [R.mean(axis=1) for R, _ in grids]
+        B[blk] = means[1] - means[0]
+        w = weights[blk]
+        wdh = w * spec.cost.h_prime(B[blk]) if need_grad else None
+        for k, sign in ((0, -1.0), (1, 1.0)):
+            R, P = grids[k]
+            grids[k] = None  # each group's matrices go as soon as its terms are read
+            m = R.shape[1]
+            if need_grad:
+                coefs[k] += sign * (wdh @ P) / m
+                if tcoef is not None:
+                    # thresholds that are scores: r_s'(u_i - t_j) also carries -dt_j
+                    tcoef[blk] -= sign * wdh * P.mean(axis=1)
+            if unbiased:
+                R -= means[k][:, None]
+                variance[blk] += np.einsum("ij,ij->i", R, R) / (m - 1) / m
+                if need_grad:
+                    R *= P
+                    scale = 2.0 / (m * (m - 1))
+                    coefs[k] -= scale * (w @ R)
+                    if tcoef is not None:
+                        tcoef[blk] += scale * w * R.sum(axis=1)
+            del R, P
     hvals = spec.cost.h(B)
     value = float(weights @ hvals)
-    correct = spec.unbiased and spec.cost.kind == "square"
-    if correct:
-        v0, dv0 = _variance_term(R0, P0, du0, need_grad)
-        v1, dv1 = _variance_term(R1, P1, du1, need_grad)
-        value -= float(weights @ (v0 + v1))
+    if unbiased:
+        value -= float(weights @ variance)
     if not need_grad:
         return value, None
-    dB = g1 - g0
-    if extra_db is not None:
-        dB = dB + extra_db(P0, P1)
-    dh = spec.cost.h_prime(B)
-    grad = (weights * dh) @ dB
-    if correct:
-        grad = grad - weights @ (dv0 + dv1)
+    grad = coefs[0] @ groups[0][1] + coefs[1] @ groups[1][1]
+    if tcoef is not None:
+        grad += tcoef @ dthresholds
+    if dweights is not None:
+        grad += hvals @ dweights
     return value, grad
 
 
@@ -292,23 +297,24 @@ def bias_value_and_grad(
     """
     theta = np.asarray(theta, dtype=float)
     T, dt = spec.grid_shape()
+    unbiased = spec.unbiased and spec.cost.kind == "square"
 
     if spec.variant == "threshold-mc":
         gen = rng if rng is not None else np.random.default_rng(spec.rng_seed)
         thresholds = gen.random(T)
         weights = np.full(T, 1.0 / T)
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad=need_grad)
+        return _threshold_average(spec, family, theta, batch, thresholds, weights, unbiased, need_grad)
 
     if spec.variant == "threshold-discrete":
         thresholds = dt * np.arange(1, T + 1)
         weights = np.full(T, dt)
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad=need_grad)
+        return _threshold_average(spec, family, theta, batch, thresholds, weights, unbiased, need_grad)
 
     if spec.variant == "threshold-discrete-trapezoid":
         thresholds = dt * np.arange(0, T + 1)
         weights = np.full(T + 1, dt)
         weights[0] = weights[-1] = dt / 2.0
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad=need_grad)
+        return _threshold_average(spec, family, theta, batch, thresholds, weights, unbiased, need_grad)
 
     if spec.variant == "energy":
         u0, du0 = _scores_maybe_grad(family, theta, batch.group0, need_grad)
@@ -326,15 +332,7 @@ def bias_value_and_grad(
 
     if spec.variant == "invariant-mc":
         weights = np.full(up.size, 1.0 / up.size)
-
-        def threshold_grad(P0, P1):
-            # thresholds are scores: d r_s(u_i - u_pool_j) picks up -du_pool_j
-            a = P1.mean(axis=1) - P0.mean(axis=1)
-            return -a[:, None] * dup
-
-        return _threshold_average(
-            spec, family, theta, batch, up, weights, extra_db=threshold_grad, need_grad=need_grad
-        )
+        return _threshold_average(spec, family, theta, batch, up, weights, unbiased, need_grad, dthresholds=dup)
 
     if spec.variant == "invariant-kde-discrete":
         thresholds = dt * np.arange(1, T + 1)
@@ -342,37 +340,28 @@ def bias_value_and_grad(
         z = (thresholds[:, None] - up[None, :]) / bw
         kern = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
         rho = kern.mean(axis=1) / bw
-        u0, du0 = _scores_maybe_grad(family, theta, batch.group0, need_grad)
-        u1, du1 = _scores_maybe_grad(family, theta, batch.group1, need_grad)
-        rel = spec.relaxation
-        _, m0, g0, _ = _group_curves(rel, u0, du0, thresholds, need_grad)
-        _, m1, g1, _ = _group_curves(rel, u1, du1, thresholds, need_grad)
-        B = m1 - m0
-        hvals = spec.cost.h(B)
-        value = float(dt * (hvals @ rho))
-        if not need_grad:
-            return value, None
-        # d rho(t_j)/d theta: kernel derivative through the pooled scores
-        drho = ((kern * z) @ dup) / (up.size * bw * bw)
-        dh = spec.cost.h_prime(B)
-        grad = dt * ((rho * dh) @ (g1 - g0) + hvals @ drho)
-        return value, grad
+        # d (dt rho(t_j))/d theta: kernel derivative through the pooled scores
+        dweights = dt * ((kern * z) @ dup) / (up.size * bw * bw) if need_grad else None
+        # this variant takes no variance correction
+        return _threshold_average(spec, family, theta, batch, thresholds, dt * rho, False, need_grad, dweights=dweights)
 
     # invariant-energy-relaxed: transform all group scores through the relaxed
     # pooled CDF estimated from the pool sample, then take the V-statistic.
+    # The (m, pool) grid r_s(up_l - u_i) is formed a block of group rows at a time.
     rel = spec.relaxation
     out = []
     for rows in (batch.group0, batch.group1):
         u, du = _scores_maybe_grad(family, theta, rows, need_grad)
-        Z = up[None, :] - u[:, None]          # (m, P)
-        if need_grad:
-            R, P = rel.r_and_prime(Z)
-            S = 1.0 - R.mean(axis=1)
-            # dS_i = -(1/P) sum_l r'(up_l - u_i) (dup_l - du_i)
-            dS = -(P @ dup) / up.size + P.mean(axis=1)[:, None] * du
-        else:
-            S = 1.0 - rel.r(Z).mean(axis=1)
-            dS = None
+        S = np.empty(u.size)
+        dS = np.empty(du.shape) if need_grad else None
+        step = max(1, _GRID_CELLS // up.size)
+        for lo in range(0, u.size, step):
+            blk = slice(lo, lo + step)
+            R, P = rel.grid(up, u[blk], need_grad)
+            S[blk] = 1.0 - R.mean(axis=1)
+            if need_grad:
+                # dS_i = -(1/pool) sum_l r'(up_l - u_i) (dup_l - du_i)
+                dS[blk] = -(P @ dup) / up.size + P.mean(axis=1)[:, None] * du[blk]
         out.append((S, dS))
     (S0, dS0), (S1, dS1) = out
     return _energy_vstat(S0, dS0, S1, dS1, need_grad=need_grad)

@@ -41,8 +41,15 @@ class GBDTParams:
     seed: int = 0                # reserved; training is fully deterministic
 
     def __post_init__(self):
-        if self.depth < 1 or self.rounds < 0 or self.learning_rate <= 0:
+        if self.depth < 1 or self.rounds < 0:
             raise ValueError("invalid gbdt params")
+        # NaN fails every comparison, so each check is written to pass only finite values
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
+        if not (np.isfinite(self.min_leaf) and self.min_leaf >= 0):
+            raise ValueError(f"min_leaf must be finite and nonnegative, got {self.min_leaf}")
+        if self.early_stop_rounds < 0:
+            raise ValueError(f"early_stop_rounds must be nonnegative, got {self.early_stop_rounds}")
 
 
 @dataclass
@@ -426,6 +433,15 @@ def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> En
         raise ValueError("weights must be finite")
     if np.any(w < 0) or w.sum() <= 0:
         raise ValueError("weights must be nonnegative with positive total")
+    if valid is not None:
+        X_val = np.asarray(valid[0], dtype=float)
+        y_val = np.asarray(valid[1], dtype=float).ravel()
+        if X_val.ndim != 2 or X_val.shape[1] != X.shape[1]:
+            raise ValueError(f"validation X has shape {X_val.shape}; expected (rows, {X.shape[1]})")
+        if y_val.size != X_val.shape[0]:
+            raise ValueError(f"validation y has {y_val.size} labels for {X_val.shape[0]} rows")
+        if not np.all((y_val == 0) | (y_val == 1)):
+            raise ValueError("validation labels must be binary 0/1")
 
     p_bar = float((w * y).sum() / w.sum())
     base_margin = float(np.clip(logit(p_bar), -_MARGIN_CLAMP, _MARGIN_CLAMP))
@@ -438,8 +454,6 @@ def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> En
     raw = np.full(y.size, base_margin)
     use_valid = valid is not None and params.early_stop_rounds > 0
     if use_valid:
-        X_val = np.asarray(valid[0], dtype=float)
-        y_val = np.asarray(valid[1], dtype=float).ravel()
         raw_val = np.full(y_val.size, base_margin)
         best_loss = cross_entropy(sigmoid(raw_val), y_val)
         best_round = 0

@@ -16,6 +16,9 @@ import numpy as np
 from ._util import sigmoid
 
 _KINDS = ("ramp", "logistic", "shifted-logistic")
+# |exponent| bound of the separable logistic grid: each factor and any
+# product of two stay finite and normal (exp(600) < 1e261)
+_EXP_BOUND = 300.0
 
 
 @dataclass(frozen=True)
@@ -68,6 +71,38 @@ class RelaxationFamily:
             return r, np.where((r > 0.0) & (r < 1.0), s, 0.0)
         return r, s * r * (1.0 - r)
 
+    def grid(self, u, t, need_prime=False):
+        """``(R, P)`` on the (T, m) grid ``R[j, i] = r_s(u_i - t_j)`` of scores
+        ``u`` against thresholds ``t``; ``P`` holds r_s' there, or is None
+        without ``need_prime``.
+
+        The logistic kinds are separable: ``r_s(u - t) = 1 / (1 + e^{s t + c}
+        e^{-s u})`` with ``c`` the shift, so the grid costs m + T exponentials
+        in place of T m.  A ramp, a non-finite score or threshold, or an
+        exponent beyond ``_EXP_BOUND`` takes ``r``/``r_and_prime`` on the
+        difference grid instead.
+        """
+        u = np.asarray(u, dtype=float).ravel()
+        t = np.asarray(t, dtype=float).ravel()
+        s = self.scale
+        if self.kind != "ramp":
+            a = s * t + (np.sqrt(s) if self.kind == "shifted-logistic" else 0.0)
+            b = -s * u
+            if np.all(np.abs(a) <= _EXP_BOUND) and np.all(np.abs(b) <= _EXP_BOUND):
+                R = np.multiply.outer(np.exp(a), np.exp(b))
+                R += 1.0
+                np.reciprocal(R, out=R)
+                if not need_prime:
+                    return R, None
+                P = np.subtract(1.0, R)
+                P *= R
+                P *= s
+                return R, P
+        Z = u[None, :] - t[:, None]
+        if need_prime:
+            return self.r_and_prime(Z)
+        return self.r(Z), None
+
 
 def ramp(scale: float) -> RelaxationFamily:
     return RelaxationFamily("ramp", scale)
@@ -92,5 +127,5 @@ def relaxed_cdf(scores, t, family: RelaxationFamily):
     if scores.size == 0:
         raise ValueError("empty scores")
     t = np.asarray(t, dtype=float)
-    vals = 1.0 - family.r(scores[None, :] - np.atleast_1d(t)[:, None]).mean(axis=1)
+    vals = 1.0 - family.grid(scores, t)[0].mean(axis=1)
     return float(vals[0]) if t.ndim == 0 else vals

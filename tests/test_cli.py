@@ -366,6 +366,16 @@ class TestGroupCount:
         assert not (out / "frontier.csv").exists()
 
 
+
+class TestBaseParams:
+    def test_nan_min_leaf_rejected(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        out = tmp_path / "nan-leaf"
+        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"), "--min-leaf", "nan"]
+        assert main(["train-base", *flags, "--out", str(out)]) == 1
+        assert "error: min_leaf must be finite and nonnegative, got nan" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
 class TestBaselines:
     def test_rescale_cli(self, workspace, tmp_path):
         root, data, model_dir = workspace

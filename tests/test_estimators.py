@@ -1,3 +1,4 @@
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -22,7 +23,7 @@ from fairfront.estimators import (
     relaxed_gap_curve,
 )
 from fairfront.linear_family import LinearFamily
-from fairfront.relaxation import logistic, ramp
+from fairfront.relaxation import RelaxationFamily, logistic, ramp
 
 UNIFORM = ThresholdMeasure.uniform01()
 
@@ -375,3 +376,147 @@ class TestRateProbe:
         rows = grid_bias_ladder([T / 4, T / 2, T], T, SQUARE, n_dists=40, seed=0)
         biases = [row["mean_abs_bias"] for row in rows]
         assert biases[0] < biases[1] < biases[2]
+
+
+def per_threshold_grid(spec, family, theta, batch):
+    """The grid variants in their per-threshold form: (T, m) matrices of r_s
+    and r_s' on ``u - t`` per group, (T, m) @ (m, d) products into a (T, d)
+    gradient of B and of the variance terms, then the weighted sum.  The
+    reference for the contracted, blocked kernel.  Thresholds that are
+    scores (invariant-mc) carry -dt_j through r_s' in B and in the variance."""
+    theta = np.asarray(theta, dtype=float)
+    T, dt = spec.grid_shape()
+    rel, cost = spec.relaxation, spec.cost
+    unbiased = spec.unbiased and cost.kind == "square"
+    dthresholds = drho = None
+    if spec.variant == "threshold-mc":
+        thresholds = np.random.default_rng(spec.rng_seed).random(T)
+        weights = np.full(T, 1.0 / T)
+    elif spec.variant == "threshold-discrete":
+        thresholds = dt * np.arange(1, T + 1)
+        weights = np.full(T, dt)
+    elif spec.variant == "threshold-discrete-trapezoid":
+        thresholds = dt * np.arange(0, T + 1)
+        weights = np.full(T + 1, dt)
+        weights[0] = weights[-1] = dt / 2.0
+    else:
+        up, dup = family.scores_and_grad(theta, batch.pool)
+        if spec.variant == "invariant-mc":
+            thresholds, dthresholds = up, dup
+            weights = np.full(up.size, 1.0 / up.size)
+        else:  # invariant-kde-discrete, which takes no variance correction
+            thresholds = dt * np.arange(1, T + 1)
+            bw = spec.kde_bandwidth if spec.kde_bandwidth is not None else estimators._silverman_bandwidth(up)
+            z = (thresholds[:, None] - up[None, :]) / bw
+            kern = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+            rho = kern.mean(axis=1) / bw
+            drho = ((kern * z) @ dup) / (up.size * bw * bw)
+            unbiased = False
+    curves = []
+    for rows in (batch.group0, batch.group1):
+        u, du = family.scores_and_grad(theta, rows)
+        m = u.size
+        R, P = rel.r_and_prime(u[None, :] - thresholds[:, None])
+        mean, dmean = R.mean(axis=1), (P @ du) / m
+        centered = R - R.mean(axis=1, keepdims=True)
+        v = (centered * centered).sum(axis=1) / (m - 1) / m
+        dv = (2.0 / (m * (m - 1))) * ((centered * P) @ du)
+        if dthresholds is not None:
+            dmean = dmean - P.mean(axis=1)[:, None] * dthresholds
+            dv = dv - (2.0 / (m * (m - 1))) * (centered * P).sum(axis=1)[:, None] * dthresholds
+        curves.append((mean, dmean, v, dv))
+    (m0, g0, v0, dv0), (m1, g1, v1, dv1) = curves
+    B, dB = m1 - m0, g1 - g0
+    hvals, dh = cost.h(B), cost.h_prime(B)
+    if drho is not None:
+        return float(dt * (hvals @ rho)), dt * ((rho * dh) @ dB + hvals @ drho)
+    value = float(weights @ hvals)
+    grad = (weights * dh) @ dB
+    if unbiased:
+        value -= float(weights @ (v0 + v1))
+        grad = grad - weights @ (dv0 + dv1)
+    return value, grad
+
+
+GRID_VARIANTS = [
+    "threshold-mc",
+    "threshold-discrete",
+    "threshold-discrete-trapezoid",
+    "invariant-mc",
+    "invariant-kde-discrete",
+]
+GROUP_SIZES = st.sampled_from([2, 3, 7, 40, 129])
+
+
+class TestContractedGridOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(GRID_VARIANTS),
+        unbiased=st.booleans(),
+        m0=GROUP_SIZES,
+        m1=GROUP_SIZES,
+        kind=st.sampled_from(["logistic", "shifted-logistic", "ramp"]),
+        scale=st.sampled_from([6.0, 20.0, 200.0]),
+        cost=st.sampled_from([SQUARE, ABS]),
+        thresholds=st.sampled_from([16, 1 / 33, 1 / 129]),
+        link=st.sampled_from(["logistic", "identity"]),
+        cells=st.sampled_from([1 << 16, 64, 1]),
+    )
+    @example(seed=0, variant="invariant-mc", unbiased=True, m0=2, m1=40, kind="logistic", scale=20.0,
+             cost=SQUARE, thresholds=1 / 129, link="logistic", cells=1 << 16)
+    @example(seed=1, variant="threshold-discrete-trapezoid", unbiased=True, m0=129, m1=2, kind="logistic",
+             scale=200.0, cost=SQUARE, thresholds=1 / 129, link="identity", cells=64)
+    @example(seed=2, variant="invariant-kde-discrete", unbiased=True, m0=7, m1=40, kind="shifted-logistic",
+             scale=6.0, cost=ABS, thresholds=16, link="logistic", cells=1)
+    def test_matches_the_per_threshold_form(
+        self, seed, variant, unbiased, m0, m1, kind, scale, cost, thresholds, link, cells
+    ):
+        # identity-link scores spread over [-2, 2] so that s = 200 takes the
+        # overflow fallback of the separable grid; small cell budgets split
+        # the thresholds over many blocks
+        rng = np.random.default_rng(seed)
+        n_pool = int(rng.integers(1, 30))
+        n = m0 + m1 + n_pool
+        base = rng.normal(0.0, 1.0, n) if link == "logistic" else rng.uniform(-2.0, 2.0, n)
+        fam = LinearFamily(base, np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(3)]), link=link)
+        theta = rng.normal(0.0, 0.3, 4)
+        spec = BiasEstimatorSpec(variant, RelaxationFamily(kind, scale), cost, thresholds, rng_seed=seed % 97,
+                                 unbiased=unbiased, kde_bandwidth=0.2)
+        batch = batch_of(m0, m1, np.arange(m0 + m1, n))
+        with mock.patch.object(estimators, "_GRID_CELLS", cells):
+            value, grad = bias_value_and_grad(spec, fam, theta, batch)
+            lean, _ = bias_value_and_grad(spec, fam, theta, batch, need_grad=False)
+        oracle_value, oracle_grad = per_threshold_grid(spec, fam, theta, batch)
+        # relative to the oracle, or absolute below 1 where a sum of larger
+        # terms cancels to a tiny result
+        assert lean == value
+        assert abs(value - oracle_value) <= 1e-12 * max(abs(oracle_value), 1.0)
+        assert np.linalg.norm(grad - oracle_grad) <= 1e-12 * max(np.linalg.norm(oracle_grad), 1.0)
+
+
+class TestBlockedSnapshotMemory:
+    """Full-data snapshots of the pool variants use every record as a
+    threshold or pool score; the grid is formed in blocks, so the peak stays
+    far below one (pool x group) matrix and the value is bitwise that of the
+    grid formed at once."""
+
+    @pytest.mark.parametrize("variant", ["invariant-mc", "invariant-energy-relaxed"])
+    def test_value_is_unchanged_and_memory_bounded(self, variant):
+        rng = np.random.default_rng(61)
+        n = 2400
+        fam = LinearFamily(rng.normal(size=n), np.column_stack([np.ones(n), rng.normal(size=n)]))
+        batch = EstimatorBatch.full((np.arange(n) >= n // 2).astype(int))
+        spec = BiasEstimatorSpec(variant, logistic(20.0), SQUARE, 64, unbiased=True)
+        theta = np.array([0.1, -0.2])
+        tracemalloc.start()
+        try:
+            blocked, _ = bias_value_and_grad(spec, fam, theta, batch, need_grad=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        with mock.patch.object(estimators, "_GRID_CELLS", n * n):
+            whole, _ = bias_value_and_grad(spec, fam, theta, batch, need_grad=False)
+        assert blocked == whole
+        one_grid = 8 * n * (n // 2)  # bytes of one (pool x group) float matrix
+        assert peak < one_grid / 4

@@ -446,3 +446,44 @@ class TestSerialization:
         edit(doc)
         with pytest.raises(ValueError, match=re.escape(message)):
             Ensemble.from_json(json.dumps(doc))
+
+
+class TestParamChecks:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"learning_rate": float("nan")}, "learning_rate must be finite and positive"),
+            ({"learning_rate": float("inf")}, "learning_rate must be finite and positive"),
+            ({"learning_rate": 0.0}, "learning_rate must be finite and positive"),
+            ({"min_leaf": float("nan")}, "min_leaf must be finite and nonnegative"),
+            ({"min_leaf": float("inf")}, "min_leaf must be finite and nonnegative"),
+            ({"min_leaf": -1.0}, "min_leaf must be finite and nonnegative"),
+            ({"early_stop_rounds": -1}, "early_stop_rounds must be nonnegative"),
+            ({"depth": 0}, "invalid gbdt params"),
+        ],
+    )
+    def test_bad_params_rejected(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            GBDTParams(**kwargs)
+
+    def test_zero_min_leaf_accepted(self):
+        assert GBDTParams(min_leaf=0.0, early_stop_rounds=0).min_leaf == 0.0
+
+    @pytest.mark.parametrize(
+        "make_valid, message",
+        [
+            (lambda Xv, yv: (Xv[:, :2], yv), r"validation X has shape \(50, 2\); expected \(rows, 3\)"),
+            (lambda Xv, yv: (np.column_stack([Xv, Xv[:, :2]]), yv), r"shape \(50, 5\); expected \(rows, 3\)"),
+            (lambda Xv, yv: (Xv[:, 0], yv), r"shape \(50,\); expected \(rows, 3\)"),
+            (lambda Xv, yv: (Xv, yv[:40]), "validation y has 40 labels for 50 rows"),
+            (lambda Xv, yv: (Xv, yv + 0.5), "validation labels must be binary 0/1"),
+        ],
+    )
+    def test_bad_validation_sets_rejected(self, make_valid, message):
+        rng = np.random.default_rng(7)
+        X = rng.normal(size=(200, 3))
+        y = (X[:, 0] > 0).astype(float)
+        Xv = rng.normal(size=(50, 3))
+        yv = (Xv[:, 0] > 0).astype(float)
+        with pytest.raises(ValueError, match=message):
+            train(X, y, params=GBDTParams(rounds=3), valid=make_valid(Xv, yv))

@@ -57,6 +57,7 @@ SMOOTH_SPECS = [
     BiasEstimatorSpec("threshold-discrete", logistic(12.0), SQUARE, 48, unbiased=True),
     BiasEstimatorSpec("threshold-discrete-trapezoid", logistic(12.0), SQUARE, 48, unbiased=True),
     BiasEstimatorSpec("threshold-mc", logistic(12.0), SQUARE, 48, rng_seed=5, unbiased=True),
+    BiasEstimatorSpec("invariant-mc", logistic(12.0), SQUARE, 48, unbiased=True),
 ]
 
 

@@ -105,3 +105,43 @@ class TestConvergence:
             errs = np.array(errs)
             assert np.all(errs[-1] < 1e-2)
             assert np.all(errs[-1] <= errs[0] + 1e-12)
+
+
+class TestGrid:
+    """``grid`` against ``r``/``r_and_prime`` on the difference grid."""
+
+    @pytest.mark.parametrize("fam", [ramp(7.0), logistic(20.0), shifted_logistic(20.0)], ids=lambda f: f.kind)
+    def test_matches_the_difference_grid(self, fam):
+        rng = np.random.default_rng(3)
+        u = rng.uniform(-0.5, 1.5, 57)
+        t = np.linspace(0.0, 1.0, 33)
+        Z = u[None, :] - t[:, None]
+        R, P = fam.grid(u, t, need_prime=True)
+        lean, none = fam.grid(u, t)
+        r, rp = fam.r_and_prime(Z)
+        assert R.shape == P.shape == (33, 57) and none is None
+        assert np.array_equal(lean, R)
+        assert np.max(np.abs(R - fam.r(Z))) <= 1e-15
+        assert np.max(np.abs(P - rp)) <= 1e-15 * fam.scale
+
+    @pytest.mark.parametrize("fam", [logistic(200.0), shifted_logistic(200.0)], ids=lambda f: f.kind)
+    def test_large_exponents_take_the_difference_grid(self, fam):
+        # identity-link raw scores of +-1e3 as both scores and thresholds (as
+        # in invariant-mc): separable factors would be inf and 0
+        u = np.array([-1e3, -0.3, 0.0, 0.4, 1e3])
+        Z = u[None, :] - u[:, None]
+        with np.errstate(over="raise", under="raise", invalid="raise"):
+            R, P = fam.grid(u, u, need_prime=True)
+        r, rp = fam.r_and_prime(Z)
+        assert np.array_equal(R, r) and np.array_equal(P, rp)
+        assert np.all(np.isfinite(R)) and np.all(np.isfinite(P))
+
+    @pytest.mark.parametrize("fam", [ramp(7.0), logistic(20.0), shifted_logistic(20.0)], ids=lambda f: f.kind)
+    def test_nan_propagates(self, fam):
+        u = np.array([0.2, np.nan, 0.7])
+        t = np.array([0.1, 0.5, np.nan])
+        R, P = fam.grid(u, t, need_prime=True)
+        r, rp = fam.r_and_prime(u[None, :] - t[:, None])
+        np.testing.assert_array_equal(R, r)
+        np.testing.assert_array_equal(P, rp)
+        assert np.array_equal(np.isnan(R), np.isnan(u)[None, :] | np.isnan(t)[:, None])
