@@ -24,6 +24,8 @@ from .gbdt import Ensemble, GBDTParams, train
 RESCALE_A_BOUNDS = (0.0, 3.0)
 ANCHOR_EXTENSION = 0.05
 DEFAULT_THETA_GRID = 15
+# the OT regressor fits a smooth conditional expectation: deeper trees, small leaves
+OT_REGRESSOR_PARAMS = GBDTParams(depth=5, rounds=400, learning_rate=0.1, min_leaf=8.0, early_stop_rounds=0)
 
 
 def rescale_transform(x, a: float, x_star: float):
@@ -165,8 +167,7 @@ def ot_projection(
     """
     X = np.asarray(X, dtype=float)
     groups = np.asarray(groups).ravel()
-    # fitting a smooth conditional expectation: deeper trees, small leaves
-    params = params or GBDTParams(depth=5, rounds=400, learning_rate=0.1, min_leaf=8.0, early_stop_rounds=0)
+    params = params or OT_REGRESSOR_PARAMS
     if thetas is None:
         thetas = np.linspace(0.0, 1.0, DEFAULT_THETA_GRID)
     base_probs = base.predict_proba(X)

@@ -1,11 +1,15 @@
 """Batch command-line front end.
 
 Subcommands: generate, train-base, encode, mitigate, baseline-rescale,
-baseline-ot, evaluate, report.  Every run takes its settings from flags, a
-JSON config document, or both (flags override config fields), and writes a
-manifest recording the resolved configuration, its hash, library versions,
-timings, and the artifacts produced.  All randomness is seeded from the
-resolved config, so repeated runs produce byte-identical CSV artifacts.
+baseline-ot, evaluate, report.  Every option is declared once in ``FLAGS``
+(its argparse keywords and the conversion its value goes through), and every
+subcommand once in ``COMMANDS`` (its function, the default of each flag it
+takes, and the flags it needs).  A run takes each setting from its flag, else
+from the JSON config document, else from that default.  ``main`` resolves
+them, then writes a manifest recording the resolved configuration, its hash,
+library versions, timings, the artifacts produced and the run's status,
+including when it fails.  All randomness is seeded from the resolved config,
+so repeated runs produce byte-identical CSV artifacts.
 """
 
 from __future__ import annotations
@@ -14,13 +18,14 @@ import argparse
 import json
 import sys
 import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from ._util import config_hash, fmt_float
-from .baselines import ot_projection, random_search_rescaling
+from ._util import config_hash, cross_entropy, fmt_float
+from .baselines import DEFAULT_THETA_GRID, OT_REGRESSOR_PARAMS, ot_projection, random_search_rescaling
 from .data import (
     Dataset,
     apply_preprocessor,
@@ -33,18 +38,25 @@ from .data import (
     split,
 )
 from .distributions import CostFunction
-from .encoders import EncoderMatrix, additive_encoders, shapley_encoders, tree_pca_encoders
+from .encoders import (
+    DEFAULT_BACKGROUND_SIZE,
+    EncoderMatrix,
+    additive_encoders,
+    shapley_encoders,
+    tree_pca_encoders,
+)
 from .estimators import BiasEstimatorSpec
 from .frontier import (
     FrontierPoint,
     evaluate as evaluate_candidates,
     pareto_filter,
+    read_frontier_csv,
     score_metrics,
     write_frontier_csv,
     write_frontier_svg,
 )
 from .gbdt import Ensemble, GBDTParams, train as train_gbdt
-from .linear_family import LinearFamily
+from .linear_family import DEFAULT_BOX_HALF_WIDTH
 from .optimizer import SweepConfig, default_omegas, loss_bias_ratio_scale, sgd_sweep
 from .relaxation import RelaxationFamily
 
@@ -63,19 +75,10 @@ class CliError(Exception):
     pass
 
 
-def _resolve(args, config: dict, key: str, default):
-    value = getattr(args, key.replace("-", "_"), None)
-    if value is not None:
-        return value
-    if key in config:
-        return config[key]
-    return default
-
-
-def _load_config(args) -> dict:
-    if getattr(args, "config", None) is None:
+def _load_config(path_str) -> dict:
+    if path_str is None:
         return {}
-    path = Path(args.config)
+    path = Path(path_str)
     if not path.exists():
         raise CliError(f"config file not found: {path}")
     try:
@@ -113,8 +116,7 @@ class Manifest:
     def artifact(self, path: Path):
         self.doc["artifacts"].append(path.name)
 
-    def write(self, status="ok"):
-        self.doc["status"] = status
+    def write(self):
         with open(self.out_dir / "manifest.json", "w") as fh:
             json.dump(self.doc, fh, indent=2, sort_keys=True)
 
@@ -128,8 +130,6 @@ def _out_dir(path_str) -> Path:
 def _load_dataset(path, label, group, two_groups=False) -> Dataset:
     """Load one CSV; with ``two_groups``, reject a file with more than two
     groups (the bias metrics and the sweep compare group 0 with group 1)."""
-    if path is None:
-        raise CliError("a dataset path is required")
     ds = load_csv(path, label_column=label, group_column=group)
     n_groups = np.unique(ds.g).size if two_groups else 0
     if n_groups > 2:
@@ -137,42 +137,32 @@ def _load_dataset(path, label, group, two_groups=False) -> Dataset:
     return ds
 
 
-def _load_splits(resolved, two_groups=False) -> tuple:
-    """Load train (and optional test), imputing missing cells with
-    train-fitted means so every downstream stage sees finite values."""
-    train_ds = _load_dataset(resolved["train"], resolved["label"], resolved["group"], two_groups)
-    test_ds = (
-        _load_dataset(resolved["test"], resolved["label"], resolved["group"], two_groups)
-        if resolved.get("test")
-        else None
-    )
-    if np.isnan(train_ds.X).any() or (test_ds is not None and np.isnan(test_ds.X).any()):
-        prep = fit_preprocessor(train_ds, standardize=False)
-        train_ds = apply_preprocessor(train_ds, prep)
-        if test_ds is not None:
-            test_ds = apply_preprocessor(test_ds, prep)
-    return train_ds, test_ds
+def _load_splits(resolved, two_groups=False) -> list:
+    """Load whichever of train and test is named, imputing missing cells with
+    means fitted on train (on test when there is no train), so every
+    downstream stage sees finite values."""
+    splits = [
+        _load_dataset(path, resolved["label"], resolved["group"], two_groups) if path else None
+        for path in (resolved["train"], resolved.get("test"))
+    ]
+    present = [ds for ds in splits if ds is not None]
+    if any(np.isnan(ds.X).any() for ds in present):
+        prep = fit_preprocessor(present[0], standardize=False)
+        splits = [apply_preprocessor(ds, prep) if ds is not None else None for ds in splits]
+    return splits
+
+
+def _theta_box(n_cols, box):
+    return np.column_stack([np.full(n_cols, -box), np.full(n_cols, box)])
 
 
 # --------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads only its resolved options
 # --------------------------------------------------------------------------
 
 
-def cmd_generate(args):
-    config = _load_config(args)
-    resolved = {
-        "model": _resolve(args, config, "model", "m1"),
-        "n": int(_resolve(args, config, "n", 20_000)),
-        "seed": int(_resolve(args, config, "seed", 0)),
-        "split": _resolve(args, config, "split", None),
-        "out": _resolve(args, config, "out", "data"),
-    }
-    out = _out_dir(resolved["out"])
-    manifest = Manifest("generate", resolved, out)
-    generator = {"m1": generate_m1, "m2": generate_m2}.get(resolved["model"])
-    if generator is None:
-        raise CliError(f"unknown synthetic model {resolved['model']!r}")
+def cmd_generate(resolved, manifest, out):
+    generator = {"m1": generate_m1, "m2": generate_m2}[resolved["model"]]
     ds = generator(resolved["n"], resolved["seed"])
     manifest.stage("generate")
     save_csv(ds, out / "data.csv")
@@ -180,24 +170,29 @@ def cmd_generate(args):
     manifest.artifact(out / "data.csv")
     manifest.artifact(out / "data.json")
     if resolved["split"] is not None:
-        train_ds, test_ds = split(ds, float(resolved["split"]), seed=resolved["seed"])
+        train_ds, test_ds = split(ds, resolved["split"], seed=resolved["seed"])
         for name, part in (("train", train_ds), ("test", test_ds)):
             save_csv(part, out / f"{name}.csv")
             manifest.artifact(out / f"{name}.csv")
     manifest.stage("write")
-    manifest.write()
-    return 0
 
 
-def _gbdt_params(args, config) -> GBDTParams:
-    return GBDTParams(
-        depth=int(_resolve(args, config, "depth", 2)),
-        rounds=int(_resolve(args, config, "rounds", 800)),
-        learning_rate=float(_resolve(args, config, "learning-rate", 0.04)),
-        min_leaf=float(_resolve(args, config, "min-leaf", 64.0)),
-        early_stop_rounds=int(_resolve(args, config, "early-stop", 30)),
-        seed=int(_resolve(args, config, "seed", 0)),
-    )
+# GBDT flag -> GBDTParams field
+_GBDT_FIELDS = {
+    "depth": "depth",
+    "rounds": "rounds",
+    "learning-rate": "learning_rate",
+    "min-leaf": "min_leaf",
+    "early-stop": "early_stop_rounds",
+}
+
+
+def _tree_params(resolved) -> GBDTParams:
+    return GBDTParams(seed=resolved["seed"], **{name: resolved[flag] for flag, name in _GBDT_FIELDS.items()})
+
+
+def _gbdt(params: GBDTParams) -> dict:
+    return {flag: getattr(params, name) for flag, name in _GBDT_FIELDS.items()}
 
 
 GRID = [
@@ -217,42 +212,16 @@ def _select_by_gap_rule(entries):
     return min(pool, key=lambda e: e["val_loss"])
 
 
-def cmd_train_base(args):
-    from ._util import cross_entropy
-
-    config = _load_config(args)
-    resolved = {
-        "train": _resolve(args, config, "train", None),
-        "test": _resolve(args, config, "test", None),
-        "label": _resolve(args, config, "label", "label"),
-        "group": _resolve(args, config, "group", "group"),
-        "grid": bool(_resolve(args, config, "grid", False)),
-        "depth": int(_resolve(args, config, "depth", 2)),
-        "rounds": int(_resolve(args, config, "rounds", 800)),
-        "learning-rate": float(_resolve(args, config, "learning-rate", 0.04)),
-        "min-leaf": float(_resolve(args, config, "min-leaf", 64.0)),
-        "early-stop": int(_resolve(args, config, "early-stop", 30)),
-        "seed": int(_resolve(args, config, "seed", 0)),
-        "out": _resolve(args, config, "out", "model"),
-    }
-    out = _out_dir(resolved["out"])
-    manifest = Manifest("train-base", resolved, out)
+def cmd_train_base(resolved, manifest, out):
     train_ds, test_ds = _load_splits(resolved)
     valid = (test_ds.X, test_ds.y) if test_ds is not None else None
     manifest.stage("load")
 
+    params = _tree_params(resolved)
     if resolved["grid"]:
         entries = []
         for combo in GRID:
-            params = GBDTParams(
-                depth=combo["depth"],
-                rounds=resolved["rounds"],
-                learning_rate=combo["learning_rate"],
-                min_leaf=resolved["min-leaf"],
-                early_stop_rounds=resolved["early-stop"],
-                seed=resolved["seed"],
-            )
-            model = train_gbdt(train_ds.X, train_ds.y, params=params, valid=valid)
+            model = train_gbdt(train_ds.X, train_ds.y, params=replace(params, **combo), valid=valid)
             train_loss = cross_entropy(model.predict_proba(train_ds.X), train_ds.y)
             val_loss = (
                 cross_entropy(model.predict_proba(valid[0]), valid[1]) if valid else train_loss
@@ -269,79 +238,50 @@ def cmd_train_base(args):
             "gap": chosen["gap"],
         }
     else:
-        model = train_gbdt(train_ds.X, train_ds.y, params=_gbdt_params(args, config), valid=valid)
+        model = train_gbdt(train_ds.X, train_ds.y, params=params, valid=valid)
     manifest.stage("train")
     model.save(out / "model.json")
     manifest.artifact(out / "model.json")
-    manifest.write()
-    return 0
 
 
-def _build_encoders(method, model, train_ds, args, config) -> EncoderMatrix:
+def _build_encoders(resolved, model, train_ds) -> EncoderMatrix:
+    method = resolved["method"]
     if method == "tree-pca":
-        r = int(_resolve(args, config, "components", 40))
-        return tree_pca_encoders(model, train_ds.X, r=min(r, model.n_trees))
+        return tree_pca_encoders(model, train_ds.X, r=min(resolved["components"], model.n_trees))
     if method == "additive":
         return additive_encoders(
-            train_ds.X,
-            degree=int(_resolve(args, config, "degree", 1)),
-            basis=_resolve(args, config, "basis", "monomial"),
-            feature_names=train_ds.feature_names,
+            train_ds.X, degree=resolved["degree"], basis=resolved["basis"], feature_names=train_ds.feature_names
         )
-    if method == "shapley":
-        return shapley_encoders(
-            model.predict_raw,
-            train_ds.X,
-            background_size=int(_resolve(args, config, "background", 256)),
-            seed=int(_resolve(args, config, "seed", 0)),
-        )
-    raise CliError(f"unknown encoder method {method!r}")
+    return shapley_encoders(
+        model.predict_raw, train_ds.X, background_size=resolved["background"], seed=resolved["seed"]
+    )
 
 
-def cmd_encode(args):
-    config = _load_config(args)
-    resolved = {
-        "method": _resolve(args, config, "method", "tree-pca"),
-        "train": _resolve(args, config, "train", None),
-        "base": _resolve(args, config, "base", None),
-        "label": _resolve(args, config, "label", "label"),
-        "group": _resolve(args, config, "group", "group"),
-        "components": int(_resolve(args, config, "components", 40)),
-        "degree": int(_resolve(args, config, "degree", 1)),
-        "basis": _resolve(args, config, "basis", "monomial"),
-        "background": int(_resolve(args, config, "background", 256)),
-        "seed": int(_resolve(args, config, "seed", 0)),
-        "out": _resolve(args, config, "out", "encoders"),
-    }
-    out = _out_dir(resolved["out"])
-    manifest = Manifest("encode", resolved, out)
-    train_ds, _ = _load_splits(resolved)
-    model = Ensemble.load(resolved["base"]) if resolved["base"] else None
-    if resolved["method"] != "additive" and model is None:
-        raise CliError(f"{resolved['method']} encoders need --base")
-    enc = _build_encoders(resolved["method"], model, train_ds, args, config)
-    manifest.stage("build")
+def _save_encoders(enc, out, manifest):
     enc.save(out / "encoders.csv", out / "encoders.json")
     manifest.artifact(out / "encoders.csv")
     manifest.artifact(out / "encoders.json")
-    manifest.write()
-    return 0
 
 
-def _estimator_spec(args, config, seed) -> BiasEstimatorSpec:
-    name = _resolve(args, config, "estimator", "trapezoid")
-    variant = ESTIMATOR_ALIASES.get(name, name)
+def cmd_encode(resolved, manifest, out):
+    if resolved["method"] != "additive" and not resolved["base"]:
+        raise CliError(f"{resolved['method']} encoders need --base")
+    train_ds, _ = _load_splits(resolved)
+    model = Ensemble.load(resolved["base"]) if resolved["base"] else None
+    enc = _build_encoders(resolved, model, train_ds)
+    manifest.stage("build")
+    _save_encoders(enc, out, manifest)
+
+
+def _estimator_spec(resolved) -> BiasEstimatorSpec:
     return BiasEstimatorSpec(
-        variant=variant,
-        relaxation=RelaxationFamily(
-            _resolve(args, config, "relaxation", "logistic"),
-            float(_resolve(args, config, "scale", 20.0)),
-        ),
-        cost=CostFunction(_resolve(args, config, "cost", "square")),
-        thresholds=float(_resolve(args, config, "grid-step", 1.0 / 129.0)),
-        kde_bandwidth=_resolve(args, config, "kde-bandwidth", None),
-        rng_seed=seed,
-        unbiased=bool(_resolve(args, config, "unbiased", True)),
+        variant=ESTIMATOR_ALIASES[resolved["estimator"]],
+        relaxation=RelaxationFamily(resolved["relaxation"], resolved["scale"]),
+        cost=CostFunction(resolved["cost"]),
+        thresholds=resolved["grid-step"],
+        kde_bandwidth=resolved["kde-bandwidth"],
+        rng_seed=resolved["seed"],
+        unbiased=resolved["unbiased"],
     )
 
 
@@ -370,64 +310,18 @@ def _write_frontier_artifacts(points, out, manifest):
     manifest.artifact(out / "frontier.svg")
 
 
-def cmd_mitigate(args):
-    config = _load_config(args)
-    resolved = {
-        "method": _resolve(args, config, "method", "tree-pca"),
-        "estimator": _resolve(args, config, "estimator", "trapezoid"),
-        "train": _resolve(args, config, "train", None),
-        "test": _resolve(args, config, "test", None),
-        "base": _resolve(args, config, "base", None),
-        "label": _resolve(args, config, "label", "label"),
-        "group": _resolve(args, config, "group", "group"),
-        "components": int(_resolve(args, config, "components", 40)),
-        "degree": int(_resolve(args, config, "degree", 1)),
-        "basis": _resolve(args, config, "basis", "monomial"),
-        "background": int(_resolve(args, config, "background", 256)),
-        "omegas": int(_resolve(args, config, "omegas", 21)),
-        "omega-scale": _resolve(args, config, "omega-scale", "ratio"),
-        "omega-scale-mult": float(_resolve(args, config, "omega-scale-mult", 1.5)),
-        "objective": _resolve(args, config, "objective", "lagrangian"),
-        "loss": _resolve(args, config, "loss", "cross-entropy"),
-        "epochs": int(_resolve(args, config, "epochs", 20)),
-        "batches": int(_resolve(args, config, "batches", 10)),
-        "batch-size": int(_resolve(args, config, "batch-size", 1024)),
-        "sgd-rate": float(_resolve(args, config, "sgd-rate", 0.01)),
-        "relaxation": _resolve(args, config, "relaxation", "logistic"),
-        "scale": float(_resolve(args, config, "scale", 20.0)),
-        "cost": _resolve(args, config, "cost", "square"),
-        "grid-step": float(_resolve(args, config, "grid-step", 1.0 / 129.0)),
-        "unbiased": bool(_resolve(args, config, "unbiased", True)),
-        "theta-box": float(_resolve(args, config, "theta-box", 10.0)),
-        "seed": int(_resolve(args, config, "seed", 0)),
-        "out": _resolve(args, config, "out", "run"),
-    }
-    out = _out_dir(resolved["out"])
-    manifest = Manifest("mitigate", resolved, out)
-    if resolved["base"] is None:
-        raise CliError("mitigate needs --base (train one with train-base)")
-    train_ds, test_ds = _load_splits(resolved, two_groups=True)
-    model = Ensemble.load(resolved["base"])
-    manifest.stage("load")
+def _reevaluated_family(enc, model, ds, theta_box):
+    """The linear family of ``enc``'s columns rebuilt on another split."""
+    if ds is None:
+        return None
+    return enc.reevaluate(ds.X, model=model).to_linear_family(model.predict_raw(ds.X), theta_box=theta_box)
 
-    enc = _build_encoders(resolved["method"], model, train_ds, args, config)
-    enc.save(out / "encoders.csv", out / "encoders.json")
-    manifest.artifact(out / "encoders.csv")
-    manifest.artifact(out / "encoders.json")
-    manifest.stage("encoders")
 
-    seed = resolved["seed"]
-    spec = _estimator_spec(args, config, seed)
-    box = resolved["theta-box"]
-    n_cols = enc.n_columns
-    theta_box = np.column_stack([np.full(n_cols, -box), np.full(n_cols, box)])
-    fam_train = enc.to_linear_family(model.predict_raw(train_ds.X), theta_box=theta_box)
-    if resolved["omega-scale"] == "ratio":
-        scale = resolved["omega-scale-mult"] * loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
-    else:
-        scale = resolved["omega-scale-mult"]
+def cmd_mitigate(resolved, manifest, out):
+    # the estimator and the sweep settings are checked before any stage; the
+    # omega ladder waits for the encoders when it is scaled by the loss/bias ratio
+    spec = _estimator_spec(resolved)
     sweep_cfg = SweepConfig(
-        omegas=default_omegas(scale, resolved["omegas"]),
         learning_rate=resolved["sgd-rate"],
         n_epochs=resolved["epochs"],
         n_batches=resolved["batches"],
@@ -435,8 +329,24 @@ def cmd_mitigate(args):
         n_bias=resolved["batch-size"],
         objective=resolved["objective"],
         loss=resolved["loss"],
-        seed=seed,
+        seed=resolved["seed"],
     )
+    train_ds, test_ds = _load_splits(resolved, two_groups=True)
+    model = Ensemble.load(resolved["base"])
+    manifest.stage("load")
+
+    enc = _build_encoders(resolved, model, train_ds)
+    _save_encoders(enc, out, manifest)
+    manifest.stage("encoders")
+
+    box = resolved["theta-box"]
+    theta_box = _theta_box(enc.n_columns, box)
+    fam_train = enc.to_linear_family(model.predict_raw(train_ds.X), theta_box=theta_box)
+    if resolved["omega-scale"] == "ratio":
+        scale = resolved["omega-scale-mult"] * loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
+    else:
+        scale = resolved["omega-scale-mult"]
+    sweep_cfg = replace(sweep_cfg, omegas=default_omegas(scale, resolved["omegas"]))
     candidates, trace = sgd_sweep(fam_train, spec, sweep_cfg, train_ds.y, train_ds.g)
     manifest.stage("sweep")
 
@@ -454,6 +364,7 @@ def cmd_mitigate(args):
             "cost": spec.cost.kind,
             "grid_step": spec.grid_shape()[1],
             "unbiased": spec.unbiased,
+            "kde_bandwidth": spec.kde_bandwidth,
         },
         "omegas": [float(w) for w in sweep_cfg.omegas],
         "candidates": [
@@ -462,38 +373,21 @@ def cmd_mitigate(args):
         "theta_original_units": [
             [float(v) for v in enc.original_theta(theta)] for _, theta in candidates
         ],
-        "seed": seed,
+        "seed": resolved["seed"],
     }
     with open(out / "candidates.json", "w") as fh:
         json.dump(doc, fh, indent=2)
     manifest.artifact(out / "candidates.json")
 
-    fam_test = None
-    if test_ds is not None:
-        enc_test = enc.reevaluate(test_ds.X, model=model)
-        fam_test = enc_test.to_linear_family(model.predict_raw(test_ds.X), theta_box=theta_box)
+    fam_test = _reevaluated_family(enc, model, test_ds, theta_box)
     points = _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, resolved["method"])
-    frontier_points = _filtered_frontier(points)
-    _write_frontier_artifacts(frontier_points, out, manifest)
+    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
     manifest.stage("evaluate")
-    manifest.write()
-    return 0
 
 
-def cmd_evaluate(args):
-    config = _load_config(args)
-    resolved = {
-        "candidates": _resolve(args, config, "candidates", None),
-        "base": _resolve(args, config, "base", None),
-        "encoders": _resolve(args, config, "encoders", None),
-        "train": _resolve(args, config, "train", None),
-        "test": _resolve(args, config, "test", None),
-        "out": _resolve(args, config, "out", "evaluation"),
-    }
-    out = _out_dir(resolved["out"])
-    manifest = Manifest("evaluate", resolved, out)
-    if resolved["candidates"] is None:
-        raise CliError("evaluate needs --candidates")
+def cmd_evaluate(resolved, manifest, out):
+    if not (resolved["train"] or resolved["test"]):
+        raise CliError("evaluate needs --train and/or --test")
     cand_path = Path(resolved["candidates"])
     with open(cand_path) as fh:
         doc = json.load(fh)
@@ -504,62 +398,25 @@ def cmd_evaluate(args):
     enc_prefix = Path(resolved["encoders"]) if resolved["encoders"] else run_dir / "encoders"
     enc = EncoderMatrix.load(f"{enc_prefix}.csv", f"{enc_prefix}.json")
     model = Ensemble.load(base_path)
-    label, group = doc["label"], doc["group"]
     candidates = [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
-    box = float(doc.get("theta_box", 10.0))
-    theta_box = np.column_stack([np.full(enc.n_columns, -box), np.full(enc.n_columns, box)])
+    theta_box = _theta_box(enc.n_columns, float(doc.get("theta_box", DEFAULT_BOX_HALF_WIDTH)))
     manifest.stage("load")
 
-    fam_train = train_ds = fam_test = test_ds = None
-    if resolved["train"]:
-        train_ds = _load_dataset(resolved["train"], label, group, two_groups=True)
-    if resolved["test"]:
-        test_ds = _load_dataset(resolved["test"], label, group, two_groups=True)
-    has_nan = any(ds is not None and np.isnan(ds.X).any() for ds in (train_ds, test_ds))
-    if has_nan:
-        # impute the way mitigate does: with means fitted on the train split
-        prep = fit_preprocessor(train_ds if train_ds is not None else test_ds, standardize=False)
-        train_ds = apply_preprocessor(train_ds, prep) if train_ds is not None else None
-        test_ds = apply_preprocessor(test_ds, prep) if test_ds is not None else None
-    if train_ds is not None:
-        enc_train = enc.reevaluate(train_ds.X, model=model)
-        fam_train = enc_train.to_linear_family(model.predict_raw(train_ds.X), theta_box=theta_box)
-    if test_ds is not None:
-        enc_test = enc.reevaluate(test_ds.X, model=model)
-        fam_test = enc_test.to_linear_family(model.predict_raw(test_ds.X), theta_box=theta_box)
-    if fam_train is None and fam_test is None:
-        raise CliError("evaluate needs --train and/or --test")
+    train_ds, test_ds = _load_splits({**resolved, "label": doc["label"], "group": doc["group"]}, two_groups=True)
+    fam_train = _reevaluated_family(enc, model, train_ds, theta_box)
+    fam_test = _reevaluated_family(enc, model, test_ds, theta_box)
     points = _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, doc["method"])
-    frontier_points = _filtered_frontier(points)
-    _write_frontier_artifacts(frontier_points, out, manifest)
+    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
     manifest.stage("evaluate")
-    manifest.write()
-    return 0
 
 
-def cmd_baseline_rescale(args):
-    config = _load_config(args)
-    resolved = {
-        "train": _resolve(args, config, "train", None),
-        "test": _resolve(args, config, "test", None),
-        "base": _resolve(args, config, "base", None),
-        "label": _resolve(args, config, "label", "label"),
-        "group": _resolve(args, config, "group", "group"),
-        "features": _resolve(args, config, "features", "all"),
-        "iterations": int(_resolve(args, config, "iterations", 1150)),
-        "omegas": int(_resolve(args, config, "omegas", 21)),
-        "omega-max": float(_resolve(args, config, "omega-max", 10.0)),
-        "seed": int(_resolve(args, config, "seed", 0)),
-        "out": _resolve(args, config, "out", "rescale"),
-    }
-    out = _out_dir(resolved["out"])
-    manifest = Manifest("baseline-rescale", resolved, out)
+def cmd_baseline_rescale(resolved, manifest, out):
     train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     if resolved["features"] == "all":
         selected = list(range(train_ds.X.shape[1]))
     else:
-        selected = [int(i) for i in str(resolved["features"]).split(",") if i != ""]
+        selected = [int(i) for i in resolved["features"].split(",") if i != ""]
     omegas = np.linspace(0.0, resolved["omega-max"], resolved["omegas"])
     manifest.stage("load")
     result = random_search_rescaling(
@@ -586,8 +443,7 @@ def cmd_baseline_rescale(args):
                     "rescale", float(omega), split_name, theta=np.concatenate([cand.a, cand.x_star]), **metrics
                 )
             )
-    frontier_points = _filtered_frontier(points)
-    _write_frontier_artifacts(frontier_points, out, manifest)
+    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
     with open(out / "candidates.json", "w") as fh:
         json.dump(
             {
@@ -604,45 +460,17 @@ def cmd_baseline_rescale(args):
         )
     manifest.artifact(out / "candidates.json")
     manifest.stage("evaluate")
-    manifest.write()
-    return 0
 
 
-def cmd_baseline_ot(args):
-    config = _load_config(args)
-    resolved = {
-        "train": _resolve(args, config, "train", None),
-        "test": _resolve(args, config, "test", None),
-        "base": _resolve(args, config, "base", None),
-        "label": _resolve(args, config, "label", "label"),
-        "group": _resolve(args, config, "group", "group"),
-        "thetas": int(_resolve(args, config, "thetas", 15)),
-        "depth": int(_resolve(args, config, "depth", 5)),
-        "rounds": int(_resolve(args, config, "rounds", 400)),
-        "learning-rate": float(_resolve(args, config, "learning-rate", 0.1)),
-        "min-leaf": float(_resolve(args, config, "min-leaf", 8.0)),
-        "early-stop": int(_resolve(args, config, "early-stop", 0)),
-        "seed": int(_resolve(args, config, "seed", 0)),
-        "out": _resolve(args, config, "out", "ot"),
-    }
-    out = _out_dir(resolved["out"])
-    manifest = Manifest("baseline-ot", resolved, out)
+def cmd_baseline_ot(resolved, manifest, out):
     train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     manifest.stage("load")
-    params = GBDTParams(
-        depth=resolved["depth"],
-        rounds=resolved["rounds"],
-        learning_rate=resolved["learning-rate"],
-        min_leaf=resolved["min-leaf"],
-        early_stop_rounds=resolved["early-stop"],
-        seed=resolved["seed"],
-    )
     proj = ot_projection(
         model,
         train_ds.X,
         train_ds.g,
-        params=params,
+        params=_tree_params(resolved),
         thetas=np.linspace(0.0, 1.0, resolved["thetas"]),
     )
     proj.projected_model.save(out / "projected_model.json")
@@ -656,35 +484,235 @@ def cmd_baseline_ot(args):
         for theta, probs in proj.candidates(base_probs, ds.X):
             metrics = score_metrics(probs, ds.y, ds.g)
             points.append(FrontierPoint("ot", theta, split_name, theta=np.array([theta]), **metrics))
-    frontier_points = _filtered_frontier(points)
-    _write_frontier_artifacts(frontier_points, out, manifest)
+    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
     manifest.stage("evaluate")
-    manifest.write()
-    return 0
 
 
-def cmd_report(args):
-    from .frontier import read_frontier_csv
-
-    config = _load_config(args)
-    inputs = _resolve(args, config, "inputs", None) or []
-    out = _out_dir(_resolve(args, config, "out", "report"))
-    resolved = {"inputs": [str(p) for p in inputs], "out": str(out)}
-    manifest = Manifest("report", resolved, out)
-    if not inputs:
-        raise CliError("report needs at least one frontier.csv input")
+def cmd_report(resolved, manifest, out):
     points = []
-    for path in inputs:
+    for path in resolved["inputs"]:
         points.extend(read_frontier_csv(path))
     manifest.stage("load")
     _write_frontier_artifacts(points, out, manifest)
     manifest.stage("write")
-    manifest.write()
-    return 0
 
 
 # --------------------------------------------------------------------------
-# argument parsing
+# the option table
+# --------------------------------------------------------------------------
+
+
+def _switch(value):
+    """A JSON bool or the integer 0/1; anything else is an error."""
+    if type(value) is bool or (type(value) is int and value in (0, 1)):
+        return bool(value)
+    raise ValueError(f"expected true, false, 0 or 1, got {value!r}")
+
+
+def _path_list(value):
+    return [str(p) for p in ([value] if isinstance(value, str) else value)]
+
+
+def _typed(kind, help):
+    """A flag parsed by ``kind``; a config value is converted by it too."""
+    return {"type": kind, "help": help}, kind
+
+
+def _choice(choices, help):
+    def convert(value):
+        if value not in choices:
+            raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
+        return value
+
+    return {"choices": choices, "help": help}, convert
+
+
+# flag -> (argparse keywords, conversion of the resolved value)
+FLAGS = {
+    # data and runs
+    "train": _typed(str, "training CSV"),
+    "test": _typed(str, "held-out CSV: scored next to train, and train-base validates on it"),
+    "label": _typed(str, "label column (binary)"),
+    "group": _typed(str, "protected-group column (0 and 1)"),
+    "base": _typed(str, "base model, the model.json of train-base"),
+    "seed": _typed(int, "seed of every random draw"),
+    "out": _typed(str, "output directory"),
+    # generate
+    "model": _choice(("m1", "m2"), "synthetic model"),
+    "n": _typed(int, "records to generate"),
+    "split": _typed(float, "train share; also writes train.csv and test.csv"),
+    # GBDT
+    "grid": ({"action": "store_true", "default": None, "help": "select depth and rate on a small grid"}, _switch),
+    "depth": _typed(int, "tree depth"),
+    "rounds": _typed(int, "boosting rounds"),
+    "learning-rate": _typed(float, "boosting learning rate"),
+    "min-leaf": _typed(float, "least sample weight in a leaf"),
+    "early-stop": _typed(int, "stop after this many rounds without test improvement; 0 never stops"),
+    # encoders
+    "method": _choice(("tree-pca", "additive", "shapley"), "encoder family"),
+    "components": _typed(int, "tree-pca: principal components, at most one per tree"),
+    "degree": _typed(int, "additive: polynomial degree"),
+    "basis": _choice(("monomial", "legendre"), "additive: polynomial basis"),
+    "background": _typed(int, "shapley: background records"),
+    # bias estimator
+    "estimator": _choice(tuple(ESTIMATOR_ALIASES), "bias estimator"),
+    "relaxation": _choice(("ramp", "logistic", "shifted-logistic"), "relaxation of the threshold step"),
+    "scale": _typed(float, "relaxation scale s"),
+    "cost": _choice(("abs", "square"), "cost of the CDF gap"),
+    "grid-step": _typed(float, "threshold grid step"),
+    "kde-bandwidth": _typed(float, "invariant-kde: kernel bandwidth; Silverman's rule when unset"),
+    "unbiased": (
+        {"type": int, "help": "1 or 0: subtract the within-group variance (square-cost threshold estimators)"},
+        _switch,
+    ),
+    # sweep
+    "omegas": _typed(int, "number of fairness weights"),
+    "omega-scale": _choice(("one", "ratio"), "unit of the weight ladder: 1, or the base loss/bias ratio"),
+    "omega-scale-mult": _typed(float, "multiplier of that unit"),
+    "objective": _choice(("penalized", "lagrangian"), "objective form"),
+    "loss": _choice(("cross-entropy", "distill"), "performance loss"),
+    "epochs": _typed(int, "SGD epochs per weight"),
+    "batches": _typed(int, "SGD batches per epoch"),
+    "batch-size": _typed(int, "records per SGD batch, for the loss and for the bias"),
+    "sgd-rate": _typed(float, "SGD learning rate"),
+    "theta-box": _typed(float, "half-width of the box that bounds each theta coordinate"),
+    # baselines
+    "features": _typed(str, "comma-separated feature indices, or 'all'"),
+    "iterations": _typed(int, "random-search candidates"),
+    "omega-max": _typed(float, "largest fairness weight"),
+    "thetas": _typed(int, "interpolation points between the base and projected models"),
+    # evaluate and report
+    "candidates": _typed(str, "candidates.json of a mitigate run"),
+    "encoders": _typed(str, "encoder files without extension; the run's encoders by default"),
+    "inputs": ({"nargs": "+", "help": "frontier.csv files to merge"}, _path_list),
+}
+
+
+@dataclass(frozen=True)
+class Command:
+    run: object                 # cmd_*(resolved, manifest, out)
+    defaults: dict              # {flag: default} of every flag the command takes
+    needs: tuple = ()           # flags that must be set
+    convert: dict = field(default_factory=dict)  # conversions that replace a flag's own
+
+
+_COLUMNS = {"label": "label", "group": "group"}
+_DATA = {"train": None, "test": None, **_COLUMNS}
+_SEED = {"seed": 0}
+_ENCODER = {
+    "method": "tree-pca",
+    "components": 40,
+    "degree": 1,
+    # plain powers are the CLI's additive columns (the library's basis is legendre)
+    "basis": "monomial",
+    "background": DEFAULT_BACKGROUND_SIZE,
+}
+# the base model: shallow, slow-learning trees on large leaves keep its
+# scores smooth (GBDTParams is a general-purpose 4/300/0.08/16/25)
+_BASE_MODEL = GBDTParams(depth=2, rounds=800, learning_rate=0.04, min_leaf=64.0, early_stop_rounds=30)
+_OMEGA_COUNT = default_omegas().size
+
+COMMANDS = {
+    "generate": Command(cmd_generate, {"model": "m1", "n": 20_000, **_SEED, "split": None, "out": "data"}),
+    "train-base": Command(
+        cmd_train_base,
+        {**_DATA, "grid": False, **_gbdt(_BASE_MODEL), **_SEED, "out": "model"},
+        needs=("train",),
+    ),
+    "encode": Command(
+        cmd_encode,
+        {"train": None, "base": None, **_COLUMNS, **_ENCODER, **_SEED, "out": "encoders"},
+        needs=("train",),
+    ),
+    "mitigate": Command(
+        cmd_mitigate,
+        {
+            **_DATA,
+            "base": None,
+            **_ENCODER,
+            # the library's default variant, by its alias
+            "estimator": next(a for a, v in ESTIMATOR_ALIASES.items() if v == BiasEstimatorSpec.variant),
+            "relaxation": BiasEstimatorSpec.relaxation.kind,
+            "scale": BiasEstimatorSpec.relaxation.scale,
+            "cost": BiasEstimatorSpec.cost.kind,
+            "grid-step": BiasEstimatorSpec.thresholds,
+            "kde-bandwidth": BiasEstimatorSpec.kde_bandwidth,
+            # a sweep scores small batches, whose squared gaps carry a sampling-variance inflation
+            "unbiased": True,
+            "omegas": _OMEGA_COUNT,
+            "omega-scale": "ratio",
+            "omega-scale-mult": 1.5,
+            # the ratio-scaled ladder passes omega = 1, where the penalized loss weight 1 - omega turns negative
+            "objective": "lagrangian",
+            "loss": SweepConfig.loss,
+            "epochs": SweepConfig.n_epochs,
+            "batches": SweepConfig.n_batches,
+            "batch-size": SweepConfig.n_perf,
+            "sgd-rate": SweepConfig.learning_rate,
+            "theta-box": DEFAULT_BOX_HALF_WIDTH,
+            **_SEED,
+            "out": "run",
+        },
+        needs=("train", "base"),
+    ),
+    "baseline-rescale": Command(
+        cmd_baseline_rescale,
+        {
+            **_DATA,
+            "base": None,
+            "features": "all",
+            "iterations": 1150,
+            "omegas": _OMEGA_COUNT,
+            "omega-max": 10.0,
+            **_SEED,
+            "out": "rescale",
+        },
+        needs=("train", "base"),
+    ),
+    "baseline-ot": Command(
+        cmd_baseline_ot,
+        {**_DATA, "base": None, "thetas": DEFAULT_THETA_GRID, **_gbdt(OT_REGRESSOR_PARAMS), **_SEED, "out": "ot"},
+        needs=("train", "base"),
+    ),
+    "evaluate": Command(
+        cmd_evaluate,
+        {"candidates": None, "base": None, "encoders": None, "train": None, "test": None, "out": "evaluation"},
+        needs=("candidates",),
+    ),
+    # report records its output directory normalised
+    "report": Command(
+        cmd_report, {"inputs": (), "out": "report"}, needs=("inputs",), convert={"out": lambda v: str(Path(v))}
+    ),
+}
+
+
+def _resolve_options(name, args) -> dict:
+    """Each option of the command from its flag, else the config document,
+    else the table's default, then through the flag's conversion."""
+    command = COMMANDS[name]
+    config = _load_config(args.config)
+    resolved = {}
+    for flag, default in command.defaults.items():
+        value = getattr(args, flag.replace("-", "_"))
+        if value is None:
+            value = config.get(flag)
+        if value is None:
+            value = default
+        if value is not None:
+            convert = command.convert.get(flag, FLAGS[flag][1])
+            try:
+                value = convert(value)
+            except (TypeError, ValueError) as exc:
+                raise CliError(f"option {flag!r}: {exc}") from exc
+        resolved[flag] = value
+    for flag in command.needs:
+        if not resolved[flag]:
+            raise CliError(f"{name} needs --{flag}")
+    return resolved
+
+
+# --------------------------------------------------------------------------
+# argument parsing and the run
 # --------------------------------------------------------------------------
 
 
@@ -695,143 +723,40 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"fairfront {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, flags):
+    for name, command in COMMANDS.items():
         p = sub.add_parser(name)
         p.add_argument("--config", help="JSON config document; flags override its fields")
-        for flag, kwargs in flags.items():
-            p.add_argument(f"--{flag}", **kwargs)
-        p.set_defaults(fn=fn)
-        return p
-
-    add(
-        "generate",
-        cmd_generate,
-        {
-            "model": {"choices": ["m1", "m2"]},
-            "n": {"type": int},
-            "seed": {"type": int},
-            "split": {"type": float},
-            "out": {},
-        },
-    )
-    gbdt_flags = {
-        "depth": {"type": int},
-        "rounds": {"type": int},
-        "learning-rate": {"type": float},
-        "min-leaf": {"type": float},
-        "early-stop": {"type": int},
-    }
-    add(
-        "train-base",
-        cmd_train_base,
-        {
-            "train": {},
-            "test": {},
-            "label": {},
-            "group": {},
-            "grid": {"action": "store_true", "default": None},
-            "seed": {"type": int},
-            "out": {},
-            **gbdt_flags,
-        },
-    )
-    encoder_flags = {
-        "method": {"choices": ["tree-pca", "additive", "shapley"]},
-        "components": {"type": int},
-        "degree": {"type": int},
-        "basis": {"choices": ["monomial", "legendre"]},
-        "background": {"type": int},
-    }
-    add(
-        "encode",
-        cmd_encode,
-        {"train": {}, "base": {}, "label": {}, "group": {}, "seed": {"type": int}, "out": {}, **encoder_flags},
-    )
-    add(
-        "mitigate",
-        cmd_mitigate,
-        {
-            "train": {},
-            "test": {},
-            "base": {},
-            "label": {},
-            "group": {},
-            "estimator": {"choices": list(ESTIMATOR_ALIASES)},
-            "relaxation": {"choices": ["ramp", "logistic", "shifted-logistic"]},
-            "scale": {"type": float},
-            "cost": {"choices": ["abs", "square"]},
-            "grid-step": {"type": float},
-            "kde-bandwidth": {"type": float},
-            "unbiased": {"type": int},
-            "omegas": {"type": int},
-            "omega-scale": {"choices": ["one", "ratio"]},
-            "omega-scale-mult": {"type": float},
-            "objective": {"choices": ["penalized", "lagrangian"]},
-            "loss": {"choices": ["cross-entropy", "distill"]},
-            "epochs": {"type": int},
-            "batches": {"type": int},
-            "batch-size": {"type": int},
-            "sgd-rate": {"type": float},
-            "theta-box": {"type": float},
-            "seed": {"type": int},
-            "out": {},
-            **encoder_flags,
-        },
-    )
-    add(
-        "baseline-rescale",
-        cmd_baseline_rescale,
-        {
-            "train": {},
-            "test": {},
-            "base": {},
-            "label": {},
-            "group": {},
-            "features": {"help": "comma-separated feature indices, or 'all'"},
-            "iterations": {"type": int},
-            "omegas": {"type": int},
-            "omega-max": {"type": float},
-            "seed": {"type": int},
-            "out": {},
-        },
-    )
-    add(
-        "baseline-ot",
-        cmd_baseline_ot,
-        {
-            "train": {},
-            "test": {},
-            "base": {},
-            "label": {},
-            "group": {},
-            "thetas": {"type": int},
-            "seed": {"type": int},
-            "out": {},
-            **gbdt_flags,
-        },
-    )
-    add(
-        "evaluate",
-        cmd_evaluate,
-        {"candidates": {}, "base": {}, "encoders": {}, "train": {}, "test": {}, "out": {}},
-    )
-    report = add("report", cmd_report, {"out": {}})
-    report.add_argument("--inputs", nargs="+")
+        for flag, default in command.defaults.items():
+            kwargs = FLAGS[flag][0]
+            shown = "" if default in (None, ()) else f" (default: {default})"
+            p.add_argument(f"--{flag}", **{**kwargs, "help": kwargs["help"] + shown})
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    manifest = None
     try:
-        return args.fn(args)
+        resolved = _resolve_options(args.command, args)
+        out = _out_dir(resolved["out"])
+        manifest = Manifest(args.command, resolved, out)
+        COMMANDS[args.command].run(resolved, manifest, out)
+        manifest.doc["status"] = "ok"
+        return 0
     except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _failed(manifest, exc, 2)
     except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return _failed(manifest, exc, 1)
+    finally:
+        if manifest is not None:
+            manifest.write()
+
+
+def _failed(manifest, exc, code) -> int:
+    print(f"error: {exc}", file=sys.stderr)
+    if manifest is not None:
+        manifest.doc.update(status="error", error=str(exc))
+    return code
 
 
 if __name__ == "__main__":

@@ -59,7 +59,9 @@ class BiasEstimatorSpec:
     ``unbiased`` subtracts the within-group variance terms from squared-cost
     threshold estimators so each term estimates h(B_s(t)) without the
     sampling-variance inflation; it requires at least two records per group
-    and can make small values dip below zero.
+    and can make small values dip below zero.  It applies to threshold-mc,
+    threshold-discrete(-trapezoid) and invariant-mc with the square cost; for
+    any other estimator it is set to False, so the spec records what applies.
     """
 
     variant: str = "threshold-discrete-trapezoid"
@@ -84,6 +86,8 @@ class BiasEstimatorSpec:
             raise ValueError("grid step must lie in (0, 1)")
         if self.kde_bandwidth is not None and not self.kde_bandwidth > 0:
             raise ValueError("kde bandwidth must be positive")
+        applies = self.cost.kind == "square" and self.variant not in (*_ENERGY_VARIANTS, "invariant-kde-discrete")
+        object.__setattr__(self, "unbiased", bool(self.unbiased and applies))
 
     def grid_shape(self):
         """Threshold scheme as ``(count, step)``."""
@@ -153,10 +157,10 @@ def b_hat(family: LinearFamily, theta, group_index_sets, t: float, relaxation: R
 
 
 def _threshold_average(
-    spec, family, theta, batch, thresholds, weights, unbiased, need_grad=True, dthresholds=None, dweights=None
+    spec, family, theta, batch, thresholds, weights, need_grad=True, dthresholds=None, dweights=None
 ):
     """``sum_j w_j h(B_hat(t_j))``, less the unbiased variance terms when
-    ``unbiased``, with its exact theta-gradient.
+    ``spec.unbiased``, with its exact theta-gradient.
 
     The grid is formed in blocks of thresholds of about _GRID_CELLS cells, so
     memory is bounded for any threshold count; each threshold's row
@@ -166,7 +170,7 @@ def _threshold_average(
     ``dthresholds`` and ``dweights`` are the (T, d) Jacobians of thresholds
     and weights that depend on theta.
     """
-    rel = spec.relaxation
+    rel, unbiased = spec.relaxation, spec.unbiased
     groups = [_scores_maybe_grad(family, theta, rows, need_grad) for rows in (batch.group0, batch.group1)]
     if unbiased and min(u.size for u, _ in groups) < 2:
         raise ValueError("unbiased square correction needs at least two records per group")
@@ -297,24 +301,23 @@ def bias_value_and_grad(
     """
     theta = np.asarray(theta, dtype=float)
     T, dt = spec.grid_shape()
-    unbiased = spec.unbiased and spec.cost.kind == "square"
 
     if spec.variant == "threshold-mc":
         gen = rng if rng is not None else np.random.default_rng(spec.rng_seed)
         thresholds = gen.random(T)
         weights = np.full(T, 1.0 / T)
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, unbiased, need_grad)
+        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad)
 
     if spec.variant == "threshold-discrete":
         thresholds = dt * np.arange(1, T + 1)
         weights = np.full(T, dt)
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, unbiased, need_grad)
+        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad)
 
     if spec.variant == "threshold-discrete-trapezoid":
         thresholds = dt * np.arange(0, T + 1)
         weights = np.full(T + 1, dt)
         weights[0] = weights[-1] = dt / 2.0
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, unbiased, need_grad)
+        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad)
 
     if spec.variant == "energy":
         u0, du0 = _scores_maybe_grad(family, theta, batch.group0, need_grad)
@@ -332,7 +335,7 @@ def bias_value_and_grad(
 
     if spec.variant == "invariant-mc":
         weights = np.full(up.size, 1.0 / up.size)
-        return _threshold_average(spec, family, theta, batch, up, weights, unbiased, need_grad, dthresholds=dup)
+        return _threshold_average(spec, family, theta, batch, up, weights, need_grad, dthresholds=dup)
 
     if spec.variant == "invariant-kde-discrete":
         thresholds = dt * np.arange(1, T + 1)
@@ -342,8 +345,7 @@ def bias_value_and_grad(
         rho = kern.mean(axis=1) / bw
         # d (dt rho(t_j))/d theta: kernel derivative through the pooled scores
         dweights = dt * ((kern * z) @ dup) / (up.size * bw * bw) if need_grad else None
-        # this variant takes no variance correction
-        return _threshold_average(spec, family, theta, batch, thresholds, dt * rho, False, need_grad, dweights=dweights)
+        return _threshold_average(spec, family, theta, batch, thresholds, dt * rho, need_grad, dweights=dweights)
 
     # invariant-energy-relaxed: transform all group scores through the relaxed
     # pooled CDF estimated from the pool sample, then take the V-statistic.

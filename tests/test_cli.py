@@ -240,6 +240,12 @@ class TestMitigate:
         )
         assert code == 0
         assert (out / "frontier.csv").exists()
+        # evaluate on the test split alone imputes with means fitted on it
+        reval = tmp_path / "reval"
+        flags = ["--candidates", str(out / "candidates.json"), "--base", str(model_dir / "model.json")]
+        flags += ["--test", str(tmp_path / "test.csv")]
+        assert main(["evaluate", *flags, "--out", str(reval)]) == 0
+        assert {p.split for p in read_frontier_csv(reval / "frontier.csv")} == {"test"}
 
     def test_missing_base_is_a_field_error(self, workspace, capsys):
         _, data, _ = workspace
@@ -451,3 +457,125 @@ class TestReport:
         code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "invalid JSON" in capsys.readouterr().err
+
+
+def write_config(path, doc):
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+class TestOptionTable:
+    """Each option comes from its flag, else the config, else the table's
+    default, and goes through the flag's own conversion before any stage."""
+
+    def test_help_shows_effective_defaults(self, capsys):
+        with pytest.raises(SystemExit) as stop:
+            main(["mitigate", "--help"])
+        assert stop.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for shown in ("(default: 21)", "(default: lagrangian)", "(default: 10.0)", "(default: 0.01)"):
+            assert shown in text
+
+    def test_kde_bandwidth_is_recorded(self, workspace):
+        bandwidths = (0.2, 0.4)
+        runs = [
+            run_mitigate(workspace, f"kde-{bw}", ["--estimator", "invariant-kde", "--kde-bandwidth", str(bw)])
+            for bw in bandwidths
+        ]
+        manifests = [json.loads((out / "manifest.json").read_text()) for out in runs]
+        assert manifests[0]["config_hash"] != manifests[1]["config_hash"]
+        for out, manifest, bw in zip(runs, manifests, bandwidths):
+            estimator = json.loads((out / "candidates.json").read_text())["estimator"]
+            assert manifest["config"]["kde-bandwidth"] == bw
+            assert estimator["kde_bandwidth"] == bw
+            # the manifest keeps the request; candidates.json what was applied
+            assert manifest["config"]["unbiased"] is True
+            assert estimator["unbiased"] is False
+
+    @pytest.mark.parametrize("command", ["baseline-ot", "baseline-rescale"])
+    def test_baselines_need_base(self, workspace, tmp_path, capsys, command):
+        _, data, _ = workspace
+        out = tmp_path / "out"
+        assert main([command, "--train", str(data / "train.csv"), "--out", str(out)]) == 2
+        assert f"error: {command} needs --base" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_config_number_goes_through_the_flag_type(self, tmp_path):
+        out = tmp_path / "gen"
+        cfg = write_config(tmp_path / "gen.json", {"n": 200, "split": "0.5", "out": str(out)})
+        assert main(["generate", "--config", cfg]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["split"] == 0.5
+        assert (out / "train.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [("mitigate", "unbiased", "false"), ("train-base", "grid", "false"), ("mitigate", "unbiased", 2),
+         ("mitigate", "unbiased", 1.0)],
+    )
+    def test_bad_switch_in_config_is_rejected(self, workspace, tmp_path, capsys, command, key, value):
+        _, data, model_dir = workspace
+        out = tmp_path / "out"
+        doc = {"train": str(data / "train.csv"), "base": str(model_dir / "model.json"), key: value, "out": str(out)}
+        assert main([command, "--config", write_config(tmp_path / "cfg.json", doc)]) == 2
+        assert f"error: option {key!r}: expected true, false, 0 or 1, got {value!r}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_bad_switch_flag_is_rejected(self, workspace, tmp_path, capsys):
+        _, data, model_dir = workspace
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--unbiased", "2"]
+        assert main(["mitigate", *flags, "--out", str(tmp_path / "out")]) == 2
+        assert "error: option 'unbiased': expected true, false, 0 or 1, got 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value, applied", [(False, False), (0, False), (1, True), (True, True)])
+    def test_switch_takes_a_json_bool_or_0_1(self, workspace, tmp_path, value, applied):
+        _, data, _ = workspace
+        out = tmp_path / "out"
+        doc = {"train": str(data / "train.csv"), "base": str(tmp_path / "nope.json"), "unbiased": value}
+        assert main(["mitigate", "--config", write_config(tmp_path / "cfg.json", doc), "--out", str(out)]) == 1
+        assert json.loads((out / "manifest.json").read_text())["config"]["unbiased"] is applied
+
+    def test_config_choice_is_checked(self, workspace, tmp_path, capsys):
+        _, data, model_dir = workspace
+        doc = {"train": str(data / "train.csv"), "base": str(model_dir / "model.json"), "method": "pca"}
+        out = tmp_path / "out"
+        assert main(["encode", "--config", write_config(tmp_path / "cfg.json", doc), "--out", str(out)]) == 2
+        assert "error: option 'method': expected one of tree-pca, additive, shapley, got 'pca'" in (
+            capsys.readouterr().err
+        )
+        assert not out.exists()
+
+
+class TestFailedRunManifest:
+    """Once its output directory exists, a failed run still writes its
+    manifest, with the error and the stages that completed."""
+
+    def test_missing_base_file(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        out = tmp_path / "out"
+        flags = ["--train", str(data / "train.csv"), "--base", str(tmp_path / "nope.json")]
+        assert main(["mitigate", *flags, "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert "nope.json" in manifest["error"]
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["timings"] == {} and manifest["artifacts"] == []
+
+    def test_failure_after_a_stage(self, workspace, tmp_path):
+        _, data, model_dir = workspace
+        out = tmp_path / "out"
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json")]
+        assert main(["mitigate", *flags, "--method", "shapley", "--background", "0", "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "background must be a nonempty record matrix"
+        assert list(manifest["timings"]) == ["load"]
+        assert not (out / "encoders.csv").exists()
+
+    def test_bad_sweep_setting_fails_before_any_stage(self, workspace, tmp_path):
+        _, data, model_dir = workspace
+        out = tmp_path / "out"
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--sgd-rate", "-1"]
+        assert main(["mitigate", *flags, "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["error"] == "rates and batch sizes must be positive"
+        assert manifest["timings"] == {}

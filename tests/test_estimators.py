@@ -520,3 +520,28 @@ class TestBlockedSnapshotMemory:
         assert blocked == whole
         one_grid = 8 * n * (n // 2)  # bytes of one (pool x group) float matrix
         assert peak < one_grid / 4
+
+
+class TestUnbiasedRecordsWhatApplies:
+    """``unbiased`` is kept only where the variance correction applies: the
+    squared-cost threshold estimators."""
+
+    @pytest.mark.parametrize(
+        "variant, cost, applied",
+        [
+            ("threshold-mc", SQUARE, True),
+            ("threshold-discrete", SQUARE, True),
+            ("threshold-discrete-trapezoid", SQUARE, True),
+            ("invariant-mc", SQUARE, True),
+            ("threshold-discrete", ABS, False),
+            ("invariant-mc", ABS, False),
+            ("invariant-kde-discrete", SQUARE, False),
+            ("energy", SQUARE, False),
+            ("invariant-energy-relaxed", SQUARE, False),
+        ],
+    )
+    def test_normalised(self, variant, cost, applied):
+        spec = BiasEstimatorSpec(variant, logistic(20.0), cost, 64, unbiased=True)
+        assert spec.unbiased is applied
+        assert spec.with_seed(3).unbiased is applied
+        assert BiasEstimatorSpec(variant, logistic(20.0), cost, 64, unbiased=False).unbiased is False
