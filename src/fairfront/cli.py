@@ -273,6 +273,13 @@ def cmd_encode(resolved, manifest, out):
     _save_encoders(enc, out, manifest)
 
 
+def _omega_count(resolved) -> int:
+    """``--omegas``, checked before any stage: an empty ladder leaves no frontier."""
+    if resolved["omegas"] < 1:
+        raise CliError(f"--omegas must be at least 1, got {resolved['omegas']}")
+    return resolved["omegas"]
+
+
 def _estimator_spec(resolved) -> BiasEstimatorSpec:
     return BiasEstimatorSpec(
         variant=ESTIMATOR_ALIASES[resolved["estimator"]],
@@ -320,6 +327,7 @@ def _reevaluated_family(enc, model, ds, theta_box):
 def cmd_mitigate(resolved, manifest, out):
     # the estimator and the sweep settings are checked before any stage; the
     # omega ladder waits for the encoders when it is scaled by the loss/bias ratio
+    n_omegas = _omega_count(resolved)
     spec = _estimator_spec(resolved)
     sweep_cfg = SweepConfig(
         learning_rate=resolved["sgd-rate"],
@@ -346,7 +354,7 @@ def cmd_mitigate(resolved, manifest, out):
         scale = resolved["omega-scale-mult"] * loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
     else:
         scale = resolved["omega-scale-mult"]
-    sweep_cfg = replace(sweep_cfg, omegas=default_omegas(scale, resolved["omegas"]))
+    sweep_cfg = replace(sweep_cfg, omegas=default_omegas(scale, n_omegas))
     candidates, trace = sgd_sweep(fam_train, spec, sweep_cfg, train_ds.y, train_ds.g)
     manifest.stage("sweep")
 
@@ -411,13 +419,13 @@ def cmd_evaluate(resolved, manifest, out):
 
 
 def cmd_baseline_rescale(resolved, manifest, out):
+    omegas = np.linspace(0.0, resolved["omega-max"], _omega_count(resolved))
     train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     if resolved["features"] == "all":
         selected = list(range(train_ds.X.shape[1]))
     else:
         selected = [int(i) for i in resolved["features"].split(",") if i != ""]
-    omegas = np.linspace(0.0, resolved["omega-max"], resolved["omegas"])
     manifest.stage("load")
     result = random_search_rescaling(
         model,

@@ -1,7 +1,7 @@
 """Differentiable bias estimators with analytic theta-gradients.
 
 Each estimator approximates a threshold-averaged bias metric of the grouped
-link-space scores of a linear family, and returns both the value and its
+link-space scores of a model family, and returns both the value and its
 exact gradient with respect to the family parameter.  Variants:
 
 threshold-mc              Monte Carlo thresholds drawn from uniform(0, 1).
@@ -20,9 +20,14 @@ invariant-kde-discrete    grid thresholds weighted by a Gaussian KDE of the
 invariant-energy-relaxed  energy statistic of scores pushed through a relaxed
                           pooled CDF built from the held-out pool.
 
-Gradients flow through every occurrence of the model score inside the
-relaxation, including pooled scores reused as thresholds; only the random
-selection of threshold/pool samples is frozen.
+Every estimator is a function of the link-space scores of group 0, group 1
+and (invariant variants) the pool, and returns one cotangent, d value /
+d score, per row of each: through every occurrence of a score, pooled scores
+reused as thresholds or KDE centres included; only the random selection of
+threshold/pool samples is frozen.  ``bias_value_and_grad`` scores the three
+row sets in one ``family.scores_and_grad`` call and hands the cotangents to
+the pullback it returns, so any family with ``scores`` and
+``scores_and_grad`` will do.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .distributions import CostFunction, EmpiricalDistribution
-from .linear_family import LinearFamily
 from .relaxation import RelaxationFamily
 
 _VARIANTS = (
@@ -45,6 +49,7 @@ _VARIANTS = (
     "invariant-energy-relaxed",
 )
 _ENERGY_VARIANTS = ("energy", "invariant-energy-relaxed")
+_POOL_VARIANTS = ("invariant-mc", "invariant-kde-discrete", "invariant-energy-relaxed")
 # cells of a relaxation grid formed at once (512 KB a matrix): memory stays
 # bounded whatever the threshold or pool count, and a block's few matrices
 # stay in cache and are reused by the allocator
@@ -135,54 +140,48 @@ class EstimatorBatch:
         )
 
 
-def b_hat(family: LinearFamily, theta, group_index_sets, t: float, relaxation: RelaxationFamily):
-    """Relaxed CDF-gap statistic at one threshold, on raw family scores.
+def b_hat(family, theta, group_index_sets, t: float, relaxation: RelaxationFamily):
+    """Relaxed CDF-gap statistic at one threshold, on link-space family scores.
 
-    Value is ``mean_{group 1} r_s(f - t) - mean_{group 0} r_s(f - t)`` with
-    ``f = f_*(x) - theta . w(x)``; always in [-1, 1].  The gradient is exact:
-    the means of ``r_s'(f - t) * (-w_j)``.
+    Value is ``mean_{group 1} r_s(u - t) - mean_{group 0} r_s(u - t)`` with
+    ``u`` the family's link-space score (a probability under the logistic
+    link); always in [-1, 1].  The gradient is exact: each score's cotangent
+    is ``+-r_s'(u_i - t) / m_k``, pulled back by the family.
     """
     idx0, idx1 = (np.asarray(ix, dtype=np.intp).ravel() for ix in group_index_sets)
     if idx0.size == 0 or idx1.size == 0:
         raise ValueError("both groups must be nonempty in the batch")
-    theta = np.asarray(theta, dtype=float)
-    parts = []
-    for idx in (idx0, idx1):
-        W = family.encoder_matrix[idx]
-        f = family.base_scores[idx] - W @ theta
-        z = f - t
-        parts.append((relaxation.r(z).mean(), -(relaxation.r_prime(z)[:, None] * W).mean(axis=0)))
-    (m0, g0), (m1, g1) = parts
-    return float(m1 - m0), g1 - g0
+    u, pullback = family.scores_and_grad(theta, np.concatenate((idx0, idx1)))
+    (R,), (P,) = relaxation.grid(u, [t], need_prime=True)
+    m0 = idx0.size
+    value = R[m0:].mean() - R[:m0].mean()
+    return float(value), pullback(np.concatenate((-P[:m0] / m0, P[m0:] / idx1.size)))
 
 
-def _threshold_average(
-    spec, family, theta, batch, thresholds, weights, need_grad=True, dthresholds=None, dweights=None
-):
+def _threshold_average(spec, u0, u1, thresholds, weights, need_grad=True, scored=False):
     """``sum_j w_j h(B_hat(t_j))``, less the unbiased variance terms when
-    ``spec.unbiased``, with its exact theta-gradient.
+    ``spec.unbiased``, on the group scores ``u0`` and ``u1``.
 
-    The grid is formed in blocks of thresholds of about _GRID_CELLS cells, so
-    memory is bounded for any threshold count; each threshold's row
-    reductions do not depend on the blocking.  The threshold axis is
-    contracted before the Jacobian: every record gets one gradient
-    coefficient and each group costs one (m) @ (m, d) product.
-    ``dthresholds`` and ``dweights`` are the (T, d) Jacobians of thresholds
-    and weights that depend on theta.
+    Returns the value and, with ``need_grad``, its cotangents ``(c0, c1, ct,
+    cw)``: one per score of each group, one per threshold (None unless
+    ``scored``, i.e. the thresholds are themselves scores) and one per
+    weight.  The grid is formed in blocks of thresholds of about _GRID_CELLS
+    cells, so memory is bounded for any threshold count; each threshold's
+    row reductions do not depend on the blocking.
     """
     rel, unbiased = spec.relaxation, spec.unbiased
-    groups = [_scores_maybe_grad(family, theta, rows, need_grad) for rows in (batch.group0, batch.group1)]
-    if unbiased and min(u.size for u, _ in groups) < 2:
+    groups = (u0, u1)
+    if unbiased and min(u.size for u in groups) < 2:
         raise ValueError("unbiased square correction needs at least two records per group")
     T = thresholds.size
     B = np.empty(T)
     variance = np.zeros(T)
-    coefs = [np.zeros(u.size) for u, _ in groups] if need_grad else None
-    tcoef = np.zeros(T) if need_grad and dthresholds is not None else None
-    step = max(1, _GRID_CELLS // max(u.size for u, _ in groups))
+    coefs = [np.zeros(u.size) for u in groups] if need_grad else None
+    tcoef = np.zeros(T) if need_grad and scored else None
+    step = max(1, _GRID_CELLS // max(u.size for u in groups))
     for lo in range(0, T, step):
         blk = slice(lo, lo + step)
-        grids = [rel.grid(u, thresholds[blk], need_grad) for u, _ in groups]
+        grids = [rel.grid(u, thresholds[blk], need_grad) for u in groups]
         means = [R.mean(axis=1) for R, _ in grids]
         B[blk] = means[1] - means[0]
         w = weights[blk]
@@ -212,12 +211,7 @@ def _threshold_average(
         value -= float(weights @ variance)
     if not need_grad:
         return value, None
-    grad = coefs[0] @ groups[0][1] + coefs[1] @ groups[1][1]
-    if tcoef is not None:
-        grad += tcoef @ dthresholds
-    if dweights is not None:
-        grad += hvals @ dweights
-    return value, grad
+    return value, (coefs[0], coefs[1], tcoef, hvals - variance)
 
 
 def _sign_sums(S, sorted_other):
@@ -229,15 +223,16 @@ def _sign_sums(S, sorted_other):
     return below - above
 
 
-def _energy_vstat(S0, dS0, S1, dS1, need_grad=True):
-    """Energy V-statistic of two transformed samples with its gradient.
+def _energy_vstat(S0, S1, need_grad=True):
+    """Energy V-statistic of two transformed samples with its cotangents.
 
     ``2 mean|S0_i - S1_j| - mean|S0 - S0'| - mean|S1 - S1'|`` with the
     diagonals included, which equals ``2 int (F0 - F1)^2 dt`` over the
     empirical CDFs.  The value is that integral, summed over the gaps of the
-    merged sorted sample, so every term is nonnegative.  The gradient sums
-    ``sign(S_i - S'_j) (dS_i - dS'_j)`` over the pairs, with each sign sum
-    counted from a sorted sample.  Time O(n log n), memory O(n0 + n1).
+    merged sorted sample, so every term is nonnegative.  The cotangent of
+    ``S_i`` is its sign sums ``sum_j sign(S_i - S'_j)`` against the other
+    group and its own, each counted from a sorted sample and scaled by the
+    pair count.  Time O(n log n), memory O(n0 + n1).
     """
     m0, m1 = S0.size, S1.size
     merged = np.concatenate((S0, S1))
@@ -253,18 +248,18 @@ def _energy_vstat(S0, dS0, S1, dS1, need_grad=True):
     if not need_grad:
         return value, None
     sorted0, sorted1 = merged[in0], merged[~in0]
-    rows01 = _sign_sums(S0, sorted1).astype(float)     # sum over j of sign(S0_i - S1_j)
-    cols01 = (-_sign_sums(S1, sorted0)).astype(float)  # sum over i of sign(S0_i - S1_j)
-    grad = (2.0 / (m0 * m1)) * (rows01 @ dS0 - cols01 @ dS1)
-    for S, sorted_S, dS in ((S0, sorted0, dS0), (S1, sorted1, dS1)):
-        grad -= (2.0 / (S.size * S.size)) * (_sign_sums(S, sorted_S).astype(float) @ dS)
-    return value, grad
+    c0 = (2.0 / (m0 * m1)) * _sign_sums(S0, sorted1) - (2.0 / (m0 * m0)) * _sign_sums(S0, sorted0)
+    c1 = (2.0 / (m0 * m1)) * _sign_sums(S1, sorted0) - (2.0 / (m1 * m1)) * _sign_sums(S1, sorted1)
+    return value, (c0, c1)
 
 
-def _uniform_cdf_transform(u, du):
-    """Push scores through the uniform(0, 1) CDF: clip to [0, 1]."""
-    inside = ((u > 0.0) & (u < 1.0)).astype(float)
-    return np.clip(u, 0.0, 1.0), du * inside[:, None]
+def _pool_grid_blocks(rel, up, u, need_prime):
+    """``(block, R, P)`` of the (rows, pool) grid ``r_s(up_l - u_i)``, a block
+    of about _GRID_CELLS cells of rows of ``u`` at a time."""
+    step = max(1, _GRID_CELLS // up.size)
+    for lo in range(0, u.size, step):
+        blk = slice(lo, lo + step)
+        yield (blk, *rel.grid(up, u[blk], need_prime))
 
 
 def _silverman_bandwidth(samples) -> float:
@@ -273,20 +268,71 @@ def _silverman_bandwidth(samples) -> float:
     return max(bw, 1e-9)
 
 
-def _require_pool(spec, batch):
-    if batch.pool is None or batch.pool.size == 0:
-        raise ValueError(f"{spec.variant} needs a pool sample in the batch")
+def _estimate(spec, rng, need_grad, u0, u1, up=None):
+    """The selected estimator on the link-space scores of group 0, group 1
+    and the pool (None for the variants that read none).  Returns the value
+    and, with ``need_grad``, one cotangent array per score vector."""
+    T, dt = spec.grid_shape()
 
+    if spec.variant == "threshold-mc":
+        gen = rng if rng is not None else np.random.default_rng(spec.rng_seed)
+        thresholds, weights = gen.random(T), np.full(T, 1.0 / T)
+    elif spec.variant == "threshold-discrete":
+        thresholds, weights = dt * np.arange(1, T + 1), np.full(T, dt)
+    elif spec.variant == "threshold-discrete-trapezoid":
+        thresholds, weights = dt * np.arange(0, T + 1), np.full(T + 1, dt)
+        weights[0] = weights[-1] = dt / 2.0
+    if spec.variant.startswith("threshold-"):
+        value, cot = _threshold_average(spec, u0, u1, thresholds, weights, need_grad)
+        return value, cot and cot[:2]
 
-def _scores_maybe_grad(family, theta, rows, need_grad):
-    if need_grad:
-        return family.scores_and_grad(theta, rows)
-    return family.scores(theta, rows), None
+    if spec.variant == "energy":
+        # the uniform(0, 1) CDF clips the scores: slope 1 inside, 0 outside
+        value, cot = _energy_vstat(np.clip(u0, 0.0, 1.0), np.clip(u1, 0.0, 1.0), need_grad)
+        return value, cot and tuple(c * ((u > 0.0) & (u < 1.0)) for c, u in zip(cot, (u0, u1)))
+
+    if spec.variant == "invariant-mc":
+        weights = np.full(up.size, 1.0 / up.size)
+        value, cot = _threshold_average(spec, u0, u1, up, weights, need_grad, scored=True)
+        return value, cot and cot[:3]
+
+    if spec.variant == "invariant-kde-discrete":
+        thresholds = dt * np.arange(1, T + 1)
+        bw = spec.kde_bandwidth if spec.kde_bandwidth is not None else _silverman_bandwidth(up)
+        z = (thresholds[:, None] - up[None, :]) / bw
+        kern = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
+        rho = kern.mean(axis=1) / bw
+        value, cot = _threshold_average(spec, u0, u1, thresholds, dt * rho, need_grad)
+        if cot is None:
+            return value, None
+        c0, c1, _, cw = cot
+        # weight dt rho(t_j) through the kernel: d/d up_l = dt K(z_jl) z_jl / (pool bw^2)
+        return value, (c0, c1, dt * (cw @ (kern * z)) / (up.size * bw * bw))
+
+    # invariant-energy-relaxed: push the group scores through the relaxed
+    # pooled CDF S_i = 1 - mean_l r_s(up_l - u_i) of the pool sample, then take
+    # the V-statistic.  The grid is formed a block of group rows at a time, and
+    # again for the cotangents of u and up, which need those of S first
+    rel = spec.relaxation
+    S = [np.empty(u.size) for u in (u0, u1)]
+    for S_k, u in zip(S, (u0, u1)):
+        for blk, R, _ in _pool_grid_blocks(rel, up, u, False):
+            S_k[blk] = 1.0 - R.mean(axis=1)
+    value, cot = _energy_vstat(*S, need_grad)
+    if cot is None:
+        return value, None
+    cp = np.zeros(up.size)
+    cu = [np.empty(u.size) for u in (u0, u1)]
+    for c_k, cS, u in zip(cu, cot, (u0, u1)):
+        for blk, _, P in _pool_grid_blocks(rel, up, u, True):
+            c_k[blk] = cS[blk] * P.mean(axis=1)
+            cp -= (cS[blk] @ P) / up.size
+    return value, (cu[0], cu[1], cp)
 
 
 def bias_value_and_grad(
     spec: BiasEstimatorSpec,
-    family: LinearFamily,
+    family,
     theta,
     batch: EstimatorBatch,
     rng: np.random.Generator = None,
@@ -296,77 +342,25 @@ def bias_value_and_grad(
 
     Grid and Monte Carlo thresholds live on [0, 1], so families with a
     logistic link are thresholded in probability space.  ``rng`` overrides
-    the spec seed for Monte Carlo threshold draws.  With ``need_grad=False``
-    the gradient slot is None (snapshot scoring skips the heavy matmuls).
+    the spec seed for Monte Carlo threshold draws.  Group 0, group 1 and the
+    pool are scored in one family call, and the estimator's score-space
+    cotangents are pulled back to theta once.  With ``need_grad=False`` the
+    gradient slot is None (snapshot scoring skips the cotangents).
     """
-    theta = np.asarray(theta, dtype=float)
-    T, dt = spec.grid_shape()
-
-    if spec.variant == "threshold-mc":
-        gen = rng if rng is not None else np.random.default_rng(spec.rng_seed)
-        thresholds = gen.random(T)
-        weights = np.full(T, 1.0 / T)
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad)
-
-    if spec.variant == "threshold-discrete":
-        thresholds = dt * np.arange(1, T + 1)
-        weights = np.full(T, dt)
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad)
-
-    if spec.variant == "threshold-discrete-trapezoid":
-        thresholds = dt * np.arange(0, T + 1)
-        weights = np.full(T + 1, dt)
-        weights[0] = weights[-1] = dt / 2.0
-        return _threshold_average(spec, family, theta, batch, thresholds, weights, need_grad)
-
-    if spec.variant == "energy":
-        u0, du0 = _scores_maybe_grad(family, theta, batch.group0, need_grad)
-        u1, du1 = _scores_maybe_grad(family, theta, batch.group1, need_grad)
-        if need_grad:
-            S0, dS0 = _uniform_cdf_transform(u0, du0)
-            S1, dS1 = _uniform_cdf_transform(u1, du1)
-        else:
-            S0, dS0 = np.clip(u0, 0.0, 1.0), None
-            S1, dS1 = np.clip(u1, 0.0, 1.0), None
-        return _energy_vstat(S0, dS0, S1, dS1, need_grad=need_grad)
-
-    _require_pool(spec, batch)
-    up, dup = _scores_maybe_grad(family, theta, batch.pool, need_grad)
-
-    if spec.variant == "invariant-mc":
-        weights = np.full(up.size, 1.0 / up.size)
-        return _threshold_average(spec, family, theta, batch, up, weights, need_grad, dthresholds=dup)
-
-    if spec.variant == "invariant-kde-discrete":
-        thresholds = dt * np.arange(1, T + 1)
-        bw = spec.kde_bandwidth if spec.kde_bandwidth is not None else _silverman_bandwidth(up)
-        z = (thresholds[:, None] - up[None, :]) / bw
-        kern = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-        rho = kern.mean(axis=1) / bw
-        # d (dt rho(t_j))/d theta: kernel derivative through the pooled scores
-        dweights = dt * ((kern * z) @ dup) / (up.size * bw * bw) if need_grad else None
-        return _threshold_average(spec, family, theta, batch, thresholds, dt * rho, need_grad, dweights=dweights)
-
-    # invariant-energy-relaxed: transform all group scores through the relaxed
-    # pooled CDF estimated from the pool sample, then take the V-statistic.
-    # The (m, pool) grid r_s(up_l - u_i) is formed a block of group rows at a time.
-    rel = spec.relaxation
-    out = []
-    for rows in (batch.group0, batch.group1):
-        u, du = _scores_maybe_grad(family, theta, rows, need_grad)
-        S = np.empty(u.size)
-        dS = np.empty(du.shape) if need_grad else None
-        step = max(1, _GRID_CELLS // up.size)
-        for lo in range(0, u.size, step):
-            blk = slice(lo, lo + step)
-            R, P = rel.grid(up, u[blk], need_grad)
-            S[blk] = 1.0 - R.mean(axis=1)
-            if need_grad:
-                # dS_i = -(1/pool) sum_l r'(up_l - u_i) (dup_l - du_i)
-                dS[blk] = -(P @ dup) / up.size + P.mean(axis=1)[:, None] * du[blk]
-        out.append((S, dS))
-    (S0, dS0), (S1, dS1) = out
-    return _energy_vstat(S0, dS0, S1, dS1, need_grad=need_grad)
+    parts = [batch.group0, batch.group1]
+    if spec.variant in _POOL_VARIANTS:
+        if batch.pool is None or batch.pool.size == 0:
+            raise ValueError(f"{spec.variant} needs a pool sample in the batch")
+        parts.append(batch.pool)
+    rows = np.concatenate(parts)
+    if need_grad:
+        u, pullback = family.scores_and_grad(theta, rows)
+    else:
+        u = family.scores(theta, rows)
+    value, cot = _estimate(spec, rng, need_grad, *np.split(u, np.cumsum([p.size for p in parts[:-1]])))
+    if not need_grad:
+        return value, None
+    return value, pullback(np.concatenate(cot))
 
 
 # ---------------------------------------------------------------------------

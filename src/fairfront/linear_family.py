@@ -4,8 +4,15 @@ A family member is ``f(x; theta) = f_*(x) - theta . w(x)`` where the encoder
 row ``w(x)`` has a leading constant 1.  The family is linear in theta, so
 gradients exist even when the base model itself is a step function (e.g. a
 tree ensemble).  For classification the raw score is pushed through the
-logistic link before thresholding, and the chain rule picks up the usual
-``u (1 - u)`` factor.
+logistic link before thresholding.
+
+The family owns the one chain rule.  Estimators and losses return score-space
+cotangents (d value / d score, one per scored row); ``scores_and_grad``
+returns the scores with a pullback that maps such cotangents to the
+theta-gradient.  A family need supply only ``scores``, ``scores_and_grad``
+and, for the losses, which differentiate in logit space,
+``raw_scores_and_pullback``.  Here the raw pullback is ``g -> -g @ W[rows]``
+and the logistic link composes its slope u (1 - u) onto it.
 """
 
 from __future__ import annotations
@@ -37,6 +44,8 @@ class LinearFamily:
             raise ValueError("first encoder column must be identically 1")
         if not np.all(np.isfinite(self.encoder_matrix)):
             raise ValueError("non-finite encoder value")
+        if not np.all(np.isfinite(self.base_scores)):
+            raise ValueError("non-finite base score")
         if self.link not in ("identity", "logistic"):
             raise ValueError(f"unknown link {self.link!r}")
         if self.theta_box is None:
@@ -64,32 +73,27 @@ class LinearFamily:
     def clip_theta(self, theta: np.ndarray) -> np.ndarray:
         return np.clip(theta, self.theta_box[:, 0], self.theta_box[:, 1])
 
-    def raw_scores(self, theta, rows=None) -> np.ndarray:
-        """Raw family score ``f_*(x) - theta . w(x)`` on the selected rows."""
-        theta = np.asarray(theta, dtype=float)
-        if rows is None:
-            return self.base_scores - self.encoder_matrix @ theta
-        return self.base_scores[rows] - self.encoder_matrix[rows] @ theta
+    def raw_scores_and_pullback(self, theta, rows=None):
+        """Raw family scores ``f_*(x) - theta . w(x)`` on the selected rows
+        (all rows when ``rows`` is None, without a copy), and their pullback
+        ``g -> -g @ W[rows]``: the theta-gradient of ``g . raw``."""
+        W = self.encoder_matrix if rows is None else self.encoder_matrix[rows]
+        base = self.base_scores if rows is None else self.base_scores[rows]
+        raw = base - W @ np.asarray(theta, dtype=float)
+        return raw, lambda g: -(g @ W)
 
     def scores(self, theta, rows=None) -> np.ndarray:
         """Link-space score: probability for logistic, raw otherwise."""
-        raw = self.raw_scores(theta, rows)
+        raw, _ = self.raw_scores_and_pullback(theta, rows)
         return sigmoid(raw) if self.link == "logistic" else raw
 
     def scores_and_grad(self, theta, rows=None):
-        """Link-space scores and their Jacobian versus theta.
-
-        Returns ``(u, du)`` with ``u`` of shape (k,) and ``du`` of shape
-        (k, m+1) holding d u_i / d theta_j.
-        """
-        W = self.encoder_matrix if rows is None else self.encoder_matrix[rows]
-        raw = (self.base_scores if rows is None else self.base_scores[rows]) - W @ np.asarray(
-            theta, dtype=float
-        )
-        if self.link == "logistic":
-            u = sigmoid(raw)
-            du = -W * (u * (1.0 - u))[:, None]
-        else:
-            u = raw
-            du = -W
-        return u, du
+        """Link-space scores ``u`` of shape (k,) and their pullback: a map from
+        a cotangent ``g`` of shape (k,) to the theta-gradient of ``g . u``,
+        of shape (m+1,).  Repeated rows add their cotangents."""
+        raw, pullback = self.raw_scores_and_pullback(theta, rows)
+        if self.link == "identity":
+            return raw, pullback
+        u = sigmoid(raw)
+        slope = u * (1.0 - u)
+        return u, lambda g: pullback(g * slope)

@@ -10,8 +10,11 @@ re-scored under the new coefficient.  Per-group bias batches are drawn with
 replacement so the estimator sees balanced groups regardless of prevalence,
 and every step projects theta back into its box by coordinate clamping.
 
-Base scores and encoder columns are computed once, outside this module; the
-inner loop only ever indexes the cached arrays of the family.
+Base scores and encoder columns are computed once, outside this module.
+Gradients are taken in score space: the loss differentiates in logit space,
+the bias estimator in link space, and the family pulls each cotangent back
+to theta (see ``linear_family``), so this module never reads the encoder
+matrix and works with any family that supplies scores and a pullback.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ class SweepConfig:
         if self.omegas is None:
             self.omegas = default_omegas()
         self.omegas = np.asarray(self.omegas, dtype=float).ravel()
+        if self.omegas.size == 0:
+            raise ValueError("omegas must hold at least one weight")
         if np.any(self.omegas < 0) or np.any(np.diff(self.omegas) < 0):
             raise ValueError("omegas must be nonnegative and nondecreasing")
         if self.learning_rate <= 0 or self.n_perf < 1 or self.n_bias < 1:
@@ -82,33 +87,37 @@ def _loss_weight(objective: str, omega: float) -> float:
     return 1.0 - omega if objective == "penalized" else 1.0
 
 
-def _loss_and_grad(family, theta, rows, labels, loss_kind):
-    """Performance loss and gradient on a row batch.
+def _loss_and_cotangent(family, p, rows, labels, loss_kind):
+    """Performance loss of the student probabilities ``p`` on ``rows`` (a row
+    index array, or ``slice(None)`` for all rows) and its cotangent in logit
+    space, d loss / d raw score, per row before the mean.
 
-    cross-entropy: mean CE of sigmoid(f_theta) against labels; gradient is
-    the mean of (sigma(f) - y) * (-w).
-    distill: mean Bernoulli KL of sigma(f_theta) from sigma(f_*); gradient
-    follows the same chain through the student probabilities.
+    cross-entropy: mean CE of p against labels; cotangent p - y.
+    distill: mean Bernoulli KL of p from the teacher sigma(f_*); cotangent
+    (logit p - logit q) p (1 - p) on the clamped probabilities.
     """
-    W = family.encoder_matrix[rows]
-    raw = family.base_scores[rows] - W @ theta
-    p = sigmoid(raw)
     if loss_kind == "cross-entropy":
         y = labels[rows]
-        grad = ((p - y) @ (-W)) / rows.size
-        return cross_entropy(p, y), grad
+        return cross_entropy(p, y), p - y
     teacher = sigmoid(family.base_scores[rows])
     pc = np.clip(p, 1e-7, 1.0 - 1e-7)
     qc = np.clip(teacher, 1e-7, 1.0 - 1e-7)
     dldp = np.log(pc) - np.log1p(-pc) - (np.log(qc) - np.log1p(-qc))
-    grad = ((dldp * p * (1 - p)) @ (-W)) / rows.size
-    return distill_loss(p, teacher), grad
+    return distill_loss(p, teacher), dldp * p * (1 - p)
+
+
+def _loss_and_grad(family, theta, rows, labels, loss_kind):
+    """Performance loss and theta-gradient on a row batch: the logit-space
+    cotangent pulled back through the raw scores, never divided by the link
+    slope, so it stays exact where p saturates."""
+    raw, pullback = family.raw_scores_and_pullback(theta, rows)
+    value, cotangent = _loss_and_cotangent(family, sigmoid(raw), rows, labels, loss_kind)
+    return value, pullback(cotangent) / rows.size
 
 
 def _full_loss(family, theta, labels, loss_kind) -> float:
-    rows = np.arange(family.n_records)
-    value, _ = _loss_and_grad(family, theta, rows, labels, loss_kind)
-    return value
+    p = sigmoid(family.raw_scores_and_pullback(theta)[0])
+    return _loss_and_cotangent(family, p, slice(None), labels, loss_kind)[0]
 
 
 def penalized_objective(
@@ -174,20 +183,13 @@ class MitigationTrace:
                 )
 
 
-def sgd_sweep(
-    family: LinearFamily,
-    spec: BiasEstimatorSpec,
-    config: SweepConfig,
-    labels,
-    groups,
-    theta_mask=None,
-):
+def sgd_sweep(family: LinearFamily, spec: BiasEstimatorSpec, config: SweepConfig, labels, groups):
     """Run the omega sweep; returns (candidates, trace).
 
     ``candidates`` holds one ``(omega, theta)`` pair per coefficient: the
     stored snapshot with the lowest full-data objective under that omega.
     ``trace`` records every per-epoch snapshot with its full-data loss and
-    bias estimate.  ``theta_mask`` freezes coordinates where it is False.
+    bias estimate.
     """
     labels = np.asarray(labels, dtype=float).ravel()
     groups = np.asarray(groups).ravel()
@@ -197,10 +199,6 @@ def sgd_sweep(
     rows1 = np.flatnonzero(groups == 1)
     if rows0.size == 0 or rows1.size == 0:
         raise ValueError("both groups need at least one record")
-    if theta_mask is not None:
-        theta_mask = np.asarray(theta_mask, dtype=bool).ravel()
-        if theta_mask.size != family.n_params:
-            raise ValueError("theta mask length mismatch")
 
     rng = np.random.default_rng(config.seed)
     n = family.n_records
@@ -244,8 +242,6 @@ def sgd_sweep(
                     loss=config.loss,
                     rng=rng,
                 )
-                if theta_mask is not None:
-                    grad = np.where(theta_mask, grad, 0.0)
                 theta = family.clip_theta(theta - config.learning_rate * grad)
             loss, bias = full_scores(theta)
             trace.append(omega, epoch, theta, loss, bias)

@@ -52,17 +52,6 @@ class RelaxationFamily:
             return sigmoid(s * z)
         return sigmoid(s * z - np.sqrt(s))
 
-    def r_prime(self, z):
-        z = np.asarray(z, dtype=float)
-        s = self.scale
-        if self.kind == "ramp":
-            return np.where((s * z > 0.0) & (s * z < 1.0), s, 0.0)
-        if self.kind == "logistic":
-            v = sigmoid(s * z)
-        else:
-            v = sigmoid(s * z - np.sqrt(s))
-        return s * v * (1.0 - v)
-
     def r_and_prime(self, z):
         """Value and derivative in one pass (the derivative reuses the value)."""
         r = self.r(z)

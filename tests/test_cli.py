@@ -571,6 +571,20 @@ class TestFailedRunManifest:
         assert list(manifest["timings"]) == ["load"]
         assert not (out / "encoders.csv").exists()
 
+    @pytest.mark.parametrize("command", ["mitigate", "baseline-rescale"])
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_empty_omega_ladder_fails_before_any_stage(self, workspace, tmp_path, capsys, command, count):
+        _, data, model_dir = workspace
+        out = tmp_path / "out"
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--omegas", count]
+        assert main([command, *flags, "--out", str(out)]) != 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == f"--omegas must be at least 1, got {count}"
+        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["timings"] == {}
+        assert not (out / "encoders.csv").exists()
+
     def test_bad_sweep_setting_fails_before_any_stage(self, workspace, tmp_path):
         _, data, model_dir = workspace
         out = tmp_path / "out"

@@ -41,6 +41,52 @@ def batch_of(n0, n1, pool=None):
     return EstimatorBatch(np.arange(n0), np.arange(n0, n0 + n1), pool)
 
 
+def jacobian(family, theta, rows=None):
+    """The (k, d) Jacobian d u_i / d theta_j of the link-space scores on
+    ``rows``: ``-W`` scaled by the link slope u (1 - u).  The oracle of the
+    family's pullback and the Jacobian-form estimators below."""
+    W = family.encoder_matrix if rows is None else family.encoder_matrix[rows]
+    if family.link == "identity":
+        return -W
+    u = family.scores(theta, rows)
+    return -W * (u * (1.0 - u))[:, None]
+
+
+def logistic_family(rng, n, n_extra=3, spread=1.0):
+    return LinearFamily(
+        rng.normal(0.0, spread, n), np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(n_extra)])
+    )
+
+
+class TestScoreSpacePullback:
+    @pytest.mark.parametrize("link", ["logistic", "identity"])
+    @pytest.mark.parametrize("rows", [None, [4, 0, 4, 7, 4, 1]], ids=["all-rows", "repeated-rows"])
+    def test_pullback_is_the_jacobian_product(self, link, rows):
+        rng = np.random.default_rng(71)
+        n = 12
+        fam = LinearFamily(rng.normal(size=n), np.column_stack([np.ones(n), rng.normal(size=(n, 3))]), link=link)
+        theta = rng.normal(0.0, 0.5, 4)
+        u, pullback = fam.scores_and_grad(theta, rows)
+        assert np.array_equal(u, fam.scores(theta, rows))
+        for _ in range(3):
+            g = rng.normal(size=u.size)
+            oracle = g @ jacobian(fam, theta, rows)
+            assert np.allclose(pullback(g), oracle, rtol=1e-14, atol=1e-15)
+
+    def test_raw_pullback_skips_the_link(self):
+        rng = np.random.default_rng(73)
+        fam = logistic_family(rng, 10)
+        theta = rng.normal(size=4)
+        raw, pullback = fam.raw_scores_and_pullback(theta, [2, 5])
+        assert np.array_equal(raw, fam.base_scores[[2, 5]] - fam.encoder_matrix[[2, 5]] @ theta)
+        assert np.array_equal(pullback(np.array([1.0, -2.0])), -(fam.encoder_matrix[2] - 2.0 * fam.encoder_matrix[5]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_base_scores_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite base score"):
+            LinearFamily([bad, 1.0, 0.0], np.ones((3, 1)))
+
+
 class TestBHat:
     def test_identical_groups_zero(self):
         fam = identity_family([0.3, 0.7, 0.3, 0.7])
@@ -75,6 +121,25 @@ class TestBHat:
                 up, _ = b_hat(fam, theta + e, groups, 0.3, logistic(4.0))
                 dn, _ = b_hat(fam, theta - e, groups, 0.3, logistic(4.0))
                 fd[j] = (up - dn) / (2 * h)
+            assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
+
+    def test_logistic_link_gradient_matches_finite_difference(self):
+        # the threshold applies to probabilities, the gradient carries the link slope
+        rng = np.random.default_rng(7)
+        fam = logistic_family(rng, 40, spread=1.5)
+        groups = (np.arange(20), np.arange(20, 40))
+        for t in (0.3, 0.6):
+            theta = rng.normal(0.0, 0.5, 4)
+            value, grad = b_hat(fam, theta, groups, t, logistic(6.0))
+            u = fam.scores(theta)
+            r = logistic(6.0).r
+            assert value == pytest.approx(r(u[20:] - t).mean() - r(u[:20] - t).mean(), abs=1e-14)
+            h = 1e-6
+            fd = np.array([
+                (b_hat(fam, theta + e, groups, t, logistic(6.0))[0] - b_hat(fam, theta - e, groups, t, logistic(6.0))[0])
+                / (2 * h)
+                for e in h * np.eye(4)
+            ])
             assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
 
     def test_empty_group_rejected(self):
@@ -238,9 +303,21 @@ class TestEstimatorValues:
         assert abs(unb_err / 400) < abs(raw_err / 400)
 
 
+def pairwise_cotangents(S0, S1):
+    """The energy statistic's cotangents from the full pairwise sign
+    matrices: each score's sign sums against the other group and its own,
+    scaled by the pair counts."""
+    m0, m1 = S0.size, S1.size
+    sgn01 = np.sign(S0[:, None] - S1[None, :])
+    c0 = (2.0 / (m0 * m1)) * sgn01.sum(axis=1) - (2.0 / (m0 * m0)) * np.sign(S0[:, None] - S0[None, :]).sum(axis=1)
+    c1 = (2.0 / (m0 * m1)) * -sgn01.sum(axis=0) - (2.0 / (m1 * m1)) * np.sign(S1[:, None] - S1[None, :]).sum(axis=1)
+    return c0, c1
+
+
 def pairwise_energy(S0, dS0, S1, dS1):
     """The energy V-statistic and its gradient from the full pairwise gap
-    and sign matrices: the quadratic oracle for the sorted computation."""
+    and sign matrices and the (m, d) Jacobians of the samples: the quadratic
+    oracle for the sorted computation."""
     m0, m1 = S0.size, S1.size
     diff01 = S0[:, None] - S1[None, :]
     value = 2.0 * np.abs(diff01).mean()
@@ -275,12 +352,14 @@ class TestSortedEnergyOracle:
         S0 = np.clip(tied_scores(rng, m0, ties), 0.0, 1.0)
         S1 = np.clip(tied_scores(rng, m1, ties), 0.0, 1.0)
         dS0, dS1 = rng.normal(size=(m0, 4)), rng.normal(size=(m1, 4))
-        value, grad = estimators._energy_vstat(S0, dS0, S1, dS1)
+        value, (c0, c1) = estimators._energy_vstat(S0, S1)
+        oracle_c0, oracle_c1 = pairwise_cotangents(S0, S1)
+        assert np.array_equal(c0, oracle_c0) and np.array_equal(c1, oracle_c1)
         oracle_value, oracle_grad = pairwise_energy(S0, dS0, S1, dS1)
-        assert np.array_equal(grad, oracle_grad)
+        assert np.allclose(c0 @ dS0 + c1 @ dS1, oracle_grad, rtol=1e-12, atol=1e-12)
         assert value >= 0.0
         assert abs(value - oracle_value) <= 1e-12
-        assert estimators._energy_vstat(S0, None, S1, None, need_grad=False) == (value, None)
+        assert estimators._energy_vstat(S0, S1, need_grad=False) == (value, None)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -294,24 +373,41 @@ class TestSortedEnergyOracle:
     @example(seed=4, m0=40, m1=3, ties=True, variant="invariant-energy-relaxed")
     def test_variants_feed_the_statistic(self, seed, m0, m1, ties, variant):
         # both energy variants return the statistic of the samples they
-        # transform, bitwise in the gradient
+        # transform, with the sign-sum cotangents bitwise, and a gradient equal
+        # to the Jacobian form: the transformed samples' (m, d) Jacobians
+        # through the pairwise oracle
         rng = np.random.default_rng(seed)
         scores = np.concatenate([tied_scores(rng, m0, ties), tied_scores(rng, m1, ties), rng.uniform(0, 1, 9)])
         fam = identity_family(scores, n_extra=2, rng=rng)
         theta = np.zeros(3) if ties else rng.normal(0.0, 0.1, 3)  # theta = 0 keeps the ties
         spec = BiasEstimatorSpec(variant, logistic(8.0), SQUARE, 16)
+        batch = batch_of(m0, m1, np.arange(m0 + m1, scores.size))
         sorted_vstat = estimators._energy_vstat
         seen = []
 
         def spy(*args, **kwargs):
-            seen.append(args)
-            return sorted_vstat(*args, **kwargs)
+            out = sorted_vstat(*args, **kwargs)
+            seen.append((args, out))
+            return out
 
         with mock.patch.object(estimators, "_energy_vstat", spy):
-            value, grad = bias_value_and_grad(spec, fam, theta, batch_of(m0, m1, np.arange(m0 + m1, scores.size)))
-        (args,) = seen
-        oracle_value, oracle_grad = pairwise_energy(*args)
-        assert np.array_equal(grad, oracle_grad)
+            value, grad = bias_value_and_grad(spec, fam, theta, batch)
+        ((args, (_, (c0, c1))),) = seen
+        S0, S1 = args[:2]
+        oracle_c0, oracle_c1 = pairwise_cotangents(S0, S1)
+        assert np.array_equal(c0, oracle_c0) and np.array_equal(c1, oracle_c1)
+        dS = []
+        for rows in (batch.group0, batch.group1):
+            u, du = fam.scores(theta, rows), jacobian(fam, theta, rows)
+            if variant == "energy":
+                dS.append(du * ((u > 0.0) & (u < 1.0))[:, None])
+            else:
+                # S_i = 1 - mean_l r_s(up_l - u_i), with the pooled scores' Jacobian
+                up, dup = fam.scores(theta, batch.pool), jacobian(fam, theta, batch.pool)
+                _, P = spec.relaxation.r_and_prime(up[None, :] - u[:, None])
+                dS.append(-(P @ dup) / up.size + P.mean(axis=1)[:, None] * du)
+        oracle_value, oracle_grad = pairwise_energy(S0, dS[0], S1, dS[1])
+        assert np.allclose(grad, oracle_grad, rtol=1e-12, atol=1e-12)
         assert value >= 0.0
         assert abs(value - oracle_value) <= 1e-12
 
@@ -400,7 +496,7 @@ def per_threshold_grid(spec, family, theta, batch):
         weights = np.full(T + 1, dt)
         weights[0] = weights[-1] = dt / 2.0
     else:
-        up, dup = family.scores_and_grad(theta, batch.pool)
+        up, dup = family.scores(theta, batch.pool), jacobian(family, theta, batch.pool)
         if spec.variant == "invariant-mc":
             thresholds, dthresholds = up, dup
             weights = np.full(up.size, 1.0 / up.size)
@@ -414,7 +510,7 @@ def per_threshold_grid(spec, family, theta, batch):
             unbiased = False
     curves = []
     for rows in (batch.group0, batch.group1):
-        u, du = family.scores_and_grad(theta, rows)
+        u, du = family.scores(theta, rows), jacobian(family, theta, rows)
         m = u.size
         R, P = rel.r_and_prime(u[None, :] - thresholds[:, None])
         mean, dmean = R.mean(axis=1), (P @ du) / m

@@ -83,6 +83,26 @@ class TestPenalizedObjective:
         value, grad = penalized_objective(fam, SPEC, [0.0], 0.0, perf, batch, labels=y)
         assert abs(grad[0]) < 1e-12
 
+    @pytest.mark.parametrize("raw", [40.0, -40.0])
+    def test_saturated_rows_keep_the_loss_gradient(self, raw):
+        # at raw = 40 the probability rounds to 1, so p (1 - p) is 0 (at -40 it
+        # is 4e-18); the cross-entropy cotangent p - y is pulled back in logit
+        # space and never divided by it
+        rng = np.random.default_rng(4)
+        n = 64
+        W = np.column_stack([np.ones(n), rng.normal(size=(n, 2))])
+        fam = LinearFamily(np.full(n, raw), W)
+        y = np.tile([0.0, 1.0], n // 2)
+        theta = np.zeros(3)
+        p = sigmoid(np.full(n, raw))
+        assert np.all(p * (1 - p) == 0.0) == (raw > 0)
+        rows = np.arange(n)
+        batch = EstimatorBatch(rows[: n // 2], rows[n // 2 :])
+        for omega in (0.0, 0.5):
+            _, grad = penalized_objective(fam, SPEC, theta, omega, rows, batch, labels=y)
+            assert np.all(np.isfinite(grad))
+            assert np.array_equal(grad, (1 - omega) * (((p - y) @ (-W)) / n))
+
     @pytest.mark.parametrize("loss", ["cross-entropy", "distill"])
     @pytest.mark.parametrize("objective", ["penalized", "lagrangian"])
     def test_gradient_matches_finite_difference(self, loss, objective):
@@ -130,6 +150,11 @@ class TestSweepConfig:
             SweepConfig(omegas=[0.5, 0.2])
         with pytest.raises(ValueError):
             SweepConfig(objective="hinge")
+
+    @pytest.mark.parametrize("omegas", [[], default_omegas(1.0, 0), default_omegas(1.0, -2)])
+    def test_empty_ladder_rejected(self, omegas):
+        with pytest.raises(ValueError, match="at least one weight"):
+            SweepConfig(omegas=omegas)
 
 
 class TestSweep:
@@ -202,15 +227,6 @@ class TestSweep:
         for r1, r2 in zip(t1.rows, t2.rows):
             assert np.array_equal(r1.theta, r2.theta)
             assert r1.train_loss == r2.train_loss and r1.train_bias == r2.train_bias
-
-    def test_theta_mask_freezes_coordinates(self):
-        rng = np.random.default_rng(7)
-        fam, y, g = biased_problem(rng)
-        mask = np.ones(fam.n_params, dtype=bool)
-        mask[2] = False
-        cfg = self.config()
-        _, trace = sgd_sweep(fam, SPEC, cfg, y, g, theta_mask=mask)
-        assert all(row.theta[2] == 0.0 for row in trace.rows)
 
     def test_precompute_once_contract(self):
         # the family is built from cached arrays exactly once; the sweep

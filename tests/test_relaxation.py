@@ -45,7 +45,7 @@ class TestFamilies:
         h = 1e-7
         for fam in (logistic(9.0), shifted_logistic(9.0)):
             fd = (fam.r(z + h) - fam.r(z - h)) / (2 * h)
-            assert np.allclose(fam.r_prime(z), fd, atol=1e-5)
+            assert np.allclose(fam.r_and_prime(z)[1], fd, atol=1e-5)
 
 
 class TestRelaxedCdf:
