@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 
 import numpy as np
 from scipy.special import expit
@@ -37,12 +36,3 @@ def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
-
-def worker_count(default: int = 1) -> int:
-    """Worker cap from FAIRFRONT_THREADS; falls back to `default`."""
-    raw = os.environ.get("FAIRFRONT_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        return default
-    return max(1, n)

@@ -188,7 +188,7 @@ _GBDT_FIELDS = {
 
 
 def _tree_params(resolved) -> GBDTParams:
-    return GBDTParams(seed=resolved["seed"], **{name: resolved[flag] for flag, name in _GBDT_FIELDS.items()})
+    return GBDTParams(**{name: resolved[flag] for flag, name in _GBDT_FIELDS.items()})
 
 
 def _gbdt(params: GBDTParams) -> dict:

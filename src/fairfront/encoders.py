@@ -7,10 +7,15 @@ combination corrects a trained model.  Three constructions are provided:
 * principal components of the per-tree outputs of a boosted ensemble,
 * exact marginal Shapley attributions of the base model.
 
-Every construction freezes enough state (affine ranges, PCA loadings,
-Shapley background) to re-evaluate the same columns on new records, and the
-non-constant columns carry a stored unit-variance scale so optimization is
-well conditioned while coefficients remain reportable in original units.
+Each kind is a fit that returns its frozen provenance (affine ranges, PCA
+loadings, Shapley background and centres) and one column function mapping
+its inputs and that provenance to the non-constant columns.  The builder
+applies the function to the inputs it already holds; ``reevaluate`` applies
+the same function, through ``_state_columns``, to new records, so the
+columns of build and re-evaluation come from one formula.  A new kind
+supplies both and one branch in ``_state_columns``.  The non-constant
+columns carry a stored unit-variance scale so optimization is well
+conditioned while coefficients remain reportable in original units.
 """
 
 from __future__ import annotations
@@ -84,25 +89,14 @@ class EncoderMatrix:
     def to_linear_family(self, base_scores, link="logistic", theta_box=None) -> LinearFamily:
         return LinearFamily(base_scores, self.standardized_columns(), theta_box, link)
 
-    def reevaluate(self, X, model=None, predict=None) -> "EncoderMatrix":
-        """Rebuild the same columns on new records from the frozen state."""
-        kind = self.provenance["kind"]
-        if kind == "additive":
-            return _additive_from_state(np.asarray(X, dtype=float), self.provenance, self)
-        if kind == "tree-pca":
-            if model is None:
-                raise ValueError("tree-pca re-evaluation needs the ensemble")
-            return _tree_pca_from_state(model, np.asarray(X, dtype=float), self.provenance, self)
-        if kind == "shapley":
-            fn = predict if predict is not None else (model.predict_raw if model else None)
-            if fn is None:
-                raise ValueError("shapley re-evaluation needs the model")
-            return _shapley_from_state(fn, np.asarray(X, dtype=float), self.provenance, self)
-        if kind == "combined":
-            return _combined_from_state(
-                np.asarray(X, dtype=float), self.provenance, self, model=model, predict=predict
-            )
-        raise ValueError(f"unknown provenance kind {kind!r}")
+    def reevaluate(self, X, model=None) -> "EncoderMatrix":
+        """Rebuild the same columns on new records from the frozen state;
+        tree-pca and Shapley columns (alone or combined) read ``model``."""
+        X = np.asarray(X, dtype=float)
+        # the constant column is made after the others, so it is not held while they are formed
+        columns = _state_columns(self.provenance, X, model)
+        columns = np.column_stack([np.ones(X.shape[0]), columns])
+        return EncoderMatrix(columns, self.names, self.provenance, self.centers, self.scales)
 
     # --- persistence --------------------------------------------------
 
@@ -161,11 +155,28 @@ def _unjsonify(obj):
 
 
 def _finish(columns, names, provenance, centers) -> EncoderMatrix:
-    columns = np.column_stack(columns)
+    """The constant column plus the non-constant ``columns``, with their scales."""
+    columns = np.column_stack([np.ones(columns.shape[0]), columns])
     scales = columns.std(axis=0)
     scales = np.where(scales > _ZERO_VAR, scales, 1.0)
     scales[0] = 1.0
     return EncoderMatrix(columns, names, provenance, np.asarray(centers, dtype=float), scales)
+
+
+def _state_columns(state, X, model) -> np.ndarray:
+    """The non-constant columns of provenance ``state`` on records ``X``."""
+    kind = state["kind"]
+    if kind == "additive":
+        return _additive_columns(X, state)
+    if kind == "combined":
+        return np.column_stack([_state_columns(part, X, model) for part in state["parts"]])
+    if kind not in ("tree-pca", "shapley"):
+        raise ValueError(f"unknown provenance kind {kind!r}")
+    if model is None:
+        raise ValueError(f"{kind} re-evaluation needs the model")
+    if kind == "tree-pca":
+        return _tree_pca_columns(per_tree_outputs(model, X), state)
+    return _shapley_columns(exact_marginal_shapley(model.predict_raw, X, state["background"]).values, state)
 
 
 # --------------------------------------------------------------------------
@@ -196,21 +207,8 @@ def additive_encoders(X, degree: int, basis: str = "legendre", feature_names=Non
         feature_names = [f"x{i}" for i in range(n_features)]
     lo = X.min(axis=0)
     hi = X.max(axis=0)
-    columns = [np.ones(X.shape[0])]
-    names = ["const"]
-    kept = []
-    for i in range(n_features):
-        if basis == "legendre" and hi[i] - lo[i] <= 0:
-            continue
-        kept.append(i)
-        for j in range(1, degree + 1):
-            if basis == "monomial":
-                col = X[:, i] ** j
-            else:
-                t = 2.0 * (X[:, i] - lo[i]) / (hi[i] - lo[i]) - 1.0
-                col = _legendre_eval(t, j)
-            columns.append(col)
-            names.append(f"{basis}:{feature_names[i]}:{j}")
+    kept = [i for i in range(n_features) if basis == "monomial" or hi[i] - lo[i] > 0]
+    names = ["const"] + [f"{basis}:{feature_names[i]}:{j}" for i in kept for j in range(1, degree + 1)]
     provenance = {
         "kind": "additive",
         "basis": basis,
@@ -219,24 +217,25 @@ def additive_encoders(X, degree: int, basis: str = "legendre", feature_names=Non
         "lo": lo,
         "hi": hi,
     }
-    return _finish(columns, names, provenance, np.zeros(len(columns)))
+    return _finish(_additive_columns(X, provenance), names, provenance, np.zeros(len(names)))
 
 
-def _additive_from_state(X, state, template: EncoderMatrix) -> EncoderMatrix:
-    degree = int(state["degree"])
-    basis = state["basis"]
+def _additive_columns(X, state) -> np.ndarray:
+    """q_j of each kept feature, j = 1..degree, feature by feature."""
     lo, hi = state["lo"], state["hi"]
-    columns = [np.ones(X.shape[0])]
-    for i in (int(k) for k in state["kept_features"]):
+    if X.shape[1] != lo.size:
+        raise ValueError(f"additive encoders were fit on {lo.size} features, got {X.shape[1]}")
+    degree = int(state["degree"])
+    kept = state["kept_features"].astype(np.intp)
+    columns = np.empty((X.shape[0], kept.size * degree))
+    for k, i in enumerate(kept):
         for j in range(1, degree + 1):
-            if basis == "monomial":
-                columns.append(X[:, i] ** j)
+            if state["basis"] == "monomial":
+                columns[:, k * degree + j - 1] = X[:, i] ** j
             else:
                 t = 2.0 * (X[:, i] - lo[i]) / (hi[i] - lo[i]) - 1.0
-                columns.append(_legendre_eval(t, j))
-    return EncoderMatrix(
-        np.column_stack(columns), template.names, state, template.centers, template.scales
-    )
+                columns[:, k * degree + j - 1] = _legendre_eval(t, j)
+    return columns
 
 
 # --------------------------------------------------------------------------
@@ -277,9 +276,6 @@ def tree_pca_encoders(ensemble: Ensemble, X, r: int, row_cap: int = PCA_ROW_CAP)
     loadings = eigvecs[:, order]
     flip = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(r)] < 0
     loadings[:, flip] *= -1.0
-    components = (outputs[:, kept] - means) @ loadings
-    columns = [np.ones(X.shape[0])] + [components[:, k] for k in range(r)]
-    names = ["const"] + [f"tree-pc{k + 1}" for k in range(r)]
     provenance = {
         "kind": "tree-pca",
         "kept_trees": kept.astype(float),
@@ -287,16 +283,19 @@ def tree_pca_encoders(ensemble: Ensemble, X, r: int, row_cap: int = PCA_ROW_CAP)
         "loadings": loadings,
         "eigenvalues": eigvals[order],
     }
+    names = ["const"] + [f"tree-pc{k + 1}" for k in range(r)]
     # centering happens in tree-output space (tree_means), not per column
-    return _finish(columns, names, provenance, np.zeros(len(columns)))
+    return _finish(_tree_pca_columns(outputs, provenance), names, provenance, np.zeros(r + 1))
 
 
-def _tree_pca_from_state(ensemble, X, state, template: EncoderMatrix) -> EncoderMatrix:
+def _tree_pca_columns(outputs, state) -> np.ndarray:
+    """The kept trees' outputs, centred by the stored means, on the loadings."""
     kept = state["kept_trees"].astype(np.intp)
-    outputs = per_tree_outputs(ensemble, X)
-    components = (outputs[:, kept] - state["tree_means"]) @ state["loadings"]
-    columns = np.column_stack([np.ones(X.shape[0]), components])
-    return EncoderMatrix(columns, template.names, state, template.centers, template.scales)
+    if kept.size and kept.max() >= outputs.shape[1]:
+        raise ValueError(f"tree-pca encoders need at least {kept.max() + 1} trees, the model has {outputs.shape[1]}")
+    centred = outputs[:, kept]  # a copy (advanced indexing), so centring in place holds no third n x trees array
+    centred -= state["tree_means"]
+    return centred @ state["loadings"]
 
 
 # --------------------------------------------------------------------------
@@ -390,21 +389,16 @@ def shapley_encoders(
         rng = np.random.default_rng(seed)
         take = min(background_size, X.shape[0])
         background = X[rng.choice(X.shape[0], size=take, replace=False)]
-    expl = exact_marginal_shapley(predict, X, background)
-    centers = expl.values.mean(axis=0)
-    columns = [np.ones(X.shape[0])] + [expl.values[:, i] - centers[i] for i in range(X.shape[1])]
+    values = exact_marginal_shapley(predict, X, background).values
+    centers = values.mean(axis=0)
     names = ["const"] + [f"shapley:x{i}" for i in range(X.shape[1])]
     provenance = {"kind": "shapley", "background": np.asarray(background, dtype=float), "phi_centers": centers}
-    return _finish(columns, names, provenance, np.concatenate(([0.0], centers)))
+    return _finish(_shapley_columns(values, provenance), names, provenance, np.concatenate(([0.0], centers)))
 
 
-def _shapley_from_state(predict, X, state, template: EncoderMatrix) -> EncoderMatrix:
-    expl = exact_marginal_shapley(predict, X, state["background"])
-    centers = state["phi_centers"]
-    columns = np.column_stack(
-        [np.ones(X.shape[0])] + [expl.values[:, i] - centers[i] for i in range(X.shape[1])]
-    )
-    return EncoderMatrix(columns, template.names, state, template.centers, template.scales)
+def _shapley_columns(values, state) -> np.ndarray:
+    """Attributions centred by the build records' means."""
+    return values - state["phi_centers"]
 
 
 def combine_encoders(*encoders: EncoderMatrix) -> EncoderMatrix:
@@ -424,34 +418,6 @@ def combine_encoders(*encoders: EncoderMatrix) -> EncoderMatrix:
     scales = np.concatenate([encoders[0].scales] + [e.scales[1:] for e in encoders[1:]])
     provenance = {"kind": "combined", "parts": [e.provenance for e in encoders]}
     return EncoderMatrix(columns, names, provenance, centers, scales)
-
-
-def _combined_from_state(X, state, template, model=None, predict=None):
-    parts = []
-    offset = 1
-    for part_state in state["parts"]:
-        width = _part_width(part_state)
-        sub = EncoderMatrix(
-            np.ones((1, width + 1)),  # placeholder; replaced by rebuild below
-            ["const"] + list(template.names[offset : offset + width]),
-            part_state,
-            np.concatenate(([0.0], template.centers[offset : offset + width])),
-            np.concatenate(([1.0], template.scales[offset : offset + width])),
-        )
-        parts.append(sub.reevaluate(X, model=model, predict=predict))
-        offset += width
-    return combine_encoders(*parts)
-
-
-def _part_width(state) -> int:
-    kind = state["kind"]
-    if kind == "additive":
-        return len(state["kept_features"]) * int(state["degree"])
-    if kind == "tree-pca":
-        return state["loadings"].shape[1]
-    if kind == "shapley":
-        return state["phi_centers"].size
-    raise ValueError(f"cannot size provenance kind {kind!r}")
 
 
 # --------------------------------------------------------------------------

@@ -23,8 +23,8 @@ invariant-energy-relaxed  energy statistic of scores pushed through a relaxed
 Every estimator is a function of the link-space scores of group 0, group 1
 and (invariant variants) the pool, and returns one cotangent, d value /
 d score, per row of each: through every occurrence of a score, pooled scores
-reused as thresholds or KDE centres included; only the random selection of
-threshold/pool samples is frozen.  ``bias_value_and_grad`` scores the three
+reused as thresholds, as KDE centres or in Silverman's bandwidth included;
+only the random selection of threshold/pool samples is frozen.  ``bias_value_and_grad`` scores the three
 row sets in one ``family.scores_and_grad`` call and hands the cotangents to
 the pullback it returns, so any family with ``scores`` and
 ``scores_and_grad`` will do.
@@ -262,10 +262,13 @@ def _pool_grid_blocks(rel, up, u, need_prime):
         yield (blk, *rel.grid(up, u[blk], need_prime))
 
 
+_MIN_BANDWIDTH = 1e-9
+
+
 def _silverman_bandwidth(samples) -> float:
     sd = float(np.std(samples, ddof=1)) if samples.size > 1 else 0.0
     bw = 1.06 * sd * samples.size ** (-0.2)
-    return max(bw, 1e-9)
+    return max(bw, _MIN_BANDWIDTH)
 
 
 def _estimate(spec, rng, need_grad, u0, u1, up=None):
@@ -307,7 +310,13 @@ def _estimate(spec, rng, need_grad, u0, u1, up=None):
             return value, None
         c0, c1, _, cw = cot
         # weight dt rho(t_j) through the kernel: d/d up_l = dt K(z_jl) z_jl / (pool bw^2)
-        return value, (c0, c1, dt * (cw @ (kern * z)) / (up.size * bw * bw))
+        cp = dt * (cw @ (kern * z)) / (up.size * bw * bw)
+        if spec.kde_bandwidth is None and bw > _MIN_BANDWIDTH:
+            # and through Silverman's bw = c sd(up): d rho_j / d bw = mean_l K(z_jl) (z_jl^2 - 1) / bw^2
+            # and d bw / d up_l = (bw / sd) (up_l - mean) / ((pool - 1) sd)
+            d_bw = dt * (cw @ (kern * (z * z - 1.0)).mean(axis=1)) / (bw * bw)
+            cp += d_bw * bw * (up - up.mean()) / ((up.size - 1) * np.var(up, ddof=1))
+        return value, (c0, c1, cp)
 
     # invariant-energy-relaxed: push the group scores through the relaxed
     # pooled CDF S_i = 1 - mean_l r_s(up_l - u_i) of the pool sample, then take

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cross_entropy, fmt_float, worker_count
+from ._util import cross_entropy, fmt_float
 from .bias_metrics import GroupedScores, invariant_bias
 from .distributions import ks_distance, wasserstein1
 
@@ -97,25 +97,15 @@ def evaluate(candidates, family, labels, groups, split: str, method: str):
     """FrontierPoints for (omega, theta) candidates on one data split.
 
     The family must be built on this split's records; scores are taken in
-    probability space.  Candidates are scored in parallel when
-    FAIRFRONT_THREADS allows more than one worker.
+    probability space.
     """
     labels = np.asarray(labels, dtype=float).ravel()
     groups = np.asarray(groups).ravel()
-    candidates = list(candidates)
-
-    def score_one(item):
-        omega, theta = item
+    points = []
+    for omega, theta in candidates:
         metrics = score_metrics(family.scores(theta), labels, groups)
-        return FrontierPoint(method, float(omega), split, theta=np.asarray(theta, dtype=float), **metrics)
-
-    workers = worker_count()
-    if workers > 1 and len(candidates) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(score_one, candidates))
-    return [score_one(item) for item in candidates]
+        points.append(FrontierPoint(method, float(omega), split, theta=np.asarray(theta, dtype=float), **metrics))
+    return points
 
 
 def pareto_filter(points, bias_axis: str = "w1_bias", perf_axis: str = "ce", convex_hull: bool = False):

@@ -38,7 +38,6 @@ class GBDTParams:
     learning_rate: float = 0.08
     min_leaf: float = 16.0       # minimum total sample weight per child
     early_stop_rounds: int = 25  # 0 disables early stopping
-    seed: int = 0                # reserved; training is fully deterministic
 
     def __post_init__(self):
         if self.depth < 1 or self.rounds < 0:

@@ -593,3 +593,41 @@ class TestFailedRunManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == "rates and batch sizes must be positive"
         assert manifest["timings"] == {}
+
+
+class TestMismatchedReevaluation:
+    """``evaluate`` rebuilds the run's encoder columns from their frozen state;
+    a model or CSV that does not fit that state is a named error."""
+
+    def run_small(self, workspace, out, method, extra=()):
+        _, data, model_dir = workspace
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--method", method]
+        flags += ["--omegas", "1", "--epochs", "1", "--batches", "1", "--batch-size", "64", *extra]
+        assert main(["mitigate", *flags, "--out", str(out)]) == 0
+        return out
+
+    def failed_evaluate(self, run, flags, out, capsys):
+        assert main(["evaluate", "--candidates", str(run / "candidates.json"), *flags, "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] in capsys.readouterr().err
+        return manifest["error"]
+
+    def test_tree_pca_run_against_a_smaller_model(self, workspace, tmp_path, capsys):
+        _, data, _ = workspace
+        run = self.run_small(workspace, tmp_path / "run", "tree-pca", ["--components", "8"])
+        small = tmp_path / "small"
+        assert main(["train-base", "--train", str(data / "train.csv"), "--rounds", "5", "--out", str(small)]) == 0
+        flags = ["--base", str(small / "model.json"), "--test", str(data / "test.csv")]
+        error = self.failed_evaluate(run, flags, tmp_path / "reval", capsys)
+        kept = json.loads((run / "encoders.json").read_text())["provenance"]["kept_trees"]["__array__"]
+        assert error == f"tree-pca encoders need at least {int(max(kept)) + 1} trees, the model has 5"
+
+    def test_additive_run_against_a_csv_without_a_feature(self, workspace, tmp_path, capsys):
+        _, data, model_dir = workspace
+        run = self.run_small(workspace, tmp_path / "run", "additive")
+        lines = (data / "test.csv").read_text().splitlines()
+        (tmp_path / "test.csv").write_text("".join(line.split(",", 1)[1] + "\n" for line in lines))
+        flags = ["--base", str(model_dir / "model.json"), "--test", str(tmp_path / "test.csv")]
+        error = self.failed_evaluate(run, flags, tmp_path / "reval", capsys)
+        assert error == "additive encoders were fit on 5 features, got 4"

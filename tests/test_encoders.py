@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from fairfront.encoders import (
+    PCA_ROW_CAP,
     EncoderMatrix,
     ExplanationSet,
     additive_encoders,
+    combine_encoders,
     exact_marginal_shapley,
     reconstruct_explanations,
     sampled_marginal_shapley,
@@ -46,14 +48,22 @@ class TestAdditive:
 
     def test_reevaluation_is_frozen(self):
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(40, 2))
-        enc = additive_encoders(X, degree=2, basis="legendre")
-        again = enc.reevaluate(X)
-        assert np.array_equal(again.columns, enc.columns)
+        X = rng.normal(size=(40, 3))
+        X[:, 1] = 2.5  # a constant feature: dropped under legendre, kept as monomial
+        for basis in ("monomial", "legendre"):
+            enc = additive_encoders(X, degree=3, basis=basis)
+            again = enc.reevaluate(X)
+            assert np.array_equal(again.columns, enc.columns)
+            assert again.names == enc.names
         # new records use the stored affine ranges, not their own
         X_new = X + 10.0
-        shifted = enc.reevaluate(X_new)
+        shifted = additive_encoders(X, degree=3, basis="legendre").reevaluate(X_new)
         assert shifted.columns[:, 1].max() > 1.0 + 1e-9
+
+    def test_reevaluation_rejects_another_feature_count(self):
+        enc = additive_encoders(np.random.default_rng(1).normal(size=(20, 3)), degree=1, basis="monomial")
+        with pytest.raises(ValueError, match="fit on 3 features, got 2"):
+            enc.reevaluate(np.zeros((5, 2)))
 
 
 class TestTreePca:
@@ -95,9 +105,24 @@ class TestTreePca:
     def test_reevaluation_reproduces_columns(self):
         rng = np.random.default_rng(5)
         model, X = small_ensemble(rng, rounds=10)
+        for row_cap in (PCA_ROW_CAP, 100):
+            enc = tree_pca_encoders(model, X, r=3, row_cap=row_cap)
+            again = enc.reevaluate(X, model=model)
+            assert np.array_equal(again.columns, enc.columns)
+
+    def test_reevaluation_rejects_a_smaller_model(self):
+        rng = np.random.default_rng(5)
+        model, X = small_ensemble(rng, rounds=10)
+        small, _ = small_ensemble(rng, rounds=4)
         enc = tree_pca_encoders(model, X, r=3)
-        again = enc.reevaluate(X, model=model)
-        assert np.array_equal(again.columns, enc.columns)
+        with pytest.raises(ValueError, match=r"need at least \d+ trees, the model has 4"):
+            enc.reevaluate(X, model=small)
+
+    def test_reevaluation_needs_the_model(self):
+        rng = np.random.default_rng(5)
+        model, X = small_ensemble(rng, rounds=3)
+        with pytest.raises(ValueError, match="needs the model"):
+            tree_pca_encoders(model, X, r=1).reevaluate(X)
 
     def test_row_cap_keeps_construction_deterministic(self):
         rng = np.random.default_rng(6)
@@ -159,6 +184,14 @@ class TestShapley:
         X = np.zeros((2, 17))
         with pytest.raises(ValueError, match="sampled_marginal_shapley"):
             exact_marginal_shapley(lambda Z: Z.sum(axis=1), X, X)
+
+    def test_reevaluation_reproduces_columns(self):
+        rng = np.random.default_rng(11)
+        model, X = small_ensemble(rng, n=80, rounds=6)
+        enc = shapley_encoders(model.predict_raw, X, background_size=12, seed=2)
+        again = enc.reevaluate(X, model=model)
+        assert np.array_equal(again.columns, enc.columns)
+        assert np.array_equal(again.centers, enc.centers)
 
     def test_sampled_agrees_with_exact_on_additive_model(self):
         rng = np.random.default_rng(9)
@@ -245,22 +278,44 @@ class TestCombination:
     def test_column_concatenation_and_reevaluation(self):
         rng = np.random.default_rng(20)
         model, X = small_ensemble(rng, rounds=10)
-        from fairfront.encoders import combine_encoders
-
         pca = tree_pca_encoders(model, X, r=2)
         add = additive_encoders(X, degree=1, basis="monomial")
         both = combine_encoders(pca, add)
         assert both.n_columns == pca.n_columns + add.n_columns - 1
         assert both.names[0] == "const"
-        assert np.allclose(both.columns[:, 1:3], pca.columns[:, 1:])
-        assert np.allclose(both.columns[:, 3:], add.columns[:, 1:])
+        assert np.array_equal(both.columns[:, 1:3], pca.columns[:, 1:])
+        assert np.array_equal(both.columns[:, 3:], add.columns[:, 1:])
         rebuilt = both.reevaluate(X, model=model)
-        assert np.allclose(rebuilt.columns, both.columns, atol=1e-12)
+        assert np.array_equal(rebuilt.columns, both.columns)
+
+    def test_nested_combination_reevaluates(self, tmp_path):
+        rng = np.random.default_rng(22)
+        model, X = small_ensemble(rng, n=120, rounds=8)
+        pca = tree_pca_encoders(model, X, r=2)
+        add = additive_encoders(X, degree=2, basis="monomial")
+        legendre = additive_encoders(X, degree=2, basis="legendre")
+        shap = shapley_encoders(model.predict_raw, X, background_size=10, seed=1)
+        nested = combine_encoders(combine_encoders(pca, add), legendre, shap)
+        assert nested.n_columns == 1 + 2 + 6 + 6 + 3
+        rebuilt = nested.reevaluate(X, model=model)
+        assert np.array_equal(rebuilt.columns, nested.columns)
+        assert rebuilt.names == nested.names
+        assert np.array_equal(rebuilt.scales, nested.scales)
+        # new records, after a save/load round trip of the nested provenance
+        nested.save(tmp_path / "enc.csv", tmp_path / "enc.json")
+        loaded = EncoderMatrix.load(tmp_path / "enc.csv", tmp_path / "enc.json")
+        X_new = rng.normal(size=(30, 3))
+        assert np.array_equal(
+            loaded.reevaluate(X_new, model=model).columns,
+            combine_encoders(
+                combine_encoders(pca.reevaluate(X_new, model=model), add.reevaluate(X_new)),
+                legendre.reevaluate(X_new),
+                shap.reevaluate(X_new, model=model),
+            ).columns,
+        )
 
     def test_row_mismatch_rejected(self):
         rng = np.random.default_rng(21)
-        from fairfront.encoders import combine_encoders
-
         a = additive_encoders(rng.normal(size=(10, 2)), degree=1, basis="monomial")
         b = additive_encoders(rng.normal(size=(12, 2)), degree=1, basis="monomial")
         with pytest.raises(ValueError):

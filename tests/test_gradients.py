@@ -53,6 +53,10 @@ SMOOTH_SPECS = [
     BiasEstimatorSpec("energy", logistic(12.0), SQUARE, 48),
     BiasEstimatorSpec("invariant-mc", logistic(12.0), SQUARE, 48),
     BiasEstimatorSpec("invariant-kde-discrete", logistic(12.0), SQUARE, 48, kde_bandwidth=0.12),
+    # Silverman's bandwidth, which moves with theta
+    pytest.param(
+        BiasEstimatorSpec("invariant-kde-discrete", logistic(12.0), SQUARE, 48), id="invariant-kde-discrete-silverman"
+    ),
     BiasEstimatorSpec("invariant-energy-relaxed", logistic(12.0), SQUARE, 48),
     BiasEstimatorSpec("threshold-discrete", logistic(12.0), SQUARE, 48, unbiased=True),
     BiasEstimatorSpec("threshold-discrete-trapezoid", logistic(12.0), SQUARE, 48, unbiased=True),
