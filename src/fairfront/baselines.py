@@ -63,7 +63,6 @@ def random_search_rescaling(
     omegas,
     n_iter: int,
     seed: int = 0,
-    a_bounds=RESCALE_A_BOUNDS,
 ) -> RescaleSearchResult:
     """Uniform random search over per-feature (a, x*) transformations.
 
@@ -88,7 +87,7 @@ def random_search_rescaling(
         anchor_hi = mean + ANCHOR_EXTENSION * (hi - mean)
         candidates[0] = RescaleCandidate(np.ones(k), mean.copy())
         for _ in range(int(n_iter)):
-            a = rng.uniform(a_bounds[0], a_bounds[1], k)
+            a = rng.uniform(RESCALE_A_BOUNDS[0], RESCALE_A_BOUNDS[1], k)
             x_star = rng.uniform(anchor_lo, anchor_hi)
             candidates.append(RescaleCandidate(a, x_star))
 
@@ -156,7 +155,6 @@ def ot_projection(
     groups,
     params: GBDTParams = None,
     thetas=None,
-    valid=None,
 ) -> OtProjection:
     """Demographically blind projection of the repaired scores.
 
@@ -177,5 +175,5 @@ def ot_projection(
         raise ValueError("degenerate repair weights: one label copy carries no mass")
     stacked_X = np.vstack([X, X])
     stacked_y = np.concatenate([np.zeros(X.shape[0]), np.ones(X.shape[0])])
-    projected = train(stacked_X, stacked_y, sample_weight=weights, params=params, valid=valid)
+    projected = train(stacked_X, stacked_y, sample_weight=weights, params=params)
     return OtProjection(projected, np.asarray(thetas, dtype=float), repaired)

@@ -178,8 +178,19 @@ def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
     |F0 - F1| against the pooled score distribution, and (b) the W1 distance
     between the groups after the left-continuous pooled-CDF transform.  The
     two must agree to 1e-10; the transform path is returned.
+
+    ``pooled`` is the pooled sample of ``g`` (or its image under a monotone
+    transform).  Each group score is read as the pooled atom it was merged
+    into, the largest atom at or below it, so both paths see the same atoms
+    even where scores crowd within ``MERGE_TOL`` and each group's own merge
+    would keep another representative.
     """
     _require_two_groups(g)
+    snapped = []
+    for scores in g.scores_by_group:
+        below = np.searchsorted(pooled.values, scores, side="right") - 1
+        snapped.append(pooled.values[np.maximum(below, 0)])
+    g = GroupedScores(tuple(snapped), g.group_probs)
     d0, d1 = g.distribution(0), g.distribution(1)
     threshold_path = float(
         np.sum(pooled.weights * np.abs(d0.cdf(pooled.values) - d1.cdf(pooled.values)))

@@ -56,7 +56,6 @@ from .frontier import (
     write_frontier_svg,
 )
 from .gbdt import Ensemble, GBDTParams, train as train_gbdt
-from .linear_family import DEFAULT_BOX_HALF_WIDTH
 from .optimizer import SweepConfig, default_omegas, loss_bias_ratio_scale, sgd_sweep
 from .relaxation import RelaxationFamily
 
@@ -147,13 +146,9 @@ def _load_splits(resolved, two_groups=False) -> list:
     ]
     present = [ds for ds in splits if ds is not None]
     if any(np.isnan(ds.X).any() for ds in present):
-        prep = fit_preprocessor(present[0], standardize=False)
+        prep = fit_preprocessor(present[0])
         splits = [apply_preprocessor(ds, prep) if ds is not None else None for ds in splits]
     return splits
-
-
-def _theta_box(n_cols, box):
-    return np.column_stack([np.full(n_cols, -box), np.full(n_cols, box)])
 
 
 # --------------------------------------------------------------------------
@@ -273,11 +268,20 @@ def cmd_encode(resolved, manifest, out):
     _save_encoders(enc, out, manifest)
 
 
-def _omega_count(resolved) -> int:
-    """``--omegas``, checked before any stage: an empty ladder leaves no frontier."""
-    if resolved["omegas"] < 1:
-        raise CliError(f"--omegas must be at least 1, got {resolved['omegas']}")
-    return resolved["omegas"]
+def _at_least_one(resolved, flag) -> int:
+    """A count of candidates (``--omegas``, ``--thetas``), checked before any
+    stage: with none there is no frontier."""
+    if resolved[flag] < 1:
+        raise CliError(f"--{flag} must be at least 1, got {resolved[flag]}")
+    return resolved[flag]
+
+
+def _nonnegative(resolved, flag) -> float:
+    """A fairness weight (``--omega-max``, ``--omega-scale-mult``), checked
+    before any stage."""
+    if not 0.0 <= resolved[flag] < np.inf:
+        raise CliError(f"--{flag} must be finite and nonnegative, got {resolved[flag]}")
+    return resolved[flag]
 
 
 def _estimator_spec(resolved) -> BiasEstimatorSpec:
@@ -317,24 +321,25 @@ def _write_frontier_artifacts(points, out, manifest):
     manifest.artifact(out / "frontier.svg")
 
 
-def _reevaluated_family(enc, model, ds, theta_box):
+def _reevaluated_family(enc, model, ds):
     """The linear family of ``enc``'s columns rebuilt on another split."""
     if ds is None:
         return None
-    return enc.reevaluate(ds.X, model=model).to_linear_family(model.predict_raw(ds.X), theta_box=theta_box)
+    return enc.reevaluate(ds.X, model=model).to_linear_family(model.predict_raw(ds.X))
 
 
 def cmd_mitigate(resolved, manifest, out):
     # the estimator and the sweep settings are checked before any stage; the
     # omega ladder waits for the encoders when it is scaled by the loss/bias ratio
-    n_omegas = _omega_count(resolved)
+    n_omegas = _at_least_one(resolved, "omegas")
+    scale = _nonnegative(resolved, "omega-scale-mult")
     spec = _estimator_spec(resolved)
     sweep_cfg = SweepConfig(
         learning_rate=resolved["sgd-rate"],
         n_epochs=resolved["epochs"],
         n_batches=resolved["batches"],
-        n_perf=resolved["batch-size"],
-        n_bias=resolved["batch-size"],
+        batch_size=resolved["batch-size"],
+        theta_box=resolved["theta-box"],
         objective=resolved["objective"],
         loss=resolved["loss"],
         seed=resolved["seed"],
@@ -347,13 +352,9 @@ def cmd_mitigate(resolved, manifest, out):
     _save_encoders(enc, out, manifest)
     manifest.stage("encoders")
 
-    box = resolved["theta-box"]
-    theta_box = _theta_box(enc.n_columns, box)
-    fam_train = enc.to_linear_family(model.predict_raw(train_ds.X), theta_box=theta_box)
+    fam_train = enc.to_linear_family(model.predict_raw(train_ds.X))
     if resolved["omega-scale"] == "ratio":
-        scale = resolved["omega-scale-mult"] * loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
-    else:
-        scale = resolved["omega-scale-mult"]
+        scale *= loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
     sweep_cfg = replace(sweep_cfg, omegas=default_omegas(scale, n_omegas))
     candidates, trace = sgd_sweep(fam_train, spec, sweep_cfg, train_ds.y, train_ds.g)
     manifest.stage("sweep")
@@ -364,7 +365,7 @@ def cmd_mitigate(resolved, manifest, out):
         "method": resolved["method"],
         "label": resolved["label"],
         "group": resolved["group"],
-        "theta_box": box,
+        "theta_box": sweep_cfg.theta_box,
         "estimator": {
             "variant": spec.variant,
             "relaxation": spec.relaxation.kind,
@@ -387,7 +388,7 @@ def cmd_mitigate(resolved, manifest, out):
         json.dump(doc, fh, indent=2)
     manifest.artifact(out / "candidates.json")
 
-    fam_test = _reevaluated_family(enc, model, test_ds, theta_box)
+    fam_test = _reevaluated_family(enc, model, test_ds)
     points = _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, resolved["method"])
     _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
     manifest.stage("evaluate")
@@ -407,19 +408,18 @@ def cmd_evaluate(resolved, manifest, out):
     enc = EncoderMatrix.load(f"{enc_prefix}.csv", f"{enc_prefix}.json")
     model = Ensemble.load(base_path)
     candidates = [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
-    theta_box = _theta_box(enc.n_columns, float(doc.get("theta_box", DEFAULT_BOX_HALF_WIDTH)))
     manifest.stage("load")
 
     train_ds, test_ds = _load_splits({**resolved, "label": doc["label"], "group": doc["group"]}, two_groups=True)
-    fam_train = _reevaluated_family(enc, model, train_ds, theta_box)
-    fam_test = _reevaluated_family(enc, model, test_ds, theta_box)
+    fam_train = _reevaluated_family(enc, model, train_ds)
+    fam_test = _reevaluated_family(enc, model, test_ds)
     points = _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, doc["method"])
     _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
     manifest.stage("evaluate")
 
 
 def cmd_baseline_rescale(resolved, manifest, out):
-    omegas = np.linspace(0.0, resolved["omega-max"], _omega_count(resolved))
+    omegas = np.linspace(0.0, _nonnegative(resolved, "omega-max"), _at_least_one(resolved, "omegas"))
     train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     if resolved["features"] == "all":
@@ -471,6 +471,7 @@ def cmd_baseline_rescale(resolved, manifest, out):
 
 
 def cmd_baseline_ot(resolved, manifest, out):
+    thetas = np.linspace(0.0, 1.0, _at_least_one(resolved, "thetas"))
     train_ds, test_ds = _load_splits(resolved, two_groups=True)
     model = Ensemble.load(resolved["base"])
     manifest.stage("load")
@@ -479,7 +480,7 @@ def cmd_baseline_ot(resolved, manifest, out):
         train_ds.X,
         train_ds.g,
         params=_tree_params(resolved),
-        thetas=np.linspace(0.0, 1.0, resolved["thetas"]),
+        thetas=thetas,
     )
     proj.projected_model.save(out / "projected_model.json")
     manifest.artifact(out / "projected_model.json")
@@ -655,9 +656,9 @@ COMMANDS = {
             "loss": SweepConfig.loss,
             "epochs": SweepConfig.n_epochs,
             "batches": SweepConfig.n_batches,
-            "batch-size": SweepConfig.n_perf,
+            "batch-size": SweepConfig.batch_size,
             "sgd-rate": SweepConfig.learning_rate,
-            "theta-box": DEFAULT_BOX_HALF_WIDTH,
+            "theta-box": SweepConfig.theta_box,
             **_SEED,
             "out": "run",
         },

@@ -1,5 +1,5 @@
 """Synthetic data generators, numeric CSV ingestion, deterministic splits,
-and train-fitted preprocessing (mean imputation, standardization).
+and train-fitted mean imputation.
 
 The two synthetic generators share one template: five conditionally normal
 features whose group-0 means are shifted down by per-feature offsets, and a
@@ -105,33 +105,21 @@ def split(dataset: Dataset, fraction: float = 0.5, seed: int = 0):
     return make(tr), make(te)
 
 
-def fit_preprocessor(train: Dataset, standardize: bool = True) -> dict:
-    """Imputation means and optional scales, fitted on the train split only."""
+def fit_preprocessor(train: Dataset) -> dict:
+    """Imputation means, fitted on the train split only."""
     X = train.X
     with np.errstate(invalid="ignore"):
         means = np.nanmean(X, axis=0)
     means = np.where(np.isfinite(means), means, 0.0)
-    filled = np.where(np.isnan(X), means[None, :], X)
-    if standardize:
-        scales = filled.std(axis=0)
-        scales = np.where(scales > 0, scales, 1.0)
-    else:
-        scales = np.ones(X.shape[1])
     return {
         "impute_means": means.tolist(),
-        "center": means.tolist() if standardize else [0.0] * X.shape[1],
-        "scale": scales.tolist(),
-        "standardize": bool(standardize),
         "had_missing": np.isnan(X).any(axis=0).tolist(),
     }
 
 
 def apply_preprocessor(dataset: Dataset, prep: dict) -> Dataset:
     means = np.asarray(prep["impute_means"], dtype=float)
-    center = np.asarray(prep["center"], dtype=float)
-    scale = np.asarray(prep["scale"], dtype=float)
     X = np.where(np.isnan(dataset.X), means[None, :], dataset.X)
-    X = (X - center[None, :]) / scale[None, :]
     if not np.all(np.isfinite(X)):
         raise ValueError("non-finite values survived preprocessing")
     return Dataset(X, dataset.y, dataset.g, list(dataset.feature_names), preprocessing=prep)
@@ -158,11 +146,11 @@ def save_sidecar(dataset: Dataset, path, extra: dict = None):
         json.dump(doc, fh, indent=2, sort_keys=True)
 
 
-def load_csv(path, label_column="label", group_column="group", majority_group=None) -> Dataset:
+def load_csv(path, label_column="label", group_column="group") -> Dataset:
     """Numeric CSV with a header; empty cells are missing values.
 
     Labels must be binary 0/1; group codes are arbitrary integers remapped to
-    0..K-1 with 0 the most frequent group unless ``majority_group`` names it.
+    0..K-1 with 0 the most frequent group.
     Offending cells are reported with row and column.
     """
     with open(path, newline="") as fh:
@@ -212,11 +200,6 @@ def load_csv(path, label_column="label", group_column="group", majority_group=No
     if codes.size < 2:
         raise ValueError(f"{path}: need at least two groups")
     order = codes[np.argsort(-counts, kind="stable")].tolist()
-    if majority_group is not None:
-        if majority_group not in codes:
-            raise ValueError(f"{path}: majority group {majority_group} not present")
-        order.remove(majority_group)
-        order.insert(0, majority_group)
     remap = {code: k for k, code in enumerate(order)}
     g = np.array([remap[v] for v in g_raw], dtype=np.intp)
     return Dataset(X, y, g, names)

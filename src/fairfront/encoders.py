@@ -34,6 +34,8 @@ from .linear_family import LinearFamily
 PCA_ROW_CAP = 50_000
 EXACT_SHAPLEY_MAX_FEATURES = 16
 DEFAULT_BACKGROUND_SIZE = 256
+# records explained at once; each coalition forms a (records x background x features) hybrid
+_SHAPLEY_CHUNK = 64
 _ZERO_VAR = 1e-15
 
 
@@ -86,8 +88,8 @@ class EncoderMatrix:
         """Map a parameter fit on standardized columns to original units."""
         return np.asarray(theta, dtype=float) / self.scales
 
-    def to_linear_family(self, base_scores, link="logistic", theta_box=None) -> LinearFamily:
-        return LinearFamily(base_scores, self.standardized_columns(), theta_box, link)
+    def to_linear_family(self, base_scores) -> LinearFamily:
+        return LinearFamily(base_scores, self.standardized_columns())
 
     def reevaluate(self, X, model=None) -> "EncoderMatrix":
         """Rebuild the same columns on new records from the frozen state;
@@ -303,7 +305,7 @@ def _tree_pca_columns(outputs, state) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def exact_marginal_shapley(predict, X, background, chunk: int = 64) -> ExplanationSet:
+def exact_marginal_shapley(predict, X, background) -> ExplanationSet:
     """Exact Shapley attributions of the marginal-expectation game.
 
     The game value of a coalition S at record x is the background average of
@@ -324,8 +326,8 @@ def exact_marginal_shapley(predict, X, background, chunk: int = 64) -> Explanati
     reference = float(np.mean(predict(background)))
     weights = np.array([math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n) for k in range(n)])
     phi = np.zeros((X.shape[0], n))
-    for start in range(0, X.shape[0], chunk):
-        rows = slice(start, min(start + chunk, X.shape[0]))
+    for start in range(0, X.shape[0], _SHAPLEY_CHUNK):
+        rows = slice(start, start + _SHAPLEY_CHUNK)
         Xc = X[rows]
         c = Xc.shape[0]
         v = np.empty((c, n_subsets))

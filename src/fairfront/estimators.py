@@ -32,7 +32,7 @@ the pullback it returns, so any family with ``scores`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,11 +84,14 @@ class BiasEstimatorSpec:
             raise ValueError("estimators require a difference cost (abs or square)")
         if self.variant in _ENERGY_VARIANTS and self.cost.kind != "square":
             raise ValueError("energy variants require the square cost")
-        t, dt = self.grid_shape()
-        if t < 2:
+        # checked before grid_shape divides by the count or the step
+        count = self.thresholds
+        if not isinstance(count, (int, np.integer)):
+            if not 0.0 < count < 1.0:
+                raise ValueError(f"grid step must lie in (0, 1), got {count}")
+            count = self.grid_shape()[0]
+        if count < 2:
             raise ValueError("need at least two thresholds")
-        if not 0.0 < dt < 1.0:
-            raise ValueError("grid step must lie in (0, 1)")
         if self.kde_bandwidth is not None and not self.kde_bandwidth > 0:
             raise ValueError("kde bandwidth must be positive")
         applies = self.cost.kind == "square" and self.variant not in (*_ENERGY_VARIANTS, "invariant-kde-discrete")
@@ -101,9 +104,6 @@ class BiasEstimatorSpec:
             return count, 1.0 / count
         step = float(self.thresholds)
         return int(round(1.0 / step)), step
-
-    def with_seed(self, seed: int) -> "BiasEstimatorSpec":
-        return replace(self, rng_seed=seed)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 Candidates are scored with the exact metrics (cross-entropy, rank AUC with
 midrank ties, and the W1 / Kolmogorov-Smirnov / invariant biases of the
 probability scores by group), then weakly dominated points are removed.
-Raw nondominated frontiers are reported; a convex-envelope post-pass is
-available as an option since it discards achievable non-convex trade-offs.
+The raw nondominated frontier is reported, without a convex envelope, which
+would discard achievable non-convex trade-offs.
 """
 
 from __future__ import annotations
@@ -108,12 +108,11 @@ def evaluate(candidates, family, labels, groups, split: str, method: str):
     return points
 
 
-def pareto_filter(points, bias_axis: str = "w1_bias", perf_axis: str = "ce", convex_hull: bool = False):
+def pareto_filter(points, bias_axis: str = "w1_bias", perf_axis: str = "ce"):
     """Weakly dominated points removed; survivors sorted by bias ascending.
 
     A point is dropped when another has bias and loss both no worse and one
-    strictly better; exact metric-pair duplicates collapse to one.  With
-    ``convex_hull`` the lower-left convex envelope is applied afterwards.
+    strictly better; exact metric-pair duplicates collapse to one.
     """
     if not points:
         raise ValueError("no points to filter")
@@ -130,23 +129,7 @@ def pareto_filter(points, bias_axis: str = "w1_bias", perf_axis: str = "ce", con
             continue
         kept.append(points[i])
         best_loss = loss
-    if convex_hull and len(kept) > 2:
-        kept = _lower_convex_envelope(kept, bias_axis, perf_axis)
     return kept
-
-
-def _lower_convex_envelope(points, bias_axis, perf_axis):
-    hull = []
-    for p in points:
-        x, y = getattr(p, bias_axis), getattr(p, perf_axis)
-        while len(hull) >= 2:
-            (x1, y1, _), (x2, y2, _) = hull[-2], hull[-1]
-            if (x2 - x1) * (y - y1) - (y2 - y1) * (x - x1) <= 0:
-                hull.pop()
-            else:
-                break
-        hull.append((x, y, p))
-    return [p for _, _, p in hull]
 
 
 def frontier_value(points, bias_axis: str, perf_axis: str, budget: float) -> float:

@@ -23,14 +23,11 @@ import numpy as np
 
 from ._util import sigmoid
 
-DEFAULT_BOX_HALF_WIDTH = 10.0
-
 
 @dataclass
 class LinearFamily:
     base_scores: np.ndarray       # (n,) raw score f_*(x) per record
     encoder_matrix: np.ndarray    # (n, m+1); column 0 identically 1
-    theta_box: np.ndarray = None  # (m+1, 2) closed coordinate bounds
     link: str = "logistic"        # logistic -> probabilities; identity -> raw
 
     def __post_init__(self):
@@ -48,16 +45,6 @@ class LinearFamily:
             raise ValueError("non-finite base score")
         if self.link not in ("identity", "logistic"):
             raise ValueError(f"unknown link {self.link!r}")
-        if self.theta_box is None:
-            b = DEFAULT_BOX_HALF_WIDTH
-            self.theta_box = np.column_stack(
-                (np.full(self.n_params, -b), np.full(self.n_params, b))
-            )
-        self.theta_box = np.asarray(self.theta_box, dtype=float)
-        if self.theta_box.shape != (self.n_params, 2):
-            raise ValueError("theta box must be (m+1, 2)")
-        if np.any(self.theta_box[:, 0] > self.theta_box[:, 1]):
-            raise ValueError("empty theta box interval")
 
     @property
     def n_params(self) -> int:
@@ -69,9 +56,6 @@ class LinearFamily:
 
     def zero_theta(self) -> np.ndarray:
         return np.zeros(self.n_params)
-
-    def clip_theta(self, theta: np.ndarray) -> np.ndarray:
-        return np.clip(theta, self.theta_box[:, 0], self.theta_box[:, 1])
 
     def raw_scores_and_pullback(self, theta, rows=None):
         """Raw family scores ``f_*(x) - theta . w(x)`` on the selected rows

@@ -8,7 +8,8 @@ divergence against the base model) and B a differentiable bias estimator.
 Each omega warm-starts from the best stored snapshot of the previous one,
 re-scored under the new coefficient.  Per-group bias batches are drawn with
 replacement so the estimator sees balanced groups regardless of prevalence,
-and every step projects theta back into its box by coordinate clamping.
+and every step projects theta back into the box ``SweepConfig.theta_box``
+by coordinate clamping; the family itself carries no bounds.
 
 Base scores and encoder columns are computed once, outside this module.
 Gradients are taken in score space: the loss differentiates in logit space,
@@ -38,8 +39,8 @@ class SweepConfig:
     learning_rate: float = 0.01
     n_epochs: int = 20
     n_batches: int = 10
-    n_perf: int = 1024
-    n_bias: int = 1024
+    batch_size: int = 1024         # records per loss batch and per bias batch
+    theta_box: float = 10.0        # every step clips each theta coordinate to [-b, b]
     objective: str = "penalized"
     loss: str = "cross-entropy"
     seed: int = 0
@@ -50,10 +51,17 @@ class SweepConfig:
         self.omegas = np.asarray(self.omegas, dtype=float).ravel()
         if self.omegas.size == 0:
             raise ValueError("omegas must hold at least one weight")
+        if not np.all(np.isfinite(self.omegas)):
+            raise ValueError("omegas must be finite")
         if np.any(self.omegas < 0) or np.any(np.diff(self.omegas) < 0):
             raise ValueError("omegas must be nonnegative and nondecreasing")
-        if self.learning_rate <= 0 or self.n_perf < 1 or self.n_bias < 1:
+        if not np.isfinite(self.learning_rate):
+            raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
+        if self.learning_rate <= 0 or self.batch_size < 1:
             raise ValueError("rates and batch sizes must be positive")
+        # inf leaves theta unbounded; NaN fails the comparison
+        if not self.theta_box >= 0:
+            raise ValueError(f"theta box half-width must be nonnegative, got {self.theta_box}")
         if self.objective not in _FORMS:
             raise ValueError(f"unknown objective form {self.objective!r}")
         if self.loss not in _LOSSES:
@@ -213,7 +221,7 @@ def sgd_sweep(family: LinearFamily, spec: BiasEstimatorSpec, config: SweepConfig
     candidates = []
     # snapshots of the previous omega: (theta, full loss, full bias)
     previous = []
-    theta = family.clip_theta(family.zero_theta())
+    theta = family.zero_theta()
     loss0, bias0 = full_scores(theta)
     start_snapshot = (theta.copy(), loss0, bias0)
 
@@ -224,11 +232,11 @@ def sgd_sweep(family: LinearFamily, spec: BiasEstimatorSpec, config: SweepConfig
         current = []
         for epoch in range(config.n_epochs):
             for _ in range(config.n_batches):
-                perf = rng.choice(n, size=config.n_perf, replace=True)
+                perf = rng.choice(n, size=config.batch_size, replace=True)
                 bias_batch = EstimatorBatch(
-                    rng.choice(rows0, size=config.n_bias, replace=True),
-                    rng.choice(rows1, size=config.n_bias, replace=True),
-                    rng.choice(n, size=config.n_bias, replace=True),
+                    rng.choice(rows0, size=config.batch_size, replace=True),
+                    rng.choice(rows1, size=config.batch_size, replace=True),
+                    rng.choice(n, size=config.batch_size, replace=True),
                 )
                 _, grad = penalized_objective(
                     family,
@@ -242,7 +250,7 @@ def sgd_sweep(family: LinearFamily, spec: BiasEstimatorSpec, config: SweepConfig
                     loss=config.loss,
                     rng=rng,
                 )
-                theta = family.clip_theta(theta - config.learning_rate * grad)
+                theta = np.clip(theta - config.learning_rate * grad, -config.theta_box, config.theta_box)
             loss, bias = full_scores(theta)
             trace.append(omega, epoch, theta, loss, bias)
             current.append((theta.copy(), loss, bias))

@@ -571,19 +571,80 @@ class TestFailedRunManifest:
         assert list(manifest["timings"]) == ["load"]
         assert not (out / "encoders.csv").exists()
 
-    @pytest.mark.parametrize("command", ["mitigate", "baseline-rescale"])
-    @pytest.mark.parametrize("count", ["0", "-2"])
-    def test_empty_omega_ladder_fails_before_any_stage(self, workspace, tmp_path, capsys, command, count):
+    # an empty omega ladder, and each setting that would otherwise fail only
+    # after the sweep or the projection (or escape main as a traceback)
+    @pytest.mark.parametrize(
+        "command, setting, code, error",
+        [
+            pytest.param("mitigate", ["--omegas", "0"], 2, "--omegas must be at least 1, got 0", id="0-mitigate"),
+            pytest.param("mitigate", ["--omegas", "-2"], 2, "--omegas must be at least 1, got -2", id="-2-mitigate"),
+            pytest.param(
+                "baseline-rescale", ["--omegas", "0"], 2, "--omegas must be at least 1, got 0", id="0-baseline-rescale"
+            ),
+            pytest.param(
+                "baseline-rescale", ["--omegas", "-2"], 2, "--omegas must be at least 1, got -2",
+                id="-2-baseline-rescale",
+            ),
+            pytest.param(
+                "mitigate", ["--sgd-rate", "nan"], 1, "learning rate must be finite, got nan", id="sgd-rate-nan"
+            ),
+            pytest.param(
+                "mitigate", ["--sgd-rate", "inf"], 1, "learning rate must be finite, got inf", id="sgd-rate-inf"
+            ),
+            pytest.param(
+                "mitigate", ["--omega-scale-mult", "nan"], 2,
+                "--omega-scale-mult must be finite and nonnegative, got nan", id="omega-scale-mult-nan",
+            ),
+            pytest.param(
+                "mitigate", ["--omega-scale-mult", "inf"], 2,
+                "--omega-scale-mult must be finite and nonnegative, got inf", id="omega-scale-mult-inf",
+            ),
+            pytest.param(
+                "mitigate", ["--omega-scale-mult", "-1"], 2,
+                "--omega-scale-mult must be finite and nonnegative, got -1.0", id="omega-scale-mult-negative",
+            ),
+            pytest.param(
+                "mitigate", ["--theta-box", "nan"], 1, "theta box half-width must be nonnegative, got nan",
+                id="theta-box-nan",
+            ),
+            pytest.param(
+                "mitigate", ["--theta-box", "-1"], 1, "theta box half-width must be nonnegative, got -1.0",
+                id="theta-box-negative",
+            ),
+            pytest.param(
+                "mitigate", ["--grid-step", "0"], 1, "grid step must lie in (0, 1), got 0.0", id="grid-step-0"
+            ),
+            pytest.param(
+                "mitigate", ["--grid-step", "1e-400"], 1, "grid step must lie in (0, 1), got 0.0",
+                id="grid-step-underflow",
+            ),
+            pytest.param(
+                "mitigate", ["--grid-step", "nan"], 1, "grid step must lie in (0, 1), got nan", id="grid-step-nan"
+            ),
+            pytest.param(
+                "baseline-rescale", ["--omega-max", "nan"], 2, "--omega-max must be finite and nonnegative, got nan",
+                id="omega-max-nan",
+            ),
+            pytest.param(
+                "baseline-rescale", ["--omega-max", "-1"], 2,
+                "--omega-max must be finite and nonnegative, got -1.0", id="omega-max-negative",
+            ),
+            pytest.param("baseline-ot", ["--thetas", "0"], 2, "--thetas must be at least 1, got 0", id="thetas-0"),
+        ],
+    )
+    def test_empty_omega_ladder_fails_before_any_stage(
+        self, workspace, tmp_path, capsys, command, setting, code, error
+    ):
         _, data, model_dir = workspace
         out = tmp_path / "out"
-        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--omegas", count]
-        assert main([command, *flags, "--out", str(out)]) != 0
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), *setting]
+        assert main([command, *flags, "--out", str(out)]) == code
+        assert f"error: {error}\n" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
-        assert manifest["error"] == f"--omegas must be at least 1, got {count}"
-        assert manifest["error"] in capsys.readouterr().err
+        assert manifest["error"] == error
         assert manifest["timings"] == {}
-        assert not (out / "encoders.csv").exists()
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
     def test_bad_sweep_setting_fails_before_any_stage(self, workspace, tmp_path):
         _, data, model_dir = workspace

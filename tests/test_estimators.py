@@ -163,6 +163,23 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             BiasEstimatorSpec(thresholds=1)
 
+    @pytest.mark.parametrize(
+        "thresholds, message",
+        [
+            (0.0, "grid step must lie in (0, 1), got 0.0"),
+            (1e-400, "grid step must lie in (0, 1), got 0.0"),
+            (np.nan, "grid step must lie in (0, 1), got nan"),
+            (np.inf, "grid step must lie in (0, 1), got inf"),
+            (-0.1, "grid step must lie in (0, 1), got -0.1"),
+            (0, "need at least two thresholds"),
+        ],
+        ids=["zero", "underflow", "nan", "inf", "negative", "count-0"],
+    )
+    def test_bad_scheme_rejected_before_division(self, thresholds, message):
+        with pytest.raises(ValueError) as info:
+            BiasEstimatorSpec(thresholds=thresholds)
+        assert str(info.value) == message
+
     def test_degenerate_relaxation_rejected(self):
         with pytest.raises(ValueError):
             BiasEstimatorSpec(relaxation=logistic(-2.0))
@@ -639,5 +656,4 @@ class TestUnbiasedRecordsWhatApplies:
     def test_normalised(self, variant, cost, applied):
         spec = BiasEstimatorSpec(variant, logistic(20.0), cost, 64, unbiased=True)
         assert spec.unbiased is applied
-        assert spec.with_seed(3).unbiased is applied
         assert BiasEstimatorSpec(variant, logistic(20.0), cost, 64, unbiased=False).unbiased is False

@@ -156,6 +156,24 @@ class TestSweepConfig:
         with pytest.raises(ValueError, match="at least one weight"):
             SweepConfig(omegas=omegas)
 
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"learning_rate": np.nan}, "learning rate must be finite, got nan"),
+            ({"learning_rate": np.inf}, "learning rate must be finite, got inf"),
+            ({"omegas": [0.0, np.nan]}, "omegas must be finite"),
+            ({"omegas": [0.0, np.inf]}, "omegas must be finite"),
+            ({"theta_box": np.nan}, "theta box half-width must be nonnegative, got nan"),
+            ({"theta_box": -1.0}, "theta box half-width must be nonnegative, got -1.0"),
+        ],
+    )
+    def test_non_finite_settings_rejected(self, setting, match):
+        with pytest.raises(ValueError, match=match):
+            SweepConfig(**setting)
+
+    def test_unbounded_box_accepted(self):
+        assert SweepConfig(theta_box=np.inf).theta_box == np.inf
+
 
 class TestSweep:
     def config(self, **kw):
@@ -163,8 +181,7 @@ class TestSweep:
             omegas=np.array([0.0, 0.5, 1.0]),
             n_epochs=4,
             n_batches=4,
-            n_perf=128,
-            n_bias=128,
+            batch_size=128,
             seed=0,
         )
         defaults.update(kw)
@@ -190,7 +207,7 @@ class TestSweep:
 
         rng = np.random.default_rng(42)
         fam, y, g = biased_problem(rng, n=1200)
-        cfg = self.config(learning_rate=0.5, n_epochs=12, n_batches=8, n_perf=256, n_bias=256)
+        cfg = self.config(learning_rate=0.5, n_epochs=12, n_batches=8, batch_size=256)
         candidates, _ = sgd_sweep(fam, SPEC, cfg, y, g)
 
         def w1_of(theta):
@@ -210,12 +227,11 @@ class TestSweep:
     def test_projection_respects_box(self):
         rng = np.random.default_rng(5)
         fam, y, g = biased_problem(rng)
-        box = np.column_stack([np.full(fam.n_params, -0.01), np.full(fam.n_params, 0.01)])
-        fam_tight = LinearFamily(fam.base_scores, fam.encoder_matrix, box)
-        cfg = self.config()
-        _, trace = sgd_sweep(fam_tight, SPEC, cfg, y, g)
+        cfg = self.config(theta_box=0.01)
+        _, trace = sgd_sweep(fam, SPEC, cfg, y, g)
         for row in trace.rows:
             assert np.all(row.theta >= -0.01 - 1e-15) and np.all(row.theta <= 0.01 + 1e-15)
+        assert any(np.abs(row.theta).max() == 0.01 for row in trace.rows)
 
     def test_bitwise_reproducible(self):
         rng = np.random.default_rng(6)
@@ -283,8 +299,7 @@ class TestSweep:
                 omegas=default_omegas(scale, 9),
                 n_epochs=8,
                 n_batches=5,
-                n_perf=512,
-                n_bias=512,
+                batch_size=512,
                 objective="lagrangian",
                 seed=seed,
             )
