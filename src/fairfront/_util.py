@@ -6,13 +6,18 @@ import hashlib
 import json
 
 import numpy as np
-from scipy.special import expit
 
 PROB_EPS = 1e-12
 
 
 def sigmoid(x):
-    return expit(x)
+    """The logistic function.  Like ``scipy.special.expit`` it raises no
+    floating-point error, even under a caller's ``np.errstate(all="raise")``:
+    exp(-x) overflows below x = -709.78 (the result is 0), the quotient is
+    subnormal just above that, and exp(-x) underflows for large x (the
+    result is 1)."""
+    with np.errstate(over="ignore", under="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def logit(p, eps=PROB_EPS):

@@ -171,6 +171,22 @@ def _transformed_group_w1(g: GroupedScores, pooled: EmpiricalDistribution, left:
     return wasserstein1(t0, t1)
 
 
+def snap_to_pooled(g: GroupedScores, pooled: EmpiricalDistribution) -> GroupedScores:
+    """``g`` with each score read as the pooled atom it was merged into, the
+    largest atom of ``pooled`` at or below it.
+
+    Where scores crowd within ``MERGE_TOL``, each group's own merge would keep
+    another representative than the pool's; snapped, every group sees the
+    pooled atoms.  Where no two distinct scores lie that close, every score
+    is its own atom and nothing moves.
+    """
+    snapped = []
+    for scores in g.scores_by_group:
+        below = np.searchsorted(pooled.values, scores, side="right") - 1
+        snapped.append(pooled.values[np.maximum(below, 0)])
+    return GroupedScores(tuple(snapped), g.group_probs)
+
+
 def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
     """Distribution-invariant bias, exact for atomic score distributions.
 
@@ -180,17 +196,11 @@ def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
     two must agree to 1e-10; the transform path is returned.
 
     ``pooled`` is the pooled sample of ``g`` (or its image under a monotone
-    transform).  Each group score is read as the pooled atom it was merged
-    into, the largest atom at or below it, so both paths see the same atoms
-    even where scores crowd within ``MERGE_TOL`` and each group's own merge
-    would keep another representative.
+    transform).  The group scores are snapped onto its atoms
+    (``snap_to_pooled``), so both paths see the same atoms.
     """
     _require_two_groups(g)
-    snapped = []
-    for scores in g.scores_by_group:
-        below = np.searchsorted(pooled.values, scores, side="right") - 1
-        snapped.append(pooled.values[np.maximum(below, 0)])
-    g = GroupedScores(tuple(snapped), g.group_probs)
+    g = snap_to_pooled(g, pooled)
     d0, d1 = g.distribution(0), g.distribution(1)
     threshold_path = float(
         np.sum(pooled.weights * np.abs(d0.cdf(pooled.values) - d1.cdf(pooled.values)))

@@ -6,17 +6,19 @@ features whose group-0 means are shifted down by per-feature offsets, and a
 Bernoulli label driven by the logistic of twice the centered feature sum.
 Normal draws use the inverse-CDF method so any implementation with the same
 marginals reproduces the moments (streams are not expected to match across
-languages; statistical tolerances apply).
+languages; statistical tolerances apply).  The inverse normal CDF is a numpy
+port of Cephes ``ndtri``, the algorithm behind ``scipy.special.ndtri``, and
+returns the same bits, so the package needs no scipy at run time.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._util import fmt_float, sigmoid
 
@@ -56,10 +58,77 @@ class Dataset:
         return self.y.size
 
 
+# Cephes ndtri: a rational in (y - 1/2)^2 on the centre, |y - 1/2| < 1/2 - e^-2,
+# and rationals in 1/z, z = sqrt(-2 log y), on the tails, split at z = 8
+# (y = e^-32).  Coefficients highest degree first; the Q's leading 1 is left out.
+_EXP_M2 = 0.13533528323661269189
+_SQRT_2PI = 2.50662827463100050242
+_NDTRI_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+             1.39312609387279679503e1, -1.23916583867381258016e0)
+_NDTRI_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+             -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+             1.59056225126211695515e1, -1.18331621121330003142e0)
+_NDTRI_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+             4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+             -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_NDTRI_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+             1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+             -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+_NDTRI_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+             1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+             3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_NDTRI_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+             2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+             2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x, coef):
+    """Horner's rule, coefficients highest degree first."""
+    out = np.full_like(x, coef[0])
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _p1evl(x, coef):
+    """Horner's rule for a monic polynomial whose leading 1 is left out."""
+    out = x + coef[0]
+    for c in coef[1:]:
+        out = out * x + c
+    return out
+
+
+def _libm_log(values):
+    # np.log's SIMD loop may differ from libm by an ulp; Cephes takes libm's
+    return np.array([math.log(v) for v in values.tolist()])
+
+
+def _ndtri(y0):
+    """Inverse of the standard normal CDF for y0 in the open interval (0, 1),
+    bitwise equal to ``scipy.special.ndtri`` there."""
+    y0 = np.asarray(y0, dtype=float)
+    upper = y0 > 1.0 - _EXP_M2
+    y = np.where(upper, 1.0 - y0, y0)
+    centre = y > _EXP_M2
+    out = np.empty_like(y)
+    c = y[centre] - 0.5
+    c2 = c * c
+    # each product and quotient in Cephes' order, so every rounding matches
+    out[centre] = (c + c * (c2 * _polevl(c2, _NDTRI_P0) / _p1evl(c2, _NDTRI_Q0))) * _SQRT_2PI
+    tail = ~centre
+    z = np.sqrt(-2.0 * _libm_log(y[tail]))
+    inv = 1.0 / z
+    near = inv * _polevl(inv, _NDTRI_P1) / _p1evl(inv, _NDTRI_Q1)
+    far = inv * _polevl(inv, _NDTRI_P2) / _p1evl(inv, _NDTRI_Q2)
+    x = (z - _libm_log(z) / z) - np.where(z < 8.0, near, far)
+    out[tail] = np.where(upper[tail], x, -x)
+    return out
+
+
 def _standard_normal(rng: np.random.Generator, shape):
     # inverse-CDF sampling; clip away an exact 0 draw before ndtri
     u = rng.random(shape)
-    return ndtri(np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16))
+    return _ndtri(np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16))
 
 
 def _generate(n_records: int, seed: int, offsets, variance_fn) -> Dataset:

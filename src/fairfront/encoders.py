@@ -32,6 +32,8 @@ from .gbdt import Ensemble, per_tree_outputs
 from .linear_family import LinearFamily
 
 PCA_ROW_CAP = 50_000
+# rows re-evaluated at once by tree-pca, so no (records x trees) matrix is formed
+_TREE_PCA_ROWS = 1024
 EXACT_SHAPLEY_MAX_FEATURES = 16
 DEFAULT_BACKGROUND_SIZE = 256
 # records explained at once; each coalition forms a (records x background x features) hybrid
@@ -104,10 +106,8 @@ class EncoderMatrix:
 
     def save(self, csv_path, sidecar_path):
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(self.names)
-            for row in self.columns:
-                writer.writerow([repr(float(v)) for v in row])
+            csv.writer(fh, lineterminator="\n").writerow(self.names)
+            fh.writelines(",".join(map(repr, row)) + "\n" for row in self.columns.tolist())
         meta = {
             "names": list(self.names),
             "centers": self.centers.tolist(),
@@ -115,7 +115,7 @@ class EncoderMatrix:
             "provenance": _jsonify(self.provenance),
         }
         with open(sidecar_path, "w") as fh:
-            json.dump(meta, fh)
+            fh.write(json.dumps(meta))  # json.dump never takes the C encoder
 
     @classmethod
     def load(cls, csv_path, sidecar_path) -> "EncoderMatrix":
@@ -177,7 +177,12 @@ def _state_columns(state, X, model) -> np.ndarray:
     if model is None:
         raise ValueError(f"{kind} re-evaluation needs the model")
     if kind == "tree-pca":
-        return _tree_pca_columns(per_tree_outputs(model, X), state)
+        # row by row the same products as on the whole (records x trees) matrix
+        columns = np.empty((X.shape[0], state["loadings"].shape[1]))
+        for start in range(0, X.shape[0], _TREE_PCA_ROWS):
+            rows = slice(start, start + _TREE_PCA_ROWS)
+            columns[rows] = _tree_pca_columns(per_tree_outputs(model, X[rows]), state)
+        return columns
     return _shapley_columns(exact_marginal_shapley(model.predict_raw, X, state["background"]).values, state)
 
 

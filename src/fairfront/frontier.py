@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import cross_entropy, fmt_float
-from .bias_metrics import GroupedScores, invariant_bias
+from .bias_metrics import GroupedScores, invariant_bias, snap_to_pooled
 from .distributions import ks_distance, wasserstein1
 
 _METRIC_FIELDS = ("ce", "auc", "w1_bias", "ks_bias", "inv_bias")
@@ -83,13 +83,16 @@ def rank_auc(scores, labels) -> float:
 def score_metrics(probs, labels, groups) -> dict:
     """Exact metric block for one candidate's probability scores."""
     g = GroupedScores.from_labels(probs, groups)
-    d0, d1 = g.distribution(0), g.distribution(1)
+    pooled = g.pooled()
+    # the KS distance reads the group scores on the pooled atoms, as the
+    # invariant bias does, so scores crowded within MERGE_TOL read as one atom
+    snapped = snap_to_pooled(g, pooled)
     return {
         "ce": cross_entropy(probs, labels),
         "auc": rank_auc(probs, labels),
-        "w1_bias": wasserstein1(d0, d1),
-        "ks_bias": ks_distance(d0, d1),
-        "inv_bias": invariant_bias(g, g.pooled()),
+        "w1_bias": wasserstein1(g.distribution(0), g.distribution(1)),
+        "ks_bias": ks_distance(snapped.distribution(0), snapped.distribution(1)),
+        "inv_bias": invariant_bias(g, pooled),
     }
 
 

@@ -59,6 +59,10 @@ class SweepConfig:
             raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
         if self.learning_rate <= 0 or self.batch_size < 1:
             raise ValueError("rates and batch sizes must be positive")
+        if self.n_epochs < 0:
+            raise ValueError(f"n_epochs must be nonnegative, got {self.n_epochs}")
+        if self.n_batches < 1:
+            raise ValueError(f"n_batches must be at least 1, got {self.n_batches}")
         # inf leaves theta unbounded; NaN fails the comparison
         if not self.theta_box >= 0:
             raise ValueError(f"theta box half-width must be nonnegative, got {self.theta_box}")

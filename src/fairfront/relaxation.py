@@ -36,8 +36,8 @@ class RelaxationFamily:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown relaxation kind {self.kind!r}; expected one of {_KINDS}")
-        if not self.scale > 0:
-            raise ValueError("relaxation scale must be positive")
+        if not 0 < self.scale < np.inf:
+            raise ValueError(f"relaxation scale must be finite and positive, got {self.scale}")
 
     @property
     def smooth(self) -> bool:

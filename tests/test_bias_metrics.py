@@ -10,6 +10,7 @@ from fairfront.bias_metrics import (
     cost_bias,
     invariant_bias,
     multi_attribute_bias,
+    snap_to_pooled,
 )
 from fairfront.distributions import (
     ABS,
@@ -166,6 +167,23 @@ class TestInvariantBias:
             tg = two_groups(f(g.scores_by_group[0]), f(g.scores_by_group[1]))
             tp = EmpiricalDistribution.from_samples(f(pooled.values), pooled.weights)
             assert invariant_bias(tg, tp) == pytest.approx(base, abs=1e-12)
+
+
+    def test_snapping_moves_no_score_without_crowding(self):
+        rng = np.random.default_rng(31)
+        g = random_groups(rng, n_atoms=200)
+        snapped = snap_to_pooled(g, g.pooled())
+        for before, after in zip(g.scores_by_group, snapped.scores_by_group):
+            assert np.array_equal(before, after)
+        assert np.array_equal(snapped.group_probs, g.group_probs)
+
+    def test_snapping_reads_crowded_scores_as_the_pooled_atom(self):
+        # 0.5 + 4e-13 merges into the pooled atom 0.5, but group 1 alone
+        # keeps it as its own smallest member
+        g = two_groups([0.5, 0.7], [0.5 + 4e-13, 0.7])
+        snapped = snap_to_pooled(g, g.pooled())
+        assert np.array_equal(snapped.scores_by_group[1], [0.5, 0.7])
+        assert np.array_equal(snapped.scores_by_group[0], [0.5, 0.7])
 
 
 class TestMultiAttribute:

@@ -4,6 +4,10 @@ idempotence."""
 
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,20 @@ class TestGenerate:
         assert manifest["status"] == "ok"
         assert "config_hash" in manifest and len(manifest["config_hash"]) == 64
         assert "data.csv" in manifest["artifacts"]
+
+    def test_runs_without_scipy(self, tmp_path):
+        # scipy is a test-only oracle: neither the import nor a run loads it
+        code = (
+            "import sys\n"
+            "import fairfront.cli\n"
+            f"assert fairfront.cli.main(['generate', '--n', '200', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "[]"
+        assert (tmp_path / "data.csv").exists()
 
     def test_split_files_row_counts(self, workspace):
         _, data, _ = workspace
@@ -630,6 +648,12 @@ class TestFailedRunManifest:
                 "--omega-max must be finite and nonnegative, got -1.0", id="omega-max-negative",
             ),
             pytest.param("baseline-ot", ["--thetas", "0"], 2, "--thetas must be at least 1, got 0", id="thetas-0"),
+            pytest.param(
+                "mitigate", ["--scale", "inf"], 1, "relaxation scale must be finite and positive, got inf",
+                id="scale-inf",
+            ),
+            pytest.param("mitigate", ["--epochs", "-1"], 1, "n_epochs must be nonnegative, got -1", id="epochs-negative"),
+            pytest.param("mitigate", ["--batches", "0"], 1, "n_batches must be at least 1, got 0", id="batches-0"),
         ],
     )
     def test_empty_omega_ladder_fails_before_any_stage(

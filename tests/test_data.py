@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairfront.data import (
     Dataset,
+    _ndtri,
+    _standard_normal,
     apply_preprocessor,
     fit_preprocessor,
     generate_m1,
@@ -139,3 +143,44 @@ class TestCsv:
         path.write_text("a,label,group\n1,0,7\n2,1,7\n3,0,3\n")
         ds = load_csv(path)
         assert np.array_equal(ds.g, [0, 0, 1])
+
+
+class TestInverseNormalCdf:
+    """The Cephes ``ndtri`` port against scipy's, bit for bit."""
+
+    @staticmethod
+    def assert_bitwise(y):
+        from scipy.special import ndtri
+
+        y = np.asarray(y, dtype=float)
+        assert np.array_equal(_ndtri(y).view(np.int64), ndtri(y).view(np.int64))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), min_size=1, max_size=50))
+    def test_matches_scipy_on_the_open_interval(self, ys):
+        self.assert_bitwise(ys)
+
+    def test_matches_scipy_at_the_branch_edges(self):
+        e2 = np.exp(-2.0)
+        e32 = np.exp(-32.0)  # where z = sqrt(-2 log y) crosses 8
+        pinned = [np.finfo(float).tiny, 1.0 - 1e-16, 0.5]
+        for edge in (e2, 1.0 - e2, e32, 1.0 - e32):
+            pinned += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+        self.assert_bitwise(pinned)
+        self.assert_bitwise(e32 * np.linspace(0.999, 1.001, 2001))
+
+    def test_matches_scipy_on_both_tails(self):
+        rng = np.random.default_rng(3)
+        tail = np.exp(-rng.uniform(0.0, 700.0, 20_000))
+        upper = 1.0 - tail[tail > 1e-16]  # 1 - tail rounds to 1, outside the domain, below that
+        self.assert_bitwise(np.concatenate([tail, upper, rng.random(20_000)]))
+
+    def test_generated_draws_match_scipy(self):
+        from scipy.special import ndtri
+
+        for seed in (1, 2, 3):
+            u = np.random.default_rng(seed).random((2000, 5))
+            rng = np.random.default_rng(seed)
+            got = _standard_normal(rng, (2000, 5))
+            want = ndtri(np.clip(u, np.finfo(float).tiny, 1.0 - 1e-16))
+            assert np.array_equal(got, want)

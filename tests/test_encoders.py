@@ -1,10 +1,16 @@
+import csv
+import json
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from fairfront.encoders import (
+    _TREE_PCA_ROWS,
     PCA_ROW_CAP,
     EncoderMatrix,
     ExplanationSet,
+    _tree_pca_columns,
     additive_encoders,
     combine_encoders,
     exact_marginal_shapley,
@@ -13,7 +19,7 @@ from fairfront.encoders import (
     shapley_encoders,
     tree_pca_encoders,
 )
-from fairfront.gbdt import GBDTParams, train
+from fairfront.gbdt import GBDTParams, per_tree_outputs, train
 
 
 def small_ensemble(rng, n=300, rounds=12):
@@ -109,6 +115,23 @@ class TestTreePca:
             enc = tree_pca_encoders(model, X, r=3, row_cap=row_cap)
             again = enc.reevaluate(X, model=model)
             assert np.array_equal(again.columns, enc.columns)
+
+    def test_reevaluation_in_row_blocks(self):
+        rng = np.random.default_rng(7)
+        model, X = small_ensemble(rng, rounds=120)
+        enc = tree_pca_encoders(model, X, r=4)
+        n = 3 * _TREE_PCA_ROWS + 217  # three full blocks and a ragged tail
+        new = rng.normal(size=(n, 3))
+        whole = _tree_pca_columns(per_tree_outputs(model, new), enc.provenance)
+        tracemalloc.start()
+        try:
+            blocked = enc.reevaluate(new, model=model)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(blocked.columns[:, 1:], whole)
+        # the whole-matrix form holds two (records x trees) matrices at once
+        assert peak < n * model.n_trees * 8
 
     def test_reevaluation_rejects_a_smaller_model(self):
         rng = np.random.default_rng(5)
@@ -333,6 +356,24 @@ class TestPersistence:
         assert loaded.names == enc.names
         again = loaded.reevaluate(X, model=model)
         assert np.array_equal(again.columns, enc.columns)
+
+    def test_save_writes_the_csv_writer_bytes(self, tmp_path):
+        # the same bytes as one csv.writer row of repr(float) cells per record
+        # and json.dump of the sidecar
+        rng = np.random.default_rng(16)
+        model, X = small_ensemble(rng, rounds=8)
+        X[0, 0] = -1e-300  # its square underflows to 0.0 and its cube to -0.0
+        enc = combine_encoders(tree_pca_encoders(model, X, r=2), additive_encoders(X, degree=3, basis="monomial"))
+        enc.save(tmp_path / "enc.csv", tmp_path / "enc.json")
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(enc.names)
+            for row in enc.columns:
+                writer.writerow([repr(float(v)) for v in row])
+        with open(tmp_path / "want.json", "w") as fh:
+            json.dump(json.loads((tmp_path / "enc.json").read_text()), fh)
+        assert (tmp_path / "enc.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+        assert (tmp_path / "enc.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     def test_standardization_round_trip(self):
         rng = np.random.default_rng(15)

@@ -78,17 +78,29 @@ class TestEvaluate:
         assert m["ks_bias"] == 0.0
         assert m["inv_bias"] == 0.0
 
-    def test_scores_crowded_below_the_merge_tolerance(self):
+    @staticmethod
+    def crowded_scores():
         # a saturated candidate: every probability lies within MERGE_TOL of
         # the next, so the pool and each group merge them onto different
-        # smallest members; the invariant bias reads them all as one atom
+        # smallest members
         rng = np.random.default_rng(11)
         probs = 10.0 ** rng.uniform(-150, -84, 400)
         groups = rng.integers(0, 2, 400)
         labels = (rng.random(400) < 0.5).astype(float)
-        m = score_metrics(probs, labels, groups)
+        return probs, labels, groups
+
+    def test_scores_crowded_below_the_merge_tolerance(self):
+        # the invariant bias reads them all as one atom
+        m = score_metrics(*self.crowded_scores())
         assert m["inv_bias"] == 0.0
         assert m["w1_bias"] < 1e-84
+
+    def test_ks_reads_crowded_scores_on_the_pooled_atoms(self):
+        # each group's own merge keeps a different smallest member, which
+        # read 1.0 here; on the pooled atoms both groups are the same atom
+        m = score_metrics(*self.crowded_scores())
+        assert m["inv_bias"] == 0.0
+        assert m["ks_bias"] == 0.0
 
 
 class TestParetoFilter:

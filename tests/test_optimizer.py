@@ -165,6 +165,9 @@ class TestSweepConfig:
             ({"omegas": [0.0, np.inf]}, "omegas must be finite"),
             ({"theta_box": np.nan}, "theta box half-width must be nonnegative, got nan"),
             ({"theta_box": -1.0}, "theta box half-width must be nonnegative, got -1.0"),
+            ({"n_epochs": -1}, "n_epochs must be nonnegative, got -1"),
+            ({"n_batches": 0}, "n_batches must be at least 1, got 0"),
+            ({"n_batches": -3}, "n_batches must be at least 1, got -3"),
         ],
     )
     def test_non_finite_settings_rejected(self, setting, match):

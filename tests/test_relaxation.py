@@ -21,6 +21,11 @@ class TestFamilies:
         with pytest.raises(ValueError):
             ramp(0.0)
 
+    @pytest.mark.parametrize("scale", [np.inf, np.nan, 0.0])
+    def test_scale_must_be_finite_and_positive(self, scale):
+        with pytest.raises(ValueError, match=f"relaxation scale must be finite and positive, got {scale}"):
+            RelaxationFamily("logistic", scale)
+
     def test_range_and_monotone(self):
         z = np.linspace(-3, 3, 301)
         for fam in (ramp(5.0), logistic(5.0), shifted_logistic(5.0)):
