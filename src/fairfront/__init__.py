@@ -7,29 +7,18 @@ from .distributions import (
     CostFunction,
     EmpiricalDistribution,
     ks_distance,
-    transport_cost,
     wasserstein1,
 )
 from .bias_metrics import (
     GroupedScores,
     ThresholdMeasure,
-    classifier_bias,
     cost_bias,
     invariant_bias,
     multi_attribute_bias,
 )
-from .relaxation import RelaxationFamily, logistic, ramp, relaxed_cdf, shifted_logistic
+from .relaxation import RelaxationFamily, logistic, ramp, shifted_logistic
 from .linear_family import LinearFamily
-from .estimators import (
-    BiasEstimatorSpec,
-    EstimatorBatch,
-    b_hat,
-    bias_value_and_grad,
-    estimator_rate_probe,
-    exact_relaxed_bias_uniform,
-    fit_loglog_slope,
-    grid_bias_ladder,
-)
+from .estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from .encoders import (
     EncoderMatrix,
     ExplanationSet,
@@ -37,7 +26,6 @@ from .encoders import (
     combine_encoders,
     exact_marginal_shapley,
     reconstruct_explanations,
-    sampled_marginal_shapley,
     shapley_encoders,
     tree_pca_encoders,
 )
@@ -55,7 +43,6 @@ from .optimizer import (
 from .frontier import (
     FrontierPoint,
     evaluate,
-    frontier_value,
     pareto_filter,
     rank_auc,
     read_frontier_csv,

@@ -139,7 +139,6 @@ def repair_scores_by_label(scores, groups) -> np.ndarray:
 class OtProjection:
     projected_model: Ensemble
     thetas: np.ndarray
-    repaired_train: np.ndarray
 
     def interpolated_probs(self, base_probs, X, theta: float) -> np.ndarray:
         """Probability-space blend (1 - theta) * base + theta * projected."""
@@ -176,4 +175,4 @@ def ot_projection(
     stacked_X = np.vstack([X, X])
     stacked_y = np.concatenate([np.zeros(X.shape[0]), np.ones(X.shape[0])])
     projected = train(stacked_X, stacked_y, sample_weight=weights, params=params)
-    return OtProjection(projected, np.asarray(thetas, dtype=float), repaired)
+    return OtProjection(projected, np.asarray(thetas, dtype=float))

@@ -1,10 +1,10 @@
 """Exact bias metrics on grouped model scores.
 
-Cost-function bias at a single threshold and aggregated over a threshold
-measure, the atom-aware distribution-invariant bias, and the weighted
-multi-attribute extension.  These are the non-relaxed reference metrics:
-evaluation here is exact (breakpoint-grid integration), so the stochastic
-estimators can be validated against them.
+Cost-function bias aggregated over a threshold measure, the atom-aware
+distribution-invariant bias, and the weighted multi-attribute extension.
+These are the non-relaxed reference metrics: evaluation here is exact
+(breakpoint-grid integration), so the stochastic estimators can be validated
+against them.
 """
 
 from __future__ import annotations
@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (
-    ABS,
-    CostFunction,
-    EmpiricalDistribution,
-    wasserstein1,
-)
+from .distributions import CostFunction, EmpiricalDistribution, wasserstein1
 
 _PATH_AGREEMENT_TOL = 1e-10
 
@@ -122,18 +117,6 @@ class ThresholdMeasure:
 def _require_two_groups(g: GroupedScores):
     if g.n_groups != 2:
         raise ValueError(f"metric defined for two groups, got {g.n_groups}")
-
-
-def classifier_bias(g: GroupedScores, t: float, c: CostFunction = ABS) -> float:
-    """Cost between group acceptance rates at threshold ``t``.
-
-    A record is accepted when its score exceeds ``t``, so the rates are
-    ``1 - F_k(t)``.
-    """
-    _require_two_groups(g)
-    r0 = 1.0 - g.distribution(0).cdf(t)
-    r1 = 1.0 - g.distribution(1).cdf(t)
-    return float(c.value(r0, r1))
 
 
 def cost_bias(g: GroupedScores, c: CostFunction, mu: ThresholdMeasure) -> float:

@@ -126,22 +126,32 @@ def _out_dir(path_str) -> Path:
     return out
 
 
-def _load_dataset(path, label, group, two_groups=False) -> Dataset:
-    """Load one CSV; with ``two_groups``, reject a file with more than two
-    groups (the bias metrics and the sweep compare group 0 with group 1)."""
+def _both_classes(ds, path, label):
+    """Reject a split whose labels are all one class: a model fit to it has
+    nothing to learn, and its AUC is undefined."""
+    if np.unique(ds.y).size < 2:
+        raise ValueError(f"{path}: every record has label {ds.y[0]:g} in column {label!r}; both 0 and 1 are needed")
+
+
+def _load_dataset(path, label, group, scored=False) -> Dataset:
+    """Load one CSV; with ``scored`` (a split that a frontier is scored on),
+    reject a file with more than two groups (the bias metrics and the sweep
+    compare group 0 with group 1) or with one class (AUC needs both)."""
     ds = load_csv(path, label_column=label, group_column=group)
-    n_groups = np.unique(ds.g).size if two_groups else 0
-    if n_groups > 2:
-        raise ValueError(f"{path}: {n_groups} groups in column {group!r}; only two are supported")
+    if scored:
+        n_groups = np.unique(ds.g).size
+        if n_groups > 2:
+            raise ValueError(f"{path}: {n_groups} groups in column {group!r}; only two are supported")
+        _both_classes(ds, path, label)
     return ds
 
 
-def _load_splits(resolved, two_groups=False) -> list:
+def _load_splits(resolved, scored=False) -> list:
     """Load whichever of train and test is named, imputing missing cells with
     means fitted on train (on test when there is no train), so every
     downstream stage sees finite values."""
     splits = [
-        _load_dataset(path, resolved["label"], resolved["group"], two_groups) if path else None
+        _load_dataset(path, resolved["label"], resolved["group"], scored) if path else None
         for path in (resolved["train"], resolved.get("test"))
     ]
     present = [ds for ds in splits if ds is not None]
@@ -209,6 +219,7 @@ def _select_by_gap_rule(entries):
 
 def cmd_train_base(resolved, manifest, out):
     train_ds, test_ds = _load_splits(resolved)
+    _both_classes(train_ds, resolved["train"], resolved["label"])
     valid = (test_ds.X, test_ds.y) if test_ds is not None else None
     manifest.stage("load")
 
@@ -344,7 +355,7 @@ def cmd_mitigate(resolved, manifest, out):
         loss=resolved["loss"],
         seed=resolved["seed"],
     )
-    train_ds, test_ds = _load_splits(resolved, two_groups=True)
+    train_ds, test_ds = _load_splits(resolved, scored=True)
     model = Ensemble.load(resolved["base"])
     manifest.stage("load")
 
@@ -408,9 +419,9 @@ def cmd_evaluate(resolved, manifest, out):
     enc = EncoderMatrix.load(f"{enc_prefix}.csv", f"{enc_prefix}.json")
     model = Ensemble.load(base_path)
     candidates = [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
+    train_ds, test_ds = _load_splits({**resolved, "label": doc["label"], "group": doc["group"]}, scored=True)
     manifest.stage("load")
 
-    train_ds, test_ds = _load_splits({**resolved, "label": doc["label"], "group": doc["group"]}, two_groups=True)
     fam_train = _reevaluated_family(enc, model, train_ds)
     fam_test = _reevaluated_family(enc, model, test_ds)
     points = _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, doc["method"])
@@ -420,7 +431,7 @@ def cmd_evaluate(resolved, manifest, out):
 
 def cmd_baseline_rescale(resolved, manifest, out):
     omegas = np.linspace(0.0, _nonnegative(resolved, "omega-max"), _at_least_one(resolved, "omegas"))
-    train_ds, test_ds = _load_splits(resolved, two_groups=True)
+    train_ds, test_ds = _load_splits(resolved, scored=True)
     model = Ensemble.load(resolved["base"])
     if resolved["features"] == "all":
         selected = list(range(train_ds.X.shape[1]))
@@ -472,7 +483,7 @@ def cmd_baseline_rescale(resolved, manifest, out):
 
 def cmd_baseline_ot(resolved, manifest, out):
     thetas = np.linspace(0.0, 1.0, _at_least_one(resolved, "thetas"))
-    train_ds, test_ds = _load_splits(resolved, two_groups=True)
+    train_ds, test_ds = _load_splits(resolved, scored=True)
     model = Ensemble.load(resolved["base"])
     manifest.stage("load")
     proj = ot_projection(

@@ -216,7 +216,9 @@ def save_sidecar(dataset: Dataset, path, extra: dict = None):
 
 
 def load_csv(path, label_column="label", group_column="group") -> Dataset:
-    """Numeric CSV with a header; empty cells are missing values.
+    """Numeric CSV with a header.  An empty feature cell is a missing value,
+    the only marker of one; a cell that parses to NaN or an infinity is an
+    error.
 
     Labels must be binary 0/1; group codes are arbitrary integers remapped to
     0..K-1 with 0 the most frequent group.
@@ -249,11 +251,14 @@ def load_csv(path, label_column="label", group_column="group") -> Dataset:
                 X[r, c] = np.nan
                 continue
             try:
-                X[r, c] = float(cell)
+                value = float(cell)
             except ValueError:
                 raise ValueError(
                     f"{path}: non-numeric cell {cell!r} at row {r + 2}, column {header[i]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: non-finite cell {cell!r} at row {r + 2}, column {header[i]!r}")
+            X[r, c] = value
         try:
             y[r] = float(row[label_idx])
         except ValueError:
@@ -262,7 +267,7 @@ def load_csv(path, label_column="label", group_column="group") -> Dataset:
             raise ValueError(f"{path}: non-binary label {row[label_idx]!r} at row {r + 2}")
         try:
             g_raw[r] = int(float(row[group_idx]))
-        except ValueError:
+        except (ValueError, OverflowError):  # int() of NaN, of an infinity
             raise ValueError(f"{path}: non-integer group at row {r + 2}") from None
 
     codes, counts = np.unique(g_raw, return_counts=True)

@@ -1,7 +1,7 @@
 """Exact empirical-distribution machinery.
 
-Weighted discrete distributions on the real line: right- and left-continuous
-CDFs, generalized inverses, exact one-dimensional transport costs via the
+Weighted discrete distributions on the real line: the CDF and its left
+limit, the generalized inverse (quantile), the Wasserstein-1 distance via the
 monotone (quantile) coupling, and the Kolmogorov-Smirnov distance.
 
 Every integral here is evaluated exactly on a merged breakpoint grid, where
@@ -174,20 +174,6 @@ class EmpiricalDistribution:
         out = self.values[np.minimum(idx, self.size - 1)]
         return float(out) if p.ndim == 0 else out
 
-    def quantile_right(self, p):
-        """Right-continuous realization of the quantile on (0, 1)."""
-        p = np.asarray(p, dtype=float)
-        if np.any(p <= 0) or np.any(p >= 1):
-            raise ValueError("right-continuous quantile level must lie in (0, 1)")
-        idx = np.searchsorted(self.cum_weights, p, side="right")
-        out = self.values[np.minimum(idx, self.size - 1)]
-        return float(out) if p.ndim == 0 else out
-
-    def sample(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Inverse-CDF sampling of ``n`` draws."""
-        u = rng.random(n)
-        return self.quantile(np.clip(u, np.finfo(float).tiny, 1.0))
-
 
 def _merged_levels(d0: EmpiricalDistribution, d1: EmpiricalDistribution):
     """Union of both cumulative-weight grids; quantiles are constant between
@@ -205,19 +191,6 @@ def wasserstein1(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
     ps, widths = _merged_levels(d0, d1)
     gap = d0.quantile(ps) - d1.quantile(ps)
     return float(np.sum(widths * np.abs(gap)))
-
-
-def transport_cost(d0: EmpiricalDistribution, d1: EmpiricalDistribution, h: CostFunction) -> float:
-    """Minimal transport cost for a convex difference cost ``h``.
-
-    The monotone (quantile) coupling is optimal in one dimension, so the cost
-    is the exact integral of ``h`` over the quantile gap.
-    """
-    if not h.is_h_form:
-        raise ValueError("transport cost requires an abs or square cost")
-    ps, widths = _merged_levels(d0, d1)
-    gap = d0.quantile(ps) - d1.quantile(ps)
-    return float(np.sum(widths * h.h(gap)))
 
 
 def ks_distance(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:

@@ -250,14 +250,14 @@ def _additive_columns(X, state) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def tree_pca_encoders(ensemble: Ensemble, X, r: int, row_cap: int = PCA_ROW_CAP) -> EncoderMatrix:
+def tree_pca_encoders(ensemble: Ensemble, X, r: int) -> EncoderMatrix:
     """Top-r principal components of the per-tree output matrix.
 
     Zero-variance trees are excluded before the eigendecomposition.  Each
     loading vector is sign-fixed so its largest-magnitude coordinate is
     positive; loadings and column means are stored so the components can be
-    reproduced on new records exactly.  Rows beyond ``row_cap`` are thinned
-    on an evenly spaced index grid before the covariance is formed.
+    reproduced on new records exactly.  Rows beyond ``PCA_ROW_CAP`` are
+    thinned on an evenly spaced index grid before the covariance is formed.
     """
     if ensemble.n_trees < 1:
         raise ValueError("ensemble must contain at least one tree")
@@ -272,8 +272,8 @@ def tree_pca_encoders(ensemble: Ensemble, X, r: int, row_cap: int = PCA_ROW_CAP)
     if r > kept.size:
         raise ValueError(f"only {kept.size} trees have varying output, cannot take {r} components")
     sub = outputs
-    if X.shape[0] > row_cap:
-        sub = outputs[np.linspace(0, X.shape[0] - 1, row_cap).astype(np.intp)]
+    if X.shape[0] > PCA_ROW_CAP:
+        sub = outputs[np.linspace(0, X.shape[0] - 1, PCA_ROW_CAP).astype(np.intp)]
     sub = sub[:, kept]
     means = sub.mean(axis=0)
     centered = sub - means
@@ -323,10 +323,7 @@ def exact_marginal_shapley(predict, X, background) -> ExplanationSet:
         raise ValueError("background must be a nonempty record matrix")
     n = X.shape[1]
     if n > EXACT_SHAPLEY_MAX_FEATURES:
-        raise ValueError(
-            f"{n} features exceed the exact enumeration cap of "
-            f"{EXACT_SHAPLEY_MAX_FEATURES}; use sampled_marginal_shapley"
-        )
+        raise ValueError(f"{n} features exceed the exact enumeration cap of {EXACT_SHAPLEY_MAX_FEATURES}")
     n_subsets = 1 << n
     reference = float(np.mean(predict(background)))
     weights = np.array([math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n) for k in range(n)])
@@ -353,53 +350,21 @@ def exact_marginal_shapley(predict, X, background) -> ExplanationSet:
     return ExplanationSet(phi, reference)
 
 
-def sampled_marginal_shapley(
-    predict, X, background, n_permutations: int = 128, seed: int = 0
-) -> ExplanationSet:
-    """Monte Carlo permutation estimate of the marginal Shapley values."""
-    X = np.asarray(X, dtype=float)
-    background = np.asarray(background, dtype=float)
-    n = X.shape[1]
-    rng = np.random.default_rng(seed)
-    reference = float(np.mean(predict(background)))
-    phi = np.zeros((X.shape[0], n))
-    for x_idx in range(X.shape[0]):
-        x = X[x_idx]
-        for _ in range(n_permutations):
-            perm = rng.permutation(n)
-            hybrid = background.copy()
-            prev_val = reference
-            for i in perm:
-                hybrid[:, i] = x[i]
-                cur_val = float(np.mean(predict(hybrid)))
-                phi[x_idx, i] += cur_val - prev_val
-                prev_val = cur_val
-    phi /= n_permutations
-    return ExplanationSet(phi, reference)
-
-
-def shapley_encoders(
-    predict,
-    X,
-    background=None,
-    background_size: int = DEFAULT_BACKGROUND_SIZE,
-    seed: int = 0,
-) -> EncoderMatrix:
+def shapley_encoders(predict, X, background_size: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0) -> EncoderMatrix:
     """Columns {1} U {phi_i(x)} of exact marginal Shapley values.
 
     Columns are centered to mean zero on the build records (the centering
-    constants are stored).  When no background is supplied, one is drawn from
-    the build records with a fixed seed.
+    constants are stored).  The background is ``background_size`` build
+    records drawn with ``seed``.
     """
     X = np.asarray(X, dtype=float)
-    if background is None:
-        rng = np.random.default_rng(seed)
-        take = min(background_size, X.shape[0])
-        background = X[rng.choice(X.shape[0], size=take, replace=False)]
+    rng = np.random.default_rng(seed)
+    take = min(background_size, X.shape[0])
+    background = X[rng.choice(X.shape[0], size=take, replace=False)]
     values = exact_marginal_shapley(predict, X, background).values
     centers = values.mean(axis=0)
     names = ["const"] + [f"shapley:x{i}" for i in range(X.shape[1])]
-    provenance = {"kind": "shapley", "background": np.asarray(background, dtype=float), "phi_centers": centers}
+    provenance = {"kind": "shapley", "background": background, "phi_centers": centers}
     return _finish(_shapley_columns(values, provenance), names, provenance, np.concatenate(([0.0], centers)))
 
 

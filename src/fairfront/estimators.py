@@ -28,15 +28,20 @@ only the random selection of threshold/pool samples is frozen.  ``bias_value_and
 row sets in one ``family.scores_and_grad`` call and hands the cotangents to
 the pullback it returns, so any family with ``scores`` and
 ``scores_and_grad`` will do.
+
+The oracles these estimators are checked against (the exact relaxed bias of
+an atomic population and the convergence-rate probe) are test code, in
+``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import CostFunction, EmpiricalDistribution
+from .distributions import CostFunction
 from .relaxation import RelaxationFamily
 
 _VARIANTS = (
@@ -54,6 +59,8 @@ _POOL_VARIANTS = ("invariant-mc", "invariant-kde-discrete", "invariant-energy-re
 # bounded whatever the threshold or pool count, and a block's few matrices
 # stay in cache and are reused by the allocator
 _GRID_CELLS = 1 << 16
+# a grid step is 1/n for a whole n up to this relative error (1/129 in floats is not exact)
+_STEP_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -89,6 +96,14 @@ class BiasEstimatorSpec:
         if not isinstance(count, (int, np.integer)):
             if not 0.0 < count < 1.0:
                 raise ValueError(f"grid step must lie in (0, 1), got {count}")
+            steps = 1.0 / count
+            if abs(steps - round(steps)) > _STEP_RTOL * steps:
+                # the grid keeps the step, so any other step ends short of 1 or beyond it
+                near = sorted({max(2, math.floor(steps)), math.ceil(steps)})
+                raise ValueError(
+                    f"grid step {count} does not divide [0, 1] into whole steps; "
+                    f"use {' or '.join(f'1/{n}' for n in near)}"
+                )
             count = self.grid_shape()[0]
         if count < 2:
             raise ValueError("need at least two thresholds")
@@ -138,24 +153,6 @@ class EstimatorBatch:
             np.flatnonzero(groups == 1),
             np.arange(groups.size),
         )
-
-
-def b_hat(family, theta, group_index_sets, t: float, relaxation: RelaxationFamily):
-    """Relaxed CDF-gap statistic at one threshold, on link-space family scores.
-
-    Value is ``mean_{group 1} r_s(u - t) - mean_{group 0} r_s(u - t)`` with
-    ``u`` the family's link-space score (a probability under the logistic
-    link); always in [-1, 1].  The gradient is exact: each score's cotangent
-    is ``+-r_s'(u_i - t) / m_k``, pulled back by the family.
-    """
-    idx0, idx1 = (np.asarray(ix, dtype=np.intp).ravel() for ix in group_index_sets)
-    if idx0.size == 0 or idx1.size == 0:
-        raise ValueError("both groups must be nonempty in the batch")
-    u, pullback = family.scores_and_grad(theta, np.concatenate((idx0, idx1)))
-    (R,), (P,) = relaxation.grid(u, [t], need_prime=True)
-    m0 = idx0.size
-    value = R[m0:].mean() - R[:m0].mean()
-    return float(value), pullback(np.concatenate((-P[:m0] / m0, P[m0:] / idx1.size)))
 
 
 def _threshold_average(spec, u0, u1, thresholds, weights, need_grad=True, scored=False):
@@ -370,176 +367,3 @@ def bias_value_and_grad(
     if not need_grad:
         return value, None
     return value, pullback(np.concatenate(cot))
-
-
-# ---------------------------------------------------------------------------
-# Rate probe: empirical mean-squared-error ladders against the exact relaxed
-# bias of a known atomic population.  Uses the ramp relaxation, for which
-# both the estimator (via prefix sums) and the population integral (piecewise
-# linear segments) evaluate exactly without dense threshold-by-score grids.
-# ---------------------------------------------------------------------------
-
-
-def _ramp_prefix(dist: EmpiricalDistribution):
-    w = np.concatenate(([0.0], np.cumsum(dist.weights)))
-    wv = np.concatenate(([0.0], np.cumsum(dist.weights * dist.values)))
-    return w, wv
-
-
-def _ramp_mean(values, w_prefix, wv_prefix, t, s):
-    """mean/weighted-mean of ramp r_s(z - t) for sorted atoms, vector t."""
-    t = np.asarray(t, dtype=float)
-    hi = np.searchsorted(values, t + 1.0 / s, side="left")
-    lo = np.searchsorted(values, t, side="right")
-    full = w_prefix[-1] - w_prefix[hi]
-    win_w = w_prefix[hi] - w_prefix[lo]
-    win_wv = wv_prefix[hi] - wv_prefix[lo]
-    return full + s * (win_wv - t * win_w)
-
-
-def relaxed_gap_curve(pop0: EmpiricalDistribution, pop1: EmpiricalDistribution, s: float):
-    """Population relaxed CDF gap B_s(t) as a fast callable (ramp family)."""
-    w0, wv0 = _ramp_prefix(pop0)
-    w1, wv1 = _ramp_prefix(pop1)
-
-    def gap(t):
-        return _ramp_mean(pop1.values, w1, wv1, t, s) - _ramp_mean(pop0.values, w0, wv0, t, s)
-
-    return gap
-
-
-def exact_relaxed_bias_uniform(
-    pop0: EmpiricalDistribution,
-    pop1: EmpiricalDistribution,
-    s: float,
-    cost: CostFunction,
-) -> float:
-    """Exact integral over [0, 1] of h(B_s(t)) for the ramp relaxation.
-
-    B_s is piecewise linear with breakpoints at every atom z and at z - 1/s,
-    so the integral reduces to closed forms per segment: exact Simpson for
-    the square cost, root-splitting for the absolute cost.
-    """
-    if not cost.is_h_form:
-        raise ValueError("requires an abs or square cost")
-    gap = relaxed_gap_curve(pop0, pop1, s)
-    atoms = np.concatenate((pop0.values, pop1.values))
-    bps = np.concatenate((atoms, atoms - 1.0 / s, [0.0, 1.0]))
-    bps = np.unique(np.clip(bps, 0.0, 1.0))
-    a, b = bps[:-1], bps[1:]
-    keep = b > a
-    a, b = a[keep], b[keep]
-    Ba, Bb = gap(a), gap(b)
-    seg = b - a
-    if cost.kind == "square":
-        Bm = gap((a + b) / 2.0)
-        return float(np.sum(seg / 6.0 * (Ba * Ba + 4.0 * Bm * Bm + Bb * Bb)))
-    same_sign = Ba * Bb >= 0.0
-    trap = seg * (np.abs(Ba) + np.abs(Bb)) / 2.0
-    denom = np.abs(Ba) + np.abs(Bb)
-    denom = np.where(denom == 0.0, 1.0, denom)
-    t_cross = a + seg * np.abs(Ba) / denom
-    split = (np.abs(Ba) * (t_cross - a) + np.abs(Bb) * (b - t_cross)) / 2.0
-    return float(np.sum(np.where(same_sign, trap, split)))
-
-
-def discrete_grid_value(pop0, pop1, s: float, cost: CostFunction, T: int) -> float:
-    """Population rectangle-rule value on the uniform grid (no sampling)."""
-    gap = relaxed_gap_curve(pop0, pop1, s)
-    grid = (np.arange(T) + 1.0) / T
-    return float(np.mean(cost.h(gap(grid))))
-
-
-def estimator_rate_probe(
-    spec: BiasEstimatorSpec,
-    pop0: EmpiricalDistribution,
-    pop1: EmpiricalDistribution,
-    t_ladder,
-    n_reps: int = 200,
-    seed: int = 0,
-    coupling: float = 1.0,
-):
-    """Empirical MSE ladder for the Monte Carlo and grid threshold estimators.
-
-    For each threshold count T in the ladder the per-group sample size m is
-    coupled to T the way the convergence analysis prescribes: m = T/c for the
-    Monte Carlo variant and m = (T / (c (1+s)))**2 for the grid variant.
-    Ground truth is the exact relaxed bias of the atomic populations.
-    Returns one row dict (m, T, s, mse) per ladder entry.
-    """
-    if spec.variant not in ("threshold-mc", "threshold-discrete"):
-        raise ValueError("rate probe covers threshold-mc and threshold-discrete")
-    if spec.relaxation.kind != "ramp":
-        raise ValueError("rate probe uses the ramp relaxation")
-    for pop in (pop0, pop1):
-        if pop.values[0] < 0.0 or pop.values[-1] > 1.0:
-            raise ValueError("populations must be supported in [0, 1]")
-    s = spec.relaxation.scale
-    truth = exact_relaxed_bias_uniform(pop0, pop1, s, spec.cost)
-    rng = np.random.default_rng(seed)
-    rows = []
-    for T in t_ladder:
-        T = int(T)
-        if spec.variant == "threshold-mc":
-            m = max(2, int(round(T / coupling)))
-        else:
-            m = max(2, int(round((T / (coupling * (1.0 + s))) ** 2)))
-        errs = np.empty(n_reps)
-        uniform = np.full(m, 1.0 / m)
-        for rep in range(n_reps):
-            z0 = np.sort(pop0.sample(rng, m))
-            z1 = np.sort(pop1.sample(rng, m))
-            w0 = np.concatenate(([0.0], np.cumsum(uniform)))
-            wv0 = np.concatenate(([0.0], np.cumsum(uniform * z0)))
-            w1 = np.concatenate(([0.0], np.cumsum(uniform)))
-            wv1 = np.concatenate(([0.0], np.cumsum(uniform * z1)))
-            if spec.variant == "threshold-mc":
-                ts = rng.random(T)
-            else:
-                ts = (np.arange(T) + 1.0) / T
-            bhat = _ramp_mean(z1, w1, wv1, ts, s) - _ramp_mean(z0, w0, wv0, ts, s)
-            errs[rep] = np.mean(spec.cost.h(bhat)) - truth
-        rows.append({"m": m, "T": T, "s": s, "mse": float(np.mean(errs * errs))})
-    return rows
-
-
-def fit_loglog_slope(rows, x_key="T", y_key="mse") -> float:
-    """Least-squares slope of log(y) against log(x) over the probe rows."""
-    x = np.log([row[x_key] for row in rows])
-    y = np.log([row[y_key] for row in rows])
-    return float(np.polyfit(x, y, 1)[0])
-
-
-def grid_bias_ladder(
-    s_values,
-    T: int,
-    cost: CostFunction,
-    n_dists: int = 40,
-    n_atoms: int = 6,
-    seed: int = 0,
-):
-    """Mean deterministic grid error over random atomic populations, per scale.
-
-    Isolates the discretization bias term of the grid estimator: no sampling,
-    the populations themselves are evaluated on the grid and compared with
-    the exact relaxed bias.  Averaging over distributions removes the
-    aliasing between atoms and grid points that makes single-draw errors
-    oscillate in s.
-    """
-    rng = np.random.default_rng(seed)
-    pops = []
-    for _ in range(n_dists):
-        pops.append(
-            (
-                EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, n_atoms)),
-                EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, n_atoms)),
-            )
-        )
-    out = []
-    for s in s_values:
-        errs = [
-            abs(discrete_grid_value(p0, p1, s, cost, T) - exact_relaxed_bias_uniform(p0, p1, s, cost))
-            for p0, p1 in pops
-        ]
-        out.append({"s": float(s), "T": T, "mean_abs_bias": float(np.mean(errs))})
-    return out

@@ -44,11 +44,6 @@ class FrontierPoint:
             if getattr(self, name) < 0:
                 raise ValueError(f"negative bias metric {name}")
 
-    @property
-    def auc_loss(self) -> float:
-        """Loss-oriented AUC for filtering the (KS bias, AUC) pairing."""
-        return 1.0 - self.auc
-
 
 def _midranks(values) -> np.ndarray:
     """1-based ranks of ``values`` with each tie group given its mean rank
@@ -111,15 +106,16 @@ def evaluate(candidates, family, labels, groups, split: str, method: str):
     return points
 
 
-def pareto_filter(points, bias_axis: str = "w1_bias", perf_axis: str = "ce"):
+def pareto_filter(points):
     """Weakly dominated points removed; survivors sorted by bias ascending.
 
-    A point is dropped when another has bias and loss both no worse and one
-    strictly better; exact metric-pair duplicates collapse to one.
+    A point is dropped when another has W1 bias and cross-entropy both no
+    worse and one strictly better; exact metric-pair duplicates collapse to
+    one.
     """
     if not points:
         raise ValueError("no points to filter")
-    coords = [(getattr(p, bias_axis), getattr(p, perf_axis)) for p in points]
+    coords = [(p.w1_bias, p.ce) for p in points]
     order = sorted(range(len(points)), key=lambda i: coords[i])
     kept = []
     best_loss = np.inf
@@ -133,12 +129,6 @@ def pareto_filter(points, bias_axis: str = "w1_bias", perf_axis: str = "ce"):
         kept.append(points[i])
         best_loss = loss
     return kept
-
-
-def frontier_value(points, bias_axis: str, perf_axis: str, budget: float) -> float:
-    """Best loss achievable within a bias budget; inf when unreachable."""
-    feasible = [getattr(p, perf_axis) for p in points if getattr(p, bias_axis) <= budget]
-    return min(feasible) if feasible else np.inf
 
 
 CSV_HEADER = ["method", "omega", "split", "ce", "auc", "w1_bias", "ks_bias", "inv_bias", "theta_json"]
@@ -262,12 +252,3 @@ def write_frontier_svg(points, path):
     )
     with open(path, "w") as fh:
         fh.write(svg)
-
-
-def embedded_svg_table(path) -> str:
-    """The data table embedded in a frontier SVG (for comparisons)."""
-    with open(path) as fh:
-        text = fh.read()
-    start = text.index("<!--DATA\n") + len("<!--DATA\n")
-    end = text.index("\nDATA-->")
-    return text[start:end]

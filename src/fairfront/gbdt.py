@@ -190,7 +190,6 @@ class Ensemble:
     learning_rate: float
     trees: list = field(default_factory=list)
     n_features: int = 0
-    link: str = "logistic"
     # (trees packed, their packing); trees are not modified once added
     _packing: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -232,7 +231,8 @@ class Ensemble:
             "base_margin": self.base_margin,
             "learning_rate": self.learning_rate,
             "n_features": self.n_features,
-            "link": self.link,
+            # the only link: predict_proba is the sigmoid of the margin
+            "link": "logistic",
             "trees": [
                 {
                     "feature": t.feature.tolist(),
@@ -253,6 +253,9 @@ class Ensemble:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("kind") != "fairfront-gbdt":
             raise ValueError("not an ensemble document")
+        link = _field(doc, "link", "ensemble", str)
+        if link != "logistic":
+            raise ValueError(f"ensemble: 'link' must be 'logistic', got {link!r}")
         trees = [
             Tree(*(_node_array(t, i, name, dtype) for name, dtype in _TREE_FIELDS))
             for i, t in enumerate(_field(doc, "trees", "ensemble", list))
@@ -266,7 +269,6 @@ class Ensemble:
             _field(doc, "learning_rate", "ensemble", _NUMBER),
             trees,
             _field(doc, "n_features", "ensemble", int),
-            _field(doc, "link", "ensemble", str),
         )
         ensemble._packed()  # checks the structure of every tree
         return ensemble

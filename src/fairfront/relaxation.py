@@ -1,4 +1,4 @@
-"""Smooth relaxations of the Heaviside step and the relaxed empirical CDF.
+"""Smooth relaxations of the Heaviside step.
 
 A relaxation family r_s is a nondecreasing [0, 1]-valued surrogate for the
 indicator 1{z > 0} with Lipschitz constant growing like the scale s.  The
@@ -103,18 +103,3 @@ def logistic(scale: float) -> RelaxationFamily:
 
 def shifted_logistic(scale: float) -> RelaxationFamily:
     return RelaxationFamily("shifted-logistic", scale)
-
-
-def relaxed_cdf(scores, t, family: RelaxationFamily):
-    """Relaxed CDF ``1 - mean_i r_s(z_i - t)`` at thresholds ``t``.
-
-    Nondecreasing and Lipschitz in ``t`` with the family's constant; converges
-    to the empirical CDF as the scale grows (at atoms the ramp converges to
-    F(t) while the plain logistic converges to F(t) - P(Z=t)/2).
-    """
-    scores = np.asarray(scores, dtype=float).ravel()
-    if scores.size == 0:
-        raise ValueError("empty scores")
-    t = np.asarray(t, dtype=float)
-    vals = 1.0 - family.grid(scores, t)[0].mean(axis=1)
-    return float(vals[0]) if t.ndim == 0 else vals

@@ -1,0 +1,255 @@
+"""Reference implementations that the tests compare the package against.
+
+None of these runs in the pipeline.  They are exact or brute-force forms of
+quantities the package computes another way, or probes of an estimator's
+statistical behaviour:
+
+* the rate probe: empirical mean-squared-error ladders of the Monte Carlo and
+  grid threshold estimators against the exact relaxed bias of a known atomic
+  population (acceptance criterion 3), with inverse-CDF ``sample``;
+* ``transport_cost``, ``classifier_bias`` and ``relaxed_cdf``: the monotone
+  transport cost, the single-threshold bias and the relaxed empirical CDF;
+* ``frontier_value`` and ``embedded_svg_table``: reading a frontier at a bias
+  budget, and the data table a frontier SVG embeds.
+"""
+
+import numpy as np
+
+from fairfront.bias_metrics import GroupedScores, _require_two_groups
+from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, _merged_levels
+from fairfront.estimators import BiasEstimatorSpec
+from fairfront.relaxation import RelaxationFamily
+
+
+def sample(dist: EmpiricalDistribution, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Inverse-CDF sampling of ``n`` draws."""
+    u = rng.random(n)
+    return dist.quantile(np.clip(u, np.finfo(float).tiny, 1.0))
+
+
+def transport_cost(d0: EmpiricalDistribution, d1: EmpiricalDistribution, h: CostFunction) -> float:
+    """Minimal transport cost for a convex difference cost ``h``.
+
+    The monotone (quantile) coupling is optimal in one dimension, so the cost
+    is the exact integral of ``h`` over the quantile gap.
+    """
+    if not h.is_h_form:
+        raise ValueError("transport cost requires an abs or square cost")
+    ps, widths = _merged_levels(d0, d1)
+    gap = d0.quantile(ps) - d1.quantile(ps)
+    return float(np.sum(widths * h.h(gap)))
+
+
+def classifier_bias(g: GroupedScores, t: float, c: CostFunction = ABS) -> float:
+    """Cost between group acceptance rates at threshold ``t``.
+
+    A record is accepted when its score exceeds ``t``, so the rates are
+    ``1 - F_k(t)``.
+    """
+    _require_two_groups(g)
+    r0 = 1.0 - g.distribution(0).cdf(t)
+    r1 = 1.0 - g.distribution(1).cdf(t)
+    return float(c.value(r0, r1))
+
+
+def relaxed_cdf(scores, t, family: RelaxationFamily):
+    """Relaxed CDF ``1 - mean_i r_s(z_i - t)`` at thresholds ``t``.
+
+    Nondecreasing and Lipschitz in ``t`` with the family's constant; converges
+    to the empirical CDF as the scale grows (at atoms the ramp converges to
+    F(t) while the plain logistic converges to F(t) - P(Z=t)/2).
+    """
+    scores = np.asarray(scores, dtype=float).ravel()
+    if scores.size == 0:
+        raise ValueError("empty scores")
+    t = np.asarray(t, dtype=float)
+    vals = 1.0 - family.grid(scores, t)[0].mean(axis=1)
+    return float(vals[0]) if t.ndim == 0 else vals
+
+
+def frontier_value(points, bias_axis: str, perf_axis: str, budget: float) -> float:
+    """Best loss achievable within a bias budget; inf when unreachable."""
+    feasible = [getattr(p, perf_axis) for p in points if getattr(p, bias_axis) <= budget]
+    return min(feasible) if feasible else np.inf
+
+
+def embedded_svg_table(path) -> str:
+    """The data table embedded in a frontier SVG (for comparisons)."""
+    with open(path) as fh:
+        text = fh.read()
+    start = text.index("<!--DATA\n") + len("<!--DATA\n")
+    end = text.index("\nDATA-->")
+    return text[start:end]
+
+
+# ---------------------------------------------------------------------------
+# Rate probe: empirical mean-squared-error ladders against the exact relaxed
+# bias of a known atomic population.  Uses the ramp relaxation, for which
+# both the estimator (via prefix sums) and the population integral (piecewise
+# linear segments) evaluate exactly without dense threshold-by-score grids.
+# ---------------------------------------------------------------------------
+
+
+def _ramp_prefix(dist: EmpiricalDistribution):
+    w = np.concatenate(([0.0], np.cumsum(dist.weights)))
+    wv = np.concatenate(([0.0], np.cumsum(dist.weights * dist.values)))
+    return w, wv
+
+
+def _ramp_mean(values, w_prefix, wv_prefix, t, s):
+    """mean/weighted-mean of ramp r_s(z - t) for sorted atoms, vector t."""
+    t = np.asarray(t, dtype=float)
+    hi = np.searchsorted(values, t + 1.0 / s, side="left")
+    lo = np.searchsorted(values, t, side="right")
+    full = w_prefix[-1] - w_prefix[hi]
+    win_w = w_prefix[hi] - w_prefix[lo]
+    win_wv = wv_prefix[hi] - wv_prefix[lo]
+    return full + s * (win_wv - t * win_w)
+
+
+def relaxed_gap_curve(pop0: EmpiricalDistribution, pop1: EmpiricalDistribution, s: float):
+    """Population relaxed CDF gap B_s(t) as a fast callable (ramp family)."""
+    w0, wv0 = _ramp_prefix(pop0)
+    w1, wv1 = _ramp_prefix(pop1)
+
+    def gap(t):
+        return _ramp_mean(pop1.values, w1, wv1, t, s) - _ramp_mean(pop0.values, w0, wv0, t, s)
+
+    return gap
+
+
+def exact_relaxed_bias_uniform(
+    pop0: EmpiricalDistribution,
+    pop1: EmpiricalDistribution,
+    s: float,
+    cost: CostFunction,
+) -> float:
+    """Exact integral over [0, 1] of h(B_s(t)) for the ramp relaxation.
+
+    B_s is piecewise linear with breakpoints at every atom z and at z - 1/s,
+    so the integral reduces to closed forms per segment: exact Simpson for
+    the square cost, root-splitting for the absolute cost.
+    """
+    if not cost.is_h_form:
+        raise ValueError("requires an abs or square cost")
+    gap = relaxed_gap_curve(pop0, pop1, s)
+    atoms = np.concatenate((pop0.values, pop1.values))
+    bps = np.concatenate((atoms, atoms - 1.0 / s, [0.0, 1.0]))
+    bps = np.unique(np.clip(bps, 0.0, 1.0))
+    a, b = bps[:-1], bps[1:]
+    keep = b > a
+    a, b = a[keep], b[keep]
+    Ba, Bb = gap(a), gap(b)
+    seg = b - a
+    if cost.kind == "square":
+        Bm = gap((a + b) / 2.0)
+        return float(np.sum(seg / 6.0 * (Ba * Ba + 4.0 * Bm * Bm + Bb * Bb)))
+    same_sign = Ba * Bb >= 0.0
+    trap = seg * (np.abs(Ba) + np.abs(Bb)) / 2.0
+    denom = np.abs(Ba) + np.abs(Bb)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    t_cross = a + seg * np.abs(Ba) / denom
+    split = (np.abs(Ba) * (t_cross - a) + np.abs(Bb) * (b - t_cross)) / 2.0
+    return float(np.sum(np.where(same_sign, trap, split)))
+
+
+def discrete_grid_value(pop0, pop1, s: float, cost: CostFunction, T: int) -> float:
+    """Population rectangle-rule value on the uniform grid (no sampling)."""
+    gap = relaxed_gap_curve(pop0, pop1, s)
+    grid = (np.arange(T) + 1.0) / T
+    return float(np.mean(cost.h(gap(grid))))
+
+
+def estimator_rate_probe(
+    spec: BiasEstimatorSpec,
+    pop0: EmpiricalDistribution,
+    pop1: EmpiricalDistribution,
+    t_ladder,
+    n_reps: int = 200,
+    seed: int = 0,
+    coupling: float = 1.0,
+):
+    """Empirical MSE ladder for the Monte Carlo and grid threshold estimators.
+
+    For each threshold count T in the ladder the per-group sample size m is
+    coupled to T the way the convergence analysis prescribes: m = T/c for the
+    Monte Carlo variant and m = (T / (c (1+s)))**2 for the grid variant.
+    Ground truth is the exact relaxed bias of the atomic populations.
+    Returns one row dict (m, T, s, mse) per ladder entry.
+    """
+    if spec.variant not in ("threshold-mc", "threshold-discrete"):
+        raise ValueError("rate probe covers threshold-mc and threshold-discrete")
+    if spec.relaxation.kind != "ramp":
+        raise ValueError("rate probe uses the ramp relaxation")
+    for pop in (pop0, pop1):
+        if pop.values[0] < 0.0 or pop.values[-1] > 1.0:
+            raise ValueError("populations must be supported in [0, 1]")
+    s = spec.relaxation.scale
+    truth = exact_relaxed_bias_uniform(pop0, pop1, s, spec.cost)
+    rng = np.random.default_rng(seed)
+    rows = []
+    for T in t_ladder:
+        T = int(T)
+        if spec.variant == "threshold-mc":
+            m = max(2, int(round(T / coupling)))
+        else:
+            m = max(2, int(round((T / (coupling * (1.0 + s))) ** 2)))
+        errs = np.empty(n_reps)
+        uniform = np.full(m, 1.0 / m)
+        for rep in range(n_reps):
+            z0 = np.sort(sample(pop0, rng, m))
+            z1 = np.sort(sample(pop1, rng, m))
+            w0 = np.concatenate(([0.0], np.cumsum(uniform)))
+            wv0 = np.concatenate(([0.0], np.cumsum(uniform * z0)))
+            w1 = np.concatenate(([0.0], np.cumsum(uniform)))
+            wv1 = np.concatenate(([0.0], np.cumsum(uniform * z1)))
+            if spec.variant == "threshold-mc":
+                ts = rng.random(T)
+            else:
+                ts = (np.arange(T) + 1.0) / T
+            bhat = _ramp_mean(z1, w1, wv1, ts, s) - _ramp_mean(z0, w0, wv0, ts, s)
+            errs[rep] = np.mean(spec.cost.h(bhat)) - truth
+        rows.append({"m": m, "T": T, "s": s, "mse": float(np.mean(errs * errs))})
+    return rows
+
+
+def fit_loglog_slope(rows, x_key="T", y_key="mse") -> float:
+    """Least-squares slope of log(y) against log(x) over the probe rows."""
+    x = np.log([row[x_key] for row in rows])
+    y = np.log([row[y_key] for row in rows])
+    return float(np.polyfit(x, y, 1)[0])
+
+
+def grid_bias_ladder(
+    s_values,
+    T: int,
+    cost: CostFunction,
+    n_dists: int = 40,
+    n_atoms: int = 6,
+    seed: int = 0,
+):
+    """Mean deterministic grid error over random atomic populations, per scale.
+
+    Isolates the discretization bias term of the grid estimator: no sampling,
+    the populations themselves are evaluated on the grid and compared with
+    the exact relaxed bias.  Averaging over distributions removes the
+    aliasing between atoms and grid points that makes single-draw errors
+    oscillate in s.
+    """
+    rng = np.random.default_rng(seed)
+    pops = []
+    for _ in range(n_dists):
+        pops.append(
+            (
+                EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, n_atoms)),
+                EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, n_atoms)),
+            )
+        )
+    out = []
+    for s in s_values:
+        errs = [
+            abs(discrete_grid_value(p0, p1, s, cost, T) - exact_relaxed_bias_uniform(p0, p1, s, cost))
+            for p0, p1 in pops
+        ]
+        out.append({"s": float(s), "T": T, "mean_abs_bias": float(np.mean(errs))})
+    return out

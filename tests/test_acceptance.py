@@ -22,15 +22,8 @@ from fairfront.bias_metrics import (
 from fairfront.data import generate_m1, split
 from fairfront.distributions import ABS, SQUARE, EmpiricalDistribution, wasserstein1
 from fairfront.encoders import additive_encoders, tree_pca_encoders
-from fairfront.estimators import (
-    BiasEstimatorSpec,
-    EstimatorBatch,
-    bias_value_and_grad,
-    estimator_rate_probe,
-    fit_loglog_slope,
-    grid_bias_ladder,
-)
-from fairfront.frontier import evaluate, frontier_value, pareto_filter, score_metrics
+from fairfront.estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
+from fairfront.frontier import evaluate, pareto_filter, score_metrics
 from fairfront.gbdt import GBDTParams, train
 from fairfront.linear_family import LinearFamily
 from fairfront.optimizer import (
@@ -41,6 +34,7 @@ from fairfront.optimizer import (
     sgd_sweep,
 )
 from fairfront.relaxation import logistic, ramp
+from oracles import estimator_rate_probe, fit_loglog_slope, frontier_value, grid_bias_ladder
 
 UNIFORM = ThresholdMeasure.uniform01()
 

@@ -6,7 +6,6 @@ from fairfront.bias_metrics import (
     GroupedScores,
     ThresholdMeasure,
     _transformed_group_w1,
-    classifier_bias,
     cost_bias,
     invariant_bias,
     multi_attribute_bias,
@@ -16,9 +15,9 @@ from fairfront.distributions import (
     ABS,
     SQUARE,
     EmpiricalDistribution,
-    transport_cost,
     wasserstein1,
 )
+from oracles import classifier_bias, transport_cost
 
 UNIFORM = ThresholdMeasure.uniform01()
 

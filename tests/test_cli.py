@@ -12,7 +12,8 @@ from pathlib import Path
 import pytest
 
 from fairfront.cli import main
-from fairfront.frontier import embedded_svg_table, read_frontier_csv
+from fairfront.frontier import read_frontier_csv
+from oracles import embedded_svg_table
 
 
 @pytest.fixture(scope="module")
@@ -654,6 +655,14 @@ class TestFailedRunManifest:
             ),
             pytest.param("mitigate", ["--epochs", "-1"], 1, "n_epochs must be nonnegative, got -1", id="epochs-negative"),
             pytest.param("mitigate", ["--batches", "0"], 1, "n_batches must be at least 1, got 0", id="batches-0"),
+            pytest.param(
+                "mitigate", ["--grid-step", "0.03"], 1,
+                "grid step 0.03 does not divide [0, 1] into whole steps; use 1/33 or 1/34", id="grid-step-0.03",
+            ),
+            pytest.param(
+                "mitigate", ["--grid-step", "0.6"], 1,
+                "grid step 0.6 does not divide [0, 1] into whole steps; use 1/2", id="grid-step-0.6",
+            ),
         ],
     )
     def test_empty_omega_ladder_fails_before_any_stage(
@@ -678,6 +687,72 @@ class TestFailedRunManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == "rates and batch sizes must be positive"
         assert manifest["timings"] == {}
+
+
+class TestUnusableSplit:
+    """A split with one class, or with a non-finite feature cell, fails
+    before any stage: exit 1, an error line naming the file, and the
+    manifest as the only file."""
+
+    @pytest.fixture(scope="class")
+    def bad(self, workspace, tmp_path_factory):
+        _, data, _ = workspace
+        rows = list(csv.reader((data / "train.csv").open()))
+        label = rows[0].index("label")
+        root = tmp_path_factory.mktemp("unusable")
+        one_class = [rows[0]] + [row for row in rows[1:] if row[label] == "1"]
+        non_finite = [list(row) for row in rows]
+        non_finite[4][1] = "inf"
+        paths = {"one-class": root / "one-class.csv", "non-finite": root / "non-finite.csv"}
+        for name, table in (("one-class", one_class), ("non-finite", non_finite)):
+            with paths[name].open("w", newline="") as fh:
+                csv.writer(fh).writerows(table)
+        return paths
+
+    @pytest.fixture(scope="class")
+    def run(self, workspace):
+        return run_mitigate(workspace, "run-unusable")
+
+    @pytest.mark.parametrize(
+        "command, split, kind",
+        [
+            (["train-base", "--rounds", "5"], "--train", "one-class"),
+            (["mitigate"], "--train", "one-class"),
+            (["mitigate"], "--test", "one-class"),
+            (["baseline-rescale", "--iterations", "5"], "--test", "one-class"),
+            (["baseline-ot", "--rounds", "5"], "--train", "one-class"),
+            (["evaluate"], "--test", "one-class"),
+            (["train-base", "--rounds", "5"], "--train", "non-finite"),
+            (["mitigate", "--method", "additive"], "--train", "non-finite"),
+            (["mitigate", "--method", "tree-pca"], "--test", "non-finite"),
+        ],
+        ids=lambda v: v if isinstance(v, str) else v[0],
+    )
+    def test_fails_before_any_stage(self, workspace, bad, run, tmp_path, capsys, command, split, kind):
+        _, data, model_dir = workspace
+        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv")]
+        if command[0] != "train-base":
+            flags += ["--base", str(model_dir / "model.json")]
+        if command[0] == "evaluate":
+            flags += ["--candidates", str(run / "candidates.json")]
+        out = tmp_path / "out"
+        assert main([*command, *flags, split, str(bad[kind]), "--out", str(out)]) == 1
+        if kind == "one-class":
+            error = f"{bad[kind]}: every record has label 1 in column 'label'; both 0 and 1 are needed"
+        else:
+            error = f"{bad[kind]}: non-finite cell 'inf' at row 5, column 'x2'"
+        assert f"error: {error}\n" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == error
+        assert manifest["timings"] == {}
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
+    def test_encode_reads_a_one_class_split(self, workspace, bad, tmp_path):
+        # shapley-encode builds on a small slice, which may hold one class
+        _, _, model_dir = workspace
+        out = tmp_path / "out"
+        flags = ["--train", str(bad["one-class"]), "--base", str(model_dir / "model.json"), "--out", str(out)]
+        assert main(["encode", "--method", "tree-pca", "--components", "2", *flags]) == 0
 
 
 class TestMismatchedReevaluation:

@@ -138,6 +138,22 @@ class TestCsv:
         with pytest.raises(ValueError, match="row 2, column 'b'"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "NaN", "1e999"])
+    def test_non_finite_cell_reported_with_location(self, tmp_path, cell):
+        # an empty cell is the only missing-value marker
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b,label,group\n1.0,,0,0\n2.0,{cell},1,1\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: non-finite cell {cell!r} at row 3, column 'b'"
+
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    def test_non_finite_group_reported(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,label,group\n1,0,0\n2,1,{cell}\n")
+        with pytest.raises(ValueError, match="non-integer group at row 3"):
+            load_csv(path)
+
     def test_group_codes_remapped_majority_first(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,label,group\n1,0,7\n2,1,7\n3,0,3\n")

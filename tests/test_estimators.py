@@ -10,20 +10,18 @@ from scipy.integrate import quad
 from fairfront import estimators
 from fairfront.bias_metrics import GroupedScores, ThresholdMeasure, cost_bias
 from fairfront.distributions import ABS, SQUARE, EmpiricalDistribution
-from fairfront.estimators import (
-    grid_bias_ladder,
-    BiasEstimatorSpec,
-    EstimatorBatch,
-    b_hat,
-    bias_value_and_grad,
+from fairfront.estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
+from fairfront.linear_family import LinearFamily
+from fairfront.relaxation import RelaxationFamily, logistic, ramp
+from oracles import (
     discrete_grid_value,
     estimator_rate_probe,
     exact_relaxed_bias_uniform,
     fit_loglog_slope,
+    grid_bias_ladder,
     relaxed_gap_curve,
+    sample,
 )
-from fairfront.linear_family import LinearFamily
-from fairfront.relaxation import RelaxationFamily, logistic, ramp
 
 UNIFORM = ThresholdMeasure.uniform01()
 
@@ -52,9 +50,9 @@ def jacobian(family, theta, rows=None):
     return -W * (u * (1.0 - u))[:, None]
 
 
-def logistic_family(rng, n, n_extra=3, spread=1.0):
+def logistic_family(rng, n, n_extra=3):
     return LinearFamily(
-        rng.normal(0.0, spread, n), np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(n_extra)])
+        rng.normal(0.0, 1.0, n), np.column_stack([np.ones(n)] + [rng.normal(size=n) for _ in range(n_extra)])
     )
 
 
@@ -87,67 +85,6 @@ class TestScoreSpacePullback:
             LinearFamily([bad, 1.0, 0.0], np.ones((3, 1)))
 
 
-class TestBHat:
-    def test_identical_groups_zero(self):
-        fam = identity_family([0.3, 0.7, 0.3, 0.7])
-        value, grad = b_hat(fam, [0.2], ([0, 1], [2, 3]), 0.5, ramp(3.0))
-        assert value == 0.0
-        assert np.allclose(grad, 0.0)
-
-    def test_single_points(self):
-        fam = identity_family([0.0, 1.0])
-        value, _ = b_hat(fam, [0.0], ([0], [1]), 0.5, ramp(1.0))
-        assert value == pytest.approx(0.5)
-
-    def test_value_bounded(self):
-        rng = np.random.default_rng(0)
-        fam = identity_family(rng.normal(size=30), n_extra=2, rng=rng)
-        for t in (-1.0, 0.0, 0.7):
-            value, _ = b_hat(fam, rng.normal(size=3), (np.arange(15), np.arange(15, 30)), t, logistic(8.0))
-            assert -1.0 <= value <= 1.0
-
-    def test_gradient_matches_finite_difference(self):
-        rng = np.random.default_rng(5)
-        fam = identity_family(rng.normal(size=40), n_extra=3, rng=rng)
-        groups = (np.arange(20), np.arange(20, 40))
-        for _ in range(5):
-            theta = rng.normal(size=4)
-            _, grad = b_hat(fam, theta, groups, 0.3, logistic(4.0))
-            h = 1e-5
-            fd = np.zeros(4)
-            for j in range(4):
-                e = np.zeros(4)
-                e[j] = h
-                up, _ = b_hat(fam, theta + e, groups, 0.3, logistic(4.0))
-                dn, _ = b_hat(fam, theta - e, groups, 0.3, logistic(4.0))
-                fd[j] = (up - dn) / (2 * h)
-            assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
-
-    def test_logistic_link_gradient_matches_finite_difference(self):
-        # the threshold applies to probabilities, the gradient carries the link slope
-        rng = np.random.default_rng(7)
-        fam = logistic_family(rng, 40, spread=1.5)
-        groups = (np.arange(20), np.arange(20, 40))
-        for t in (0.3, 0.6):
-            theta = rng.normal(0.0, 0.5, 4)
-            value, grad = b_hat(fam, theta, groups, t, logistic(6.0))
-            u = fam.scores(theta)
-            r = logistic(6.0).r
-            assert value == pytest.approx(r(u[20:] - t).mean() - r(u[:20] - t).mean(), abs=1e-14)
-            h = 1e-6
-            fd = np.array([
-                (b_hat(fam, theta + e, groups, t, logistic(6.0))[0] - b_hat(fam, theta - e, groups, t, logistic(6.0))[0])
-                / (2 * h)
-                for e in h * np.eye(4)
-            ])
-            assert np.linalg.norm(grad - fd) <= 1e-6 * max(np.linalg.norm(fd), 1e-12)
-
-    def test_empty_group_rejected(self):
-        fam = identity_family([0.0, 1.0])
-        with pytest.raises(ValueError):
-            b_hat(fam, [0.0], ([], [1]), 0.5, ramp(1.0))
-
-
 class TestSpecValidation:
     def test_variant_checked(self):
         with pytest.raises(ValueError):
@@ -160,6 +97,9 @@ class TestSpecValidation:
     def test_threshold_scheme(self):
         assert BiasEstimatorSpec(thresholds=129).grid_shape() == (129, pytest.approx(1 / 129))
         assert BiasEstimatorSpec(thresholds=1 / 64).grid_shape() == (64, pytest.approx(1 / 64))
+        # a step is 1/n up to float rounding
+        for n in (33, 129, 4096):
+            assert BiasEstimatorSpec(thresholds=1 / n).grid_shape() == (n, 1 / n)
         with pytest.raises(ValueError):
             BiasEstimatorSpec(thresholds=1)
 
@@ -172,8 +112,10 @@ class TestSpecValidation:
             (np.inf, "grid step must lie in (0, 1), got inf"),
             (-0.1, "grid step must lie in (0, 1), got -0.1"),
             (0, "need at least two thresholds"),
+            (0.03, "grid step 0.03 does not divide [0, 1] into whole steps; use 1/33 or 1/34"),
+            (0.6, "grid step 0.6 does not divide [0, 1] into whole steps; use 1/2"),
         ],
-        ids=["zero", "underflow", "nan", "inf", "negative", "count-0"],
+        ids=["zero", "underflow", "nan", "inf", "negative", "count-0", "step-0.03", "step-0.6"],
     )
     def test_bad_scheme_rejected_before_division(self, thresholds, message):
         with pytest.raises(ValueError) as info:
@@ -312,8 +254,8 @@ class TestEstimatorValues:
         m = 24
         raw_err = unb_err = 0.0
         for _ in range(400):
-            z0 = pop0.sample(rng, m)
-            z1 = pop1.sample(rng, m)
+            z0 = sample(pop0, rng, m)
+            z1 = sample(pop1, rng, m)
             fam = identity_family(np.concatenate([z0, z1]))
             raw_err += bias_value_and_grad(spec_raw, fam, [0.0], batch_of(m, m))[0] - truth
             unb_err += bias_value_and_grad(spec_unb, fam, [0.0], batch_of(m, m))[0] - truth

@@ -1,14 +1,11 @@
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairfront.frontier import (
     FrontierPoint,
     _midranks,
-    embedded_svg_table,
     evaluate,
-    frontier_value,
     pareto_filter,
     rank_auc,
     read_frontier_csv,
@@ -17,6 +14,7 @@ from fairfront.frontier import (
     write_frontier_svg,
 )
 from fairfront.linear_family import LinearFamily
+from oracles import embedded_svg_table, frontier_value
 
 
 def point(bias, loss, method="m", omega=0.0):
@@ -164,13 +162,6 @@ class TestParetoFilter:
         assert frontier_value(pts, "w1_bias", "ce", 0.3) == 2.0
         assert frontier_value(pts, "w1_bias", "ce", 0.6) == 1.0
         assert frontier_value(pts, "w1_bias", "ce", 0.05) == np.inf
-
-    def test_ks_auc_pairing_filters_on_auc_loss(self):
-        better_rank = FrontierPoint("m", 0.0, "test", 1.0, 0.9, 0.2, 0.2, 0.2)
-        worse_rank = FrontierPoint("m", 0.1, "test", 0.5, 0.6, 0.2, 0.2, 0.2)
-        kept = pareto_filter([better_rank, worse_rank], bias_axis="ks_bias", perf_axis="auc_loss")
-        assert kept == [better_rank]
-        assert better_rank.auc_loss == pytest.approx(0.1)
 
 
 class TestPersistence:

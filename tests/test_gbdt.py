@@ -438,6 +438,9 @@ class TestSerialization:
             (lambda doc: doc.pop("learning_rate"), "ensemble: missing key 'learning_rate'"),
             (lambda doc: doc.__setitem__("n_features", "2"), "ensemble: 'n_features' has type str"),
             (lambda doc: doc.__setitem__("trees", {}), "ensemble: 'trees' has type dict"),
+            (lambda doc: doc.pop("link"), "ensemble: missing key 'link'"),
+            (lambda doc: doc.__setitem__("link", "identity"), "ensemble: 'link' must be 'logistic', got 'identity'"),
+            (lambda doc: doc.__setitem__("link", "banana"), "ensemble: 'link' must be 'logistic', got 'banana'"),
         ],
     )
     def test_rejects_missing_and_mistyped_keys(self, edit, message):
