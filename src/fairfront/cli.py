@@ -258,9 +258,7 @@ def _build_encoders(resolved, model, train_ds) -> EncoderMatrix:
         return additive_encoders(
             train_ds.X, degree=resolved["degree"], basis=resolved["basis"], feature_names=train_ds.feature_names
         )
-    return shapley_encoders(
-        model.predict_raw, train_ds.X, background_size=resolved["background"], seed=resolved["seed"]
-    )
+    return shapley_encoders(model, train_ds.X, background_size=resolved["background"], seed=resolved["seed"])
 
 
 def _save_encoders(enc, out, manifest):

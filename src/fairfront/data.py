@@ -266,8 +266,11 @@ def load_csv(path, label_column="label", group_column="group") -> Dataset:
         if y[r] not in (0.0, 1.0):
             raise ValueError(f"{path}: non-binary label {row[label_idx]!r} at row {r + 2}")
         try:
-            g_raw[r] = int(float(row[group_idx]))
-        except (ValueError, OverflowError):  # int() of NaN, of an infinity
+            group = float(row[group_idx])
+            if not group.is_integer():  # a fraction, NaN or an infinity
+                raise ValueError
+            g_raw[r] = int(group)
+        except (ValueError, OverflowError):  # OverflowError: a whole number beyond int64
             raise ValueError(f"{path}: non-integer group at row {r + 2}") from None
 
     codes, counts = np.unique(g_raw, return_counts=True)

@@ -5,7 +5,11 @@ combination corrects a trained model.  Three constructions are provided:
 
 * additive polynomial corrections per feature (monomial or Legendre basis),
 * principal components of the per-tree outputs of a boosted ensemble,
-* exact marginal Shapley attributions of the base model.
+* exact marginal Shapley attributions of the base model, by interventional
+  TreeSHAP over the ensemble's leaves: O((records + background) * leaves * D
+  + leaves * 4^D * D) for paths testing at most D distinct features, with no
+  2^F factor and no cap on the feature count F.  The coalition enumeration
+  it replaced is the oracle of the tests (``tests/oracles.py``).
 
 Each kind is a fit that returns its frozen provenance (affine ranges, PCA
 loadings, Shapley background and centres) and one column function mapping
@@ -28,16 +32,18 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .gbdt import Ensemble, per_tree_outputs
+from .gbdt import Ensemble, leaf_boxes, per_tree_outputs
 from .linear_family import LinearFamily
 
 PCA_ROW_CAP = 50_000
 # rows re-evaluated at once by tree-pca, so no (records x trees) matrix is formed
 _TREE_PCA_ROWS = 1024
-EXACT_SHAPLEY_MAX_FEATURES = 16
 DEFAULT_BACKGROUND_SIZE = 256
-# records explained at once; each coalition forms a (records x background x features) hybrid
-_SHAPLEY_CHUNK = 64
+# TreeSHAP tabulates 4^D * D coalition weights and takes 4^D * D products per
+# leaf for paths testing D distinct features: past 8, minutes per hundred trees
+_MAX_PATH_FEATURES = 8
+# cells of one TreeSHAP work array: (leaves, 2^D * D) tables, (records, slots) gathers
+_TREESHAP_CELLS = 1 << 18
 _ZERO_VAR = 1e-15
 
 
@@ -183,7 +189,7 @@ def _state_columns(state, X, model) -> np.ndarray:
             rows = slice(start, start + _TREE_PCA_ROWS)
             columns[rows] = _tree_pca_columns(per_tree_outputs(model, X[rows]), state)
         return columns
-    return _shapley_columns(exact_marginal_shapley(model.predict_raw, X, state["background"]).values, state)
+    return _shapley_columns(exact_marginal_shapley(model, X, state["background"]).values, state)
 
 
 # --------------------------------------------------------------------------
@@ -310,48 +316,110 @@ def _tree_pca_columns(outputs, state) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 
-def exact_marginal_shapley(predict, X, background) -> ExplanationSet:
+def exact_marginal_shapley(model: Ensemble, X, background) -> ExplanationSet:
     """Exact Shapley attributions of the marginal-expectation game.
 
     The game value of a coalition S at record x is the background average of
-    the model with the S-features pinned to x.  All 2^n coalitions are
-    enumerated, so the feature count is capped at 16.
+    the model with the S-features pinned to x.  This is the interventional
+    TreeSHAP of Lundberg et al. (2020), read off the ensemble's leaves.
+
+    A leaf's path tests at most D distinct features, its slots; a record's
+    mask at the leaf is the set of slots it meets (paths with fewer than D
+    slots are padded with slots every record meets).  For one record x and
+    one background record z, a hybrid reaches the leaf only when every slot
+    is met by x or by z.  Then, with a slots met by x alone and b by z
+    alone, the leaf value v, times the learning rate, goes
+    (a-1)! b! / (a+b)! to each of the a features and -a! (b-1)! / (a+b)! to
+    each of the b.  So the background enters only through a histogram of
+    its masks at each leaf: ``_pair_weights`` tabulates every (mask, mask)
+    pair once, and one product with the histograms gives each leaf's
+    expected attributions at each mask of x.  A record then reads one table
+    entry per slot and adds it to the slot's feature, in slot order, so its
+    attributions do not depend on the other records of its block.  The cost
+    is O((records + background) * leaves * D + leaves * 4^D * D).
     """
     X = np.asarray(X, dtype=float)
     background = np.asarray(background, dtype=float)
     if background.ndim != 2 or background.shape[0] == 0:
         raise ValueError("background must be a nonempty record matrix")
-    n = X.shape[1]
-    if n > EXACT_SHAPLEY_MAX_FEATURES:
-        raise ValueError(f"{n} features exceed the exact enumeration cap of {EXACT_SHAPLEY_MAX_FEATURES}")
-    n_subsets = 1 << n
-    reference = float(np.mean(predict(background)))
-    weights = np.array([math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n) for k in range(n)])
-    phi = np.zeros((X.shape[0], n))
-    for start in range(0, X.shape[0], _SHAPLEY_CHUNK):
-        rows = slice(start, start + _SHAPLEY_CHUNK)
-        Xc = X[rows]
-        c = Xc.shape[0]
-        v = np.empty((c, n_subsets))
-        for mask in range(n_subsets):
-            if mask == 0:
-                v[:, 0] = reference
-                continue
-            s_idx = [i for i in range(n) if mask >> i & 1]
-            hybrid = np.broadcast_to(background, (c,) + background.shape).copy()
-            hybrid[:, :, s_idx] = Xc[:, None, s_idx]
-            v[:, mask] = predict(hybrid.reshape(-1, n)).reshape(c, -1).mean(axis=1)
-        for i in range(n):
-            for mask in range(n_subsets):
-                if mask >> i & 1:
-                    continue
-                size = bin(mask).count("1")
-                phi[rows, i] += weights[size] * (v[:, mask | (1 << i)] - v[:, mask])
+    model._check_features(X)
+    reference = float(np.mean(model.predict_raw(background)))
+    values, lo, hi = leaf_boxes(model)
+    tested = (lo > -np.inf) | (hi < np.inf)
+    depth = int(tested.sum(axis=1).max(initial=0))
+    if depth > _MAX_PATH_FEATURES:
+        raise ValueError(
+            f"a tree path tests {depth} distinct features; TreeSHAP tables grow as 4^{depth}, "
+            f"more than {_MAX_PATH_FEATURES} are not supported"
+        )
+    # slot d of leaf l: its d-th tested feature, then untested ones (met by every record)
+    feature = np.argsort(~tested, axis=1, kind="stable")[:, :depth]
+    lo, hi = np.take_along_axis(lo, feature, axis=1), np.take_along_axis(hi, feature, axis=1)
+    slot_leaf, slot = np.nonzero(np.take_along_axis(tested, feature, axis=1))
+    slot_feature = feature[slot_leaf, slot]
+    weights = _pair_weights(depth).reshape(1 << depth, -1)
+    scale = model.learning_rate * values / background.shape[0]
+    phi = np.zeros(X.shape)
+    n_features = X.shape[1]
+    block_leaves = max(1, _TREESHAP_CELLS // max(weights.shape[1], 1))
+    for first in range(0, values.size, block_leaves):
+        n_leaves = min(block_leaves, values.size - first)
+        leaves = slice(first, first + n_leaves)
+        in_block = slice(*np.searchsorted(slot_leaf, [first, first + n_leaves]))
+        leaf, d = slot_leaf[in_block] - first, slot[in_block]
+        rows = max(1, _TREESHAP_CELLS // max(n_leaves * depth, 1))
+        counts = np.zeros(n_leaves << depth)  # background masks per leaf
+        for start in range(0, background.shape[0], rows):
+            masks = _slot_masks(background[start:start + rows], feature[leaves], lo[leaves], hi[leaves])
+            counts += np.bincount((masks + (np.arange(n_leaves) << depth)).ravel(), minlength=counts.size)
+        # (leaves, 2^D * D): each slot's expected attribution, per mask of x
+        table = (counts.reshape(n_leaves, -1) @ weights) * scale[leaves, None]
+        entry = (leaf << depth) * depth + d
+        for start in range(0, X.shape[0], rows):
+            masks = _slot_masks(X[start:start + rows], feature[leaves], lo[leaves], hi[leaves])
+            cell = np.arange(masks.shape[0])[:, None] * n_features + slot_feature[in_block]
+            gathered = table.ravel()[masks[:, leaf] * depth + entry]
+            # bincount adds in index order: each record's slots in slot order
+            phi[start:start + rows] += np.bincount(
+                cell.ravel(), gathered.ravel(), minlength=masks.shape[0] * n_features
+            ).reshape(-1, n_features)
     return ExplanationSet(phi, reference)
 
 
-def shapley_encoders(predict, X, background_size: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0) -> EncoderMatrix:
-    """Columns {1} U {phi_i(x)} of exact marginal Shapley values.
+def _slot_masks(X, feature, lo, hi) -> np.ndarray:
+    """(records, leaves) masks: bit d is set where the record meets slot d,
+    the interval (lo, hi] of feature ``feature[:, d]``.  An infinite bound is
+    met by every value; NaN goes right at every test, so it fails a finite
+    ``hi`` and meets a finite ``lo``."""
+    masks = np.zeros((X.shape[0], feature.shape[0]), dtype=np.intp)
+    for d in range(feature.shape[1]):
+        x = X[:, feature[:, d]]
+        meets = (x <= hi[:, d]) | (hi[:, d] == np.inf)
+        meets &= ~(x <= lo[:, d]) | (lo[:, d] == -np.inf)
+        masks += meets * (1 << d)
+    return masks
+
+
+def _pair_weights(depth) -> np.ndarray:
+    """(2^D, 2^D, D) table: entry [mz, mx, d] is slot d's share of a leaf of
+    unit value, for a record with mask mx against a background record with
+    mask mz (zero unless mx | mz holds every slot)."""
+    bits = (np.arange(1 << depth)[:, None] >> np.arange(depth)) & 1 == 1
+    x_only = bits[None, :, :] & ~bits[:, None, :]
+    z_only = bits[:, None, :] & ~bits[None, :, :]
+    covered = (bits[None, :, :] | bits[:, None, :]).all(axis=2, keepdims=True)
+    a = x_only.sum(axis=2, keepdims=True)
+    b = z_only.sum(axis=2, keepdims=True)
+    fact = np.array([math.factorial(k) for k in range(depth + 1)], dtype=float)
+    gain = fact[np.maximum(a - 1, 0)] * fact[b] / fact[a + b]
+    loss = fact[a] * fact[np.maximum(b - 1, 0)] / fact[a + b]
+    return np.where(covered & x_only, gain, np.where(covered & z_only, -loss, 0.0))
+
+
+def shapley_encoders(
+    model: Ensemble, X, background_size: int = DEFAULT_BACKGROUND_SIZE, seed: int = 0
+) -> EncoderMatrix:
+    """Columns {1} U {phi_i(x)} of exact marginal Shapley values of ``model``.
 
     Columns are centered to mean zero on the build records (the centering
     constants are stored).  The background is ``background_size`` build
@@ -361,7 +429,7 @@ def shapley_encoders(predict, X, background_size: int = DEFAULT_BACKGROUND_SIZE,
     rng = np.random.default_rng(seed)
     take = min(background_size, X.shape[0])
     background = X[rng.choice(X.shape[0], size=take, replace=False)]
-    values = exact_marginal_shapley(predict, X, background).values
+    values = exact_marginal_shapley(model, X, background).values
     centers = values.mean(axis=0)
     names = ["const"] + [f"shapley:x{i}" for i in range(X.shape[1])]
     provenance = {"kind": "shapley", "background": background, "phi_centers": centers}

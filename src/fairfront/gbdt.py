@@ -322,6 +322,37 @@ def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:
     return outputs
 
 
+def leaf_boxes(ensemble: Ensemble):
+    """Every leaf of every tree as ``(values, lo, hi)``.
+
+    ``values`` (L,) holds the raw leaf values; ``lo`` and ``hi`` (L, F) hold
+    the box of each leaf's path, the intersection of its tests: a record
+    reaches leaf ``l`` exactly when every feature ``f`` has
+    ``not x_f <= lo[l, f]`` (right at each right turn) and
+    ``x_f <= hi[l, f]`` (left at each left turn).  An infinite bound marks a
+    feature the path never tests in that direction, and every value meets
+    it.  NaN fails ``<=``, so it goes right at every test, as in the walk.
+    """
+    packed = ensemble._packed()
+    node = packed.roots
+    lo = np.full((node.size, ensemble.n_features), -np.inf)
+    hi = np.full((node.size, ensemble.n_features), np.inf)
+    for _ in range(packed.depth):
+        left, right = packed.child[2 * node], packed.child[2 * node + 1]
+        split = left != node  # a leaf is its own child
+        test = packed.test[node[split]]
+        paths = np.arange(test.size)
+        feature, threshold = packed.feature[test], packed.threshold[test]
+        lo_left, hi_left = lo[split], hi[split]  # copies (boolean indexing)
+        hi_left[paths, feature] = np.minimum(hi_left[paths, feature], threshold)
+        lo_right, hi_right = lo[split], hi[split]
+        lo_right[paths, feature] = np.maximum(lo_right[paths, feature], threshold)
+        node = np.concatenate([node[~split], left[split], right[split]])
+        lo = np.concatenate([lo[~split], lo_left, lo_right])
+        hi = np.concatenate([hi[~split], hi_left, hi_right])
+    return packed.value[node], lo, hi
+
+
 def _best_split(xs, ws, wgs, w_total, wg_total, min_leaf):
     """Exact split search on one node, every feature at once.
 

@@ -10,13 +10,18 @@ statistical behaviour:
 * ``transport_cost``, ``classifier_bias`` and ``relaxed_cdf``: the monotone
   transport cost, the single-threshold bias and the relaxed empirical CDF;
 * ``frontier_value`` and ``embedded_svg_table``: reading a frontier at a bias
-  budget, and the data table a frontier SVG embeds.
+  budget, and the data table a frontier SVG embeds;
+* ``enumerated_marginal_shapley``: marginal Shapley values of any predict
+  function by enumerating all 2^n coalitions, the reference for TreeSHAP.
 """
+
+import math
 
 import numpy as np
 
 from fairfront.bias_metrics import GroupedScores, _require_two_groups
 from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, _merged_levels
+from fairfront.encoders import ExplanationSet
 from fairfront.estimators import BiasEstimatorSpec
 from fairfront.relaxation import RelaxationFamily
 
@@ -253,3 +258,48 @@ def grid_bias_ladder(
         ]
         out.append({"s": float(s), "T": T, "mean_abs_bias": float(np.mean(errs))})
     return out
+
+
+EXACT_SHAPLEY_MAX_FEATURES = 16
+# records explained at once; each coalition forms a (records x background x features) hybrid
+_SHAPLEY_CHUNK = 64
+
+
+def enumerated_marginal_shapley(predict, X, background) -> ExplanationSet:
+    """Exact Shapley attributions of the marginal-expectation game.
+
+    The game value of a coalition S at record x is the background average of
+    the model with the S-features pinned to x.  All 2^n coalitions are
+    enumerated, so the feature count is capped at 16.
+    """
+    X = np.asarray(X, dtype=float)
+    background = np.asarray(background, dtype=float)
+    if background.ndim != 2 or background.shape[0] == 0:
+        raise ValueError("background must be a nonempty record matrix")
+    n = X.shape[1]
+    if n > EXACT_SHAPLEY_MAX_FEATURES:
+        raise ValueError(f"{n} features exceed the exact enumeration cap of {EXACT_SHAPLEY_MAX_FEATURES}")
+    n_subsets = 1 << n
+    reference = float(np.mean(predict(background)))
+    weights = np.array([math.factorial(k) * math.factorial(n - 1 - k) / math.factorial(n) for k in range(n)])
+    phi = np.zeros((X.shape[0], n))
+    for start in range(0, X.shape[0], _SHAPLEY_CHUNK):
+        rows = slice(start, start + _SHAPLEY_CHUNK)
+        Xc = X[rows]
+        c = Xc.shape[0]
+        v = np.empty((c, n_subsets))
+        for mask in range(n_subsets):
+            if mask == 0:
+                v[:, 0] = reference
+                continue
+            s_idx = [i for i in range(n) if mask >> i & 1]
+            hybrid = np.broadcast_to(background, (c,) + background.shape).copy()
+            hybrid[:, :, s_idx] = Xc[:, None, s_idx]
+            v[:, mask] = predict(hybrid.reshape(-1, n)).reshape(c, -1).mean(axis=1)
+        for i in range(n):
+            for mask in range(n_subsets):
+                if mask >> i & 1:
+                    continue
+                size = bin(mask).count("1")
+                phi[rows, i] += weights[size] * (v[:, mask | (1 << i)] - v[:, mask])
+    return ExplanationSet(phi, reference)

@@ -9,10 +9,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fairfront.cli import main
+from fairfront.encoders import EncoderMatrix
 from fairfront.frontier import read_frontier_csv
+from fairfront.gbdt import Ensemble
 from oracles import embedded_svg_table
 
 
@@ -334,6 +337,30 @@ class TestEncode:
         assert code == 1
         assert "error: tree 2: missing key 'threshold'" in capsys.readouterr().err
         assert not (out / "encoders.csv").exists()
+
+    def test_shapley_past_the_enumeration_cap(self, tmp_path):
+        # 20 features, beyond the 16 that the coalition enumeration took
+        rng = np.random.default_rng(40)
+        X = rng.normal(size=(300, 20))
+        y = (rng.random(300) < 0.3 + 0.4 * (X[:, 3] + X[:, 11] > 0)).astype(int)
+        path = tmp_path / "wide.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{i}" for i in range(20)] + ["label", "group"])
+            writer.writerows([*map(repr, row), label, i % 2] for i, (row, label) in enumerate(zip(X.tolist(), y)))
+        flags = ["--train", str(path), "--test", str(path), "--rounds", "30", "--depth", "3", "--min-leaf", "8"]
+        assert main(["train-base", *flags, "--out", str(tmp_path / "model")]) == 0
+        model_path = tmp_path / "model" / "model.json"
+        out = tmp_path / "enc"
+        code = main(["encode", "--method", "shapley", "--background", "40", "--train", str(path),
+                     "--base", str(model_path), "--out", str(out)])
+        assert code == 0
+        enc = EncoderMatrix.load(out / "encoders.csv", out / "encoders.json")
+        model = Ensemble.load(model_path)
+        assert enc.columns.shape == (300, 21)
+        phi = enc.columns[:, 1:] + enc.centers[1:]
+        reference = np.mean(model.predict_raw(enc.provenance["background"]))
+        assert np.max(np.abs(phi.sum(axis=1) + reference - model.predict_raw(X))) <= 1e-9
 
 
 class TestGroupCount:

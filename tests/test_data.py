@@ -154,6 +154,18 @@ class TestCsv:
         with pytest.raises(ValueError, match="non-integer group at row 3"):
             load_csv(path)
 
+    @pytest.mark.parametrize("cell", ["0.5", "1.9", "-0.5"])
+    def test_fractional_group_reported(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,label,group\n1,0,0\n2,1,1\n3,0,{cell}\n")
+        with pytest.raises(ValueError, match="non-integer group at row 4"):
+            load_csv(path)
+
+    def test_whole_group_written_as_a_float_loads(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("a,label,group\n1,0,2.0\n2,1,2\n3,0,0.0\n")
+        assert np.array_equal(load_csv(path).g, [0, 0, 1])
+
     def test_group_codes_remapped_majority_first(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("a,label,group\n1,0,7\n2,1,7\n3,0,3\n")

@@ -19,13 +19,25 @@ from fairfront.encoders import (
     shapley_encoders,
     tree_pca_encoders,
 )
-from fairfront.gbdt import GBDTParams, per_tree_outputs, train
+from fairfront.gbdt import Ensemble, GBDTParams, Tree, leaf_boxes, per_tree_outputs, train
+from oracles import enumerated_marginal_shapley
+from test_gbdt import random_tree
 
 
 def small_ensemble(rng, n=300, rounds=12):
     X = rng.normal(size=(n, 3))
     y = (rng.random(n) < 0.3 + 0.4 * (X[:, 0] > 0)).astype(float)
     return train(X, y, params=GBDTParams(depth=2, rounds=rounds, min_leaf=4.0)), X
+
+
+def stump(feature, threshold, left_value, right_value):
+    return Tree(
+        np.array([feature, -1, -1]),
+        np.array([threshold, 0.0, 0.0]),
+        np.array([1, -1, -1]),
+        np.array([2, -1, -1]),
+        np.array([0.0, left_value, right_value]),
+    )
 
 
 class TestAdditive:
@@ -167,7 +179,7 @@ class TestShapley:
         def f(Z):
             return Z[:, 0] + Z[:, 1]
 
-        expl = exact_marginal_shapley(f, X, bg)
+        expl = enumerated_marginal_shapley(f, X, bg)
         assert np.allclose(expl.values[:, 0], X[:, 0] - bg[:, 0].mean(), atol=1e-10)
         assert np.allclose(expl.values[:, 1], X[:, 1] - bg[:, 1].mean(), atol=1e-10)
 
@@ -179,7 +191,7 @@ class TestShapley:
         def f(Z):
             return Z[:, 0] * Z[:, 1] - 0.5 * Z[:, 2] ** 2 + Z[:, 0]
 
-        expl = exact_marginal_shapley(f, X, bg)
+        expl = enumerated_marginal_shapley(f, X, bg)
         assert np.allclose(expl.totals(), f(X) - np.mean(f(bg)), atol=1e-10)
 
     def test_product_model_hand_value(self):
@@ -190,30 +202,29 @@ class TestShapley:
         def f(Z):
             return Z[:, 0] * Z[:, 1]
 
-        expl = exact_marginal_shapley(f, x, bg)
+        expl = enumerated_marginal_shapley(f, x, bg)
         assert expl.values[0, 0] == pytest.approx(0.25)
         assert expl.values[0, 1] == pytest.approx(0.25)
 
     def test_null_player_has_zero_column(self):
+        # every tree splits on feature 0 only, so features 1 and 2 are null players
         rng = np.random.default_rng(8)
         X = rng.normal(size=(25, 3))
-
-        def f(Z):
-            return Z[:, 0] * 2.0  # ignores features 1 and 2
-
-        enc = shapley_encoders(f, X, background_size=16, seed=0)
+        trees = [stump(0, t, *rng.normal(size=2)) for t in rng.normal(size=6)]
+        enc = shapley_encoders(Ensemble(0.2, 0.5, trees, 3), X, background_size=16, seed=0)
+        assert np.max(np.abs(enc.columns[:, 1])) > 0.1
         assert np.max(np.abs(enc.columns[:, 2])) <= 1e-10
         assert np.max(np.abs(enc.columns[:, 3])) <= 1e-10
 
     def test_feature_cap_enforced(self):
         X = np.zeros((2, 17))
         with pytest.raises(ValueError, match="^17 features exceed the exact enumeration cap of 16$"):
-            exact_marginal_shapley(lambda Z: Z.sum(axis=1), X, X)
+            enumerated_marginal_shapley(lambda Z: Z.sum(axis=1), X, X)
 
     def test_reevaluation_reproduces_columns(self):
         rng = np.random.default_rng(11)
         model, X = small_ensemble(rng, n=80, rounds=6)
-        enc = shapley_encoders(model.predict_raw, X, background_size=12, seed=2)
+        enc = shapley_encoders(model, X, background_size=12, seed=2)
         again = enc.reevaluate(X, model=model)
         assert np.array_equal(again.columns, enc.columns)
         assert np.array_equal(again.centers, enc.centers)
@@ -222,16 +233,125 @@ class TestShapley:
         # with centered attribution columns, (1 - theta_i)-scaled parts sum
         # to the centered family score for any theta
         rng = np.random.default_rng(10)
-        X = rng.normal(size=(30, 3))
-
-        def f(Z):
-            return Z[:, 0] * Z[:, 1] + Z[:, 2]
-
-        enc = shapley_encoders(f, X, background_size=20, seed=3)
+        model, X = small_ensemble(rng, n=30, rounds=10)
+        enc = shapley_encoders(model, X, background_size=20, seed=3)
         theta = np.array([0.3, -0.4, 0.8, 0.2])
-        fam_scores = f(X) - enc.columns @ theta
+        fam_scores = model.predict_raw(X) - enc.columns @ theta
         parts = (1.0 - theta[1:])[None, :] * enc.columns[:, 1:]
         assert np.allclose(parts.sum(axis=1), fam_scores - fam_scores.mean(), atol=1e-8)
+
+
+class TestTreeShap:
+    """TreeSHAP over the leaves against the 2^n coalition enumeration."""
+
+    @staticmethod
+    def assert_agrees(model, X, background):
+        got = exact_marginal_shapley(model, X, background)
+        want = enumerated_marginal_shapley(model.predict_raw, X, background)
+        assert got.reference == want.reference
+        assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-9
+
+    @pytest.mark.parametrize("n_features", range(2, 9))
+    @pytest.mark.parametrize("depth", range(2, 6))
+    def test_random_ensembles_with_nan_cells(self, n_features, depth):
+        rng = np.random.default_rng(100 * n_features + depth)
+        trees = [random_tree(rng, depth, n_features, rng.normal(size=5)) for _ in range(6)]
+        model = Ensemble(0.3, 0.1, trees, n_features)
+        X = rng.normal(size=(7, n_features))
+        background = rng.normal(size=(5, n_features))
+        X[rng.random(X.shape) < 0.2] = np.nan
+        background[rng.random(background.shape) < 0.2] = np.nan
+        self.assert_agrees(model, X, background)
+
+    def test_path_splitting_twice_on_one_feature(self):
+        # feature 0 bounds the middle leaf from both sides, NaN goes right
+        # twice; infinite cells meet the unbounded side of every interval
+        tree = Tree(
+            np.array([0, -1, 0, 1, -1, -1, -1]),
+            np.array([-0.5, 0.0, 0.7, 0.1, 0.0, 0.0, 0.0]),
+            np.array([1, -1, 3, 4, -1, -1, -1]),
+            np.array([2, -1, 6, 5, -1, -1, -1]),
+            np.array([0.0, -1.0, 0.0, 0.0, 2.0, 3.0, 0.5]),
+        )
+        model = Ensemble(0.0, 1.0, [tree], 2)
+        grid = np.array([-np.inf, -1.0, -0.5, 0.0, 0.7, 1.0, np.inf, np.nan])
+        X = np.array([[a, b] for a in grid for b in grid])
+        self.assert_agrees(model, X, X[::5])
+
+    def test_one_row_background(self):
+        rng = np.random.default_rng(31)
+        model = Ensemble(0.1, 0.2, [random_tree(rng, 4, 4, rng.normal(size=5)) for _ in range(8)], 4)
+        X = rng.normal(size=(10, 4))
+        self.assert_agrees(model, X, rng.normal(size=(1, 4)))
+
+    def test_zero_trees_give_zero_attributions(self):
+        model = Ensemble(0.4, 0.1, [], 3)
+        X = np.random.default_rng(32).normal(size=(5, 3))
+        expl = exact_marginal_shapley(model, X, X[:2])
+        assert np.array_equal(expl.values, np.zeros((5, 3)))
+        assert expl.reference == 0.4
+        self.assert_agrees(model, X, X[:2])
+
+    def test_efficiency_past_the_enumeration_cap(self):
+        rng = np.random.default_rng(33)
+        X = rng.normal(size=(400, 24))
+        y = (rng.random(400) < 0.3 + 0.4 * (X[:, 5] > 0)).astype(float)
+        model = train(X, y, params=GBDTParams(depth=4, rounds=30, min_leaf=4.0))
+        expl = exact_marginal_shapley(model, X[:50], X[200:300])
+        assert np.max(np.abs(expl.totals() + expl.reference - model.predict_raw(X[:50]))) <= 1e-9
+
+    def test_rows_do_not_depend_on_their_block(self, monkeypatch):
+        rng = np.random.default_rng(34)
+        model = Ensemble(0.0, 0.3, [random_tree(rng, 4, 5, rng.normal(size=5)) for _ in range(40)], 5)
+        X = rng.normal(size=(60, 5))
+        X[rng.random(X.shape) < 0.1] = np.nan
+        whole = exact_marginal_shapley(model, X, X[:9]).values
+        for i in (0, 17, 59):
+            assert np.array_equal(exact_marginal_shapley(model, X[i:i + 1], X[:9]).values[0], whole[i])
+        order = rng.permutation(60)
+        assert np.array_equal(exact_marginal_shapley(model, X[order], X[:9]).values, whole[order])
+        # blocks of a few records and a few leaves: the same bits per leaf block
+        monkeypatch.setattr(encoders, "_TREESHAP_CELLS", 200)
+        small = exact_marginal_shapley(model, X, X[:9]).values
+        assert np.max(np.abs(small - whole)) <= 1e-12
+        assert np.array_equal(exact_marginal_shapley(model, X[order], X[:9]).values, small[order])
+
+    def test_works_in_blocks_of_rows(self, monkeypatch):
+        # no (records x leaves x slots) array: peak well under one of them
+        rng = np.random.default_rng(35)
+        model, X = small_ensemble(rng, n=3000, rounds=100)
+        monkeypatch.setattr(encoders, "_TREESHAP_CELLS", 1 << 14)
+        leaves = leaf_boxes(model)[0].size
+        tracemalloc.start()
+        try:
+            exact_marginal_shapley(model, X, X[:50])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.25 * X.shape[0] * leaves * 2 * 8  # depth-2 paths: 2 slots per leaf
+
+    @staticmethod
+    def chain(n):
+        """One tree whose leftmost path tests features 0..n-1 in turn."""
+        feature = np.array(list(range(n)) + [-1] * (n + 1))
+        left = np.array(list(range(1, n)) + [2 * n] + [-1] * (n + 1))
+        right = np.array(list(range(n, 2 * n)) + [-1] * (n + 1))
+        value = np.random.default_rng(n).normal(size=2 * n + 1)
+        return Ensemble(0.0, 1.0, [Tree(feature, np.zeros(2 * n + 1), left, right, value)], n)
+
+    def test_longest_supported_path(self):
+        X = np.random.default_rng(36).choice([-1.0, 1.0], size=(6, 8))
+        self.assert_agrees(self.chain(8), X, X[::2])
+
+    def test_longer_paths_rejected(self):
+        X = np.zeros((2, 9))
+        with pytest.raises(ValueError, match="^a tree path tests 9 distinct features; .* more than 8 are not"):
+            exact_marginal_shapley(self.chain(9), X, X)
+
+    def test_feature_count_checked(self):
+        model = Ensemble(0.0, 1.0, [stump(0, 0.0, 1.0, 2.0)], 2)
+        with pytest.raises(ValueError, match="expected 2 features"):
+            exact_marginal_shapley(model, np.zeros((3, 3)), np.zeros((2, 2)))
 
 
 class TestReconstruction:
@@ -243,9 +363,9 @@ class TestReconstruction:
             return Z[:, 0] + 0.5 * Z[:, 1] ** 2
 
         enc = additive_encoders(X, degree=1, basis="monomial")
-        base_expl = exact_marginal_shapley(f, X, bg)
+        base_expl = enumerated_marginal_shapley(f, X, bg)
         col_expl = [
-            exact_marginal_shapley(lambda Z, j=j: Z[:, j - 1], X, bg)
+            enumerated_marginal_shapley(lambda Z, j=j: Z[:, j - 1], X, bg)
             for j in range(1, enc.n_columns)
         ]
         return f, X, bg, enc, base_expl, col_expl
@@ -275,7 +395,7 @@ class TestReconstruction:
         def f_theta(Z):
             return f(Z) - (theta[0] + theta[1] * Z[:, 0] + theta[2] * Z[:, 1])
 
-        direct = exact_marginal_shapley(f_theta, X, bg)
+        direct = enumerated_marginal_shapley(f_theta, X, bg)
         rec = reconstruct_explanations(base_expl, col_expl, theta)
         assert np.allclose(rec.values, direct.values, atol=1e-8)
         assert rec.reference == pytest.approx(direct.reference, abs=1e-8)
@@ -307,7 +427,7 @@ class TestCombination:
         pca = tree_pca_encoders(model, X, r=2)
         add = additive_encoders(X, degree=2, basis="monomial")
         legendre = additive_encoders(X, degree=2, basis="legendre")
-        shap = shapley_encoders(model.predict_raw, X, background_size=10, seed=1)
+        shap = shapley_encoders(model, X, background_size=10, seed=1)
         nested = combine_encoders(combine_encoders(pca, add), legendre, shap)
         assert nested.n_columns == 1 + 2 + 6 + 6 + 3
         rebuilt = nested.reevaluate(X, model=model)

@@ -7,7 +7,17 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairfront._util import cross_entropy, logit, sigmoid
-from fairfront.gbdt import _LAMBDA, _MARGIN_CLAMP, _MIN_GAIN, Ensemble, GBDTParams, Tree, per_tree_outputs, train
+from fairfront.gbdt import (
+    _LAMBDA,
+    _MARGIN_CLAMP,
+    _MIN_GAIN,
+    Ensemble,
+    GBDTParams,
+    Tree,
+    leaf_boxes,
+    per_tree_outputs,
+    train,
+)
 
 
 def toy_data(rng, n=400, informative=True):
@@ -366,6 +376,24 @@ class TestPrediction:
         X = rng.choice(pool, size=(n_rows, n_features))
         assert np.array_equal(model.predict_raw(X), loop_raw(model, X))
         assert np.array_equal(per_tree_outputs(model, X), loop_outputs(model, X))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6), n_trees=st.integers(0, 8))
+    @example(seed=3, depth=6, n_trees=0)
+    def test_each_record_lies_in_the_box_of_its_leaf(self, seed, depth, n_trees):
+        rng = np.random.default_rng(seed)
+        n_features = 3
+        grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])
+        trees = [random_tree(rng, int(rng.integers(1, depth + 1)), n_features, grid) for _ in range(n_trees)]
+        model = Ensemble(0.0, 1.0, trees, n_features)
+        X = rng.choice(np.r_[grid, rng.normal(size=8), np.nan, np.inf, -np.inf], size=(40, n_features))
+        values, lo, hi = leaf_boxes(model)
+        X = X[:, None, :]
+        inside = ((~(X <= lo) | (lo == -np.inf)) & ((X <= hi) | (hi == np.inf))).all(axis=2)
+        assert values.size == sum(int(np.sum(tree.feature == -1)) for tree in trees)
+        assert np.array_equal(inside.sum(axis=1), np.full(40, n_trees))  # one leaf per tree
+        want = per_tree_outputs(model, X[:, 0]).sum(axis=1) if n_trees else np.zeros(40)
+        assert np.allclose(inside @ values, want, rtol=0, atol=1e-12)
 
     def test_packing_follows_the_tree_list(self):
         rng = np.random.default_rng(9)
