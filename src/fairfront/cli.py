@@ -268,6 +268,7 @@ def _save_encoders(enc, out, manifest):
 
 
 def cmd_encode(resolved, manifest, out):
+    _encoder_counts(resolved)
     if resolved["method"] != "additive" and not resolved["base"]:
         raise CliError(f"{resolved['method']} encoders need --base")
     train_ds, _ = _load_splits(resolved)
@@ -278,11 +279,18 @@ def cmd_encode(resolved, manifest, out):
 
 
 def _at_least_one(resolved, flag) -> int:
-    """A count of candidates (``--omegas``, ``--thetas``), checked before any
-    stage: with none there is no frontier."""
+    """A count (``--omegas``, ``--thetas``, ``--components``,
+    ``--background``), checked before any stage: with none there is no
+    frontier, or no encoder column."""
     if resolved[flag] < 1:
         raise CliError(f"--{flag} must be at least 1, got {resolved[flag]}")
     return resolved[flag]
+
+
+def _encoder_counts(resolved):
+    """The encoder counts, checked before any stage whichever method is set."""
+    for flag in ("components", "background"):
+        _at_least_one(resolved, flag)
 
 
 def _nonnegative(resolved, flag) -> float:
@@ -330,16 +338,25 @@ def _write_frontier_artifacts(points, out, manifest):
     manifest.artifact(out / "frontier.svg")
 
 
+def _linear_family(enc, model, ds):
+    """The linear family of ``enc``'s columns on the split ``ds`` they hold;
+    its base scores come from the tree walk that formed the columns, or from
+    a walk of their own where none did."""
+    raw = enc.raw_scores if enc.raw_scores is not None else model.predict_raw(ds.X)
+    return enc.to_linear_family(raw)
+
+
 def _reevaluated_family(enc, model, ds):
     """The linear family of ``enc``'s columns rebuilt on another split."""
     if ds is None:
         return None
-    return enc.reevaluate(ds.X, model=model).to_linear_family(model.predict_raw(ds.X))
+    return _linear_family(enc.reevaluate(ds.X, model=model), model, ds)
 
 
 def cmd_mitigate(resolved, manifest, out):
     # the estimator and the sweep settings are checked before any stage; the
     # omega ladder waits for the encoders when it is scaled by the loss/bias ratio
+    _encoder_counts(resolved)
     n_omegas = _at_least_one(resolved, "omegas")
     scale = _nonnegative(resolved, "omega-scale-mult")
     spec = _estimator_spec(resolved)
@@ -361,7 +378,7 @@ def cmd_mitigate(resolved, manifest, out):
     _save_encoders(enc, out, manifest)
     manifest.stage("encoders")
 
-    fam_train = enc.to_linear_family(model.predict_raw(train_ds.X))
+    fam_train = _linear_family(enc, model, train_ds)
     if resolved["omega-scale"] == "ratio":
         scale *= loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
     sweep_cfg = replace(sweep_cfg, omegas=default_omegas(scale, n_omegas))
@@ -765,6 +782,11 @@ def main(argv=None) -> int:
         return _failed(manifest, exc, 2)
     except (ValueError, OSError) as exc:
         return _failed(manifest, exc, 1)
+    except Exception as exc:
+        # a defect: the manifest names it, and its traceback propagates
+        if manifest is not None:
+            manifest.doc.update(status="error", error=f"{type(exc).__name__}: {exc}")
+        raise
     finally:
         if manifest is not None:
             manifest.write()

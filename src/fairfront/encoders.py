@@ -20,6 +20,13 @@ columns of build and re-evaluation come from one formula.  A new kind
 supplies both and one branch in ``_state_columns``.  The non-constant
 columns carry a stored unit-variance scale so optimization is well
 conditioned while coefficients remain reportable in original units.
+
+Tree-pca columns ride on the model's tree walk: re-evaluation forms them
+block by block inside ``predict_raw``'s walk, which also gives the records'
+raw margins (``EncoderMatrix.raw_scores``), and the build forms them from
+its records x trees matrix in the same blocks and reads the margins off it.
+So a split is walked once, the margins are bitwise ``predict_raw``, and no
+records x trees matrix is formed outside the build.
 """
 
 from __future__ import annotations
@@ -27,17 +34,15 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from .gbdt import Ensemble, leaf_boxes, per_tree_outputs
+from .gbdt import Ensemble, leaf_boxes, per_tree_outputs, raw_from_outputs
 from .linear_family import LinearFamily
 
 PCA_ROW_CAP = 50_000
-# rows re-evaluated at once by tree-pca, so no (records x trees) matrix is formed
-_TREE_PCA_ROWS = 1024
 DEFAULT_BACKGROUND_SIZE = 256
 # TreeSHAP tabulates 4^D * D coalition weights and takes 4^D * D products per
 # leaf for paths testing D distinct features: past 8, minutes per hundred trees
@@ -66,6 +71,9 @@ class EncoderMatrix:
     construction does not center); ``scales`` are the stored standard
     deviations used to standardize the optimization columns.  ``provenance``
     carries everything needed to rebuild the columns on new records.
+    ``raw_scores`` are the model's raw margins on the same records, read off
+    the tree walk that formed tree-pca columns (bitwise ``predict_raw``);
+    None where no walk formed them.  They are not saved.
     """
 
     columns: np.ndarray
@@ -73,6 +81,7 @@ class EncoderMatrix:
     provenance: dict
     centers: np.ndarray
     scales: np.ndarray
+    raw_scores: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.columns = np.asarray(self.columns, dtype=float)
@@ -101,12 +110,14 @@ class EncoderMatrix:
 
     def reevaluate(self, X, model=None) -> "EncoderMatrix":
         """Rebuild the same columns on new records from the frozen state;
-        tree-pca and Shapley columns (alone or combined) read ``model``."""
+        tree-pca and Shapley columns (alone or combined) read ``model``.
+        Tree-pca columns come from one walk of the model, which also gives
+        the result its ``raw_scores``."""
         X = np.asarray(X, dtype=float)
         # the constant column is made after the others, so it is not held while they are formed
-        columns = _state_columns(self.provenance, X, model)
+        columns, raw = _state_columns(self.provenance, X, model)
         columns = np.column_stack([np.ones(X.shape[0]), columns])
-        return EncoderMatrix(columns, self.names, self.provenance, self.centers, self.scales)
+        return EncoderMatrix(columns, self.names, self.provenance, self.centers, self.scales, raw)
 
     # --- persistence --------------------------------------------------
 
@@ -162,34 +173,35 @@ def _unjsonify(obj):
     return obj
 
 
-def _finish(columns, names, provenance, centers) -> EncoderMatrix:
+def _finish(columns, names, provenance, centers, raw_scores=None) -> EncoderMatrix:
     """The constant column plus the non-constant ``columns``, with their scales."""
     columns = np.column_stack([np.ones(columns.shape[0]), columns])
     scales = columns.std(axis=0)
     scales = np.where(scales > _ZERO_VAR, scales, 1.0)
     scales[0] = 1.0
-    return EncoderMatrix(columns, names, provenance, np.asarray(centers, dtype=float), scales)
+    return EncoderMatrix(columns, names, provenance, np.asarray(centers, dtype=float), scales, raw_scores)
 
 
-def _state_columns(state, X, model) -> np.ndarray:
-    """The non-constant columns of provenance ``state`` on records ``X``."""
+def _state_columns(state, X, model):
+    """The non-constant columns of provenance ``state`` on records ``X``, and
+    the model's raw margins on ``X`` read off the walk that formed tree-pca
+    columns (None without one)."""
     kind = state["kind"]
     if kind == "additive":
-        return _additive_columns(X, state)
+        return _additive_columns(X, state), None
     if kind == "combined":
-        return np.column_stack([_state_columns(part, X, model) for part in state["parts"]])
+        parts = [_state_columns(part, X, model) for part in state["parts"]]
+        raw = next((raw for _, raw in parts if raw is not None), None)
+        return np.column_stack([columns for columns, _ in parts]), raw
     if kind not in ("tree-pca", "shapley"):
         raise ValueError(f"unknown provenance kind {kind!r}")
     if model is None:
         raise ValueError(f"{kind} re-evaluation needs the model")
     if kind == "tree-pca":
-        # row by row the same products as on the whole (records x trees) matrix
         columns = np.empty((X.shape[0], state["loadings"].shape[1]))
-        for start in range(0, X.shape[0], _TREE_PCA_ROWS):
-            rows = slice(start, start + _TREE_PCA_ROWS)
-            columns[rows] = _tree_pca_columns(per_tree_outputs(model, X[rows]), state)
-        return columns
-    return _shapley_columns(exact_marginal_shapley(model, X, state["background"]).values, state)
+        raw = model.predict_raw(X, _tree_pca_writer(state, model.n_trees, columns))
+        return columns, raw
+    return _shapley_columns(exact_marginal_shapley(model, X, state["background"]).values, state), None
 
 
 # --------------------------------------------------------------------------
@@ -267,6 +279,8 @@ def tree_pca_encoders(ensemble: Ensemble, X, r: int) -> EncoderMatrix:
     """
     if ensemble.n_trees < 1:
         raise ValueError("ensemble must contain at least one tree")
+    if r < 1:
+        raise ValueError(f"need at least one component, got {r}")
     if r > ensemble.n_trees:
         raise ValueError(f"requested {r} components from {ensemble.n_trees} trees")
     X = np.asarray(X, dtype=float)
@@ -297,18 +311,35 @@ def tree_pca_encoders(ensemble: Ensemble, X, r: int) -> EncoderMatrix:
         "eigenvalues": eigvals[order],
     }
     names = ["const"] + [f"tree-pc{k + 1}" for k in range(r)]
+    # the columns and the raw margins come off the matrix in the walk's
+    # blocks, so build and reevaluate agree bitwise on the build records;
     # centering happens in tree-output space (tree_means), not per column
-    return _finish(_tree_pca_columns(outputs, provenance), names, provenance, np.zeros(r + 1))
+    columns = np.empty((X.shape[0], r))
+    raw = raw_from_outputs(ensemble, outputs, _tree_pca_writer(provenance, ensemble.n_trees, columns))
+    return _finish(columns, names, provenance, np.zeros(r + 1), raw)
 
 
-def _tree_pca_columns(outputs, state) -> np.ndarray:
-    """The kept trees' outputs, centred by the stored means, on the loadings."""
+def _tree_pca_writer(state, n_trees, columns):
+    """A block consumer of the tree walk (``each_block`` of ``predict_raw``)
+    that writes each block's columns into ``columns``: the kept trees'
+    outputs, centred by the stored means, on the loadings.  The kept rows of
+    a block are gathered into one work array, reused from block to block."""
     kept = state["kept_trees"].astype(np.intp)
-    if kept.size and kept.max() >= outputs.shape[1]:
-        raise ValueError(f"tree-pca encoders need at least {kept.max() + 1} trees, the model has {outputs.shape[1]}")
-    centred = outputs[:, kept]  # a copy (advanced indexing), so centring in place holds no third n x trees array
-    centred -= state["tree_means"]
-    return centred @ state["loadings"]
+    if kept.size and kept.max() >= n_trees:
+        raise ValueError(f"tree-pca encoders need at least {kept.max() + 1} trees, the model has {n_trees}")
+    means, loadings = state["tree_means"], state["loadings"]
+    work = None
+
+    def write(rows, outputs):
+        nonlocal work
+        if work is None or work.shape[1] != outputs.shape[1]:
+            work = np.empty((kept.size, outputs.shape[1]))
+        np.take(outputs, kept, axis=0, out=work, mode="clip")  # kept < n_trees: "clip" never clips
+        centred = work.T
+        centred -= means
+        columns[rows] = centred @ loadings
+
+    return write
 
 
 # --------------------------------------------------------------------------

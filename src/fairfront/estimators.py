@@ -56,8 +56,9 @@ _VARIANTS = (
 _ENERGY_VARIANTS = ("energy", "invariant-energy-relaxed")
 _POOL_VARIANTS = ("invariant-mc", "invariant-kde-discrete", "invariant-energy-relaxed")
 # cells of a relaxation grid formed at once (512 KB a matrix): memory stays
-# bounded whatever the threshold or pool count, and a block's few matrices
-# stay in cache and are reused by the allocator
+# bounded whatever the threshold or pool count.  A call writes every block
+# into the same two work arrays: a fresh array this large is a new mmap
+# under glibc's default 128 KB threshold, and its pages fault in again
 _GRID_CELLS = 1 << 16
 # a grid step is 1/n for a whole n up to this relative error (1/129 in floats is not exact)
 _STEP_RTOL = 1e-9
@@ -162,53 +163,67 @@ def _threshold_average(spec, u0, u1, thresholds, weights, need_grad=True, scored
     Returns the value and, with ``need_grad``, its cotangents ``(c0, c1, ct,
     cw)``: one per score of each group, one per threshold (None unless
     ``scored``, i.e. the thresholds are themselves scores) and one per
-    weight.  The grid is formed in blocks of thresholds of about _GRID_CELLS
-    cells, so memory is bounded for any threshold count; each threshold's
-    row reductions do not depend on the blocking.
+    weight.  One grid of both groups' scores ``(u0 | u1)`` is formed per
+    block of about _GRID_CELLS cells, into two work arrays (R and its slope)
+    made once per call, and each group reads its own columns.  So memory is
+    bounded for any threshold count.  B, the variance terms, ``ct`` and
+    ``cw`` are reductions over one threshold's row, so they do not depend on
+    the blocking; ``c0`` and ``c1`` add up the blocks one after another, so
+    their last bits do.
     """
     rel, unbiased = spec.relaxation, spec.unbiased
-    groups = (u0, u1)
-    if unbiased and min(u.size for u in groups) < 2:
+    m0, m1 = u0.size, u1.size
+    if unbiased and min(m0, m1) < 2:
         raise ValueError("unbiased square correction needs at least two records per group")
+    u = np.concatenate((u0, u1))
+    # each group's columns of the grid, its size, and the sign of its mean in B
+    groups = ((slice(0, m0), m0, -1.0), (slice(m0, None), m1, 1.0))
     T = thresholds.size
     B = np.empty(T)
     variance = np.zeros(T)
-    coefs = [np.zeros(u.size) for u in groups] if need_grad else None
+    coef = np.zeros(u.size) if need_grad else None
     tcoef = np.zeros(T) if need_grad and scored else None
-    step = max(1, _GRID_CELLS // max(u.size for u in groups))
+    step = min(T, max(1, _GRID_CELLS // u.size))
+    work = np.empty((2 if need_grad else 1, step, u.size))
     for lo in range(0, T, step):
         blk = slice(lo, lo + step)
-        grids = [rel.grid(u, thresholds[blk], need_grad) for u in groups]
-        means = [R.mean(axis=1) for R, _ in grids]
+        t = thresholds[blk]
+        R, P = rel.grid(u, t, work[0, :t.size], work[1, :t.size] if need_grad else None)
+        means = [R[:, cols].mean(axis=1) for cols, _, _ in groups]
         B[blk] = means[1] - means[0]
+        if unbiased:
+            for (cols, m, _), mean in zip(groups, means):
+                # sum_i (R_ji - mean_j)^2 taken as sum_i R_ji^2 - m mean_j^2
+                squares = np.einsum("ij,ij->i", R[:, cols], R[:, cols])
+                variance[blk] += (squares - m * mean * mean) / (m - 1) / m
+        if not need_grad:
+            continue
         w = weights[blk]
-        wdh = w * spec.cost.h_prime(B[blk]) if need_grad else None
-        for k, sign in ((0, -1.0), (1, 1.0)):
-            R, P = grids[k]
-            grids[k] = None  # each group's matrices go as soon as its terms are read
-            m = R.shape[1]
-            if need_grad:
-                coefs[k] += sign * (wdh @ P) / m
-                if tcoef is not None:
-                    # thresholds that are scores: r_s'(u_i - t_j) also carries -dt_j
-                    tcoef[blk] -= sign * wdh * P.mean(axis=1)
+        # P is the slope r_s' / s: the factor s rides on these T-vectors
+        wdh = rel.scale * w * spec.cost.h_prime(B[blk])
+        # each group's variance term has cotangent sum_j v_j (R_ji - mean_j) P_ji
+        v = [2.0 * rel.scale / (m * (m - 1)) * w for _, m, _ in groups] if unbiased else (None, None)
+        for (cols, m, sign), mean, v_k in zip(groups, means, v):
+            along = sign * wdh / m
             if unbiased:
-                R -= means[k][:, None]
-                variance[blk] += np.einsum("ij,ij->i", R, R) / (m - 1) / m
-                if need_grad:
-                    R *= P
-                    scale = 2.0 / (m * (m - 1))
-                    coefs[k] -= scale * (w @ R)
-                    if tcoef is not None:
-                        tcoef[blk] += scale * w * R.sum(axis=1)
-            del R, P
+                along = along + v_k * mean  # the -mean_j part; the R_ji part is below
+            coef[cols] += along @ P[:, cols]
+            if tcoef is not None:
+                # thresholds that are scores: r_s'(u_i - t_j) also carries -dt_j
+                tcoef[blk] -= along * P[:, cols].sum(axis=1)
+        if unbiased:
+            R *= P  # R's last use: the grid of R P in place
+            for (cols, _, _), v_k in zip(groups, v):
+                coef[cols] -= v_k @ R[:, cols]
+                if tcoef is not None:
+                    tcoef[blk] += v_k * R[:, cols].sum(axis=1)
     hvals = spec.cost.h(B)
     value = float(weights @ hvals)
     if unbiased:
         value -= float(weights @ variance)
     if not need_grad:
         return value, None
-    return value, (coefs[0], coefs[1], tcoef, hvals - variance)
+    return value, (coef[:m0], coef[m0:], tcoef, hvals - variance)
 
 
 def _sign_sums(S, sorted_other):
@@ -252,11 +267,14 @@ def _energy_vstat(S0, S1, need_grad=True):
 
 def _pool_grid_blocks(rel, up, u, need_prime):
     """``(block, R, P)`` of the (rows, pool) grid ``r_s(up_l - u_i)``, a block
-    of about _GRID_CELLS cells of rows of ``u`` at a time."""
-    step = max(1, _GRID_CELLS // up.size)
+    of about _GRID_CELLS cells of rows of ``u`` at a time, written into work
+    arrays that the next block overwrites.  ``P`` is the slope r_s' / s."""
+    step = min(u.size, max(1, _GRID_CELLS // up.size))
+    work = np.empty((2 if need_prime else 1, step, up.size))
     for lo in range(0, u.size, step):
         blk = slice(lo, lo + step)
-        yield (blk, *rel.grid(up, u[blk], need_prime))
+        n = u[blk].size
+        yield (blk, *rel.grid(up, u[blk], work[0, :n], work[1, :n] if need_prime else None))
 
 
 _MIN_BANDWIDTH = 1e-9
@@ -330,6 +348,7 @@ def _estimate(spec, rng, need_grad, u0, u1, up=None):
     cp = np.zeros(up.size)
     cu = [np.empty(u.size) for u in (u0, u1)]
     for c_k, cS, u in zip(cu, cot, (u0, u1)):
+        cS = rel.scale * cS  # the factor s of the slope P
         for blk, _, P in _pool_grid_blocks(rel, up, u, True):
             c_k[blk] = cS[blk] * P.mean(axis=1)
             cp -= (cS[blk] @ P) / up.size

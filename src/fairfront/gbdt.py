@@ -14,6 +14,11 @@ self-describing JSON document.
 Prediction from a whole ensemble packs every tree into one node table and
 walks all trees at once, a chunk of rows at a time; ``Tree.predict`` walks
 one tree and serves early stopping's update of the validation margins.
+One walk serves both consumers of the per-tree outputs: ``predict_raw``
+hands each (trees, rows) block to an optional ``each_block`` callback (the
+tree-pca columns) before adding it into the margins, and
+``raw_from_outputs`` reads the same margins, bitwise, off a stored
+``per_tree_outputs`` matrix, so no split is walked twice.
 """
 
 from __future__ import annotations
@@ -111,10 +116,14 @@ class _PackedTrees:
             n_rows = chunk.shape[0]
             if work is None or work[0].shape[1] != n_rows:
                 work = (np.empty((n_trees, n_rows), np.intp), np.empty((n_trees, n_rows), np.intp),
-                        np.empty((n_trees, n_rows), bool))
-            node, index, right = work
+                        np.empty((n_trees, n_rows), bool), np.empty((n_rows, n_tests)),
+                        np.empty((n_rows, n_tests), bool))
+            node, index, right, tested, outcome = work
             # (rows, U) outcomes; NaN fails <= and goes right, as in Tree.predict
-            go_right = ~(chunk[:, self.feature] <= self.threshold).ravel()
+            np.take(chunk, self.feature, axis=1, out=tested, mode="clip")
+            np.less_equal(tested, self.threshold, out=outcome)
+            np.logical_not(outcome, out=outcome)
+            go_right = outcome.ravel()
             row_offset = np.arange(n_rows) * n_tests
             node[:] = self.roots[:, None]
             # packing only stores valid slots, so "clip" never clips; it
@@ -206,11 +215,22 @@ class Ensemble:
             self._packing = cached = (trees, _pack(trees, self.n_features))
         return cached[1]
 
-    def predict_raw(self, X) -> np.ndarray:
+    def predict_raw(self, X, each_block=None) -> np.ndarray:
+        """Raw margins of the records ``X``.  ``each_block(rows, outputs)``,
+        when given, is handed each block of the same walk first: a row slice
+        and the (trees, rows) outputs, which it must not modify, so a
+        caller that needs the per-tree outputs walks the records once."""
         X = np.asarray(X, dtype=float)
         self._check_features(X)
-        raw = np.full(X.shape[0], self.base_margin)
-        for rows, outputs in self._packed().blocks(X):
+        return self._summed(X.shape[0], self._packed().blocks(X), each_block)
+
+    def _summed(self, n_rows, blocks, each_block) -> np.ndarray:
+        """The margins of ``n_rows`` records from their ``(rows, outputs)``
+        blocks, each handed to ``each_block`` before it is summed."""
+        raw = np.full(n_rows, self.base_margin)
+        for rows, outputs in blocks:
+            if each_block is not None:
+                each_block(rows, outputs)
             outputs *= self.learning_rate
             part = raw[rows]
             # one add per tree in tree order, so the sum rounds as it always has
@@ -312,7 +332,7 @@ def _node_array(tree_doc, t, name, dtype):
 def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:
     """Matrix of raw per-tree outputs T_j(x), one column per tree.
 
-    ``base_margin + learning_rate * rowsum`` reproduces ``predict_raw``.
+    ``raw_from_outputs`` reads ``predict_raw`` off it, bitwise.
     """
     X = np.asarray(X, dtype=float)
     ensemble._check_features(X)
@@ -320,6 +340,27 @@ def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:
     for rows, block in ensemble._packed().blocks(X):
         outputs[rows] = block.T
     return outputs
+
+
+def raw_from_outputs(ensemble: Ensemble, outputs, each_block=None) -> np.ndarray:
+    """``predict_raw`` of the records of a ``per_tree_outputs`` matrix, read
+    off the matrix with no walk: its rows are handed out in the walk's
+    blocks and layout, to ``each_block`` as in ``predict_raw`` too, and
+    summed the same way, so the margins are bitwise those of the walk."""
+    return ensemble._summed(outputs.shape[0], _matrix_blocks(outputs), each_block)
+
+
+def _matrix_blocks(outputs):
+    """``(rows, block)`` of a (records, trees) matrix: every chunk of rows
+    copied to a (trees, rows) array, reused from chunk to chunk like the
+    walk's."""
+    block = None
+    for start in range(0, outputs.shape[0], _CHUNK_ROWS):
+        chunk = outputs[start:start + _CHUNK_ROWS].T
+        if block is None or block.shape != chunk.shape:
+            block = np.empty(chunk.shape)
+        block[...] = chunk
+        yield slice(start, start + chunk.shape[1]), block
 
 
 def leaf_boxes(ensemble: Ensemble):

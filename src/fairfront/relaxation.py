@@ -52,45 +52,43 @@ class RelaxationFamily:
             return sigmoid(s * z)
         return sigmoid(s * z - np.sqrt(s))
 
-    def r_and_prime(self, z):
-        """Value and derivative in one pass (the derivative reuses the value)."""
-        r = self.r(z)
-        s = self.scale
-        if self.kind == "ramp":
-            return r, np.where((r > 0.0) & (r < 1.0), s, 0.0)
-        return r, s * r * (1.0 - r)
-
-    def grid(self, u, t, need_prime=False):
-        """``(R, P)`` on the (T, m) grid ``R[j, i] = r_s(u_i - t_j)`` of scores
-        ``u`` against thresholds ``t``; ``P`` holds r_s' there, or is None
-        without ``need_prime``.
+    def grid(self, u, t, R, P=None):
+        """Write the (T, m) grid ``R[j, i] = r_s(u_i - t_j)`` of scores ``u``
+        against thresholds ``t`` into ``R`` and, when ``P`` is given, the
+        slope r_s' / s there into ``P``; returns ``(R, P)``.  The slope is
+        the derivative in the scaled difference ``s (u_i - t_j)``: a caller
+        folds the factor s into the vector it contracts ``P`` with, so no
+        pass over the grid scales it.  A caller that forms many grids writes
+        them all into the same two arrays.
 
         The logistic kinds are separable: ``r_s(u - t) = 1 / (1 + e^{s t + c}
         e^{-s u})`` with ``c`` the shift, so the grid costs m + T exponentials
         in place of T m.  A ramp, a non-finite score or threshold, or an
-        exponent beyond ``_EXP_BOUND`` takes ``r``/``r_and_prime`` on the
-        difference grid instead.
+        exponent beyond ``_EXP_BOUND`` takes ``r`` on the difference grid
+        instead.
         """
         u = np.asarray(u, dtype=float).ravel()
         t = np.asarray(t, dtype=float).ravel()
         s = self.scale
+        separable = False
         if self.kind != "ramp":
             a = s * t + (np.sqrt(s) if self.kind == "shifted-logistic" else 0.0)
             b = -s * u
-            if np.all(np.abs(a) <= _EXP_BOUND) and np.all(np.abs(b) <= _EXP_BOUND):
-                R = np.multiply.outer(np.exp(a), np.exp(b))
-                R += 1.0
-                np.reciprocal(R, out=R)
-                if not need_prime:
-                    return R, None
-                P = np.subtract(1.0, R)
-                P *= R
-                P *= s
-                return R, P
-        Z = u[None, :] - t[:, None]
-        if need_prime:
-            return self.r_and_prime(Z)
-        return self.r(Z), None
+            separable = np.all(np.abs(a) <= _EXP_BOUND) and np.all(np.abs(b) <= _EXP_BOUND)
+        if separable:
+            np.multiply.outer(np.exp(a), np.exp(b), out=R)
+            R += 1.0
+            np.reciprocal(R, out=R)
+        else:
+            R[...] = self.r(u[None, :] - t[:, None])
+        if P is None:
+            return R, None
+        if self.kind == "ramp":
+            P[...] = (R > 0.0) & (R < 1.0)
+        else:
+            np.subtract(1.0, R, out=P)
+            P *= R
+        return R, P
 
 
 def ramp(scale: float) -> RelaxationFamily:

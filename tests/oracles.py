@@ -9,6 +9,8 @@ statistical behaviour:
   population (acceptance criterion 3), with inverse-CDF ``sample``;
 * ``transport_cost``, ``classifier_bias`` and ``relaxed_cdf``: the monotone
   transport cost, the single-threshold bias and the relaxed empirical CDF;
+* ``r_and_prime``: a relaxation and its derivative pointwise, the reference
+  for ``RelaxationFamily.grid``;
 * ``frontier_value`` and ``embedded_svg_table``: reading a frontier at a bias
   budget, and the data table a frontier SVG embeds;
 * ``enumerated_marginal_shapley``: marginal Shapley values of any predict
@@ -57,6 +59,16 @@ def classifier_bias(g: GroupedScores, t: float, c: CostFunction = ABS) -> float:
     return float(c.value(r0, r1))
 
 
+def r_and_prime(family: RelaxationFamily, z):
+    """``r_s(z)`` and its derivative ``r_s'(z)``, pointwise; the derivative
+    reuses the value."""
+    r = family.r(z)
+    s = family.scale
+    if family.kind == "ramp":
+        return r, np.where((r > 0.0) & (r < 1.0), s, 0.0)
+    return r, s * r * (1.0 - r)
+
+
 def relaxed_cdf(scores, t, family: RelaxationFamily):
     """Relaxed CDF ``1 - mean_i r_s(z_i - t)`` at thresholds ``t``.
 
@@ -68,7 +80,7 @@ def relaxed_cdf(scores, t, family: RelaxationFamily):
     if scores.size == 0:
         raise ValueError("empty scores")
     t = np.asarray(t, dtype=float)
-    vals = 1.0 - family.grid(scores, t)[0].mean(axis=1)
+    vals = 1.0 - family.grid(scores, t, np.empty((t.size, scores.size)))[0].mean(axis=1)
     return float(vals[0]) if t.ndim == 0 else vals
 
 

@@ -12,7 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fairfront import cli, gbdt
 from fairfront.cli import main
+from fairfront.data import load_csv
 from fairfront.encoders import EncoderMatrix
 from fairfront.frontier import read_frontier_csv
 from fairfront.gbdt import Ensemble
@@ -610,12 +612,28 @@ class TestFailedRunManifest:
         _, data, model_dir = workspace
         out = tmp_path / "out"
         flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json")]
-        assert main(["mitigate", *flags, "--method", "shapley", "--background", "0", "--out", str(out)]) == 1
+        assert main(["mitigate", *flags, "--method", "additive", "--degree", "0", "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
-        assert manifest["error"] == "background must be a nonempty record matrix"
+        assert manifest["error"] == "degree must be at least 1"
         assert list(manifest["timings"]) == ["load"]
         assert not (out / "encoders.csv").exists()
+
+    def test_unexpected_exception_is_recorded_and_raised(self, workspace, tmp_path, monkeypatch):
+        _, data, model_dir = workspace
+        out = tmp_path / "out"
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("the sweep broke")
+
+        monkeypatch.setattr(cli, "sgd_sweep", broken)
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--method", "additive"]
+        with pytest.raises(RuntimeError, match="the sweep broke"):
+            main(["mitigate", *flags, "--out", str(out)])
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["error"] == "RuntimeError: the sweep broke"
+        assert sorted(manifest["timings"]) == ["encoders", "load"]
 
     # an empty omega ladder, and each setting that would otherwise fail only
     # after the sweep or the projection (or escape main as a traceback)
@@ -676,6 +694,41 @@ class TestFailedRunManifest:
                 "--omega-max must be finite and nonnegative, got -1.0", id="omega-max-negative",
             ),
             pytest.param("baseline-ot", ["--thetas", "0"], 2, "--thetas must be at least 1, got 0", id="thetas-0"),
+            # encoder counts: -2 components once escaped main as an IndexError
+            # traceback, 0 made a family of the constant column alone, and a
+            # negative background failed with numpy's message, naming no flag
+            pytest.param(
+                "encode", ["--method", "tree-pca", "--components", "-2"], 2, "--components must be at least 1, got -2",
+                id="components-negative-encode",
+            ),
+            pytest.param(
+                "encode", ["--method", "tree-pca", "--components", "0"], 2, "--components must be at least 1, got 0",
+                id="components-0-encode",
+            ),
+            pytest.param(
+                "mitigate", ["--method", "tree-pca", "--components", "-2"], 2,
+                "--components must be at least 1, got -2", id="components-negative-mitigate",
+            ),
+            pytest.param(
+                "mitigate", ["--components", "0"], 2, "--components must be at least 1, got 0",
+                id="components-0-mitigate",
+            ),
+            pytest.param(
+                "encode", ["--method", "shapley", "--background", "-3"], 2, "--background must be at least 1, got -3",
+                id="background-negative-encode",
+            ),
+            pytest.param(
+                "encode", ["--method", "shapley", "--background", "0"], 2, "--background must be at least 1, got 0",
+                id="background-0-encode",
+            ),
+            pytest.param(
+                "mitigate", ["--method", "shapley", "--background", "-3"], 2,
+                "--background must be at least 1, got -3", id="background-negative-mitigate",
+            ),
+            pytest.param(
+                "mitigate", ["--method", "shapley", "--background", "0"], 2,
+                "--background must be at least 1, got 0", id="background-0-mitigate",
+            ),
             pytest.param(
                 "mitigate", ["--scale", "inf"], 1, "relaxation scale must be finite and positive, got inf",
                 id="scale-inf",
@@ -714,6 +767,37 @@ class TestFailedRunManifest:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["error"] == "rates and batch sizes must be positive"
         assert manifest["timings"] == {}
+
+
+class TestOneWalkPerSplit:
+    """``mitigate`` and ``evaluate`` walk the trees once per split: the rows
+    that go through the packed walk are the train rows plus the test rows."""
+
+    @pytest.fixture
+    def walked(self, monkeypatch):
+        rows = []
+        blocks = gbdt._PackedTrees.blocks
+
+        def counting(self, X):
+            rows.append(X.shape[0])
+            return blocks(self, X)
+
+        monkeypatch.setattr(gbdt._PackedTrees, "blocks", counting)
+        return rows
+
+    def test_mitigate_then_evaluate(self, workspace, walked, tmp_path):
+        root, data, model_dir = workspace
+        split_rows = sum(load_csv(data / f"{name}.csv").n_records for name in ("train", "test"))
+        run = run_mitigate(workspace, "one_walk")
+        assert sum(walked) == split_rows
+        walked.clear()
+        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
+                 "--base", str(model_dir / "model.json")]
+        assert main(["evaluate", "--candidates", str(run / "candidates.json"), *flags,
+                     "--out", str(tmp_path / "evaluation")]) == 0
+        assert sum(walked) == split_rows
+        frontier = (tmp_path / "evaluation" / "frontier.csv").read_bytes()
+        assert frontier == (run / "frontier.csv").read_bytes()
 
 
 class TestUnusableSplit:

@@ -7,11 +7,9 @@ import pytest
 
 from fairfront import encoders
 from fairfront.encoders import (
-    _TREE_PCA_ROWS,
     PCA_ROW_CAP,
     EncoderMatrix,
     ExplanationSet,
-    _tree_pca_columns,
     additive_encoders,
     combine_encoders,
     exact_marginal_shapley,
@@ -19,7 +17,16 @@ from fairfront.encoders import (
     shapley_encoders,
     tree_pca_encoders,
 )
-from fairfront.gbdt import Ensemble, GBDTParams, Tree, leaf_boxes, per_tree_outputs, train
+from fairfront.gbdt import (
+    _CHUNK_ROWS,
+    Ensemble,
+    GBDTParams,
+    Tree,
+    leaf_boxes,
+    per_tree_outputs,
+    raw_from_outputs,
+    train,
+)
 from oracles import enumerated_marginal_shapley
 from test_gbdt import random_tree
 
@@ -99,11 +106,12 @@ class TestTreePca:
         # sign convention: loading's largest coordinate positive => here +1
         assert np.allclose(comp, centered, atol=1e-10)
 
-    def test_r_zero_gives_constant_only(self):
+    @pytest.mark.parametrize("r", [0, -2])
+    def test_fewer_than_one_component_rejected(self, r):
         rng = np.random.default_rng(2)
         model, X = small_ensemble(rng)
-        enc = tree_pca_encoders(model, X, r=0)
-        assert enc.n_columns == 1
+        with pytest.raises(ValueError, match=f"need at least one component, got {r}"):
+            tree_pca_encoders(model, X, r=r)
 
     def test_components_orthogonal(self):
         rng = np.random.default_rng(3)
@@ -133,9 +141,12 @@ class TestTreePca:
         rng = np.random.default_rng(7)
         model, X = small_ensemble(rng, rounds=120)
         enc = tree_pca_encoders(model, X, r=4)
-        n = 3 * _TREE_PCA_ROWS + 217  # three full blocks and a ragged tail
+        n = 12 * _CHUNK_ROWS + 217  # twelve full blocks of the walk and a ragged tail
         new = rng.normal(size=(n, 3))
-        whole = _tree_pca_columns(per_tree_outputs(model, new), enc.provenance)
+        state = enc.provenance
+        # the whole-matrix form: the kept trees' outputs, centred, on the loadings
+        kept = state["kept_trees"].astype(np.intp)
+        whole = (per_tree_outputs(model, new)[:, kept] - state["tree_means"]) @ state["loadings"]
         tracemalloc.start()
         try:
             blocked = enc.reevaluate(new, model=model)
@@ -168,6 +179,60 @@ class TestTreePca:
         again = tree_pca_encoders(model, X, r=3)
         assert np.array_equal(capped.columns, again.columns)
         assert capped.columns.shape == (400, 4)  # all rows still get columns
+
+
+class TestSharedWalk:
+    """One walk of the trees gives both the raw margins and the tree-pca
+    columns; the margins are bitwise those of ``predict_raw`` whichever way
+    they are read."""
+
+    @staticmethod
+    def tree_by_tree(model, X):
+        """``predict_raw``'s rounding: one add of learning_rate * T_t(x) per
+        tree, in tree order."""
+        raw = np.full(X.shape[0], model.base_margin)
+        for tree in model.trees:
+            raw += model.learning_rate * tree.predict(X)
+        return raw
+
+    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, 3 * _CHUNK_ROWS + 17])
+    def test_margins_are_bitwise_predict_raw(self, n):
+        rng = np.random.default_rng(11)
+        model, X = small_ensemble(rng, rounds=40)
+        new = rng.normal(size=(n, 3))
+        expected = self.tree_by_tree(model, new)
+        blocks = []
+        assert np.array_equal(model.predict_raw(new), expected)
+        walked = model.predict_raw(new, lambda rows, outputs: blocks.append((rows, outputs.copy())))
+        assert np.array_equal(walked, expected)
+        assert np.array_equal(raw_from_outputs(model, per_tree_outputs(model, new)), expected)
+        enc = tree_pca_encoders(model, X, r=3)
+        assert np.array_equal(enc.reevaluate(new, model=model).raw_scores, expected)
+        # each block is handed over before it is scaled, and the blocks cover the rows in order
+        outputs = np.zeros((model.n_trees, n))
+        for rows, block in blocks:
+            outputs[:, rows] = block
+        assert [rows.start for rows, _ in blocks] == list(range(0, n, _CHUNK_ROWS))
+        assert np.array_equal(outputs, per_tree_outputs(model, new).T)
+
+    def test_build_gives_the_margins_of_its_records(self):
+        rng = np.random.default_rng(12)
+        model, X = small_ensemble(rng, n=3 * _CHUNK_ROWS + 17, rounds=30)
+        enc = tree_pca_encoders(model, X, r=3)
+        assert np.array_equal(enc.raw_scores, self.tree_by_tree(model, X))
+        again = enc.reevaluate(X, model=model)
+        assert np.array_equal(again.columns, enc.columns)
+        assert np.array_equal(again.raw_scores, enc.raw_scores)
+
+    def test_margins_only_where_a_walk_formed_the_columns(self):
+        rng = np.random.default_rng(13)
+        model, X = small_ensemble(rng, rounds=10)
+        additive = additive_encoders(X, degree=2)
+        assert additive.raw_scores is None
+        assert additive.reevaluate(X, model=model).raw_scores is None
+        both = combine_encoders(additive, tree_pca_encoders(model, X, r=2))
+        assert both.raw_scores is None  # combining forms no columns
+        assert np.array_equal(both.reevaluate(X, model=model).raw_scores, model.predict_raw(X))
 
 
 class TestShapley:

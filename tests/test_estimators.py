@@ -19,6 +19,7 @@ from oracles import (
     exact_relaxed_bias_uniform,
     fit_loglog_slope,
     grid_bias_ladder,
+    r_and_prime,
     relaxed_gap_curve,
     sample,
 )
@@ -363,7 +364,7 @@ class TestSortedEnergyOracle:
             else:
                 # S_i = 1 - mean_l r_s(up_l - u_i), with the pooled scores' Jacobian
                 up, dup = fam.scores(theta, batch.pool), jacobian(fam, theta, batch.pool)
-                _, P = spec.relaxation.r_and_prime(up[None, :] - u[:, None])
+                _, P = r_and_prime(spec.relaxation, up[None, :] - u[:, None])
                 dS.append(-(P @ dup) / up.size + P.mean(axis=1)[:, None] * du)
         oracle_value, oracle_grad = pairwise_energy(S0, dS[0], S1, dS[1])
         assert np.allclose(grad, oracle_grad, rtol=1e-12, atol=1e-12)
@@ -471,7 +472,7 @@ def per_threshold_grid(spec, family, theta, batch):
     for rows in (batch.group0, batch.group1):
         u, du = family.scores(theta, rows), jacobian(family, theta, rows)
         m = u.size
-        R, P = rel.r_and_prime(u[None, :] - thresholds[:, None])
+        R, P = r_and_prime(rel, u[None, :] - thresholds[:, None])
         mean, dmean = R.mean(axis=1), (P @ du) / m
         centered = R - R.mean(axis=1, keepdims=True)
         v = (centered * centered).sum(axis=1) / (m - 1) / m
@@ -524,6 +525,22 @@ class TestContractedGridOracle:
              scale=200.0, cost=SQUARE, thresholds=1 / 129, link="identity", cells=64)
     @example(seed=2, variant="invariant-kde-discrete", unbiased=True, m0=7, m1=40, kind="shifted-logistic",
              scale=6.0, cost=ABS, thresholds=16, link="logistic", cells=1)
+    # the joint (u0 | u1) grid: unequal groups, the smallest unbiased group
+    # (m = 2) on either side, the ramp's difference grid and the logistic
+    # fallback past _EXP_BOUND (identity scores at s = 200), scored
+    # thresholds and the KDE weights' cotangents
+    @example(seed=3, variant="threshold-discrete-trapezoid", unbiased=True, m0=2, m1=129, kind="ramp",
+             scale=20.0, cost=SQUARE, thresholds=1 / 129, link="logistic", cells=1 << 16)
+    @example(seed=4, variant="threshold-discrete", unbiased=True, m0=40, m1=2, kind="ramp",
+             scale=6.0, cost=SQUARE, thresholds=1 / 33, link="identity", cells=64)
+    @example(seed=5, variant="threshold-mc", unbiased=True, m0=3, m1=2, kind="logistic",
+             scale=200.0, cost=SQUARE, thresholds=16, link="identity", cells=1 << 16)
+    @example(seed=6, variant="invariant-mc", unbiased=True, m0=2, m1=7, kind="shifted-logistic",
+             scale=200.0, cost=SQUARE, thresholds=16, link="identity", cells=64)
+    @example(seed=7, variant="invariant-mc", unbiased=True, m0=129, m1=3, kind="ramp",
+             scale=20.0, cost=SQUARE, thresholds=16, link="logistic", cells=1)
+    @example(seed=8, variant="invariant-kde-discrete", unbiased=False, m0=2, m1=129, kind="logistic",
+             scale=200.0, cost=SQUARE, thresholds=1 / 33, link="identity", cells=64)
     def test_matches_the_per_threshold_form(
         self, seed, variant, unbiased, m0, m1, kind, scale, cost, thresholds, link, cells
     ):
@@ -575,6 +592,28 @@ class TestBlockedSnapshotMemory:
         assert blocked == whole
         one_grid = 8 * n * (n // 2)  # bytes of one (pool x group) float matrix
         assert peak < one_grid / 4
+
+
+class TestStepMemory:
+    """One trapezoid + unbiased step at 1024 + 1024 rows forms the joint
+    grid and its slope block by block in two work arrays made once per
+    call, so its peak stays within a few grid blocks."""
+
+    def test_peak_is_a_few_grid_blocks(self):
+        rng = np.random.default_rng(71)
+        n = 2048
+        fam = logistic_family(rng, n)
+        spec = BiasEstimatorSpec(unbiased=True)
+        batch = batch_of(1024, 1024)
+        theta = rng.normal(0.0, 0.1, 4)
+        tracemalloc.start()
+        try:
+            bias_value_and_grad(spec, fam, theta, batch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        block = 8 * estimators._GRID_CELLS  # bytes of one grid block
+        assert peak < 3 * block
 
 
 class TestUnbiasedRecordsWhatApplies:

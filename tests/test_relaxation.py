@@ -3,7 +3,7 @@ import pytest
 
 from fairfront.distributions import EmpiricalDistribution
 from fairfront.relaxation import RelaxationFamily, logistic, ramp, shifted_logistic
-from oracles import relaxed_cdf
+from oracles import r_and_prime, relaxed_cdf
 
 S_LADDER = [10.0, 100.0, 1000.0, 10000.0]
 
@@ -51,7 +51,9 @@ class TestFamilies:
         h = 1e-7
         for fam in (logistic(9.0), shifted_logistic(9.0)):
             fd = (fam.r(z + h) - fam.r(z - h)) / (2 * h)
-            assert np.allclose(fam.r_and_prime(z)[1], fd, atol=1e-5)
+            assert np.allclose(r_and_prime(fam, z)[1], fd, atol=1e-5)
+            _, P = fresh_grid(fam, z, np.zeros(1))  # the grid's slope is r_s' / s
+            assert np.allclose(fam.scale * P[0], fd, atol=1e-5)
 
 
 class TestRelaxedCdf:
@@ -113,8 +115,15 @@ class TestConvergence:
             assert np.all(errs[-1] <= errs[0] + 1e-12)
 
 
+def fresh_grid(fam, u, t, prime=True):
+    """``fam.grid`` written into new arrays."""
+    shape = (np.size(t), np.size(u))
+    return fam.grid(u, t, np.empty(shape), np.empty(shape) if prime else None)
+
+
 class TestGrid:
-    """``grid`` against ``r``/``r_and_prime`` on the difference grid."""
+    """``grid`` against ``r``/``r_and_prime`` on the difference grid; its
+    slope ``P`` is r_s' / s."""
 
     @pytest.mark.parametrize("fam", [ramp(7.0), logistic(20.0), shifted_logistic(20.0)], ids=lambda f: f.kind)
     def test_matches_the_difference_grid(self, fam):
@@ -122,13 +131,13 @@ class TestGrid:
         u = rng.uniform(-0.5, 1.5, 57)
         t = np.linspace(0.0, 1.0, 33)
         Z = u[None, :] - t[:, None]
-        R, P = fam.grid(u, t, need_prime=True)
-        lean, none = fam.grid(u, t)
-        r, rp = fam.r_and_prime(Z)
+        R, P = fresh_grid(fam, u, t)
+        lean, none = fresh_grid(fam, u, t, prime=False)
+        r, rp = r_and_prime(fam, Z)
         assert R.shape == P.shape == (33, 57) and none is None
         assert np.array_equal(lean, R)
         assert np.max(np.abs(R - fam.r(Z))) <= 1e-15
-        assert np.max(np.abs(P - rp)) <= 1e-15 * fam.scale
+        assert np.max(np.abs(fam.scale * P - rp)) <= 1e-15 * fam.scale
 
     @pytest.mark.parametrize("fam", [logistic(200.0), shifted_logistic(200.0)], ids=lambda f: f.kind)
     def test_large_exponents_take_the_difference_grid(self, fam):
@@ -137,17 +146,30 @@ class TestGrid:
         u = np.array([-1e3, -0.3, 0.0, 0.4, 1e3])
         Z = u[None, :] - u[:, None]
         with np.errstate(over="raise", under="raise", invalid="raise"):
-            R, P = fam.grid(u, u, need_prime=True)
-        r, rp = fam.r_and_prime(Z)
-        assert np.array_equal(R, r) and np.array_equal(P, rp)
+            R, P = fresh_grid(fam, u, u)
+        r, rp = r_and_prime(fam, Z)
+        assert np.array_equal(R, r)
+        assert np.max(np.abs(fam.scale * P - rp)) <= 1e-15 * fam.scale
         assert np.all(np.isfinite(R)) and np.all(np.isfinite(P))
+
+    @pytest.mark.parametrize("fam", [ramp(7.0), logistic(20.0), logistic(400.0)], ids=["ramp", "separable", "fallback"])
+    def test_reused_arrays_are_overwritten(self, fam):
+        # a caller writes every block of a call into the same two arrays
+        rng = np.random.default_rng(4)
+        u = rng.uniform(-0.5, 1.5, 21)
+        R_work, P_work = np.full((2, 9, 21), np.nan)
+        fam.grid(rng.uniform(-0.5, 1.5, 21), np.linspace(0.5, 1.5, 9), R_work, P_work)
+        R, P = fam.grid(u, np.linspace(0.0, 1.0, 9), R_work, P_work)
+        assert R is R_work and P is P_work
+        expected = fresh_grid(fam, u, np.linspace(0.0, 1.0, 9))
+        assert np.array_equal(R, expected[0]) and np.array_equal(P, expected[1])
 
     @pytest.mark.parametrize("fam", [ramp(7.0), logistic(20.0), shifted_logistic(20.0)], ids=lambda f: f.kind)
     def test_nan_propagates(self, fam):
         u = np.array([0.2, np.nan, 0.7])
         t = np.array([0.1, 0.5, np.nan])
-        R, P = fam.grid(u, t, need_prime=True)
-        r, rp = fam.r_and_prime(u[None, :] - t[:, None])
+        R, P = fresh_grid(fam, u, t)
+        r, rp = r_and_prime(fam, u[None, :] - t[:, None])
         np.testing.assert_array_equal(R, r)
-        np.testing.assert_array_equal(P, rp)
+        np.testing.assert_allclose(fam.scale * P, rp, rtol=0.0, atol=1e-15 * fam.scale)
         assert np.array_equal(np.isnan(R), np.isnan(u)[None, :] | np.isnan(t)[:, None])
