@@ -37,6 +37,11 @@ def fmt_float(x) -> str:
     return repr(float(x))
 
 
+def fmt_floats(values) -> list:
+    """``fmt_float`` of each of ``values``, Python floats (``ndarray.tolist``)."""
+    return list(map(repr, values))
+
+
 def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -280,8 +280,8 @@ def cmd_encode(resolved, manifest, out):
 
 def _at_least_one(resolved, flag) -> int:
     """A count (``--omegas``, ``--thetas``, ``--components``,
-    ``--background``), checked before any stage: with none there is no
-    frontier, or no encoder column."""
+    ``--background``, ``--degree``), checked before any stage: with none
+    there is no frontier, or no encoder column."""
     if resolved[flag] < 1:
         raise CliError(f"--{flag} must be at least 1, got {resolved[flag]}")
     return resolved[flag]
@@ -289,7 +289,7 @@ def _at_least_one(resolved, flag) -> int:
 
 def _encoder_counts(resolved):
     """The encoder counts, checked before any stage whichever method is set."""
-    for flag in ("components", "background"):
+    for flag in ("components", "background", "degree"):
         _at_least_one(resolved, flag)
 
 

@@ -9,18 +9,28 @@ marginals reproduces the moments (streams are not expected to match across
 languages; statistical tolerances apply).  The inverse normal CDF is a numpy
 port of Cephes ``ndtri``, the algorithm behind ``scipy.special.ndtri``, and
 returns the same bits, so the package needs no scipy at run time.
+
+``save_csv`` writes each feature cell in its shortest round-trip decimal
+form (``repr`` of the float, so a load gives back the same bits), a missing
+value as an empty cell, and the label and group as integers.  Both work
+through blocks of 256 rows; ``load_csv`` converts each column of a block in
+one pass and, where a file has several faults, reports the first in row
+order (in a row: its cell count, the feature cells left to right, the label,
+the group).
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 
-from ._util import fmt_float, sigmoid
+from ._util import fmt_floats, sigmoid
 
 _FEATURE_MEAN = 5.0
 _LABEL_SHIFT = 24.5
@@ -194,13 +204,30 @@ def apply_preprocessor(dataset: Dataset, prep: dict) -> Dataset:
     return Dataset(X, dataset.y, dataset.g, list(dataset.feature_names), preprocessing=prep)
 
 
+# rows per block written or read: a small block keeps the peak memory low
+_BLOCK_ROWS = 256
+
+
 def save_csv(dataset: Dataset, path, label_column="label", group_column="group"):
+    """Write ``dataset`` as a numeric CSV with a header: each feature cell in
+    its shortest round-trip decimal form, a missing (NaN) one empty, then the
+    label and the group as integers (a NaN or infinite label raises)."""
+    X, y, g = dataset.X, dataset.y, dataset.g
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(dataset.feature_names) + [label_column, group_column])
-        for i in range(dataset.n_records):
-            row = ["" if np.isnan(v) else fmt_float(v) for v in dataset.X[i]]
-            writer.writerow(row + [str(int(dataset.y[i])), str(int(dataset.g[i]))])
+        csv.writer(fh, lineterminator="\n").writerow(list(dataset.feature_names) + [label_column, group_column])
+        for start in range(0, dataset.n_records, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            block = X[rows]
+            lines = []
+            for cells, missing, label, group in zip(
+                block.tolist(), np.isnan(block).any(axis=1).tolist(), y[rows].tolist(), g[rows].tolist()
+            ):
+                cells = fmt_floats(cells)
+                if missing:
+                    cells = ["" if cell == "nan" else cell for cell in cells]
+                cells += (str(int(label)), str(group))
+                lines.append(",".join(cells))
+            fh.write("\n".join(lines) + "\n")
 
 
 def save_sidecar(dataset: Dataset, path, extra: dict = None):
@@ -222,7 +249,9 @@ def load_csv(path, label_column="label", group_column="group") -> Dataset:
 
     Labels must be binary 0/1; group codes are arbitrary integers remapped to
     0..K-1 with 0 the most frequent group.
-    Offending cells are reported with row and column.
+    Offending cells are reported with row and column; where a file has more
+    than one fault, the first in row order is reported (in a row: its length,
+    the feature cells left to right, the label, the group).
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -230,25 +259,90 @@ def load_csv(path, label_column="label", group_column="group") -> Dataset:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = list(reader)
-    for required in (label_column, group_column):
-        if required not in header:
-            raise ValueError(f"{path}: missing column {required!r}")
-    label_idx = header.index(label_column)
-    group_idx = header.index(group_column)
-    feature_idx = [i for i in range(len(header)) if i not in (label_idx, group_idx)]
-    names = [header[i] for i in feature_idx]
+        for required in (label_column, group_column):
+            if required not in header:
+                raise ValueError(f"{path}: missing column {required!r}")
+        label_idx = header.index(label_column)
+        group_idx = header.index(group_column)
+        feature_idx = [i for i in range(len(header)) if i not in (label_idx, group_idx)]
+        # a block of rows at a time, so only one block's cells are held as
+        # strings; the first faulty block holds the file's first fault
+        blocks = []
+        while True:
+            rows = list(itertools.islice(reader, _BLOCK_ROWS))
+            block = _columns(rows, len(header), feature_idx, label_idx, group_idx)
+            if block is None:
+                _first_fault(path, header, rows, _BLOCK_ROWS * len(blocks), feature_idx, label_idx, group_idx)
+            blocks.append(block)
+            if len(rows) < _BLOCK_ROWS:
+                break
+    X, y, g_raw = (np.concatenate(parts) for parts in zip(*blocks))
 
+    codes, index, counts = np.unique(g_raw, return_inverse=True, return_counts=True)
+    if codes.size < 2:
+        raise ValueError(f"{path}: need at least two groups")
+    rank = np.empty(codes.size, dtype=np.intp)
+    rank[np.argsort(-counts, kind="stable")] = np.arange(codes.size)
+    return Dataset(X, y, rank[index], [header[i] for i in feature_idx])
+
+
+_INT64_END = 2.0**63
+
+
+def _columns(rows, width, feature_idx, label_idx, group_idx):
+    """``(X, y, groups)`` of ``rows``, converted a column at a time, or None
+    where a row or a cell is at fault."""
+    if set(map(len, rows)) - {width}:
+        return None
     X = np.empty((len(rows), len(feature_idx)))
-    y = np.empty(len(rows))
-    g_raw = np.empty(len(rows), dtype=np.int64)
-    for r, row in enumerate(rows):
+    for c, i in enumerate(feature_idx):
+        values = _feature_column(rows, i)
+        if values is None:
+            return None
+        X[:, c] = values
+    y = _float_column(rows, label_idx)
+    g = _float_column(rows, group_idx)
+    if y is None or g is None or not np.all((y == 0.0) | (y == 1.0)):
+        return None
+    # whole numbers in int64's range; NaN fails every comparison
+    if not np.all((g == np.floor(g)) & (g >= -_INT64_END) & (g < _INT64_END)):
+        return None
+    return X, y, g.astype(np.int64)
+
+
+def _float_column(rows, i):
+    """Cell ``i`` of every row as float64, or None where one does not parse.
+    The cells are read in place: no list of the column is made."""
+    try:
+        return np.fromiter(map(float, map(itemgetter(i), rows)), dtype=float, count=len(rows))
+    except ValueError:
+        return None
+
+
+def _feature_column(rows, i):
+    """Feature column ``i`` as float64, an empty cell NaN; None where a cell
+    does not parse or parses to NaN or an infinity."""
+    values = _float_column(rows, i)
+    if values is not None:
+        return values if np.isfinite(values).all() else None
+    cells = [row[i] for row in rows]
+    present = [cell.strip() != "" for cell in cells]
+    try:
+        values = np.array([float(cell) if p else np.nan for cell, p in zip(cells, present)])
+    except ValueError:
+        return None
+    return values if np.isfinite(values[present]).all() else None
+
+
+def _first_fault(path, header, rows, start, feature_idx, label_idx, group_idx):
+    """Raise the ``ValueError`` of the first fault of ``rows``, in row order;
+    ``start`` records come before them in the file."""
+    for r, row in enumerate(rows, start):
         if len(row) != len(header):
             raise ValueError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        for c, i in enumerate(feature_idx):
+        for i in feature_idx:
             cell = row[i].strip()
             if cell == "":
-                X[r, c] = np.nan
                 continue
             try:
                 value = float(cell)
@@ -258,25 +352,17 @@ def load_csv(path, label_column="label", group_column="group") -> Dataset:
                 ) from None
             if not math.isfinite(value):
                 raise ValueError(f"{path}: non-finite cell {cell!r} at row {r + 2}, column {header[i]!r}")
-            X[r, c] = value
         try:
-            y[r] = float(row[label_idx])
+            label = float(row[label_idx])
         except ValueError:
             raise ValueError(f"{path}: non-numeric label at row {r + 2}") from None
-        if y[r] not in (0.0, 1.0):
+        if label not in (0.0, 1.0):
             raise ValueError(f"{path}: non-binary label {row[label_idx]!r} at row {r + 2}")
         try:
             group = float(row[group_idx])
-            if not group.is_integer():  # a fraction, NaN or an infinity
-                raise ValueError
-            g_raw[r] = int(group)
-        except (ValueError, OverflowError):  # OverflowError: a whole number beyond int64
-            raise ValueError(f"{path}: non-integer group at row {r + 2}") from None
-
-    codes, counts = np.unique(g_raw, return_counts=True)
-    if codes.size < 2:
-        raise ValueError(f"{path}: need at least two groups")
-    order = codes[np.argsort(-counts, kind="stable")].tolist()
-    remap = {code: k for k, code in enumerate(order)}
-    g = np.array([remap[v] for v in g_raw], dtype=np.intp)
-    return Dataset(X, y, g, names)
+        except ValueError:
+            group = math.nan
+        # a whole number in int64's range; not a fraction, NaN or an infinity
+        if not (group.is_integer() and -_INT64_END <= group < _INT64_END):
+            raise ValueError(f"{path}: non-integer group at row {r + 2}")
+    raise AssertionError("a column failed to convert, yet no cell is at fault")

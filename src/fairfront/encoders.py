@@ -39,6 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from ._util import fmt_floats
 from .gbdt import Ensemble, leaf_boxes, per_tree_outputs, raw_from_outputs
 from .linear_family import LinearFamily
 
@@ -124,7 +125,7 @@ class EncoderMatrix:
     def save(self, csv_path, sidecar_path):
         with open(csv_path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(self.names)
-            fh.writelines(",".join(map(repr, row)) + "\n" for row in self.columns.tolist())
+            fh.writelines(",".join(fmt_floats(row)) + "\n" for row in self.columns.tolist())
         meta = {
             "names": list(self.names),
             "centers": self.centers.tolist(),

@@ -233,9 +233,17 @@ class Ensemble:
                 each_block(rows, outputs)
             outputs *= self.learning_rate
             part = raw[rows]
-            # one add per tree in tree order, so the sum rounds as it always has
-            for scaled in outputs:
-                part += scaled
+            if outputs.shape[0] == 0 or outputs.shape[1] < 2:
+                # one add per tree in tree order: on a single row numpy's
+                # reduction would sum pairwise and round differently
+                for scaled in outputs:
+                    part += scaled
+                continue
+            # base + first tree is exact either way round, and a reduction
+            # over the first axis of two or more columns adds the rows one at
+            # a time in tree order, so the sum rounds as the loop above does
+            outputs[0] += self.base_margin
+            np.add.reduce(outputs, axis=0, out=part)
         return raw
 
     def predict_proba(self, X) -> np.ndarray:

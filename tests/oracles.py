@@ -14,13 +14,17 @@ statistical behaviour:
 * ``frontier_value`` and ``embedded_svg_table``: reading a frontier at a bias
   budget, and the data table a frontier SVG embeds;
 * ``enumerated_marginal_shapley``: marginal Shapley values of any predict
-  function by enumerating all 2^n coalitions, the reference for TreeSHAP.
+  function by enumerating all 2^n coalitions, the reference for TreeSHAP;
+* ``per_cell_csv``: a dataset's CSV written one cell and one row at a time,
+  the reference for the block writer ``save_csv``.
 """
 
+import csv
 import math
 
 import numpy as np
 
+from fairfront._util import fmt_float
 from fairfront.bias_metrics import GroupedScores, _require_two_groups
 from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, _merged_levels
 from fairfront.encoders import ExplanationSet
@@ -315,3 +319,14 @@ def enumerated_marginal_shapley(predict, X, background) -> ExplanationSet:
                 size = bin(mask).count("1")
                 phi[rows, i] += weights[size] * (v[:, mask | (1 << i)] - v[:, mask])
     return ExplanationSet(phi, reference)
+
+
+def per_cell_csv(dataset, path, label_column="label", group_column="group"):
+    """``dataset`` as a CSV through ``csv.writer``, row by row: each feature
+    cell ``fmt_float``'d, a NaN one empty, the label and group as integers."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(list(dataset.feature_names) + [label_column, group_column])
+        for i in range(dataset.n_records):
+            row = ["" if np.isnan(v) else fmt_float(v) for v in dataset.X[i]]
+            writer.writerow(row + [str(int(dataset.y[i])), str(int(dataset.g[i]))])

@@ -3,6 +3,7 @@ config/flag merging, determinism of CSV artifacts, and re-evaluation
 idempotence."""
 
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -14,7 +15,7 @@ import pytest
 
 from fairfront import cli, gbdt
 from fairfront.cli import main
-from fairfront.data import load_csv
+from fairfront.data import Dataset, load_csv, save_csv
 from fairfront.encoders import EncoderMatrix
 from fairfront.frontier import read_frontier_csv
 from fairfront.gbdt import Ensemble
@@ -126,6 +127,19 @@ class TestGenerate:
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.strip() == "[]"
         assert (tmp_path / "data.csv").exists()
+
+    def test_generated_files_keep_their_bytes(self, tmp_path):
+        # pins the generator and the CSV writer: any drift in either changes a hash
+        assert main(["generate", "--model", "m1", "--n", "500", "--seed", "3", "--split", "0.5",
+                     "--out", str(tmp_path)]) == 0
+        hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                  for name in ("data.csv", "train.csv", "test.csv", "data.json")}
+        assert hashes == {
+            "data.csv": "757d199a2d52a113968993060b95d89b88d87a988cfd493649aaa2407d53e851",
+            "train.csv": "821ec3b32a97d6cbd95325075d37a1f138e32a600aea562e2143ec75e60d41b3",
+            "test.csv": "13f57ae8d8a7c6c778d281a57489a447e889698ae9cbbe470f57391a4b2b4c64",
+            "data.json": "67ba682d5bdd87d1d56ffa7311815047b9971accfc67e188c8b93f50e897cc4c",
+        }
 
     def test_split_files_row_counts(self, workspace):
         _, data, _ = workspace
@@ -609,13 +623,18 @@ class TestFailedRunManifest:
         assert manifest["timings"] == {} and manifest["artifacts"] == []
 
     def test_failure_after_a_stage(self, workspace, tmp_path):
+        # records with one feature fewer than the model's load, and the tree walk rejects them
         _, data, model_dir = workspace
+        full = load_csv(data / "train.csv")
+        short = tmp_path / "short.csv"
+        save_csv(Dataset(full.X[:, 1:], full.y, full.g, full.feature_names[1:]), short)
         out = tmp_path / "out"
-        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json")]
-        assert main(["mitigate", *flags, "--method", "additive", "--degree", "0", "--out", str(out)]) == 1
+        flags = ["--train", str(short), "--base", str(model_dir / "model.json")]
+        assert main(["mitigate", *flags, "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
-        assert manifest["error"] == "degree must be at least 1"
+        n, d = full.X.shape
+        assert manifest["error"] == f"expected {d} features, got shape ({n}, {d - 1})"
         assert list(manifest["timings"]) == ["load"]
         assert not (out / "encoders.csv").exists()
 
@@ -728,6 +747,18 @@ class TestFailedRunManifest:
             pytest.param(
                 "mitigate", ["--method", "shapley", "--background", "0"], 2,
                 "--background must be at least 1, got 0", id="background-0-mitigate",
+            ),
+            # a degree below 1 once failed only after the load stage, naming no flag
+            pytest.param(
+                "encode", ["--method", "additive", "--degree", "0"], 2, "--degree must be at least 1, got 0",
+                id="degree-0-encode",
+            ),
+            pytest.param(
+                "mitigate", ["--method", "additive", "--degree", "0"], 2, "--degree must be at least 1, got 0",
+                id="degree-0-mitigate",
+            ),
+            pytest.param(
+                "mitigate", ["--degree", "-1"], 2, "--degree must be at least 1, got -1", id="degree-negative-mitigate"
             ),
             pytest.param(
                 "mitigate", ["--scale", "inf"], 1, "relaxation scale must be finite and positive, got inf",

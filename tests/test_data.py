@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairfront.data import (
+    _BLOCK_ROWS,
     Dataset,
     _ndtri,
     _standard_normal,
@@ -15,6 +16,7 @@ from fairfront.data import (
     save_csv,
     split,
 )
+from oracles import per_cell_csv
 
 
 class TestGenerators:
@@ -110,6 +112,92 @@ class TestCsv:
         assert np.array_equal(loaded.g, ds.g)
         save_csv(loaded, tmp_path / "again.csv")
         assert (tmp_path / "again.csv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize("n", [0, 1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1])
+    def test_block_writer_bytes_equal_per_cell_writer(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        X = rng.normal(size=(n, 4)) * 10.0 ** rng.integers(-320, 300, size=(n, 4))
+        special = [np.nan, -0.0, 5e-324, 1e16, 1e22, 1.7976931348623157e308, -np.nan, 0.1]
+        X.flat[: min(X.size, len(special))] = special[: X.size]
+        X[rng.random((n, 4)) < 0.1] = np.nan
+        ds = Dataset(X, rng.integers(0, 2, n), rng.integers(0, 4, n) * 128, ["a", 'b,"q"', "c d", "é"])
+        save_csv(ds, tmp_path / "blocks.csv", group_column="g,roup")
+        per_cell_csv(ds, tmp_path / "cells.csv", group_column="g,roup")
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "cells.csv").read_bytes()
+        if np.unique(ds.g).size > 1:  # a file with one group does not load
+            loaded = load_csv(tmp_path / "blocks.csv", group_column="g,roup")
+            assert np.array_equal(loaded.X, X, equal_nan=True) and np.array_equal(loaded.y, ds.y)
+
+    @pytest.mark.parametrize("label, error", [(np.nan, ValueError), (np.inf, OverflowError)])
+    def test_non_finite_label_raises_on_save(self, tmp_path, label, error):
+        ds = Dataset(np.zeros((3, 1)), [0.0, label, 1.0], [0, 1, 0], ["a"])
+        with pytest.raises(error):
+            save_csv(ds, tmp_path / "bad.csv")
+
+    # two faults in one file: the first in row order is reported (in a row:
+    # its length, the feature cells left to right, the label, the group)
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            pytest.param("a,b,label,group\n1,oops,0,0\nbad,2,1,1\n",
+                         "non-numeric cell 'oops' at row 2, column 'b'", id="later-column-earlier-row"),
+            pytest.param("a,b,label,group\n1,oops,0,0\n1,1\n",
+                         "non-numeric cell 'oops' at row 2, column 'b'", id="short-row-after-bad-cell"),
+            pytest.param("a,b,label,group\n1,1,0,0\n1,1\n1,oops,0,1\n",
+                         "row 3 has 2 cells, expected 4", id="bad-cell-after-short-row"),
+            pytest.param("a,label,group\n1,0,0\n1,x,0.5\n", "non-numeric label at row 3", id="label-and-group"),
+            pytest.param("a,label,group\n1,0,0\n1,2,y\n", "non-binary label '2' at row 3",
+                         id="non-binary-label-and-group"),
+            pytest.param("a,b,label,group\n1,,0,0\n2,oops,1,1\n",
+                         "non-numeric cell 'oops' at row 3, column 'b'", id="empty-then-bad-cell"),
+            pytest.param("a,b,label,group\n1, oops ,0,0\n2,,1,1\n",
+                         "non-numeric cell 'oops' at row 2, column 'b'", id="bad-cell-then-empty"),
+            pytest.param("a,b,label,group\n1,2,7,0\n3,oops,1,1\n", "non-binary label '7' at row 2",
+                         id="label-before-later-cell"),
+            pytest.param("a,label,group\n1,0,1e999\n2,x,1\n", "non-integer group at row 2",
+                         id="group-before-later-label"),
+        ],
+    )
+    def test_first_fault_in_row_order_is_reported(self, tmp_path, text, error):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {error}"
+
+    # rows are read a block at a time: faults on either side of a block's edge
+    @pytest.mark.parametrize(
+        "faults, error",
+        [
+            ({_BLOCK_ROWS - 1: "1,1,2,0", _BLOCK_ROWS: "oops,1,0,0"},
+             f"non-binary label '2' at row {_BLOCK_ROWS + 1}"),
+            ({_BLOCK_ROWS: "1,oops,0,0", _BLOCK_ROWS + 1: "1,1"},
+             f"non-numeric cell 'oops' at row {_BLOCK_ROWS + 2}, column 'b'"),
+            ({2 * _BLOCK_ROWS + 5: "1,1,0", 3 * _BLOCK_ROWS: "1,,0,x"},
+             f"row {2 * _BLOCK_ROWS + 7} has 3 cells, expected 4"),
+            ({3 * _BLOCK_ROWS - 1: "1,nan,0,0"}, f"non-finite cell 'nan' at row {3 * _BLOCK_ROWS + 1}, column 'b'"),
+        ],
+    )
+    def test_fault_beyond_the_first_block_reported_with_its_row(self, tmp_path, faults, error):
+        rows = [faults.get(r, f"{r},,{r % 2},{r % 3}") for r in range(3 * _BLOCK_ROWS + 10)]
+        path = tmp_path / "m.csv"
+        path.write_text("a,b,label,group\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ValueError) as info:
+            load_csv(path)
+        assert str(info.value) == f"{path}: {error}"
+
+    @pytest.mark.parametrize("cell", ["9223372036854774784", "-9223372036854775808"])
+    def test_group_at_the_int64_ends_loads(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,label,group\n1,0,0\n2,1,{cell}\n3,0,0\n")
+        assert np.array_equal(load_csv(path).g, [0, 1, 0])
+
+    @pytest.mark.parametrize("cell", ["9223372036854775807", "9223372036854775808", "-1e19"])
+    def test_group_beyond_int64_reported(self, tmp_path, cell):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,label,group\n1,0,0\n2,1,{cell}\n")
+        with pytest.raises(ValueError, match="non-integer group at row 3"):
+            load_csv(path)
 
     def test_missing_cells_become_nan(self, tmp_path):
         path = tmp_path / "m.csv"

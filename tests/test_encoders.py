@@ -195,7 +195,10 @@ class TestSharedWalk:
             raw += model.learning_rate * tree.predict(X)
         return raw
 
-    @pytest.mark.parametrize("n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, 3 * _CHUNK_ROWS + 17])
+    # a last block of one row (_CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1) is summed apart
+    @pytest.mark.parametrize(
+        "n", [0, 1, _CHUNK_ROWS - 1, _CHUNK_ROWS, _CHUNK_ROWS + 1, 2 * _CHUNK_ROWS + 1, 3 * _CHUNK_ROWS + 17]
+    )
     def test_margins_are_bitwise_predict_raw(self, n):
         rng = np.random.default_rng(11)
         model, X = small_ensemble(rng, rounds=40)
