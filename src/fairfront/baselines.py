@@ -8,6 +8,9 @@ probability-weighted quantile mixture of all groups (which needs the group
 label), then projects the label away by regressing the repaired score on the
 features alone through a weighted duplicated dataset, and finally exposes a
 one-parameter interpolation family between the base and projected models.
+
+Both produce candidates only: their frontiers are scored, like the sweep's,
+by ``frontier.evaluate`` from each candidate's probabilities on a split.
 """
 
 from __future__ import annotations
@@ -50,7 +53,6 @@ class RescaleCandidate:
 @dataclass
 class RescaleSearchResult:
     candidates: list
-    selected_features: list
     best_per_omega: dict = field(default_factory=dict)  # omega -> candidate index
 
 
@@ -97,7 +99,7 @@ def random_search_rescaling(
         gs = GroupedScores.from_labels(probs, groups)
         cand.train_w1 = wasserstein1(gs.distribution(0), gs.distribution(1))
 
-    result = RescaleSearchResult(candidates, selected)
+    result = RescaleSearchResult(candidates)
     for omega in np.asarray(omegas, dtype=float).ravel():
         scores = [c.train_ce + omega * c.train_w1 for c in candidates]
         result.best_per_omega[float(omega)] = int(np.argmin(scores))
@@ -140,12 +142,15 @@ class OtProjection:
     projected_model: Ensemble
     thetas: np.ndarray
 
-    def interpolated_probs(self, base_probs, X, theta: float) -> np.ndarray:
-        """Probability-space blend (1 - theta) * base + theta * projected."""
-        return (1.0 - theta) * np.asarray(base_probs, dtype=float) + theta * self.projected_model.predict_proba(X)
-
     def candidates(self, base_probs, X):
-        return [(float(t), self.interpolated_probs(base_probs, X, t)) for t in self.thetas]
+        """``(t, [t], probs)`` for each t of ``thetas``, the ``(omega, theta,
+        probs)`` of ``frontier.evaluate``: ``probs`` is the probability-space
+        blend (1 - t) * base + t * projected on the records ``X``, which the
+        projected model walks once for all t."""
+        base_probs = np.asarray(base_probs, dtype=float)
+        projected = self.projected_model.predict_proba(X)
+        for t in self.thetas:
+            yield t, np.array([t]), (1.0 - t) * base_probs + t * projected
 
 
 def ot_projection(

@@ -47,11 +47,9 @@ from .encoders import (
 )
 from .estimators import BiasEstimatorSpec
 from .frontier import (
-    FrontierPoint,
     evaluate as evaluate_candidates,
     pareto_filter,
     read_frontier_csv,
-    score_metrics,
     write_frontier_csv,
     write_frontier_svg,
 )
@@ -161,6 +159,20 @@ def _load_splits(resolved, scored=False) -> list:
     return splits
 
 
+def _load_inputs(resolved, base_path, scored=False):
+    """The named splits (see ``_load_splits``) and the base model at
+    ``base_path``, if one is named.  A split whose feature count is not the
+    model's is rejected here, before any stage."""
+    splits = _load_splits(resolved, scored)
+    model = Ensemble.load(base_path) if base_path else None
+    for path, ds in zip((resolved["train"], resolved.get("test")), splits):
+        if model is not None and ds is not None and ds.X.shape[1] != model.n_features:
+            raise ValueError(
+                f"{path} has {ds.X.shape[1]} features, but the model {base_path} has n_features {model.n_features}"
+            )
+    return splits, model
+
+
 # --------------------------------------------------------------------------
 # subcommands: each reads only its resolved options
 # --------------------------------------------------------------------------
@@ -218,12 +230,12 @@ def _select_by_gap_rule(entries):
 
 
 def cmd_train_base(resolved, manifest, out):
+    params = _tree_params(resolved)
     train_ds, test_ds = _load_splits(resolved)
     _both_classes(train_ds, resolved["train"], resolved["label"])
     valid = (test_ds.X, test_ds.y) if test_ds is not None else None
     manifest.stage("load")
 
-    params = _tree_params(resolved)
     if resolved["grid"]:
         entries = []
         for combo in GRID:
@@ -271,8 +283,8 @@ def cmd_encode(resolved, manifest, out):
     _encoder_counts(resolved)
     if resolved["method"] != "additive" and not resolved["base"]:
         raise CliError(f"{resolved['method']} encoders need --base")
-    train_ds, _ = _load_splits(resolved)
-    model = Ensemble.load(resolved["base"]) if resolved["base"] else None
+    (train_ds, _), model = _load_inputs(resolved, resolved["base"])
+    manifest.stage("load")
     enc = _build_encoders(resolved, model, train_ds)
     manifest.stage("build")
     _save_encoders(enc, out, manifest)
@@ -313,29 +325,24 @@ def _estimator_spec(resolved) -> BiasEstimatorSpec:
     )
 
 
-def _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, method):
-    points = []
-    if fam_train is not None:
-        points += evaluate_candidates(candidates, fam_train, train_ds.y, train_ds.g, "train", method)
-    if fam_test is not None:
-        points += evaluate_candidates(candidates, fam_test, test_ds.y, test_ds.g, "test", method)
-    return points
-
-
-def _filtered_frontier(points):
-    kept = []
-    for split_name in ("train", "test"):
-        subset = [p for p in points if p.split == split_name]
-        if subset:
-            kept.extend(pareto_filter(subset))
-    return kept
-
-
 def _write_frontier_artifacts(points, out, manifest):
     write_frontier_csv(points, out / "frontier.csv")
     manifest.artifact(out / "frontier.csv")
     write_frontier_svg(points, out / "frontier.svg")
     manifest.artifact(out / "frontier.svg")
+
+
+def _write_frontier(method, splits, scored, out, manifest):
+    """The frontier of every scoring command.  ``scored(ds)`` yields a
+    split's candidates as ``(omega, theta, probs)``; each present split of
+    ``splits`` (train, test) is scored through ``evaluate_candidates`` and
+    keeps its nondominated points, and the points of both are written to
+    frontier.csv and frontier.svg."""
+    points = []
+    for name, ds in zip(("train", "test"), splits):
+        if ds is not None:
+            points += pareto_filter(evaluate_candidates(scored(ds), ds.y, ds.g, name, method))
+    _write_frontier_artifacts(points, out, manifest)
 
 
 def _linear_family(enc, model, ds):
@@ -348,8 +355,6 @@ def _linear_family(enc, model, ds):
 
 def _reevaluated_family(enc, model, ds):
     """The linear family of ``enc``'s columns rebuilt on another split."""
-    if ds is None:
-        return None
     return _linear_family(enc.reevaluate(ds.X, model=model), model, ds)
 
 
@@ -370,8 +375,7 @@ def cmd_mitigate(resolved, manifest, out):
         loss=resolved["loss"],
         seed=resolved["seed"],
     )
-    train_ds, test_ds = _load_splits(resolved, scored=True)
-    model = Ensemble.load(resolved["base"])
+    (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
     manifest.stage("load")
 
     enc = _build_encoders(resolved, model, train_ds)
@@ -414,9 +418,12 @@ def cmd_mitigate(resolved, manifest, out):
         json.dump(doc, fh, indent=2)
     manifest.artifact(out / "candidates.json")
 
-    fam_test = _reevaluated_family(enc, model, test_ds)
-    points = _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, resolved["method"])
-    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
+    def scored(ds):
+        # the train family is the sweep's; the test split gets its columns rebuilt
+        family = fam_train if ds is train_ds else _reevaluated_family(enc, model, ds)
+        return ((omega, theta, family.scores(theta)) for omega, theta in candidates)
+
+    _write_frontier(resolved["method"], (train_ds, test_ds), scored, out, manifest)
     manifest.stage("evaluate")
 
 
@@ -432,22 +439,21 @@ def cmd_evaluate(resolved, manifest, out):
         raise CliError(f"base model not found at {base_path}; pass --base")
     enc_prefix = Path(resolved["encoders"]) if resolved["encoders"] else run_dir / "encoders"
     enc = EncoderMatrix.load(f"{enc_prefix}.csv", f"{enc_prefix}.json")
-    model = Ensemble.load(base_path)
     candidates = [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
-    train_ds, test_ds = _load_splits({**resolved, "label": doc["label"], "group": doc["group"]}, scored=True)
+    splits, model = _load_inputs({**resolved, "label": doc["label"], "group": doc["group"]}, base_path, scored=True)
     manifest.stage("load")
 
-    fam_train = _reevaluated_family(enc, model, train_ds)
-    fam_test = _reevaluated_family(enc, model, test_ds)
-    points = _evaluate_splits(candidates, fam_train, train_ds, fam_test, test_ds, doc["method"])
-    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
+    def scored(ds):
+        family = _reevaluated_family(enc, model, ds)
+        return ((omega, theta, family.scores(theta)) for omega, theta in candidates)
+
+    _write_frontier(doc["method"], splits, scored, out, manifest)
     manifest.stage("evaluate")
 
 
 def cmd_baseline_rescale(resolved, manifest, out):
     omegas = np.linspace(0.0, _nonnegative(resolved, "omega-max"), _at_least_one(resolved, "omegas"))
-    train_ds, test_ds = _load_splits(resolved, scored=True)
-    model = Ensemble.load(resolved["base"])
+    (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
     if resolved["features"] == "all":
         selected = list(range(train_ds.X.shape[1]))
     else:
@@ -464,20 +470,14 @@ def cmd_baseline_rescale(resolved, manifest, out):
         seed=resolved["seed"],
     )
     manifest.stage("search")
-    points = []
-    for omega in omegas:
-        cand = result.candidates[result.best_per_omega[float(omega)]]
-        for split_name, ds in (("train", train_ds), ("test", test_ds)):
-            if ds is None:
-                continue
-            probs = model.predict_proba(cand.apply(ds.X, selected))
-            metrics = score_metrics(probs, ds.y, ds.g)
-            points.append(
-                FrontierPoint(
-                    "rescale", float(omega), split_name, theta=np.concatenate([cand.a, cand.x_star]), **metrics
-                )
-            )
-    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
+
+    def scored(ds):
+        # each weight's best candidate, its theta the slopes then the anchors
+        for omega in omegas:
+            cand = result.candidates[result.best_per_omega[float(omega)]]
+            yield omega, np.concatenate([cand.a, cand.x_star]), model.predict_proba(cand.apply(ds.X, selected))
+
+    _write_frontier("rescale", (train_ds, test_ds), scored, out, manifest)
     with open(out / "candidates.json", "w") as fh:
         json.dump(
             {
@@ -498,28 +498,15 @@ def cmd_baseline_rescale(resolved, manifest, out):
 
 def cmd_baseline_ot(resolved, manifest, out):
     thetas = np.linspace(0.0, 1.0, _at_least_one(resolved, "thetas"))
-    train_ds, test_ds = _load_splits(resolved, scored=True)
-    model = Ensemble.load(resolved["base"])
+    params = _tree_params(resolved)
+    (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
     manifest.stage("load")
-    proj = ot_projection(
-        model,
-        train_ds.X,
-        train_ds.g,
-        params=_tree_params(resolved),
-        thetas=thetas,
-    )
+    proj = ot_projection(model, train_ds.X, train_ds.g, params=params, thetas=thetas)
     proj.projected_model.save(out / "projected_model.json")
     manifest.artifact(out / "projected_model.json")
     manifest.stage("project")
-    points = []
-    for split_name, ds in (("train", train_ds), ("test", test_ds)):
-        if ds is None:
-            continue
-        base_probs = model.predict_proba(ds.X)
-        for theta, probs in proj.candidates(base_probs, ds.X):
-            metrics = score_metrics(probs, ds.y, ds.g)
-            points.append(FrontierPoint("ot", theta, split_name, theta=np.array([theta]), **metrics))
-    _write_frontier_artifacts(_filtered_frontier(points), out, manifest)
+    scored = lambda ds: proj.candidates(model.predict_proba(ds.X), ds.X)
+    _write_frontier("ot", (train_ds, test_ds), scored, out, manifest)
     manifest.stage("evaluate")
 
 

@@ -91,19 +91,23 @@ def score_metrics(probs, labels, groups) -> dict:
     }
 
 
-def evaluate(candidates, family, labels, groups, split: str, method: str):
-    """FrontierPoints for (omega, theta) candidates on one data split.
+def evaluate(candidates, labels, groups, split: str, method: str):
+    """FrontierPoints for scored candidates on one data split, in the order
+    given.
 
-    The family must be built on this split's records; scores are taken in
-    probability space.
+    ``candidates`` yields ``(omega, theta, probs)``: a candidate's fairness
+    weight, its parameters, and its probability scores on this split's
+    records.  Every frontier (the sweep's and both baselines') is scored
+    here, with the exact metrics of ``score_metrics``.
     """
     labels = np.asarray(labels, dtype=float).ravel()
     groups = np.asarray(groups).ravel()
-    points = []
-    for omega, theta in candidates:
-        metrics = score_metrics(family.scores(theta), labels, groups)
-        points.append(FrontierPoint(method, float(omega), split, theta=np.asarray(theta, dtype=float), **metrics))
-    return points
+    return [
+        FrontierPoint(
+            method, float(omega), split, theta=np.asarray(theta, dtype=float), **score_metrics(probs, labels, groups)
+        )
+        for omega, theta, probs in candidates
+    ]
 
 
 def pareto_filter(points):

@@ -97,7 +97,8 @@ def run_sweep(pipe, method, seed):
     scale = OMEGA_SCALE_MULT * loss_bias_ratio_scale(fam_tr, ESTIMATOR, train_ds.y, train_ds.g)
     cfg = SweepConfig(omegas=default_omegas(scale), objective="lagrangian", seed=seed)
     candidates, _ = sgd_sweep(fam_tr, ESTIMATOR, cfg, train_ds.y, train_ds.g)
-    return evaluate(candidates, fam_te, test_ds.y, test_ds.g, "test", method)
+    scored = ((omega, theta, fam_te.scores(theta)) for omega, theta in candidates)
+    return evaluate(scored, test_ds.y, test_ds.g, "test", method)
 
 
 # --------------------------------------------------------------------------
@@ -353,7 +354,8 @@ def test_criterion_6_ot_baseline(m1_pipeline):
     repaired_w1 = wasserstein1(rep_g.distribution(0), rep_g.distribution(1))
 
     proj = ot_projection(pipe["model"], train_ds.X, train_ds.g)
-    projected = proj.interpolated_probs(base_probs, train_ds.X, 1.0)
+    *_, (theta, _, projected) = proj.candidates(base_probs, train_ds.X)
+    assert theta == 1.0
     proj_g = GroupedScores.from_labels(projected, train_ds.g)
     projected_w1 = wasserstein1(proj_g.distribution(0), proj_g.distribution(1))
     elapsed = time.time() - t0

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,12 @@ from fairfront.gbdt import GBDTParams, train
 def w1_by_group(scores, groups):
     g = GroupedScores.from_labels(scores, groups)
     return wasserstein1(g.distribution(0), g.distribution(1))
+
+
+def blend(proj, base_probs, X, theta):
+    """The projection's candidate probabilities at ``theta``."""
+    [(_, _, probs)] = replace(proj, thetas=np.array([theta])).candidates(base_probs, X)
+    return probs
 
 
 @pytest.fixture(scope="module")
@@ -143,20 +151,20 @@ class TestOtProjection:
         model, train_ds, _ = m1_model
         proj = m1_projection
         base_probs = model.predict_proba(train_ds.X)
-        assert np.array_equal(proj.interpolated_probs(base_probs, train_ds.X, 0.0), base_probs)
+        assert np.array_equal(blend(proj, base_probs, train_ds.X, 0.0), base_probs)
 
     def test_full_projection_reduces_train_bias(self, m1_model, m1_projection):
         model, train_ds, _ = m1_model
         proj = m1_projection
         base_probs = model.predict_proba(train_ds.X)
-        projected = proj.interpolated_probs(base_probs, train_ds.X, 1.0)
+        projected = blend(proj, base_probs, train_ds.X, 1.0)
         assert w1_by_group(projected, train_ds.g) <= 0.5 * w1_by_group(base_probs, train_ds.g)
 
     def test_interpolation_is_monotone_per_record(self, m1_model, m1_projection):
         model, train_ds, _ = m1_model
         proj = m1_projection
         base_probs = model.predict_proba(train_ds.X)
-        grid = [proj.interpolated_probs(base_probs, train_ds.X, t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
+        grid = [blend(proj, base_probs, train_ds.X, t) for t in (0.0, 0.25, 0.5, 0.75, 1.0)]
         diffs = np.diff(np.stack(grid), axis=0)
         assert np.all((diffs >= -1e-12).all(axis=0) | (diffs <= 1e-12).all(axis=0))
 
@@ -167,7 +175,7 @@ class TestOtProjection:
         base_probs = model.predict_proba(train_ds.X)
         w = base_probs - proj.projected_model.predict_proba(train_ds.X)
         for theta in (0.2, 0.7):
-            lhs = proj.interpolated_probs(base_probs, train_ds.X, theta)
+            lhs = blend(proj, base_probs, train_ds.X, theta)
             assert np.allclose(lhs, base_probs - theta * w, atol=1e-12)
 
     def test_theta_grid_default(self, m1_projection):

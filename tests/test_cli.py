@@ -15,7 +15,7 @@ import pytest
 
 from fairfront import cli, gbdt
 from fairfront.cli import main
-from fairfront.data import Dataset, load_csv, save_csv
+from fairfront.data import load_csv
 from fairfront.encoders import EncoderMatrix
 from fairfront.frontier import read_frontier_csv
 from fairfront.gbdt import Ensemble
@@ -502,6 +502,38 @@ class TestBaselines:
         points = read_frontier_csv(out / "frontier.csv")
         assert all(p.method == "ot" for p in points)
 
+    # sha256 of each baseline's artifacts on the test workspace, as they were
+    # when each baseline still had a scoring loop of its own
+    PINNED = {
+        "baseline-rescale": (
+            ["--features", "0,1,2", "--iterations", "40", "--omegas", "5"],
+            {
+                "frontier.csv": "39921c2ca7772ef29bdc77ba600eab0218069e705662252974ab43e0a7ebe83b",
+                "frontier.svg": "5152603554b6c0b18122def6d46a05c0f5f8f1a260a485480279c81fa5f913c1",
+                "candidates.json": "b04e4209df8d1067a0fc045eebcf91d8dd9a0b06233a60892488bfec4738d1a5",
+            },
+        ),
+        "baseline-ot": (
+            ["--rounds", "60", "--thetas", "5"],
+            {
+                "frontier.csv": "9eb6ad9160cf9fb8d2239dccd7b5f20673363e5f1951109adcb167c59e11030f",
+                "frontier.svg": "37771a467ca46e3b77858e025e96ec1d51957dd4192bd90c826f2b532a4b79ed",
+                "projected_model.json": "316ea116683f4d79114d4c18ccd529bee3ab87c8ab8184d7760a8b5d6eb2cd6c",
+            },
+        ),
+    }
+
+    @pytest.mark.parametrize("command", list(PINNED))
+    def test_artifacts_keep_their_bytes(self, workspace, tmp_path, command):
+        _, data, model_dir = workspace
+        setting, pinned = self.PINNED[command]
+        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
+                 "--base", str(model_dir / "model.json"), *setting]
+        out = tmp_path / "out"
+        assert main([command, *flags, "--out", str(out)]) == 0
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in pinned}
+        assert digests == pinned
+
 
 class TestReport:
     def test_merges_frontiers(self, workspace, tmp_path):
@@ -623,18 +655,16 @@ class TestFailedRunManifest:
         assert manifest["timings"] == {} and manifest["artifacts"] == []
 
     def test_failure_after_a_stage(self, workspace, tmp_path):
-        # records with one feature fewer than the model's load, and the tree walk rejects them
-        _, data, model_dir = workspace
-        full = load_csv(data / "train.csv")
-        short = tmp_path / "short.csv"
-        save_csv(Dataset(full.X[:, 1:], full.y, full.g, full.feature_names[1:]), short)
+        # a model without trees loads, and the tree-pca build rejects it
+        _, data, _ = workspace
+        empty = tmp_path / "empty"
+        assert main(["train-base", "--train", str(data / "train.csv"), "--rounds", "0", "--out", str(empty)]) == 0
         out = tmp_path / "out"
-        flags = ["--train", str(short), "--base", str(model_dir / "model.json")]
+        flags = ["--train", str(data / "train.csv"), "--base", str(empty / "model.json")]
         assert main(["mitigate", *flags, "--out", str(out)]) == 1
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
-        n, d = full.X.shape
-        assert manifest["error"] == f"expected {d} features, got shape ({n}, {d - 1})"
+        assert manifest["error"] == "ensemble must contain at least one tree"
         assert list(manifest["timings"]) == ["load"]
         assert not (out / "encoders.csv").exists()
 
@@ -774,6 +804,16 @@ class TestFailedRunManifest:
                 "mitigate", ["--grid-step", "0.6"], 1,
                 "grid step 0.6 does not divide [0, 1] into whole steps; use 1/2", id="grid-step-0.6",
             ),
+            # GBDT settings once failed only after the load stage
+            pytest.param("train-base", ["--depth", "0"], 1, "invalid gbdt params", id="depth-0-train-base"),
+            pytest.param(
+                "train-base", ["--min-leaf", "nan"], 1, "min_leaf must be finite and nonnegative, got nan",
+                id="min-leaf-nan-train-base",
+            ),
+            pytest.param(
+                "baseline-ot", ["--learning-rate", "nan"], 1, "learning_rate must be finite and positive, got nan",
+                id="learning-rate-nan-baseline-ot",
+            ),
         ],
     )
     def test_empty_omega_ladder_fails_before_any_stage(
@@ -781,7 +821,9 @@ class TestFailedRunManifest:
     ):
         _, data, model_dir = workspace
         out = tmp_path / "out"
-        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), *setting]
+        flags = ["--train", str(data / "train.csv"), *setting]
+        if command != "train-base":
+            flags += ["--base", str(model_dir / "model.json")]
         assert main([command, *flags, "--out", str(out)]) == code
         assert f"error: {error}\n" in capsys.readouterr().err
         manifest = json.loads((out / "manifest.json").read_text())
@@ -830,11 +872,21 @@ class TestOneWalkPerSplit:
         frontier = (tmp_path / "evaluation" / "frontier.csv").read_bytes()
         assert frontier == (run / "frontier.csv").read_bytes()
 
+    def test_baseline_ot(self, workspace, walked, tmp_path):
+        # the repair walks the base model on train; then each split is walked
+        # once by the base model and once by the projected one, for all thetas
+        _, data, model_dir = workspace
+        n_train, n_test = (load_csv(data / f"{name}.csv").n_records for name in ("train", "test"))
+        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
+                 "--base", str(model_dir / "model.json"), "--rounds", "60", "--thetas", "5"]
+        assert main(["baseline-ot", *flags, "--out", str(tmp_path / "ot")]) == 0
+        assert sum(walked) == n_train + 2 * (n_train + n_test)
+
 
 class TestUnusableSplit:
-    """A split with one class, or with a non-finite feature cell, fails
-    before any stage: exit 1, an error line naming the file, and the
-    manifest as the only file."""
+    """A split with one class, with a non-finite feature cell, or with a
+    feature count other than the base model's fails before any stage: exit
+    1, an error line naming the file, and the manifest as the only file."""
 
     @pytest.fixture(scope="class")
     def bad(self, workspace, tmp_path_factory):
@@ -845,8 +897,9 @@ class TestUnusableSplit:
         one_class = [rows[0]] + [row for row in rows[1:] if row[label] == "1"]
         non_finite = [list(row) for row in rows]
         non_finite[4][1] = "inf"
-        paths = {"one-class": root / "one-class.csv", "non-finite": root / "non-finite.csv"}
-        for name, table in (("one-class", one_class), ("non-finite", non_finite)):
+        short = [row[1:] for row in rows]
+        paths = {"one-class": root / "one-class.csv", "non-finite": root / "non-finite.csv", "short": root / "short.csv"}
+        for name, table in (("one-class", one_class), ("non-finite", non_finite), ("short", short)):
             with paths[name].open("w", newline="") as fh:
                 csv.writer(fh).writerows(table)
         return paths
@@ -867,12 +920,22 @@ class TestUnusableSplit:
             (["train-base", "--rounds", "5"], "--train", "non-finite"),
             (["mitigate", "--method", "additive"], "--train", "non-finite"),
             (["mitigate", "--method", "tree-pca"], "--test", "non-finite"),
+            # the feature count once went unchecked until the tree walk, whose
+            # error named neither the file nor the model
+            (["encode", "--method", "tree-pca"], "--train", "short"),
+            (["mitigate"], "--train", "short"),
+            (["mitigate", "--method", "additive"], "--test", "short"),
+            (["baseline-rescale", "--iterations", "5"], "--test", "short"),
+            (["baseline-ot", "--rounds", "5"], "--train", "short"),
+            (["evaluate"], "--test", "short"),
         ],
         ids=lambda v: v if isinstance(v, str) else v[0],
     )
     def test_fails_before_any_stage(self, workspace, bad, run, tmp_path, capsys, command, split, kind):
         _, data, model_dir = workspace
-        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv")]
+        flags = ["--train", str(data / "train.csv")]
+        if command[0] != "encode":
+            flags += ["--test", str(data / "test.csv")]
         if command[0] != "train-base":
             flags += ["--base", str(model_dir / "model.json")]
         if command[0] == "evaluate":
@@ -881,6 +944,8 @@ class TestUnusableSplit:
         assert main([*command, *flags, split, str(bad[kind]), "--out", str(out)]) == 1
         if kind == "one-class":
             error = f"{bad[kind]}: every record has label 1 in column 'label'; both 0 and 1 are needed"
+        elif kind == "short":
+            error = f"{bad[kind]} has 4 features, but the model {model_dir / 'model.json'} has n_features 5"
         else:
             error = f"{bad[kind]}: non-finite cell 'inf' at row 5, column 'x2'"
         assert f"error: {error}\n" in capsys.readouterr().err
@@ -926,10 +991,13 @@ class TestMismatchedReevaluation:
         assert error == f"tree-pca encoders need at least {int(max(kept)) + 1} trees, the model has 5"
 
     def test_additive_run_against_a_csv_without_a_feature(self, workspace, tmp_path, capsys):
-        _, data, model_dir = workspace
+        _, data, _ = workspace
         run = self.run_small(workspace, tmp_path / "run", "additive")
         lines = (data / "test.csv").read_text().splitlines()
         (tmp_path / "test.csv").write_text("".join(line.split(",", 1)[1] + "\n" for line in lines))
-        flags = ["--base", str(model_dir / "model.json"), "--test", str(tmp_path / "test.csv")]
+        # a base model of those four features, so the split loads and the encoders reject it
+        small = tmp_path / "small"
+        assert main(["train-base", "--train", str(tmp_path / "test.csv"), "--rounds", "5", "--out", str(small)]) == 0
+        flags = ["--base", str(small / "model.json"), "--test", str(tmp_path / "test.csv")]
         error = self.failed_evaluate(run, flags, tmp_path / "reval", capsys)
         assert error == "additive encoders were fit on 5 features, got 4"

@@ -33,7 +33,7 @@ class TestEvaluate:
         fam = toy_family(rng)
         y = (rng.random(fam.n_records) < fam.scores(fam.zero_theta())).astype(float)
         g = rng.integers(0, 2, fam.n_records)
-        pts = evaluate([(0.0, fam.zero_theta())], fam, y, g, "train", "base")
+        pts = evaluate([(0.0, fam.zero_theta(), fam.scores(fam.zero_theta()))], y, g, "train", "base")
         base = score_metrics(fam.scores(fam.zero_theta()), y, g)
         for k, v in base.items():
             assert getattr(pts[0], k) == v
