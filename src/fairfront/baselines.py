@@ -141,6 +141,7 @@ def repair_scores_by_label(scores, groups) -> np.ndarray:
 class OtProjection:
     projected_model: Ensemble
     thetas: np.ndarray
+    base_probs: np.ndarray  # the base model's probabilities on the records it was fit to
 
     def candidates(self, base_probs, X):
         """``(t, [t], probs)`` for each t of ``thetas``, the ``(omega, theta,
@@ -180,4 +181,4 @@ def ot_projection(
     stacked_X = np.vstack([X, X])
     stacked_y = np.concatenate([np.zeros(X.shape[0]), np.ones(X.shape[0])])
     projected = train(stacked_X, stacked_y, sample_weight=weights, params=params)
-    return OtProjection(projected, np.asarray(thetas, dtype=float))
+    return OtProjection(projected, np.asarray(thetas, dtype=float), base_probs)

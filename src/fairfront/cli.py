@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import sys
 import time
 from dataclasses import dataclass, field, replace
@@ -44,6 +45,7 @@ from .encoders import (
     additive_encoders,
     shapley_encoders,
     tree_pca_encoders,
+    treeshap_leaves,
 )
 from .estimators import BiasEstimatorSpec
 from .frontier import (
@@ -114,6 +116,10 @@ class Manifest:
         self.doc["artifacts"].append(path.name)
 
     def write(self):
+        # this process's high-water mark so far: in a process that ran
+        # other work before main, that work's peak too
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KB; bytes on macOS
+        self.doc["peak_rss_mb"] = round(peak / (1 << 20 if sys.platform == "darwin" else 1 << 10), 1)
         with open(self.out_dir / "manifest.json", "w") as fh:
             json.dump(self.doc, fh, indent=2, sort_keys=True)
 
@@ -159,12 +165,15 @@ def _load_splits(resolved, scored=False) -> list:
     return splits
 
 
-def _load_inputs(resolved, base_path, scored=False):
+def _load_inputs(resolved, base_path, scored=False, shapley=False):
     """The named splits (see ``_load_splits``) and the base model at
     ``base_path``, if one is named.  A split whose feature count is not the
-    model's is rejected here, before any stage."""
+    model's is rejected here, before any stage, and so is a model with a
+    path too deep for TreeSHAP when ``shapley`` columns will be built."""
     splits = _load_splits(resolved, scored)
     model = Ensemble.load(base_path) if base_path else None
+    if shapley:
+        treeshap_leaves(model)
     for path, ds in zip((resolved["train"], resolved.get("test")), splits):
         if model is not None and ds is not None and ds.X.shape[1] != model.n_features:
             raise ValueError(
@@ -283,7 +292,7 @@ def cmd_encode(resolved, manifest, out):
     _encoder_counts(resolved)
     if resolved["method"] != "additive" and not resolved["base"]:
         raise CliError(f"{resolved['method']} encoders need --base")
-    (train_ds, _), model = _load_inputs(resolved, resolved["base"])
+    (train_ds, _), model = _load_inputs(resolved, resolved["base"], shapley=resolved["method"] == "shapley")
     manifest.stage("load")
     enc = _build_encoders(resolved, model, train_ds)
     manifest.stage("build")
@@ -375,7 +384,9 @@ def cmd_mitigate(resolved, manifest, out):
         loss=resolved["loss"],
         seed=resolved["seed"],
     )
-    (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
+    (train_ds, test_ds), model = _load_inputs(
+        resolved, resolved["base"], scored=True, shapley=resolved["method"] == "shapley"
+    )
     manifest.stage("load")
 
     enc = _build_encoders(resolved, model, train_ds)
@@ -427,12 +438,19 @@ def cmd_mitigate(resolved, manifest, out):
     manifest.stage("evaluate")
 
 
+def _uses_shapley(state) -> bool:
+    """Whether the encoder provenance ``state`` holds Shapley columns."""
+    return state["kind"] == "shapley" or any(_uses_shapley(part) for part in state.get("parts", ()))
+
+
 def cmd_evaluate(resolved, manifest, out):
     if not (resolved["train"] or resolved["test"]):
         raise CliError("evaluate needs --train and/or --test")
     cand_path = Path(resolved["candidates"])
     with open(cand_path) as fh:
         doc = json.load(fh)
+    if not doc["candidates"]:
+        raise ValueError(f"{cand_path}: the candidates list is empty, so there is no frontier to score")
     run_dir = cand_path.parent
     base_path = Path(resolved["base"]) if resolved["base"] else run_dir / "model.json"
     if not base_path.exists():
@@ -440,7 +458,10 @@ def cmd_evaluate(resolved, manifest, out):
     enc_prefix = Path(resolved["encoders"]) if resolved["encoders"] else run_dir / "encoders"
     enc = EncoderMatrix.load(f"{enc_prefix}.csv", f"{enc_prefix}.json")
     candidates = [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
-    splits, model = _load_inputs({**resolved, "label": doc["label"], "group": doc["group"]}, base_path, scored=True)
+    splits, model = _load_inputs(
+        {**resolved, "label": doc["label"], "group": doc["group"]}, base_path, scored=True,
+        shapley=_uses_shapley(enc.provenance),
+    )
     manifest.stage("load")
 
     def scored(ds):
@@ -472,10 +493,15 @@ def cmd_baseline_rescale(resolved, manifest, out):
     manifest.stage("search")
 
     def scored(ds):
-        # each weight's best candidate, its theta the slopes then the anchors
+        # each weight's best candidate, its theta the slopes then the anchors;
+        # weights that pick the same candidate share one walk of the model
+        probs = {}
         for omega in omegas:
-            cand = result.candidates[result.best_per_omega[float(omega)]]
-            yield omega, np.concatenate([cand.a, cand.x_star]), model.predict_proba(cand.apply(ds.X, selected))
+            index = result.best_per_omega[float(omega)]
+            cand = result.candidates[index]
+            if index not in probs:
+                probs[index] = model.predict_proba(cand.apply(ds.X, selected))
+            yield omega, np.concatenate([cand.a, cand.x_star]), probs[index]
 
     _write_frontier("rescale", (train_ds, test_ds), scored, out, manifest)
     with open(out / "candidates.json", "w") as fh:
@@ -505,7 +531,8 @@ def cmd_baseline_ot(resolved, manifest, out):
     proj.projected_model.save(out / "projected_model.json")
     manifest.artifact(out / "projected_model.json")
     manifest.stage("project")
-    scored = lambda ds: proj.candidates(model.predict_proba(ds.X), ds.X)
+    # the projection already walked the base model on train
+    scored = lambda ds: proj.candidates(proj.base_probs if ds is train_ds else model.predict_proba(ds.X), ds.X)
     _write_frontier("ot", (train_ds, test_ds), scored, out, manifest)
     manifest.stage("evaluate")
 

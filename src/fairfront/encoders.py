@@ -21,12 +21,13 @@ supplies both and one branch in ``_state_columns``.  The non-constant
 columns carry a stored unit-variance scale so optimization is well
 conditioned while coefficients remain reportable in original units.
 
-Tree-pca columns ride on the model's tree walk: re-evaluation forms them
-block by block inside ``predict_raw``'s walk, which also gives the records'
-raw margins (``EncoderMatrix.raw_scores``), and the build forms them from
-its records x trees matrix in the same blocks and reads the margins off it.
-So a split is walked once, the margins are bitwise ``predict_raw``, and no
-records x trees matrix is formed outside the build.
+Tree-pca columns ride on the model's tree walk: they are formed block by
+block inside ``predict_raw``'s walk, which also gives the records' raw
+margins (``EncoderMatrix.raw_scores``), bitwise ``predict_raw``.  The build
+walks its records twice, first for the moments of the per-tree outputs, in
+bounded blocks of rows, then for the columns as re-evaluation does; no
+records x trees matrix is formed, and the build holds one trees x trees
+co-moment.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from ._util import fmt_floats
-from .gbdt import Ensemble, leaf_boxes, per_tree_outputs, raw_from_outputs
+from .gbdt import Ensemble, leaf_boxes, per_tree_outputs
 from .linear_family import LinearFamily
 
 PCA_ROW_CAP = 50_000
@@ -51,6 +52,10 @@ _MAX_PATH_FEATURES = 8
 # cells of one TreeSHAP work array: (leaves, 2^D * D) tables, (records, slots) gathers
 _TREESHAP_CELLS = 1 << 18
 _ZERO_VAR = 1e-15
+# per-tree outputs in one block of the tree-pca moment pass (8 MB).  At 800
+# trees and 10k records, 2^21 raised the process peak by 6 MB over 2^20, and
+# 2^18 or fewer took a third longer (one trees x trees merge per block)
+_PCA_BLOCK_CELLS = 1 << 20
 
 
 @dataclass
@@ -270,13 +275,20 @@ def _additive_columns(X, state) -> np.ndarray:
 
 
 def tree_pca_encoders(ensemble: Ensemble, X, r: int) -> EncoderMatrix:
-    """Top-r principal components of the per-tree output matrix.
+    """Top-r principal components of the per-tree outputs.
 
     Zero-variance trees are excluded before the eigendecomposition.  Each
     loading vector is sign-fixed so its largest-magnitude coordinate is
     positive; loadings and column means are stored so the components can be
     reproduced on new records exactly.  Rows beyond ``PCA_ROW_CAP`` are
-    thinned on an evenly spaced index grid before the covariance is formed.
+    thinned on an evenly spaced index grid before the moments are formed.
+
+    Two walks of the trees, and no records x trees matrix: the first merges
+    the per-tree outputs of blocks of rows into their means and one
+    trees x trees co-moment (``_tree_moments``); the second forms the
+    columns, and the records' raw margins, through ``_state_columns``, the
+    walk ``reevaluate`` takes.  So build and ``reevaluate`` agree bitwise
+    on the build records, and the margins are bitwise ``predict_raw``.
     """
     if ensemble.n_trees < 1:
         raise ValueError("ensemble must contain at least one tree")
@@ -287,37 +299,72 @@ def tree_pca_encoders(ensemble: Ensemble, X, r: int) -> EncoderMatrix:
     X = np.asarray(X, dtype=float)
     if r > X.shape[0]:
         raise ValueError("more components than records")
-    outputs = per_tree_outputs(ensemble, X)
-    variances = outputs.var(axis=0)
-    kept = np.flatnonzero(variances > _ZERO_VAR)
-    if r > kept.size:
-        raise ValueError(f"only {kept.size} trees have varying output, cannot take {r} components")
-    sub = outputs
+    rows = X
     if X.shape[0] > PCA_ROW_CAP:
-        sub = outputs[np.linspace(0, X.shape[0] - 1, PCA_ROW_CAP).astype(np.intp)]
-    sub = sub[:, kept]
-    means = sub.mean(axis=0)
-    centered = sub - means
-    cov = centered.T @ centered / max(sub.shape[0] - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:r]
-    loadings = eigvecs[:, order]
-    flip = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(r)] < 0
-    loadings[:, flip] *= -1.0
+        rows = X[np.linspace(0, X.shape[0] - 1, PCA_ROW_CAP).astype(np.intp)]
+    kept, means, eigenvalues, loadings = _tree_components(ensemble, rows, r)
     provenance = {
         "kind": "tree-pca",
         "kept_trees": kept.astype(float),
         "tree_means": means,
         "loadings": loadings,
-        "eigenvalues": eigvals[order],
+        "eigenvalues": eigenvalues,
     }
     names = ["const"] + [f"tree-pc{k + 1}" for k in range(r)]
-    # the columns and the raw margins come off the matrix in the walk's
-    # blocks, so build and reevaluate agree bitwise on the build records;
     # centering happens in tree-output space (tree_means), not per column
-    columns = np.empty((X.shape[0], r))
-    raw = raw_from_outputs(ensemble, outputs, _tree_pca_writer(provenance, ensemble.n_trees, columns))
+    columns, raw = _state_columns(provenance, X, ensemble)
     return _finish(columns, names, provenance, np.zeros(r + 1), raw)
+
+
+def _tree_components(ensemble, X, r):
+    """The trees with varying output on ``X``, their means, and the top-r
+    eigenvalues and sign-fixed loadings of their covariance.  The co-moment
+    is cut to the kept trees and divided in place, so it is the only
+    trees x trees array alive when ``eigh`` runs."""
+    means, comoment = _tree_moments(ensemble, X)
+    kept = np.flatnonzero(np.diagonal(comoment) / X.shape[0] > _ZERO_VAR)
+    if r > kept.size:
+        raise ValueError(f"only {kept.size} trees have varying output, cannot take {r} components")
+    if kept.size < ensemble.n_trees:
+        comoment = comoment[np.ix_(kept, kept)]
+    comoment /= max(X.shape[0] - 1, 1)
+    eigvals, eigvecs = np.linalg.eigh(comoment)
+    order = np.argsort(eigvals)[::-1][:r]
+    loadings = eigvecs[:, order]
+    flip = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(r)] < 0
+    loadings[:, flip] *= -1.0
+    return kept, means[kept], eigvals[order], loadings
+
+
+def _tree_moments(ensemble, X):
+    """Means of the per-tree outputs on the records ``X`` and their centred
+    co-moment, sum_i (T(x_i) - mean)(T(x_i) - mean)^T, in one pass over
+    blocks of about ``_PCA_BLOCK_CELLS`` outputs.  Each block is centred on
+    its own means and merged pairwise (Chan, Golub and LeVeque, 1983):
+    merging n_b rows into n_a moves the means by delta * n_b / n and adds
+    delta delta^T * n_a n_b / n to the co-moment, delta the difference of
+    the means."""
+    n_trees = ensemble.n_trees
+    means = np.zeros(n_trees)
+    comoment = np.zeros((n_trees, n_trees))
+    work = np.empty_like(comoment)
+    seen = 0
+    step = max(1, _PCA_BLOCK_CELLS // n_trees)
+    for start in range(0, X.shape[0], step):
+        block = per_tree_outputs(ensemble, X[start:start + step])
+        size = block.shape[0]
+        block_means = block.mean(axis=0)
+        block -= block_means
+        np.matmul(block.T, block, out=work)
+        comoment += work
+        del block  # freed before the next block is formed
+        delta = block_means - means
+        total = seen + size
+        means += delta * (size / total)
+        np.outer(delta, delta * (seen * size / total), out=work)
+        comoment += work
+        seen = total
+    return means, comoment
 
 
 def _tree_pca_writer(state, n_trees, columns):
@@ -376,14 +423,7 @@ def exact_marginal_shapley(model: Ensemble, X, background) -> ExplanationSet:
         raise ValueError("background must be a nonempty record matrix")
     model._check_features(X)
     reference = float(np.mean(model.predict_raw(background)))
-    values, lo, hi = leaf_boxes(model)
-    tested = (lo > -np.inf) | (hi < np.inf)
-    depth = int(tested.sum(axis=1).max(initial=0))
-    if depth > _MAX_PATH_FEATURES:
-        raise ValueError(
-            f"a tree path tests {depth} distinct features; TreeSHAP tables grow as 4^{depth}, "
-            f"more than {_MAX_PATH_FEATURES} are not supported"
-        )
+    values, lo, hi, tested, depth = treeshap_leaves(model)
     # slot d of leaf l: its d-th tested feature, then untested ones (met by every record)
     feature = np.argsort(~tested, axis=1, kind="stable")[:, :depth]
     lo, hi = np.take_along_axis(lo, feature, axis=1), np.take_along_axis(hi, feature, axis=1)
@@ -416,6 +456,22 @@ def exact_marginal_shapley(model: Ensemble, X, background) -> ExplanationSet:
                 cell.ravel(), gathered.ravel(), minlength=masks.shape[0] * n_features
             ).reshape(-1, n_features)
     return ExplanationSet(phi, reference)
+
+
+def treeshap_leaves(model: Ensemble):
+    """``leaf_boxes`` of ``model``, the (leaves, features) mask of the
+    features each leaf's path tests, and D, the most any path tests.  A
+    ``ValueError`` rejects D above ``_MAX_PATH_FEATURES``: the check that
+    commands building Shapley columns run when they load the model."""
+    values, lo, hi = leaf_boxes(model)
+    tested = (lo > -np.inf) | (hi < np.inf)
+    depth = int(tested.sum(axis=1).max(initial=0))
+    if depth > _MAX_PATH_FEATURES:
+        raise ValueError(
+            f"a tree path tests {depth} distinct features; TreeSHAP tables grow as 4^{depth}, "
+            f"more than {_MAX_PATH_FEATURES} are not supported"
+        )
+    return values, lo, hi, tested, depth
 
 
 def _slot_masks(X, feature, lo, hi) -> np.ndarray:

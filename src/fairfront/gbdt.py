@@ -14,11 +14,11 @@ self-describing JSON document.
 Prediction from a whole ensemble packs every tree into one node table and
 walks all trees at once, a chunk of rows at a time; ``Tree.predict`` walks
 one tree and serves early stopping's update of the validation margins.
-One walk serves both consumers of the per-tree outputs: ``predict_raw``
+One walk gives both the margins and the tree-pca columns: ``predict_raw``
 hands each (trees, rows) block to an optional ``each_block`` callback (the
-tree-pca columns) before adding it into the margins, and
-``raw_from_outputs`` reads the same margins, bitwise, off a stored
-``per_tree_outputs`` matrix, so no split is walked twice.
+columns) before adding it into the margins.  ``per_tree_outputs`` copies
+the blocks into a records x trees matrix; the tree-pca build takes its
+moments from such matrices of bounded blocks of rows.
 """
 
 from __future__ import annotations
@@ -222,13 +222,8 @@ class Ensemble:
         caller that needs the per-tree outputs walks the records once."""
         X = np.asarray(X, dtype=float)
         self._check_features(X)
-        return self._summed(X.shape[0], self._packed().blocks(X), each_block)
-
-    def _summed(self, n_rows, blocks, each_block) -> np.ndarray:
-        """The margins of ``n_rows`` records from their ``(rows, outputs)``
-        blocks, each handed to ``each_block`` before it is summed."""
-        raw = np.full(n_rows, self.base_margin)
-        for rows, outputs in blocks:
+        raw = np.full(X.shape[0], self.base_margin)
+        for rows, outputs in self._packed().blocks(X):
             if each_block is not None:
                 each_block(rows, outputs)
             outputs *= self.learning_rate
@@ -338,37 +333,13 @@ def _node_array(tree_doc, t, name, dtype):
 
 
 def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:
-    """Matrix of raw per-tree outputs T_j(x), one column per tree.
-
-    ``raw_from_outputs`` reads ``predict_raw`` off it, bitwise.
-    """
+    """Matrix of raw per-tree outputs T_j(x), one column per tree."""
     X = np.asarray(X, dtype=float)
     ensemble._check_features(X)
     outputs = np.empty((X.shape[0], ensemble.n_trees))
     for rows, block in ensemble._packed().blocks(X):
         outputs[rows] = block.T
     return outputs
-
-
-def raw_from_outputs(ensemble: Ensemble, outputs, each_block=None) -> np.ndarray:
-    """``predict_raw`` of the records of a ``per_tree_outputs`` matrix, read
-    off the matrix with no walk: its rows are handed out in the walk's
-    blocks and layout, to ``each_block`` as in ``predict_raw`` too, and
-    summed the same way, so the margins are bitwise those of the walk."""
-    return ensemble._summed(outputs.shape[0], _matrix_blocks(outputs), each_block)
-
-
-def _matrix_blocks(outputs):
-    """``(rows, block)`` of a (records, trees) matrix: every chunk of rows
-    copied to a (trees, rows) array, reused from chunk to chunk like the
-    walk's."""
-    block = None
-    for start in range(0, outputs.shape[0], _CHUNK_ROWS):
-        chunk = outputs[start:start + _CHUNK_ROWS].T
-        if block is None or block.shape != chunk.shape:
-            block = np.empty(chunk.shape)
-        block[...] = chunk
-        yield slice(start, start + chunk.shape[1]), block
 
 
 def leaf_boxes(ensemble: Ensemble):

@@ -16,7 +16,10 @@ statistical behaviour:
 * ``enumerated_marginal_shapley``: marginal Shapley values of any predict
   function by enumerating all 2^n coalitions, the reference for TreeSHAP;
 * ``per_cell_csv``: a dataset's CSV written one cell and one row at a time,
-  the reference for the block writer ``save_csv``.
+  the reference for the block writer ``save_csv``;
+* ``whole_matrix_tree_pca``: the tree-pca state from the whole records x
+  trees matrix, the reference for the streamed moments of
+  ``tree_pca_encoders``.
 """
 
 import csv
@@ -29,6 +32,7 @@ from fairfront.bias_metrics import GroupedScores, _require_two_groups
 from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, _merged_levels
 from fairfront.encoders import ExplanationSet
 from fairfront.estimators import BiasEstimatorSpec
+from fairfront.gbdt import per_tree_outputs
 from fairfront.relaxation import RelaxationFamily
 
 
@@ -330,3 +334,24 @@ def per_cell_csv(dataset, path, label_column="label", group_column="group"):
         for i in range(dataset.n_records):
             row = ["" if np.isnan(v) else fmt_float(v) for v in dataset.X[i]]
             writer.writerow(row + [str(int(dataset.y[i])), str(int(dataset.g[i]))])
+
+
+def whole_matrix_tree_pca(ensemble, X, r, row_cap) -> dict:
+    """The tree-pca state (kept trees, their means, the top-r eigenvalues
+    and sign-fixed loadings) of the records ``X``, thinned to ``row_cap``
+    evenly spaced rows, from their whole per-tree output matrix: variances,
+    means, the centred copy and its covariance, each formed at once."""
+    outputs = per_tree_outputs(ensemble, np.asarray(X, dtype=float))
+    if outputs.shape[0] > row_cap:
+        outputs = outputs[np.linspace(0, outputs.shape[0] - 1, row_cap).astype(np.intp)]
+    kept = np.flatnonzero(outputs.var(axis=0) > 1e-15)
+    sub = outputs[:, kept]
+    means = sub.mean(axis=0)
+    centered = sub - means
+    cov = centered.T @ centered / max(sub.shape[0] - 1, 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1][:r]
+    loadings = eigvecs[:, order]
+    flip = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(r)] < 0
+    loadings[:, flip] *= -1.0
+    return {"kept_trees": kept, "tree_means": means, "eigenvalues": eigvals[order], "loadings": loadings}

@@ -185,6 +185,8 @@ class TestMitigate:
         out = run_mitigate(workspace, "run1")
         for name in ("trace.csv", "candidates.json", "frontier.csv", "frontier.svg", "encoders.csv", "manifest.json"):
             assert (out / name).exists(), name
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["peak_rss_mb"] > 0
         points = read_frontier_csv(out / "frontier.csv")
         assert {p.split for p in points} == {"train", "test"}
         assert all(p.method == "tree-pca" for p in points)
@@ -377,6 +379,64 @@ class TestEncode:
         phi = enc.columns[:, 1:] + enc.centers[1:]
         reference = np.mean(model.predict_raw(enc.provenance["background"]))
         assert np.max(np.abs(phi.sum(axis=1) + reference - model.predict_raw(X))) <= 1e-9
+
+
+class TestTreeShapPathLimit:
+    """A model with a path testing more than 8 distinct features fails
+    before any stage wherever Shapley columns would be built from it:
+    ``encode`` and ``mitigate`` with ``--method shapley``, and ``evaluate``
+    of a Shapley run.  These once failed inside the build, after ``load``."""
+
+    N_FEATURES = 10
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("paths")
+        rng = np.random.default_rng(41)
+        X = rng.normal(size=(300, self.N_FEATURES))
+        y = (rng.random(300) < 0.3 + 0.4 * (X[:, 0] > 0)).astype(int)
+        data = root / "wide.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"x{i}" for i in range(self.N_FEATURES)] + ["label", "group"])
+            writer.writerows([*map(repr, row), label, i % 2] for i, (row, label) in enumerate(zip(X.tolist(), y)))
+        # one tree whose right spine tests every feature: node 2k tests x_k,
+        # its left child 2k + 1 is a leaf, the last right child a leaf too
+        n = self.N_FEATURES
+        tree = {
+            "feature": [k // 2 if k % 2 == 0 and k < 2 * n else -1 for k in range(2 * n + 1)],
+            "threshold": [0.0] * (2 * n + 1),
+            "left": [k + 1 if k % 2 == 0 and k < 2 * n else -1 for k in range(2 * n + 1)],
+            "right": [k + 2 if k % 2 == 0 and k < 2 * n else -1 for k in range(2 * n + 1)],
+            "value": [0.1 * k for k in range(2 * n + 1)],
+        }
+        deep = root / "deep.json"
+        deep.write_text(json.dumps({"kind": "fairfront-gbdt", "base_margin": 0.0, "learning_rate": 0.1,
+                                    "n_features": n, "link": "logistic", "trees": [tree]}))
+        flags = ["--train", str(data), "--test", str(data)]
+        assert main(["train-base", *flags, "--rounds", "10", "--out", str(root / "model")]) == 0
+        run = root / "run"
+        assert main(["mitigate", "--method", "shapley", "--background", "16", *flags,
+                     "--base", str(root / "model" / "model.json"), "--omegas", "1", "--epochs", "1",
+                     "--batches", "1", "--batch-size", "64", "--out", str(run)]) == 0
+        return data, deep, run
+
+    @pytest.mark.parametrize("command", ["encode", "mitigate", "evaluate"])
+    def test_fails_before_any_stage(self, inputs, tmp_path, capsys, command):
+        data, deep, run = inputs
+        flags = {
+            "encode": ["--method", "shapley", "--train", str(data)],
+            "mitigate": ["--method", "shapley", "--train", str(data), "--test", str(data)],
+            "evaluate": ["--candidates", str(run / "candidates.json"), "--test", str(data)],
+        }[command]
+        out = tmp_path / "out"
+        assert main([command, *flags, "--base", str(deep), "--out", str(out)]) == 1
+        error = "a tree path tests 10 distinct features; TreeSHAP tables grow as 4^10, more than 8 are not supported"
+        assert f"error: {error}\n" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == error
+        assert manifest["timings"] == {}
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
 
 
 class TestGroupCount:
@@ -653,6 +713,7 @@ class TestFailedRunManifest:
         assert "nope.json" in manifest["error"]
         assert manifest["error"] in capsys.readouterr().err
         assert manifest["timings"] == {} and manifest["artifacts"] == []
+        assert manifest["peak_rss_mb"] > 0
 
     def test_failure_after_a_stage(self, workspace, tmp_path):
         # a model without trees loads, and the tree-pca build rejects it
@@ -843,8 +904,9 @@ class TestFailedRunManifest:
 
 
 class TestOneWalkPerSplit:
-    """``mitigate`` and ``evaluate`` walk the trees once per split: the rows
-    that go through the packed walk are the train rows plus the test rows."""
+    """``evaluate`` walks the trees once per split: the rows that go through
+    the packed walk are the train rows plus the test rows.  ``mitigate``
+    walks train once more, for the moments of the tree-pca build."""
 
     @pytest.fixture
     def walked(self, monkeypatch):
@@ -861,8 +923,9 @@ class TestOneWalkPerSplit:
     def test_mitigate_then_evaluate(self, workspace, walked, tmp_path):
         root, data, model_dir = workspace
         split_rows = sum(load_csv(data / f"{name}.csv").n_records for name in ("train", "test"))
+        n_train = load_csv(data / "train.csv").n_records
         run = run_mitigate(workspace, "one_walk")
-        assert sum(walked) == split_rows
+        assert sum(walked) == n_train + split_rows
         walked.clear()
         flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
                  "--base", str(model_dir / "model.json")]
@@ -873,23 +936,42 @@ class TestOneWalkPerSplit:
         assert frontier == (run / "frontier.csv").read_bytes()
 
     def test_baseline_ot(self, workspace, walked, tmp_path):
-        # the repair walks the base model on train; then each split is walked
-        # once by the base model and once by the projected one, for all thetas
+        # each split is walked once by the base model (on train, by the
+        # repair) and once by the projected one, for all thetas
         _, data, model_dir = workspace
         n_train, n_test = (load_csv(data / f"{name}.csv").n_records for name in ("train", "test"))
         flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
                  "--base", str(model_dir / "model.json"), "--rounds", "60", "--thetas", "5"]
         assert main(["baseline-ot", *flags, "--out", str(tmp_path / "ot")]) == 0
-        assert sum(walked) == n_train + 2 * (n_train + n_test)
+        assert sum(walked) == 2 * (n_train + n_test)
+
+    def test_baseline_rescale(self, workspace, walked, tmp_path):
+        # the search walks train once per candidate; then each split is
+        # walked once per distinct candidate that some weight picks
+        _, data, model_dir = workspace
+        n_train, n_test = (load_csv(data / f"{name}.csv").n_records for name in ("train", "test"))
+        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
+                 "--base", str(model_dir / "model.json"), "--features", "0,1,2", "--iterations", "40",
+                 "--omegas", "5"]
+        out = tmp_path / "rescale"
+        assert main(["baseline-rescale", *flags, "--out", str(out)]) == 0
+        picked = set(json.loads((out / "candidates.json").read_text())["best_per_omega"].values())
+        assert len(picked) < 5  # two weights pick the same candidate
+        assert sum(walked) == 41 * n_train + len(picked) * (n_train + n_test)
 
 
 class TestUnusableSplit:
     """A split with one class, with a non-finite feature cell, or with a
     feature count other than the base model's fails before any stage: exit
-    1, an error line naming the file, and the manifest as the only file."""
+    1, an error line naming the file, and the manifest as the only file.  So
+    does a candidates file with no candidates."""
 
     @pytest.fixture(scope="class")
-    def bad(self, workspace, tmp_path_factory):
+    def run(self, workspace):
+        return run_mitigate(workspace, "run-unusable")
+
+    @pytest.fixture(scope="class")
+    def bad(self, workspace, run, tmp_path_factory):
         _, data, _ = workspace
         rows = list(csv.reader((data / "train.csv").open()))
         label = rows[0].index("label")
@@ -902,11 +984,11 @@ class TestUnusableSplit:
         for name, table in (("one-class", one_class), ("non-finite", non_finite), ("short", short)):
             with paths[name].open("w", newline="") as fh:
                 csv.writer(fh).writerows(table)
+        # the run's candidates with the list emptied once failed only after the load stage
+        paths["no-candidates"] = root / "candidates.json"
+        doc = json.loads((run / "candidates.json").read_text())
+        paths["no-candidates"].write_text(json.dumps({**doc, "candidates": []}))
         return paths
-
-    @pytest.fixture(scope="class")
-    def run(self, workspace):
-        return run_mitigate(workspace, "run-unusable")
 
     @pytest.mark.parametrize(
         "command, split, kind",
@@ -928,6 +1010,7 @@ class TestUnusableSplit:
             (["baseline-rescale", "--iterations", "5"], "--test", "short"),
             (["baseline-ot", "--rounds", "5"], "--train", "short"),
             (["evaluate"], "--test", "short"),
+            (["evaluate"], "--candidates", "no-candidates"),
         ],
         ids=lambda v: v if isinstance(v, str) else v[0],
     )
@@ -946,6 +1029,8 @@ class TestUnusableSplit:
             error = f"{bad[kind]}: every record has label 1 in column 'label'; both 0 and 1 are needed"
         elif kind == "short":
             error = f"{bad[kind]} has 4 features, but the model {model_dir / 'model.json'} has n_features 5"
+        elif kind == "no-candidates":
+            error = f"{bad[kind]}: the candidates list is empty, so there is no frontier to score"
         else:
             error = f"{bad[kind]}: non-finite cell 'inf' at row 5, column 'x2'"
         assert f"error: {error}\n" in capsys.readouterr().err

@@ -24,10 +24,9 @@ from fairfront.gbdt import (
     Tree,
     leaf_boxes,
     per_tree_outputs,
-    raw_from_outputs,
     train,
 )
-from oracles import enumerated_marginal_shapley
+from oracles import enumerated_marginal_shapley, whole_matrix_tree_pca
 from test_gbdt import random_tree
 
 
@@ -181,6 +180,55 @@ class TestTreePca:
         assert capped.columns.shape == (400, 4)  # all rows still get columns
 
 
+def random_ensemble(rng, n_trees, thresholds, n_features=3):
+    """``n_trees`` random trees of depth 3, the third a stump whose test no
+    record of a standard normal sample fails: a tree of zero variance."""
+    trees = [random_tree(rng, 3, n_features, thresholds) for _ in range(n_trees)]
+    trees[2] = stump(0, 99.0, 0.25, -1.0)
+    return Ensemble(0.1, 0.3, trees, n_features)
+
+
+class TestTreePcaMoments:
+    """The build merges blocks of per-tree outputs into one co-moment; its
+    state matches the whole-matrix construction of ``oracles``."""
+
+    @staticmethod
+    def close(got, want):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-9 * np.max(np.abs(want))
+
+    # n = 85 = 12 * 7 + 1 rows, so blocks of 7 rows end in a block of one;
+    # 43 = 6 * 7 + 1 rows under the cap; blocks of one row; one block
+    @pytest.mark.parametrize("block_rows, row_cap", [(7, None), (7, 43), (1, None), (1, 43), (None, None)])
+    def test_streamed_state_matches_the_whole_matrix(self, monkeypatch, block_rows, row_cap):
+        rng = np.random.default_rng(21)
+        model = random_ensemble(rng, 30, rng.normal(size=40))
+        X = rng.normal(size=(85, 3))
+        if block_rows is not None:
+            monkeypatch.setattr(encoders, "_PCA_BLOCK_CELLS", block_rows * model.n_trees)
+        if row_cap is not None:
+            monkeypatch.setattr(encoders, "PCA_ROW_CAP", row_cap)
+        state = tree_pca_encoders(model, X, r=3).provenance
+        want = whole_matrix_tree_pca(model, X, 3, encoders.PCA_ROW_CAP)
+        assert 2 not in want["kept_trees"]
+        assert np.array_equal(state["kept_trees"], want["kept_trees"])
+        for key in ("tree_means", "eigenvalues", "loadings"):
+            self.close(state[key], want[key])
+
+    def test_peak_memory_is_below_one_output_matrix(self):
+        rng = np.random.default_rng(23)
+        model = random_ensemble(rng, 400, rng.normal(size=8))  # few distinct tests: a small walk
+        n = 20 * _CHUNK_ROWS
+        X = rng.normal(size=(n, 3))
+        tracemalloc.start()
+        try:
+            tree_pca_encoders(model, X, r=5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * model.n_trees * 8
+
+
 class TestSharedWalk:
     """One walk of the trees gives both the raw margins and the tree-pca
     columns; the margins are bitwise those of ``predict_raw`` whichever way
@@ -208,7 +256,6 @@ class TestSharedWalk:
         assert np.array_equal(model.predict_raw(new), expected)
         walked = model.predict_raw(new, lambda rows, outputs: blocks.append((rows, outputs.copy())))
         assert np.array_equal(walked, expected)
-        assert np.array_equal(raw_from_outputs(model, per_tree_outputs(model, new)), expected)
         enc = tree_pca_encoders(model, X, r=3)
         assert np.array_equal(enc.reevaluate(new, model=model).raw_scores, expected)
         # each block is handed over before it is scaled, and the blocks cover the rows in order
