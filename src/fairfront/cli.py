@@ -188,6 +188,8 @@ def _load_inputs(resolved, base_path, scored=False, shapley=False):
 
 
 def cmd_generate(resolved, manifest, out):
+    if resolved["split"] is not None and not 0.0 < resolved["split"] < 1.0:
+        raise CliError(f"--split must lie in (0, 1), got {resolved['split']}")
     generator = {"m1": generate_m1, "m2": generate_m2}[resolved["model"]]
     ds = generator(resolved["n"], resolved["seed"])
     manifest.stage("generate")
@@ -315,8 +317,8 @@ def _encoder_counts(resolved):
 
 
 def _nonnegative(resolved, flag) -> float:
-    """A fairness weight (``--omega-max``, ``--omega-scale-mult``), checked
-    before any stage."""
+    """A fairness weight (``--omega-max``, ``--omega-scale-mult``) or the
+    search's ``--iterations``, checked before any stage."""
     if not 0.0 <= resolved[flag] < np.inf:
         raise CliError(f"--{flag} must be finite and nonnegative, got {resolved[flag]}")
     return resolved[flag]
@@ -443,21 +445,40 @@ def _uses_shapley(state) -> bool:
     return state["kind"] == "shapley" or any(_uses_shapley(part) for part in state.get("parts", ()))
 
 
+def _read_candidates(path):
+    """A mitigate run's candidates.json: the document and its ``(omega,
+    theta)`` pairs, checked before any stage for the fields that ``evaluate``
+    reads."""
+    with open(path) as fh:
+        doc = json.load(fh)
+    missing = [key for key in ("method", "label", "group", "candidates") if key not in doc]
+    if missing:
+        raise ValueError(f"{path} lacks {', '.join(map(repr, missing))}: it is not the candidates.json of a mitigate run")
+    if not doc["candidates"]:
+        raise ValueError(f"{path}: the candidates list is empty, so there is no frontier to score")
+    for k, cand in enumerate(doc["candidates"]):
+        if not ("omega" in cand and "theta" in cand):
+            raise ValueError(f"{path}: candidate {k} needs an 'omega' and a 'theta'")
+    return doc, [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
+
+
 def cmd_evaluate(resolved, manifest, out):
     if not (resolved["train"] or resolved["test"]):
         raise CliError("evaluate needs --train and/or --test")
     cand_path = Path(resolved["candidates"])
-    with open(cand_path) as fh:
-        doc = json.load(fh)
-    if not doc["candidates"]:
-        raise ValueError(f"{cand_path}: the candidates list is empty, so there is no frontier to score")
+    doc, candidates = _read_candidates(cand_path)
     run_dir = cand_path.parent
     base_path = Path(resolved["base"]) if resolved["base"] else run_dir / "model.json"
     if not base_path.exists():
         raise CliError(f"base model not found at {base_path}; pass --base")
     enc_prefix = Path(resolved["encoders"]) if resolved["encoders"] else run_dir / "encoders"
     enc = EncoderMatrix.load(f"{enc_prefix}.csv", f"{enc_prefix}.json")
-    candidates = [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
+    for k, (_, theta) in enumerate(candidates):
+        if theta.shape != (enc.n_columns,):
+            raise ValueError(
+                f"{cand_path}: candidate {k} has {theta.size} theta values, but the encoders "
+                f"{enc_prefix}.csv have {enc.n_columns} columns"
+            )
     splits, model = _load_inputs(
         {**resolved, "label": doc["label"], "group": doc["group"]}, base_path, scored=True,
         shapley=_uses_shapley(enc.provenance),
@@ -472,13 +493,29 @@ def cmd_evaluate(resolved, manifest, out):
     manifest.stage("evaluate")
 
 
+def _selected_features(value, n_features) -> list:
+    """``--features``: 'all', or distinct indices of the split's features."""
+    if value == "all":
+        return list(range(n_features))
+    try:
+        selected = [int(i) for i in value.split(",") if i != ""]
+    except ValueError:
+        raise CliError(f"--features must be 'all' or comma-separated feature indices, got {value!r}") from None
+    if not selected:
+        raise CliError("--features names no feature")
+    for k, i in enumerate(selected):
+        if not 0 <= i < n_features:
+            raise CliError(f"--features index {i} is outside the split's {n_features} features (0 to {n_features - 1})")
+        if i in selected[:k]:
+            raise CliError(f"--features names feature {i} twice")
+    return selected
+
+
 def cmd_baseline_rescale(resolved, manifest, out):
     omegas = np.linspace(0.0, _nonnegative(resolved, "omega-max"), _at_least_one(resolved, "omegas"))
+    _nonnegative(resolved, "iterations")
     (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
-    if resolved["features"] == "all":
-        selected = list(range(train_ds.X.shape[1]))
-    else:
-        selected = [int(i) for i in resolved["features"].split(",") if i != ""]
+    selected = _selected_features(resolved["features"], train_ds.X.shape[1])
     manifest.stage("load")
     result = random_search_rescaling(
         model,

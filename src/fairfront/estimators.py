@@ -156,6 +156,20 @@ class EstimatorBatch:
         )
 
 
+def _grid_blocks(rel, scores, thresholds, need_prime):
+    """``(block, R, P)`` of the (thresholds, scores) grid ``R[j, i] =
+    r_s(scores_i - thresholds_j)``, a block of about _GRID_CELLS cells of
+    threshold rows at a time, written into work arrays made once per call
+    that the next block overwrites.  ``P`` is the slope r_s' / s, None
+    unless ``need_prime``."""
+    step = min(thresholds.size, max(1, _GRID_CELLS // scores.size))
+    work = np.empty((2 if need_prime else 1, step, scores.size))
+    for lo in range(0, thresholds.size, step):
+        blk = slice(lo, lo + step)
+        n = thresholds[blk].size
+        yield (blk, *rel.grid(scores, thresholds[blk], work[0, :n], work[1, :n] if need_prime else None))
+
+
 def _threshold_average(spec, u0, u1, thresholds, weights, need_grad=True, scored=False):
     """``sum_j w_j h(B_hat(t_j))``, less the unbiased variance terms when
     ``spec.unbiased``, on the group scores ``u0`` and ``u1``.
@@ -183,12 +197,7 @@ def _threshold_average(spec, u0, u1, thresholds, weights, need_grad=True, scored
     variance = np.zeros(T)
     coef = np.zeros(u.size) if need_grad else None
     tcoef = np.zeros(T) if need_grad and scored else None
-    step = min(T, max(1, _GRID_CELLS // u.size))
-    work = np.empty((2 if need_grad else 1, step, u.size))
-    for lo in range(0, T, step):
-        blk = slice(lo, lo + step)
-        t = thresholds[blk]
-        R, P = rel.grid(u, t, work[0, :t.size], work[1, :t.size] if need_grad else None)
+    for blk, R, P in _grid_blocks(rel, u, thresholds, need_grad):
         means = [R[:, cols].mean(axis=1) for cols, _, _ in groups]
         B[blk] = means[1] - means[0]
         if unbiased:
@@ -265,18 +274,6 @@ def _energy_vstat(S0, S1, need_grad=True):
     return value, (c0, c1)
 
 
-def _pool_grid_blocks(rel, up, u, need_prime):
-    """``(block, R, P)`` of the (rows, pool) grid ``r_s(up_l - u_i)``, a block
-    of about _GRID_CELLS cells of rows of ``u`` at a time, written into work
-    arrays that the next block overwrites.  ``P`` is the slope r_s' / s."""
-    step = min(u.size, max(1, _GRID_CELLS // up.size))
-    work = np.empty((2 if need_prime else 1, step, up.size))
-    for lo in range(0, u.size, step):
-        blk = slice(lo, lo + step)
-        n = u[blk].size
-        yield (blk, *rel.grid(up, u[blk], work[0, :n], work[1, :n] if need_prime else None))
-
-
 _MIN_BANDWIDTH = 1e-9
 
 
@@ -340,7 +337,7 @@ def _estimate(spec, rng, need_grad, u0, u1, up=None):
     rel = spec.relaxation
     S = [np.empty(u.size) for u in (u0, u1)]
     for S_k, u in zip(S, (u0, u1)):
-        for blk, R, _ in _pool_grid_blocks(rel, up, u, False):
+        for blk, R, _ in _grid_blocks(rel, up, u, False):
             S_k[blk] = 1.0 - R.mean(axis=1)
     value, cot = _energy_vstat(*S, need_grad)
     if cot is None:
@@ -349,7 +346,7 @@ def _estimate(spec, rng, need_grad, u0, u1, up=None):
     cu = [np.empty(u.size) for u in (u0, u1)]
     for c_k, cS, u in zip(cu, cot, (u0, u1)):
         cS = rel.scale * cS  # the factor s of the slope P
-        for blk, _, P in _pool_grid_blocks(rel, up, u, True):
+        for blk, _, P in _grid_blocks(rel, up, u, True):
             c_k[blk] = cS[blk] * P.mean(axis=1)
             cp -= (cS[blk] @ P) / up.size
     return value, (cu[0], cu[1], cp)

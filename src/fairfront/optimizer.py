@@ -80,10 +80,8 @@ def default_omegas(scale: float = 1.0, count: int = 21) -> np.ndarray:
 def loss_bias_ratio_scale(family, spec, labels, groups) -> float:
     """Base-model cross-entropy divided by its bias estimate; the customary
     scale for the omega ladder when the two terms live on different orders."""
-    theta0 = family.zero_theta()
-    loss = _full_loss(family, theta0, labels, "cross-entropy")
     batch = EstimatorBatch.full(groups)
-    bias, _ = bias_value_and_grad(spec, family, theta0, batch, need_grad=False)
+    loss, bias = _full_scores(family, spec, family.zero_theta(), batch, labels, "cross-entropy")
     return float(loss / max(bias, 1e-12))
 
 
@@ -95,8 +93,11 @@ def distill_loss(p, q) -> float:
     return float(np.mean(p * (np.log(p) - np.log(q)) + (1 - p) * (np.log1p(-p) - np.log1p(-q))))
 
 
-def _loss_weight(objective: str, omega: float) -> float:
-    return 1.0 - omega if objective == "penalized" else 1.0
+def _objective(form: str, omega, loss, bias):
+    """The objective ``w_L * loss + omega * bias``, with the loss weight
+    ``w_L`` = 1 - omega in the penalized form and 1 in the Lagrangian; on
+    floats, or on arrays of values or gradients alike."""
+    return (1.0 - omega if form == "penalized" else 1.0) * loss + omega * bias
 
 
 def _loss_and_cotangent(family, p, rows, labels, loss_kind):
@@ -127,9 +128,14 @@ def _loss_and_grad(family, theta, rows, labels, loss_kind):
     return value, pullback(cotangent) / rows.size
 
 
-def _full_loss(family, theta, labels, loss_kind) -> float:
+def _full_scores(family, spec, theta, full_batch, labels, loss_kind):
+    """Full-data ``(loss, bias)`` of ``theta``: the loss on every row, the
+    bias estimate on ``full_batch``, the ``EstimatorBatch.full`` of the
+    groups."""
     p = sigmoid(family.raw_scores_and_pullback(theta)[0])
-    return _loss_and_cotangent(family, p, slice(None), labels, loss_kind)[0]
+    loss = _loss_and_cotangent(family, p, slice(None), labels, loss_kind)[0]
+    bias, _ = bias_value_and_grad(spec, family, theta, full_batch, need_grad=False)
+    return loss, bias
 
 
 def penalized_objective(
@@ -144,11 +150,8 @@ def penalized_objective(
     loss: str = "cross-entropy",
     rng=None,
 ):
-    """Objective value and analytic gradient on explicit batches.
-
-    Value is ``weight_L * L + omega * B`` with ``weight_L`` set by the
-    objective form.
-    """
+    """Objective value and analytic gradient on explicit batches (see
+    ``_objective``)."""
     theta = np.asarray(theta, dtype=float)
     perf_batch = np.asarray(perf_batch, dtype=np.intp).ravel()
     if perf_batch.size == 0:
@@ -157,8 +160,7 @@ def penalized_objective(
         raise ValueError("cross-entropy loss needs labels")
     l_value, l_grad = _loss_and_grad(family, theta, perf_batch, labels, loss)
     b_value, b_grad = bias_value_and_grad(spec, family, theta, bias_batch, rng=rng)
-    wl = _loss_weight(objective, omega)
-    return wl * l_value + omega * b_value, wl * l_grad + omega * b_grad
+    return _objective(objective, omega, l_value, b_value), _objective(objective, omega, l_grad, b_grad)
 
 
 @dataclass
@@ -174,14 +176,8 @@ class TraceRow:
 class MitigationTrace:
     rows: list = field(default_factory=list)
 
-    def append(self, omega, epoch, theta, train_loss, train_bias):
-        self.rows.append(TraceRow(float(omega), int(epoch), np.array(theta), train_loss, train_bias))
-
     def to_csv(self, path):
-        if self.rows:
-            width = self.rows[0].theta.size
-        else:
-            width = 0
+        width = self.rows[0].theta.size if self.rows else 0
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(
@@ -195,51 +191,48 @@ class MitigationTrace:
                 )
 
 
+def _best(rows, form, omega) -> TraceRow:
+    """The first of ``rows`` with the lowest objective under ``omega``."""
+    losses, biases = np.array([[row.train_loss, row.train_bias] for row in rows]).T
+    return rows[int(np.argmin(_objective(form, omega, losses, biases)))]
+
+
 def sgd_sweep(family: LinearFamily, spec: BiasEstimatorSpec, config: SweepConfig, labels, groups):
     """Run the omega sweep; returns (candidates, trace).
 
-    ``candidates`` holds one ``(omega, theta)`` pair per coefficient: the
-    stored snapshot with the lowest full-data objective under that omega.
     ``trace`` records every per-epoch snapshot with its full-data loss and
-    bias estimate.
+    bias estimate, and its rows are the only snapshot store.  Each omega
+    warm-starts from the previous omega's rows (a theta = 0 row, not
+    written, before the first), at the one lowest under the new omega;
+    ``candidates`` holds one ``(omega, theta)`` pair per omega, the lowest
+    of its own rows.  With no epochs an omega keeps its warm start.
     """
     labels = np.asarray(labels, dtype=float).ravel()
     groups = np.asarray(groups).ravel()
     if labels.size != family.n_records or groups.size != family.n_records:
         raise ValueError("labels/groups must align with the family rows")
-    rows0 = np.flatnonzero(groups == 0)
-    rows1 = np.flatnonzero(groups == 1)
-    if rows0.size == 0 or rows1.size == 0:
+    if not (np.any(groups == 0) and np.any(groups == 1)):
         raise ValueError("both groups need at least one record")
 
     rng = np.random.default_rng(config.seed)
     n = family.n_records
-    full_batch = EstimatorBatch(rows0, rows1, np.arange(n))
+    full_batch = EstimatorBatch.full(groups)
 
-    def full_scores(theta):
-        loss = _full_loss(family, theta, labels, config.loss)
-        bias, _ = bias_value_and_grad(spec, family, theta, full_batch, need_grad=False)
-        return loss, bias
+    def snapshot(omega, epoch, theta):
+        return TraceRow(float(omega), epoch, theta, *_full_scores(family, spec, theta, full_batch, labels, config.loss))
 
     trace = MitigationTrace()
     candidates = []
-    # snapshots of the previous omega: (theta, full loss, full bias)
-    previous = []
-    theta = family.zero_theta()
-    loss0, bias0 = full_scores(theta)
-    start_snapshot = (theta.copy(), loss0, bias0)
-
+    pool = [snapshot(0.0, -1, family.zero_theta())]
     for omega in config.omegas:
-        pool = previous if previous else [start_snapshot]
-        scores = [_loss_weight(config.objective, omega) * l + omega * b for (_, l, b) in pool]
-        theta = pool[int(np.argmin(scores))][0].copy()
-        current = []
+        theta = _best(pool, config.objective, omega).theta
+        first = len(trace.rows)
         for epoch in range(config.n_epochs):
             for _ in range(config.n_batches):
                 perf = rng.choice(n, size=config.batch_size, replace=True)
                 bias_batch = EstimatorBatch(
-                    rng.choice(rows0, size=config.batch_size, replace=True),
-                    rng.choice(rows1, size=config.batch_size, replace=True),
+                    rng.choice(full_batch.group0, size=config.batch_size, replace=True),
+                    rng.choice(full_batch.group1, size=config.batch_size, replace=True),
                     rng.choice(n, size=config.batch_size, replace=True),
                 )
                 _, grad = penalized_objective(
@@ -255,14 +248,7 @@ def sgd_sweep(family: LinearFamily, spec: BiasEstimatorSpec, config: SweepConfig
                     rng=rng,
                 )
                 theta = np.clip(theta - config.learning_rate * grad, -config.theta_box, config.theta_box)
-            loss, bias = full_scores(theta)
-            trace.append(omega, epoch, theta, loss, bias)
-            current.append((theta.copy(), loss, bias))
-        if current:
-            wl = _loss_weight(config.objective, omega)
-            best = int(np.argmin([wl * l + omega * b for (_, l, b) in current]))
-            candidates.append((float(omega), current[best][0].copy()))
-            previous = current
-        else:
-            candidates.append((float(omega), theta.copy()))
+            trace.rows.append(snapshot(omega, epoch, theta))
+        pool = trace.rows[first:] or pool
+        candidates.append((float(omega), _best(pool, config.objective, omega).theta))
     return candidates, trace

@@ -39,10 +39,6 @@ class RelaxationFamily:
         if not 0 < self.scale < np.inf:
             raise ValueError(f"relaxation scale must be finite and positive, got {self.scale}")
 
-    @property
-    def smooth(self) -> bool:
-        return self.kind != "ramp"
-
     def r(self, z):
         z = np.asarray(z, dtype=float)
         s = self.scale

@@ -104,6 +104,19 @@ def run_mitigate(workspace, out_name, extra=()):
 
 
 class TestGenerate:
+    # a train share outside (0, 1) once failed after the generate stage, with
+    # data.csv and data.json written and an error that named no flag
+    @pytest.mark.parametrize("fraction", ["1.5", "1", "0", "-0.2", "nan"])
+    def test_split_outside_the_unit_interval_fails_before_any_stage(self, tmp_path, capsys, fraction):
+        out = tmp_path / "out"
+        assert main(["generate", "--n", "200", "--split", fraction, "--out", str(out)]) == 2
+        error = f"--split must lie in (0, 1), got {float(fraction)}"
+        assert f"error: {error}\n" in capsys.readouterr().err
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == error
+        assert manifest["timings"] == {}
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+
     def test_artifacts_and_manifest(self, workspace):
         root, data, _ = workspace
         assert (data / "data.csv").exists()
@@ -875,6 +888,33 @@ class TestFailedRunManifest:
                 "baseline-ot", ["--learning-rate", "nan"], 1, "learning_rate must be finite and positive, got nan",
                 id="learning-rate-nan-baseline-ot",
             ),
+            # rescaling flags: 0,9 once escaped main as an IndexError traceback
+            # after the load stage, -1 rescaled the last feature, 0,0 applied
+            # two transforms to one column, x failed naming no flag, and -5
+            # iterations ran the identity candidate alone
+            pytest.param(
+                "baseline-rescale", ["--features", "0,9"], 2,
+                "--features index 9 is outside the split's 5 features (0 to 4)", id="features-out-of-range",
+            ),
+            pytest.param(
+                "baseline-rescale", ["--features", "-1"], 2,
+                "--features index -1 is outside the split's 5 features (0 to 4)", id="features-negative",
+            ),
+            pytest.param(
+                "baseline-rescale", ["--features", "0,0"], 2, "--features names feature 0 twice",
+                id="features-repeated",
+            ),
+            pytest.param(
+                "baseline-rescale", ["--features", "x"], 2,
+                "--features must be 'all' or comma-separated feature indices, got 'x'", id="features-not-indices",
+            ),
+            pytest.param(
+                "baseline-rescale", ["--features", ","], 2, "--features names no feature", id="features-none",
+            ),
+            pytest.param(
+                "baseline-rescale", ["--iterations", "-5"], 2, "--iterations must be finite and nonnegative, got -5",
+                id="iterations-negative",
+            ),
         ],
     )
     def test_empty_omega_ladder_fails_before_any_stage(
@@ -988,6 +1028,20 @@ class TestUnusableSplit:
         paths["no-candidates"] = root / "candidates.json"
         doc = json.loads((run / "candidates.json").read_text())
         paths["no-candidates"].write_text(json.dumps({**doc, "candidates": []}))
+        # these once escaped main as a KeyError traceback, or (a theta of
+        # another width) failed after the load stage with numpy's message; the
+        # run's encoders sit beside them, where evaluate looks by default
+        for suffix in (".csv", ".json"):
+            (root / f"encoders{suffix}").write_bytes((run / f"encoders{suffix}").read_bytes())
+        theta = doc["candidates"][0]["theta"]
+        faulty = {
+            "rescale-candidates": {"method": "rescale", "candidates": [{"a": [1.0], "x_star": [0.0]}]},
+            "no-theta": {**doc, "candidates": [{"omega": 0.0}]},
+            "wide-theta": {**doc, "candidates": [{"omega": 0.0, "theta": theta + [0.0]}]},
+        }
+        for name, faulty_doc in faulty.items():
+            paths[name] = root / f"{name}.json"
+            paths[name].write_text(json.dumps(faulty_doc))
         return paths
 
     @pytest.mark.parametrize(
@@ -1011,6 +1065,9 @@ class TestUnusableSplit:
             (["baseline-ot", "--rounds", "5"], "--train", "short"),
             (["evaluate"], "--test", "short"),
             (["evaluate"], "--candidates", "no-candidates"),
+            (["evaluate"], "--candidates", "rescale-candidates"),
+            (["evaluate"], "--candidates", "no-theta"),
+            (["evaluate"], "--candidates", "wide-theta"),
         ],
         ids=lambda v: v if isinstance(v, str) else v[0],
     )
@@ -1031,6 +1088,16 @@ class TestUnusableSplit:
             error = f"{bad[kind]} has 4 features, but the model {model_dir / 'model.json'} has n_features 5"
         elif kind == "no-candidates":
             error = f"{bad[kind]}: the candidates list is empty, so there is no frontier to score"
+        elif kind == "rescale-candidates":
+            error = f"{bad[kind]} lacks 'label', 'group': it is not the candidates.json of a mitigate run"
+        elif kind == "no-theta":
+            error = f"{bad[kind]}: candidate 0 needs an 'omega' and a 'theta'"
+        elif kind == "wide-theta":
+            width = len(json.loads((run / "candidates.json").read_text())["candidates"][0]["theta"])
+            error = (
+                f"{bad[kind]}: candidate 0 has {width + 1} theta values, but the encoders "
+                f"{bad[kind].parent / 'encoders'}.csv have {width} columns"
+            )
         else:
             error = f"{bad[kind]}: non-finite cell 'inf' at row 5, column 'x2'"
         assert f"error: {error}\n" in capsys.readouterr().err

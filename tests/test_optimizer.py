@@ -330,3 +330,68 @@ class TestSweep:
         assert a.read_bytes() == b.read_bytes()
         header = a.read_text().splitlines()[0]
         assert header.startswith("omega,epoch,theta_0")
+
+
+class TestSelectionRules:
+    """The sweep's two picks, under both objective forms.  Each omega's
+    candidate is the first of its trace rows with the lowest
+    ``w_L train_loss + omega train_bias``; each omega's first step starts
+    from the row of the previous omega that is lowest under the new omega
+    (theta = 0 before the first); with no epochs every candidate is its
+    omega's warm start.  A learning rate of 2 makes SGD overshoot, so some
+    winners are not an omega's last row and some warm starts are not the
+    previous omega's candidate."""
+
+    FORMS = [("penalized", [0.0, 0.3, 0.6, 0.9]), ("lagrangian", [0.0, 1.0, 3.0, 6.0])]
+    EPOCHS = 5
+
+    @staticmethod
+    def lowest(rows, objective, omega):
+        weight = 1.0 - omega if objective == "penalized" else 1.0
+        values = [weight * row.train_loss + omega * row.train_bias for row in rows]
+        return rows[values.index(min(values))]
+
+    def sweep(self, monkeypatch, objective, omegas, n_epochs):
+        from fairfront import optimizer
+
+        fam, y, g = biased_problem(np.random.default_rng(11))
+        starts = {}
+        step = optimizer.penalized_objective
+
+        def recording(family, spec, theta, omega, *args, **kwargs):
+            starts.setdefault(float(omega), np.array(theta))
+            return step(family, spec, theta, omega, *args, **kwargs)
+
+        monkeypatch.setattr(optimizer, "penalized_objective", recording)
+        cfg = SweepConfig(omegas=omegas, n_epochs=n_epochs, n_batches=2, batch_size=64, learning_rate=2.0,
+                          objective=objective, seed=3)
+        candidates, trace = sgd_sweep(fam, SPEC, cfg, y, g)
+        return fam, candidates, trace, starts
+
+    @pytest.mark.parametrize("objective, omegas", FORMS)
+    def test_winner_and_warm_start(self, monkeypatch, objective, omegas):
+        fam, candidates, trace, starts = self.sweep(monkeypatch, objective, omegas, self.EPOCHS)
+        assert [omega for omega, _ in candidates] == omegas
+        assert len(trace.rows) == len(omegas) * self.EPOCHS
+        previous, not_last, not_previous_winner = None, 0, 0
+        for k, (omega, theta) in enumerate(candidates):
+            rows = trace.rows[k * self.EPOCHS : (k + 1) * self.EPOCHS]
+            assert all(row.omega == omega for row in rows)
+            winner = self.lowest(rows, objective, omega)
+            assert np.array_equal(theta, winner.theta)
+            not_last += winner is not rows[-1]
+            if previous is None:
+                assert np.array_equal(starts[omega], fam.zero_theta())
+            else:
+                start = self.lowest(previous, objective, omega)
+                assert np.array_equal(starts[omega], start.theta)
+                not_previous_winner += start is not self.lowest(previous, objective, candidates[k - 1][0])
+            previous = rows
+        assert not_last and not_previous_winner
+
+    @pytest.mark.parametrize("objective, omegas", FORMS)
+    def test_no_epochs_keeps_every_warm_start(self, monkeypatch, objective, omegas):
+        fam, candidates, trace, starts = self.sweep(monkeypatch, objective, omegas, 0)
+        assert trace.rows == [] and starts == {}
+        assert [omega for omega, _ in candidates] == omegas
+        assert all(np.array_equal(theta, fam.zero_theta()) for _, theta in candidates)
