@@ -1,4 +1,5 @@
-"""Small shared helpers: stable link functions, deterministic formatting."""
+"""Small shared helpers: stable link functions, deterministic formatting,
+checked reads of JSON documents."""
 
 from __future__ import annotations
 
@@ -46,3 +47,26 @@ def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
+
+
+def read_json(path):
+    """The JSON document in the file at ``path``; a file that is not JSON
+    raises ``ValueError`` naming it."""
+    with open(path) as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: invalid JSON ({exc})") from None
+
+
+def json_field(doc, key, where, kind):
+    """``doc[key]``, checked to be a ``kind``; a missing key or a value of
+    another type raises ``ValueError`` naming ``where`` and the key."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where}: missing key {key!r}")
+    value = doc[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} has type {type(value).__name__}")
+    return value

@@ -2,14 +2,16 @@
 
 Subcommands: generate, train-base, encode, mitigate, baseline-rescale,
 baseline-ot, evaluate, report.  Every option is declared once in ``FLAGS``
-(its argparse keywords and the conversion its value goes through), and every
-subcommand once in ``COMMANDS`` (its function, the default of each flag it
-takes, and the flags it needs).  A run takes each setting from its flag, else
-from the JSON config document, else from that default.  ``main`` resolves
-them, then writes a manifest recording the resolved configuration, its hash,
-library versions, timings, the artifacts produced and the run's status,
-including when it fails.  All randomness is seeded from the resolved config,
-so repeated runs produce byte-identical CSV artifacts.
+(its argparse keywords, the conversion its value goes through, and the range
+rule that value must meet), and every subcommand once in ``COMMANDS`` (its
+function, the default of each flag it takes, and the flags it needs).  A run
+takes each setting from its flag, else from the JSON config document, else
+from that default.  ``main`` resolves them, checks each against its range
+rule before the command runs, and writes a manifest recording the resolved
+configuration, its hash, library versions, timings, the artifacts produced
+and the run's status, including when it fails.  All randomness is seeded
+from the resolved config, so repeated runs produce byte-identical CSV
+artifacts.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import config_hash, cross_entropy, fmt_float
+from ._util import config_hash, cross_entropy, fmt_float, json_field, read_json
 from .baselines import DEFAULT_THETA_GRID, OT_REGRESSOR_PARAMS, ot_projection, random_search_rescaling
 from .data import (
     Dataset,
@@ -188,8 +190,6 @@ def _load_inputs(resolved, base_path, scored=False, shapley=False):
 
 
 def cmd_generate(resolved, manifest, out):
-    if resolved["split"] is not None and not 0.0 < resolved["split"] < 1.0:
-        raise CliError(f"--split must lie in (0, 1), got {resolved['split']}")
     generator = {"m1": generate_m1, "m2": generate_m2}[resolved["model"]]
     ds = generator(resolved["n"], resolved["seed"])
     manifest.stage("generate")
@@ -291,7 +291,6 @@ def _save_encoders(enc, out, manifest):
 
 
 def cmd_encode(resolved, manifest, out):
-    _encoder_counts(resolved)
     if resolved["method"] != "additive" and not resolved["base"]:
         raise CliError(f"{resolved['method']} encoders need --base")
     (train_ds, _), model = _load_inputs(resolved, resolved["base"], shapley=resolved["method"] == "shapley")
@@ -299,29 +298,6 @@ def cmd_encode(resolved, manifest, out):
     enc = _build_encoders(resolved, model, train_ds)
     manifest.stage("build")
     _save_encoders(enc, out, manifest)
-
-
-def _at_least_one(resolved, flag) -> int:
-    """A count (``--omegas``, ``--thetas``, ``--components``,
-    ``--background``, ``--degree``), checked before any stage: with none
-    there is no frontier, or no encoder column."""
-    if resolved[flag] < 1:
-        raise CliError(f"--{flag} must be at least 1, got {resolved[flag]}")
-    return resolved[flag]
-
-
-def _encoder_counts(resolved):
-    """The encoder counts, checked before any stage whichever method is set."""
-    for flag in ("components", "background", "degree"):
-        _at_least_one(resolved, flag)
-
-
-def _nonnegative(resolved, flag) -> float:
-    """A fairness weight (``--omega-max``, ``--omega-scale-mult``) or the
-    search's ``--iterations``, checked before any stage."""
-    if not 0.0 <= resolved[flag] < np.inf:
-        raise CliError(f"--{flag} must be finite and nonnegative, got {resolved[flag]}")
-    return resolved[flag]
 
 
 def _estimator_spec(resolved) -> BiasEstimatorSpec:
@@ -372,9 +348,6 @@ def _reevaluated_family(enc, model, ds):
 def cmd_mitigate(resolved, manifest, out):
     # the estimator and the sweep settings are checked before any stage; the
     # omega ladder waits for the encoders when it is scaled by the loss/bias ratio
-    _encoder_counts(resolved)
-    n_omegas = _at_least_one(resolved, "omegas")
-    scale = _nonnegative(resolved, "omega-scale-mult")
     spec = _estimator_spec(resolved)
     sweep_cfg = SweepConfig(
         learning_rate=resolved["sgd-rate"],
@@ -396,9 +369,10 @@ def cmd_mitigate(resolved, manifest, out):
     manifest.stage("encoders")
 
     fam_train = _linear_family(enc, model, train_ds)
+    scale = resolved["omega-scale-mult"]
     if resolved["omega-scale"] == "ratio":
         scale *= loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
-    sweep_cfg = replace(sweep_cfg, omegas=default_omegas(scale, n_omegas))
+    sweep_cfg = replace(sweep_cfg, omegas=default_omegas(scale, resolved["omegas"]))
     candidates, trace = sgd_sweep(fam_train, spec, sweep_cfg, train_ds.y, train_ds.g)
     manifest.stage("sweep")
 
@@ -448,18 +422,25 @@ def _uses_shapley(state) -> bool:
 def _read_candidates(path):
     """A mitigate run's candidates.json: the document and its ``(omega,
     theta)`` pairs, checked before any stage for the fields that ``evaluate``
-    reads."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    missing = [key for key in ("method", "label", "group", "candidates") if key not in doc]
+    reads: each ω a number and each θ a list of numbers."""
+    doc = read_json(path)
+    keys = doc if isinstance(doc, dict) else {}
+    missing = [key for key in ("method", "label", "group", "candidates") if key not in keys]
     if missing:
         raise ValueError(f"{path} lacks {', '.join(map(repr, missing))}: it is not the candidates.json of a mitigate run")
-    if not doc["candidates"]:
+    if not json_field(doc, "candidates", path, list):
         raise ValueError(f"{path}: the candidates list is empty, so there is no frontier to score")
+    pairs = []
     for k, cand in enumerate(doc["candidates"]):
-        if not ("omega" in cand and "theta" in cand):
+        if not (isinstance(cand, dict) and "omega" in cand and "theta" in cand):
             raise ValueError(f"{path}: candidate {k} needs an 'omega' and a 'theta'")
-    return doc, [(c["omega"], np.asarray(c["theta"], dtype=float)) for c in doc["candidates"]]
+        where = f"{path}: candidate {k}"
+        omega = json_field(cand, "omega", where, (int, float))
+        theta = json_field(cand, "theta", where, list)
+        if not all(isinstance(v, (int, float)) for v in theta):
+            raise ValueError(f"{where}: 'theta' holds a value that is not a number")
+        pairs.append((omega, np.asarray(theta, dtype=float)))
+    return doc, pairs
 
 
 def cmd_evaluate(resolved, manifest, out):
@@ -512,8 +493,7 @@ def _selected_features(value, n_features) -> list:
 
 
 def cmd_baseline_rescale(resolved, manifest, out):
-    omegas = np.linspace(0.0, _nonnegative(resolved, "omega-max"), _at_least_one(resolved, "omegas"))
-    _nonnegative(resolved, "iterations")
+    omegas = np.linspace(0.0, resolved["omega-max"], resolved["omegas"])
     (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
     selected = _selected_features(resolved["features"], train_ds.X.shape[1])
     manifest.stage("load")
@@ -560,7 +540,7 @@ def cmd_baseline_rescale(resolved, manifest, out):
 
 
 def cmd_baseline_ot(resolved, manifest, out):
-    thetas = np.linspace(0.0, 1.0, _at_least_one(resolved, "thetas"))
+    thetas = np.linspace(0.0, 1.0, resolved["thetas"])
     params = _tree_params(resolved)
     (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
     manifest.stage("load")
@@ -578,6 +558,8 @@ def cmd_report(resolved, manifest, out):
     points = []
     for path in resolved["inputs"]:
         points.extend(read_frontier_csv(path))
+    if not points:
+        raise ValueError(f"no frontier points to report in {', '.join(resolved['inputs'])}")
     manifest.stage("load")
     _write_frontier_artifacts(points, out, manifest)
     manifest.stage("write")
@@ -599,9 +581,9 @@ def _path_list(value):
     return [str(p) for p in ([value] if isinstance(value, str) else value)]
 
 
-def _typed(kind, help):
+def _typed(kind, help, rule=None):
     """A flag parsed by ``kind``; a config value is converted by it too."""
-    return {"type": kind, "help": help}, kind
+    return {"type": kind, "help": help}, kind, rule
 
 
 def _choice(choices, help):
@@ -610,10 +592,17 @@ def _choice(choices, help):
             raise ValueError(f"expected one of {', '.join(choices)}, got {value!r}")
         return value
 
-    return {"choices": choices, "help": help}, convert
+    return {"choices": choices, "help": help}, convert, None
 
 
-# flag -> (argparse keywords, conversion of the resolved value)
+# range rules: (test of a converted value, what the value must be).  With a
+# count below 1 there is no frontier or no encoder column; a weight must be a
+# finite nonnegative number; numpy seeds its streams only from a seed >= 0
+_AT_LEAST_ONE = (lambda v: v >= 1, "must be at least 1")
+_NONNEGATIVE = (lambda v: 0.0 <= v < np.inf, "must be finite and nonnegative")
+_UNIT_INTERVAL = (lambda v: 0.0 < v < 1.0, "must lie in (0, 1)")
+
+# flag -> (argparse keywords, conversion of the resolved value, range rule or None)
 FLAGS = {
     # data and runs
     "train": _typed(str, "training CSV"),
@@ -621,14 +610,14 @@ FLAGS = {
     "label": _typed(str, "label column (binary)"),
     "group": _typed(str, "protected-group column (0 and 1)"),
     "base": _typed(str, "base model, the model.json of train-base"),
-    "seed": _typed(int, "seed of every random draw"),
+    "seed": _typed(int, "seed of every random draw", _NONNEGATIVE),
     "out": _typed(str, "output directory"),
     # generate
     "model": _choice(("m1", "m2"), "synthetic model"),
     "n": _typed(int, "records to generate"),
-    "split": _typed(float, "train share; also writes train.csv and test.csv"),
+    "split": _typed(float, "train share; also writes train.csv and test.csv", _UNIT_INTERVAL),
     # GBDT
-    "grid": ({"action": "store_true", "default": None, "help": "select depth and rate on a small grid"}, _switch),
+    "grid": ({"action": "store_true", "default": None, "help": "select depth and rate on a small grid"}, _switch, None),
     "depth": _typed(int, "tree depth"),
     "rounds": _typed(int, "boosting rounds"),
     "learning-rate": _typed(float, "boosting learning rate"),
@@ -636,10 +625,10 @@ FLAGS = {
     "early-stop": _typed(int, "stop after this many rounds without test improvement; 0 never stops"),
     # encoders
     "method": _choice(("tree-pca", "additive", "shapley"), "encoder family"),
-    "components": _typed(int, "tree-pca: principal components, at most one per tree"),
-    "degree": _typed(int, "additive: polynomial degree"),
+    "components": _typed(int, "tree-pca: principal components, at most one per tree", _AT_LEAST_ONE),
+    "degree": _typed(int, "additive: polynomial degree", _AT_LEAST_ONE),
     "basis": _choice(("monomial", "legendre"), "additive: polynomial basis"),
-    "background": _typed(int, "shapley: background records"),
+    "background": _typed(int, "shapley: background records", _AT_LEAST_ONE),
     # bias estimator
     "estimator": _choice(tuple(ESTIMATOR_ALIASES), "bias estimator"),
     "relaxation": _choice(("ramp", "logistic", "shifted-logistic"), "relaxation of the threshold step"),
@@ -650,11 +639,12 @@ FLAGS = {
     "unbiased": (
         {"type": int, "help": "1 or 0: subtract the within-group variance (square-cost threshold estimators)"},
         _switch,
+        None,
     ),
     # sweep
-    "omegas": _typed(int, "number of fairness weights"),
+    "omegas": _typed(int, "number of fairness weights", _AT_LEAST_ONE),
     "omega-scale": _choice(("one", "ratio"), "unit of the weight ladder: 1, or the base loss/bias ratio"),
-    "omega-scale-mult": _typed(float, "multiplier of that unit"),
+    "omega-scale-mult": _typed(float, "multiplier of that unit", _NONNEGATIVE),
     "objective": _choice(("penalized", "lagrangian"), "objective form"),
     "loss": _choice(("cross-entropy", "distill"), "performance loss"),
     "epochs": _typed(int, "SGD epochs per weight"),
@@ -664,13 +654,13 @@ FLAGS = {
     "theta-box": _typed(float, "half-width of the box that bounds each theta coordinate"),
     # baselines
     "features": _typed(str, "comma-separated feature indices, or 'all'"),
-    "iterations": _typed(int, "random-search candidates"),
-    "omega-max": _typed(float, "largest fairness weight"),
-    "thetas": _typed(int, "interpolation points between the base and projected models"),
+    "iterations": _typed(int, "random-search candidates", _NONNEGATIVE),
+    "omega-max": _typed(float, "largest fairness weight", _NONNEGATIVE),
+    "thetas": _typed(int, "interpolation points between the base and projected models", _AT_LEAST_ONE),
     # evaluate and report
     "candidates": _typed(str, "candidates.json of a mitigate run"),
     "encoders": _typed(str, "encoder files without extension; the run's encoders by default"),
-    "inputs": ({"nargs": "+", "help": "frontier.csv files to merge"}, _path_list),
+    "inputs": ({"nargs": "+", "help": "frontier.csv files to merge"}, _path_list, None),
 }
 
 
@@ -826,6 +816,7 @@ def main(argv=None) -> int:
         resolved = _resolve_options(args.command, args)
         out = _out_dir(resolved["out"])
         manifest = Manifest(args.command, resolved, out)
+        _check_ranges(resolved)
         COMMANDS[args.command].run(resolved, manifest, out)
         manifest.doc["status"] = "ok"
         return 0
@@ -841,6 +832,16 @@ def main(argv=None) -> int:
     finally:
         if manifest is not None:
             manifest.write()
+
+
+def _check_ranges(resolved):
+    """Each resolved value against its flag's range rule, in the command's
+    flag order; the first that breaks its rule fails the run before any
+    stage."""
+    for flag, value in resolved.items():
+        rule = FLAGS[flag][2]
+        if rule is not None and value is not None and not rule[0](value):
+            raise CliError(f"--{flag} {rule[1]}, got {value}")
 
 
 def _failed(manifest, exc, code) -> int:

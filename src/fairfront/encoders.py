@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from ._util import fmt_floats
+from ._util import fmt_floats, json_field, read_json
 from .gbdt import Ensemble, leaf_boxes, per_tree_outputs
 from .linear_family import LinearFamily
 
@@ -142,8 +142,14 @@ class EncoderMatrix:
 
     @classmethod
     def load(cls, csv_path, sidecar_path) -> "EncoderMatrix":
-        with open(sidecar_path) as fh:
-            meta = json.load(fh)
+        """The encoders saved by ``save``.  A sidecar without the centres,
+        scales or provenance, or whose provenance is of an unknown kind or
+        lacks a field its columns are rebuilt from, raises ``ValueError``
+        naming the sidecar."""
+        meta = read_json(sidecar_path)
+        centers, scales = (json_field(meta, key, sidecar_path, list) for key in ("centers", "scales"))
+        provenance = _unjsonify(json_field(meta, "provenance", sidecar_path, dict))
+        _check_state(provenance, f"{sidecar_path} provenance")
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)
             names = next(reader)
@@ -151,9 +157,9 @@ class EncoderMatrix:
         return cls(
             np.asarray(rows, dtype=float),
             names,
-            _unjsonify(meta["provenance"]),
-            np.asarray(meta["centers"], dtype=float),
-            np.asarray(meta["scales"], dtype=float),
+            provenance,
+            np.asarray(centers, dtype=float),
+            np.asarray(scales, dtype=float),
         )
 
 
@@ -177,6 +183,27 @@ def _unjsonify(obj):
     if isinstance(obj, list):
         return [_unjsonify(v) for v in obj]
     return obj
+
+
+# the provenance fields that each kind's columns are rebuilt from
+_STATE_FIELDS = {
+    "additive": {"basis": str, "degree": int, "kept_features": np.ndarray, "lo": np.ndarray, "hi": np.ndarray},
+    "tree-pca": {"kept_trees": np.ndarray, "tree_means": np.ndarray, "loadings": np.ndarray},
+    "shapley": {"background": np.ndarray, "phi_centers": np.ndarray},
+    "combined": {"parts": list},
+}
+
+
+def _check_state(state, where):
+    """Reject a provenance of an unknown kind, or one without a field of
+    its kind, naming ``where``; a combined provenance part by part."""
+    kind = json_field(state, "kind", where, str)
+    if kind not in _STATE_FIELDS:
+        raise ValueError(f"{where}: unknown kind {kind!r}")
+    for key, kind_of_value in _STATE_FIELDS[kind].items():
+        json_field(state, key, where, kind_of_value)
+    for k, part in enumerate(state.get("parts", ())):
+        _check_state(part, f"{where} part {k}")
 
 
 def _finish(columns, names, provenance, centers, raw_scores=None) -> EncoderMatrix:

@@ -10,6 +10,7 @@ would discard achievable non-convex trade-offs.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -161,26 +162,35 @@ def write_frontier_csv(points, path):
             writer.writerow(_point_row(p))
 
 
-def read_frontier_csv(path):
-    import json
+# the numeric columns of frontier.csv, each with the reading of its cells
+_CELL_READERS = {
+    **{name: float for name in ("omega", *_METRIC_FIELDS)},
+    "theta_json": lambda cell: np.asarray(json.loads(cell), dtype=float),
+}
 
+
+def read_frontier_csv(path):
+    """The points of a frontier.csv.  A missing column, a cell that does not
+    parse, or a point that ``FrontierPoint`` rejects raises ``ValueError``
+    naming the file, the row and, for a cell, its column."""
     points = []
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        for row in reader:
-            points.append(
-                FrontierPoint(
-                    row["method"],
-                    float(row["omega"]),
-                    row["split"],
-                    float(row["ce"]),
-                    float(row["auc"]),
-                    float(row["w1_bias"]),
-                    float(row["ks_bias"]),
-                    float(row["inv_bias"]),
-                    theta=np.asarray(json.loads(row["theta_json"]), dtype=float),
-                )
-            )
+        for name in CSV_HEADER:
+            if name not in (reader.fieldnames or ()):
+                raise ValueError(f"{path}: missing column {name!r}")
+        for r, row in enumerate(reader, 2):
+            values = {}
+            for name, read in _CELL_READERS.items():
+                try:
+                    values[name] = read(row[name])
+                except (TypeError, ValueError) as exc:
+                    raise ValueError(f"{path}: row {r}, column {name!r}: {exc}") from None
+            theta = values.pop("theta_json")
+            try:
+                points.append(FrontierPoint(row["method"], split=row["split"], theta=theta, **values))
+            except ValueError as exc:
+                raise ValueError(f"{path}: row {r}: {exc}") from None
     return points
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cross_entropy, logit, sigmoid
+from ._util import cross_entropy, json_field, logit, sigmoid
 
 _LAMBDA = 1.0          # ridge term on leaf values
 _MARGIN_CLAMP = 10.0
@@ -45,8 +45,10 @@ class GBDTParams:
     early_stop_rounds: int = 25  # 0 disables early stopping
 
     def __post_init__(self):
-        if self.depth < 1 or self.rounds < 0:
-            raise ValueError("invalid gbdt params")
+        if self.depth < 1:
+            raise ValueError(f"depth must be at least 1, got {self.depth}")
+        if self.rounds < 0:
+            raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
         # NaN fails every comparison, so each check is written to pass only finite values
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError(f"learning_rate must be finite and positive, got {self.learning_rate}")
@@ -276,22 +278,22 @@ class Ensemble:
         doc = json.loads(text)
         if not isinstance(doc, dict) or doc.get("kind") != "fairfront-gbdt":
             raise ValueError("not an ensemble document")
-        link = _field(doc, "link", "ensemble", str)
+        link = json_field(doc, "link", "ensemble", str)
         if link != "logistic":
             raise ValueError(f"ensemble: 'link' must be 'logistic', got {link!r}")
         trees = [
             Tree(*(_node_array(t, i, name, dtype) for name, dtype in _TREE_FIELDS))
-            for i, t in enumerate(_field(doc, "trees", "ensemble", list))
+            for i, t in enumerate(json_field(doc, "trees", "ensemble", list))
         ]
         for t, tree in enumerate(trees):
             for name in ("threshold", "value"):
                 if not np.all(np.isfinite(getattr(tree, name))):
                     raise ValueError(f"tree {t}: non-finite {name}")
         ensemble = cls(
-            _field(doc, "base_margin", "ensemble", _NUMBER),
-            _field(doc, "learning_rate", "ensemble", _NUMBER),
+            json_field(doc, "base_margin", "ensemble", _NUMBER),
+            json_field(doc, "learning_rate", "ensemble", _NUMBER),
             trees,
-            _field(doc, "n_features", "ensemble", int),
+            json_field(doc, "n_features", "ensemble", int),
         )
         ensemble._packed()  # checks the structure of every tree
         return ensemble
@@ -310,22 +312,9 @@ _TREE_FIELDS = (("feature", np.intp), ("threshold", float), ("left", np.intp), (
 _NUMBER = (int, float)
 
 
-def _field(doc, key, where, kind):
-    """``doc[key]``, checked to be a ``kind``; a missing key or a value of
-    another type raises ``ValueError`` naming ``where`` and the key."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: expected a JSON object, got {type(doc).__name__}")
-    if key not in doc:
-        raise ValueError(f"{where}: missing key {key!r}")
-    value = doc[key]
-    if not isinstance(value, kind):
-        raise ValueError(f"{where}: {key!r} has type {type(value).__name__}")
-    return value
-
-
 def _node_array(tree_doc, t, name, dtype):
     """One node array of tree ``t`` from its document."""
-    values = _field(tree_doc, name, f"tree {t}", list)
+    values = json_field(tree_doc, name, f"tree {t}", list)
     try:
         return np.asarray(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError) as exc:

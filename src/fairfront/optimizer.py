@@ -57,8 +57,10 @@ class SweepConfig:
             raise ValueError("omegas must be nonnegative and nondecreasing")
         if not np.isfinite(self.learning_rate):
             raise ValueError(f"learning rate must be finite, got {self.learning_rate}")
-        if self.learning_rate <= 0 or self.batch_size < 1:
-            raise ValueError("rates and batch sizes must be positive")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning rate must be positive, got {self.learning_rate}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be at least 1, got {self.batch_size}")
         if self.n_epochs < 0:
             raise ValueError(f"n_epochs must be nonnegative, got {self.n_epochs}")
         if self.n_batches < 1:

@@ -19,104 +19,11 @@ from fairfront.data import load_csv
 from fairfront.encoders import EncoderMatrix
 from fairfront.frontier import read_frontier_csv
 from fairfront.gbdt import Ensemble
+from conftest import run_mitigate
 from oracles import embedded_svg_table
 
 
-@pytest.fixture(scope="module")
-def workspace(tmp_path_factory):
-    root = tmp_path_factory.mktemp("runs")
-    data = root / "data"
-    assert (
-        main(
-            [
-                "generate",
-                "--model",
-                "m1",
-                "--n",
-                "3000",
-                "--seed",
-                "5",
-                "--split",
-                "0.5",
-                "--out",
-                str(data),
-            ]
-        )
-        == 0
-    )
-    model_dir = root / "model"
-    assert (
-        main(
-            [
-                "train-base",
-                "--train",
-                str(data / "train.csv"),
-                "--test",
-                str(data / "test.csv"),
-                "--rounds",
-                "120",
-                "--min-leaf",
-                "16",
-                "--out",
-                str(model_dir),
-            ]
-        )
-        == 0
-    )
-    return root, data, model_dir
-
-
-def run_mitigate(workspace, out_name, extra=()):
-    root, data, model_dir = workspace
-    out = root / out_name
-    code = main(
-        [
-            "mitigate",
-            "--method",
-            "tree-pca",
-            "--components",
-            "8",
-            "--estimator",
-            "trapezoid",
-            "--train",
-            str(data / "train.csv"),
-            "--test",
-            str(data / "test.csv"),
-            "--base",
-            str(model_dir / "model.json"),
-            "--omegas",
-            "5",
-            "--epochs",
-            "3",
-            "--batches",
-            "3",
-            "--batch-size",
-            "256",
-            "--seed",
-            "3",
-            "--out",
-            str(out),
-            *extra,
-        ]
-    )
-    assert code == 0
-    return out
-
-
 class TestGenerate:
-    # a train share outside (0, 1) once failed after the generate stage, with
-    # data.csv and data.json written and an error that named no flag
-    @pytest.mark.parametrize("fraction", ["1.5", "1", "0", "-0.2", "nan"])
-    def test_split_outside_the_unit_interval_fails_before_any_stage(self, tmp_path, capsys, fraction):
-        out = tmp_path / "out"
-        assert main(["generate", "--n", "200", "--split", fraction, "--out", str(out)]) == 2
-        error = f"--split must lie in (0, 1), got {float(fraction)}"
-        assert f"error: {error}\n" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"] == error
-        assert manifest["timings"] == {}
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
-
     def test_artifacts_and_manifest(self, workspace):
         root, data, _ = workspace
         assert (data / "data.csv").exists()
@@ -300,21 +207,6 @@ class TestMitigate:
         assert main(["evaluate", *flags, "--out", str(reval)]) == 0
         assert {p.split for p in read_frontier_csv(reval / "frontier.csv")} == {"test"}
 
-    def test_missing_base_is_a_field_error(self, workspace, capsys):
-        _, data, _ = workspace
-        code = main(
-            [
-                "mitigate",
-                "--train",
-                str(data / "train.csv"),
-                "--out",
-                "/tmp/should-not-exist-run",
-            ]
-        )
-        assert code == 2
-        assert "base" in capsys.readouterr().err
-
-
 class TestEncode:
     def test_malformed_model_rejected_before_any_stage(self, workspace, tmp_path, capsys):
         _, data, model_dir = workspace
@@ -393,129 +285,6 @@ class TestEncode:
         reference = np.mean(model.predict_raw(enc.provenance["background"]))
         assert np.max(np.abs(phi.sum(axis=1) + reference - model.predict_raw(X))) <= 1e-9
 
-
-class TestTreeShapPathLimit:
-    """A model with a path testing more than 8 distinct features fails
-    before any stage wherever Shapley columns would be built from it:
-    ``encode`` and ``mitigate`` with ``--method shapley``, and ``evaluate``
-    of a Shapley run.  These once failed inside the build, after ``load``."""
-
-    N_FEATURES = 10
-
-    @pytest.fixture(scope="class")
-    def inputs(self, tmp_path_factory):
-        root = tmp_path_factory.mktemp("paths")
-        rng = np.random.default_rng(41)
-        X = rng.normal(size=(300, self.N_FEATURES))
-        y = (rng.random(300) < 0.3 + 0.4 * (X[:, 0] > 0)).astype(int)
-        data = root / "wide.csv"
-        with open(data, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow([f"x{i}" for i in range(self.N_FEATURES)] + ["label", "group"])
-            writer.writerows([*map(repr, row), label, i % 2] for i, (row, label) in enumerate(zip(X.tolist(), y)))
-        # one tree whose right spine tests every feature: node 2k tests x_k,
-        # its left child 2k + 1 is a leaf, the last right child a leaf too
-        n = self.N_FEATURES
-        tree = {
-            "feature": [k // 2 if k % 2 == 0 and k < 2 * n else -1 for k in range(2 * n + 1)],
-            "threshold": [0.0] * (2 * n + 1),
-            "left": [k + 1 if k % 2 == 0 and k < 2 * n else -1 for k in range(2 * n + 1)],
-            "right": [k + 2 if k % 2 == 0 and k < 2 * n else -1 for k in range(2 * n + 1)],
-            "value": [0.1 * k for k in range(2 * n + 1)],
-        }
-        deep = root / "deep.json"
-        deep.write_text(json.dumps({"kind": "fairfront-gbdt", "base_margin": 0.0, "learning_rate": 0.1,
-                                    "n_features": n, "link": "logistic", "trees": [tree]}))
-        flags = ["--train", str(data), "--test", str(data)]
-        assert main(["train-base", *flags, "--rounds", "10", "--out", str(root / "model")]) == 0
-        run = root / "run"
-        assert main(["mitigate", "--method", "shapley", "--background", "16", *flags,
-                     "--base", str(root / "model" / "model.json"), "--omegas", "1", "--epochs", "1",
-                     "--batches", "1", "--batch-size", "64", "--out", str(run)]) == 0
-        return data, deep, run
-
-    @pytest.mark.parametrize("command", ["encode", "mitigate", "evaluate"])
-    def test_fails_before_any_stage(self, inputs, tmp_path, capsys, command):
-        data, deep, run = inputs
-        flags = {
-            "encode": ["--method", "shapley", "--train", str(data)],
-            "mitigate": ["--method", "shapley", "--train", str(data), "--test", str(data)],
-            "evaluate": ["--candidates", str(run / "candidates.json"), "--test", str(data)],
-        }[command]
-        out = tmp_path / "out"
-        assert main([command, *flags, "--base", str(deep), "--out", str(out)]) == 1
-        error = "a tree path tests 10 distinct features; TreeSHAP tables grow as 4^10, more than 8 are not supported"
-        assert f"error: {error}\n" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"] == error
-        assert manifest["timings"] == {}
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
-
-
-class TestGroupCount:
-    """Every stage after loading compares group 0 with group 1, so a file
-    with a third group is rejected before any encoder or sweep runs."""
-
-    @pytest.fixture(scope="class")
-    def three_groups(self, workspace, tmp_path_factory):
-        _, data, _ = workspace
-        rows = list(csv.reader((data / "test.csv").open()))
-        column = rows[0].index("group")
-        for row in rows[1::3]:
-            row[column] = "7"
-        path = tmp_path_factory.mktemp("groups") / "three.csv"
-        with path.open("w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-        return path
-
-    @pytest.mark.parametrize(
-        "command",
-        [
-            ["mitigate", "--method", "additive", "--estimator", "energy"],
-            ["baseline-rescale", "--iterations", "5"],
-            ["baseline-ot", "--rounds", "5"],
-        ],
-    )
-    def test_fitting_commands_reject_a_third_group(self, workspace, three_groups, tmp_path, capsys, command):
-        _, data, model_dir = workspace
-        out = tmp_path / "out"
-        flags = ["--train", str(data / "train.csv"), "--test", str(three_groups), "--base", str(model_dir / "model.json")]
-        assert main([*command, *flags, "--out", str(out)]) == 1
-        assert f"error: {three_groups}: 3 groups in column 'group'" in capsys.readouterr().err
-        assert not (out / "frontier.csv").exists()
-        assert not (out / "encoders.csv").exists()
-
-    def test_evaluate_rejects_a_third_group(self, workspace, three_groups, tmp_path, capsys):
-        _, data, model_dir = workspace
-        run = run_mitigate(workspace, "run-groups")
-        out = tmp_path / "reval"
-        code = main(
-            [
-                "evaluate",
-                "--candidates",
-                str(run / "candidates.json"),
-                "--base",
-                str(model_dir / "model.json"),
-                "--test",
-                str(three_groups),
-                "--out",
-                str(out),
-            ]
-        )
-        assert code == 1
-        assert f"error: {three_groups}: 3 groups in column 'group'" in capsys.readouterr().err
-        assert not (out / "frontier.csv").exists()
-
-
-
-class TestBaseParams:
-    def test_nan_min_leaf_rejected(self, workspace, tmp_path, capsys):
-        _, data, _ = workspace
-        out = tmp_path / "nan-leaf"
-        flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"), "--min-leaf", "nan"]
-        assert main(["train-base", *flags, "--out", str(out)]) == 1
-        assert "error: min_leaf must be finite and nonnegative, got nan" in capsys.readouterr().err
-        assert not (out / "model.json").exists()
 
 class TestBaselines:
     def test_rescale_cli(self, workspace, tmp_path):
@@ -618,14 +387,6 @@ class TestReport:
         assert (merged / "frontier.csv").exists()
         assert (merged / "frontier.svg").exists()
 
-    def test_invalid_config_rejected(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("not json")
-        code = main(["generate", "--config", str(bad), "--out", str(tmp_path / "x")])
-        assert code == 2
-        assert "invalid JSON" in capsys.readouterr().err
-
-
 def write_config(path, doc):
     path.write_text(json.dumps(doc))
     return str(path)
@@ -659,39 +420,12 @@ class TestOptionTable:
             assert manifest["config"]["unbiased"] is True
             assert estimator["unbiased"] is False
 
-    @pytest.mark.parametrize("command", ["baseline-ot", "baseline-rescale"])
-    def test_baselines_need_base(self, workspace, tmp_path, capsys, command):
-        _, data, _ = workspace
-        out = tmp_path / "out"
-        assert main([command, "--train", str(data / "train.csv"), "--out", str(out)]) == 2
-        assert f"error: {command} needs --base" in capsys.readouterr().err
-        assert not out.exists()
-
     def test_config_number_goes_through_the_flag_type(self, tmp_path):
         out = tmp_path / "gen"
         cfg = write_config(tmp_path / "gen.json", {"n": 200, "split": "0.5", "out": str(out)})
         assert main(["generate", "--config", cfg]) == 0
         assert json.loads((out / "manifest.json").read_text())["config"]["split"] == 0.5
         assert (out / "train.csv").exists()
-
-    @pytest.mark.parametrize(
-        "command, key, value",
-        [("mitigate", "unbiased", "false"), ("train-base", "grid", "false"), ("mitigate", "unbiased", 2),
-         ("mitigate", "unbiased", 1.0)],
-    )
-    def test_bad_switch_in_config_is_rejected(self, workspace, tmp_path, capsys, command, key, value):
-        _, data, model_dir = workspace
-        out = tmp_path / "out"
-        doc = {"train": str(data / "train.csv"), "base": str(model_dir / "model.json"), key: value, "out": str(out)}
-        assert main([command, "--config", write_config(tmp_path / "cfg.json", doc)]) == 2
-        assert f"error: option {key!r}: expected true, false, 0 or 1, got {value!r}" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_bad_switch_flag_is_rejected(self, workspace, tmp_path, capsys):
-        _, data, model_dir = workspace
-        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--unbiased", "2"]
-        assert main(["mitigate", *flags, "--out", str(tmp_path / "out")]) == 2
-        assert "error: option 'unbiased': expected true, false, 0 or 1, got 2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("value, applied", [(False, False), (0, False), (1, True), (True, True)])
     def test_switch_takes_a_json_bool_or_0_1(self, workspace, tmp_path, value, applied):
@@ -700,17 +434,6 @@ class TestOptionTable:
         doc = {"train": str(data / "train.csv"), "base": str(tmp_path / "nope.json"), "unbiased": value}
         assert main(["mitigate", "--config", write_config(tmp_path / "cfg.json", doc), "--out", str(out)]) == 1
         assert json.loads((out / "manifest.json").read_text())["config"]["unbiased"] is applied
-
-    def test_config_choice_is_checked(self, workspace, tmp_path, capsys):
-        _, data, model_dir = workspace
-        doc = {"train": str(data / "train.csv"), "base": str(model_dir / "model.json"), "method": "pca"}
-        out = tmp_path / "out"
-        assert main(["encode", "--config", write_config(tmp_path / "cfg.json", doc), "--out", str(out)]) == 2
-        assert "error: option 'method': expected one of tree-pca, additive, shapley, got 'pca'" in (
-            capsys.readouterr().err
-        )
-        assert not out.exists()
-
 
 class TestFailedRunManifest:
     """Once its output directory exists, a failed run still writes its
@@ -757,191 +480,6 @@ class TestFailedRunManifest:
         assert manifest["status"] == "error"
         assert manifest["error"] == "RuntimeError: the sweep broke"
         assert sorted(manifest["timings"]) == ["encoders", "load"]
-
-    # an empty omega ladder, and each setting that would otherwise fail only
-    # after the sweep or the projection (or escape main as a traceback)
-    @pytest.mark.parametrize(
-        "command, setting, code, error",
-        [
-            pytest.param("mitigate", ["--omegas", "0"], 2, "--omegas must be at least 1, got 0", id="0-mitigate"),
-            pytest.param("mitigate", ["--omegas", "-2"], 2, "--omegas must be at least 1, got -2", id="-2-mitigate"),
-            pytest.param(
-                "baseline-rescale", ["--omegas", "0"], 2, "--omegas must be at least 1, got 0", id="0-baseline-rescale"
-            ),
-            pytest.param(
-                "baseline-rescale", ["--omegas", "-2"], 2, "--omegas must be at least 1, got -2",
-                id="-2-baseline-rescale",
-            ),
-            pytest.param(
-                "mitigate", ["--sgd-rate", "nan"], 1, "learning rate must be finite, got nan", id="sgd-rate-nan"
-            ),
-            pytest.param(
-                "mitigate", ["--sgd-rate", "inf"], 1, "learning rate must be finite, got inf", id="sgd-rate-inf"
-            ),
-            pytest.param(
-                "mitigate", ["--omega-scale-mult", "nan"], 2,
-                "--omega-scale-mult must be finite and nonnegative, got nan", id="omega-scale-mult-nan",
-            ),
-            pytest.param(
-                "mitigate", ["--omega-scale-mult", "inf"], 2,
-                "--omega-scale-mult must be finite and nonnegative, got inf", id="omega-scale-mult-inf",
-            ),
-            pytest.param(
-                "mitigate", ["--omega-scale-mult", "-1"], 2,
-                "--omega-scale-mult must be finite and nonnegative, got -1.0", id="omega-scale-mult-negative",
-            ),
-            pytest.param(
-                "mitigate", ["--theta-box", "nan"], 1, "theta box half-width must be nonnegative, got nan",
-                id="theta-box-nan",
-            ),
-            pytest.param(
-                "mitigate", ["--theta-box", "-1"], 1, "theta box half-width must be nonnegative, got -1.0",
-                id="theta-box-negative",
-            ),
-            pytest.param(
-                "mitigate", ["--grid-step", "0"], 1, "grid step must lie in (0, 1), got 0.0", id="grid-step-0"
-            ),
-            pytest.param(
-                "mitigate", ["--grid-step", "1e-400"], 1, "grid step must lie in (0, 1), got 0.0",
-                id="grid-step-underflow",
-            ),
-            pytest.param(
-                "mitigate", ["--grid-step", "nan"], 1, "grid step must lie in (0, 1), got nan", id="grid-step-nan"
-            ),
-            pytest.param(
-                "baseline-rescale", ["--omega-max", "nan"], 2, "--omega-max must be finite and nonnegative, got nan",
-                id="omega-max-nan",
-            ),
-            pytest.param(
-                "baseline-rescale", ["--omega-max", "-1"], 2,
-                "--omega-max must be finite and nonnegative, got -1.0", id="omega-max-negative",
-            ),
-            pytest.param("baseline-ot", ["--thetas", "0"], 2, "--thetas must be at least 1, got 0", id="thetas-0"),
-            # encoder counts: -2 components once escaped main as an IndexError
-            # traceback, 0 made a family of the constant column alone, and a
-            # negative background failed with numpy's message, naming no flag
-            pytest.param(
-                "encode", ["--method", "tree-pca", "--components", "-2"], 2, "--components must be at least 1, got -2",
-                id="components-negative-encode",
-            ),
-            pytest.param(
-                "encode", ["--method", "tree-pca", "--components", "0"], 2, "--components must be at least 1, got 0",
-                id="components-0-encode",
-            ),
-            pytest.param(
-                "mitigate", ["--method", "tree-pca", "--components", "-2"], 2,
-                "--components must be at least 1, got -2", id="components-negative-mitigate",
-            ),
-            pytest.param(
-                "mitigate", ["--components", "0"], 2, "--components must be at least 1, got 0",
-                id="components-0-mitigate",
-            ),
-            pytest.param(
-                "encode", ["--method", "shapley", "--background", "-3"], 2, "--background must be at least 1, got -3",
-                id="background-negative-encode",
-            ),
-            pytest.param(
-                "encode", ["--method", "shapley", "--background", "0"], 2, "--background must be at least 1, got 0",
-                id="background-0-encode",
-            ),
-            pytest.param(
-                "mitigate", ["--method", "shapley", "--background", "-3"], 2,
-                "--background must be at least 1, got -3", id="background-negative-mitigate",
-            ),
-            pytest.param(
-                "mitigate", ["--method", "shapley", "--background", "0"], 2,
-                "--background must be at least 1, got 0", id="background-0-mitigate",
-            ),
-            # a degree below 1 once failed only after the load stage, naming no flag
-            pytest.param(
-                "encode", ["--method", "additive", "--degree", "0"], 2, "--degree must be at least 1, got 0",
-                id="degree-0-encode",
-            ),
-            pytest.param(
-                "mitigate", ["--method", "additive", "--degree", "0"], 2, "--degree must be at least 1, got 0",
-                id="degree-0-mitigate",
-            ),
-            pytest.param(
-                "mitigate", ["--degree", "-1"], 2, "--degree must be at least 1, got -1", id="degree-negative-mitigate"
-            ),
-            pytest.param(
-                "mitigate", ["--scale", "inf"], 1, "relaxation scale must be finite and positive, got inf",
-                id="scale-inf",
-            ),
-            pytest.param("mitigate", ["--epochs", "-1"], 1, "n_epochs must be nonnegative, got -1", id="epochs-negative"),
-            pytest.param("mitigate", ["--batches", "0"], 1, "n_batches must be at least 1, got 0", id="batches-0"),
-            pytest.param(
-                "mitigate", ["--grid-step", "0.03"], 1,
-                "grid step 0.03 does not divide [0, 1] into whole steps; use 1/33 or 1/34", id="grid-step-0.03",
-            ),
-            pytest.param(
-                "mitigate", ["--grid-step", "0.6"], 1,
-                "grid step 0.6 does not divide [0, 1] into whole steps; use 1/2", id="grid-step-0.6",
-            ),
-            # GBDT settings once failed only after the load stage
-            pytest.param("train-base", ["--depth", "0"], 1, "invalid gbdt params", id="depth-0-train-base"),
-            pytest.param(
-                "train-base", ["--min-leaf", "nan"], 1, "min_leaf must be finite and nonnegative, got nan",
-                id="min-leaf-nan-train-base",
-            ),
-            pytest.param(
-                "baseline-ot", ["--learning-rate", "nan"], 1, "learning_rate must be finite and positive, got nan",
-                id="learning-rate-nan-baseline-ot",
-            ),
-            # rescaling flags: 0,9 once escaped main as an IndexError traceback
-            # after the load stage, -1 rescaled the last feature, 0,0 applied
-            # two transforms to one column, x failed naming no flag, and -5
-            # iterations ran the identity candidate alone
-            pytest.param(
-                "baseline-rescale", ["--features", "0,9"], 2,
-                "--features index 9 is outside the split's 5 features (0 to 4)", id="features-out-of-range",
-            ),
-            pytest.param(
-                "baseline-rescale", ["--features", "-1"], 2,
-                "--features index -1 is outside the split's 5 features (0 to 4)", id="features-negative",
-            ),
-            pytest.param(
-                "baseline-rescale", ["--features", "0,0"], 2, "--features names feature 0 twice",
-                id="features-repeated",
-            ),
-            pytest.param(
-                "baseline-rescale", ["--features", "x"], 2,
-                "--features must be 'all' or comma-separated feature indices, got 'x'", id="features-not-indices",
-            ),
-            pytest.param(
-                "baseline-rescale", ["--features", ","], 2, "--features names no feature", id="features-none",
-            ),
-            pytest.param(
-                "baseline-rescale", ["--iterations", "-5"], 2, "--iterations must be finite and nonnegative, got -5",
-                id="iterations-negative",
-            ),
-        ],
-    )
-    def test_empty_omega_ladder_fails_before_any_stage(
-        self, workspace, tmp_path, capsys, command, setting, code, error
-    ):
-        _, data, model_dir = workspace
-        out = tmp_path / "out"
-        flags = ["--train", str(data / "train.csv"), *setting]
-        if command != "train-base":
-            flags += ["--base", str(model_dir / "model.json")]
-        assert main([command, *flags, "--out", str(out)]) == code
-        assert f"error: {error}\n" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "error"
-        assert manifest["error"] == error
-        assert manifest["timings"] == {}
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
-
-    def test_bad_sweep_setting_fails_before_any_stage(self, workspace, tmp_path):
-        _, data, model_dir = workspace
-        out = tmp_path / "out"
-        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--sgd-rate", "-1"]
-        assert main(["mitigate", *flags, "--out", str(out)]) == 1
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["error"] == "rates and batch sizes must be positive"
-        assert manifest["timings"] == {}
-
 
 class TestOneWalkPerSplit:
     """``evaluate`` walks the trees once per split: the rows that go through
@@ -998,120 +536,6 @@ class TestOneWalkPerSplit:
         picked = set(json.loads((out / "candidates.json").read_text())["best_per_omega"].values())
         assert len(picked) < 5  # two weights pick the same candidate
         assert sum(walked) == 41 * n_train + len(picked) * (n_train + n_test)
-
-
-class TestUnusableSplit:
-    """A split with one class, with a non-finite feature cell, or with a
-    feature count other than the base model's fails before any stage: exit
-    1, an error line naming the file, and the manifest as the only file.  So
-    does a candidates file with no candidates."""
-
-    @pytest.fixture(scope="class")
-    def run(self, workspace):
-        return run_mitigate(workspace, "run-unusable")
-
-    @pytest.fixture(scope="class")
-    def bad(self, workspace, run, tmp_path_factory):
-        _, data, _ = workspace
-        rows = list(csv.reader((data / "train.csv").open()))
-        label = rows[0].index("label")
-        root = tmp_path_factory.mktemp("unusable")
-        one_class = [rows[0]] + [row for row in rows[1:] if row[label] == "1"]
-        non_finite = [list(row) for row in rows]
-        non_finite[4][1] = "inf"
-        short = [row[1:] for row in rows]
-        paths = {"one-class": root / "one-class.csv", "non-finite": root / "non-finite.csv", "short": root / "short.csv"}
-        for name, table in (("one-class", one_class), ("non-finite", non_finite), ("short", short)):
-            with paths[name].open("w", newline="") as fh:
-                csv.writer(fh).writerows(table)
-        # the run's candidates with the list emptied once failed only after the load stage
-        paths["no-candidates"] = root / "candidates.json"
-        doc = json.loads((run / "candidates.json").read_text())
-        paths["no-candidates"].write_text(json.dumps({**doc, "candidates": []}))
-        # these once escaped main as a KeyError traceback, or (a theta of
-        # another width) failed after the load stage with numpy's message; the
-        # run's encoders sit beside them, where evaluate looks by default
-        for suffix in (".csv", ".json"):
-            (root / f"encoders{suffix}").write_bytes((run / f"encoders{suffix}").read_bytes())
-        theta = doc["candidates"][0]["theta"]
-        faulty = {
-            "rescale-candidates": {"method": "rescale", "candidates": [{"a": [1.0], "x_star": [0.0]}]},
-            "no-theta": {**doc, "candidates": [{"omega": 0.0}]},
-            "wide-theta": {**doc, "candidates": [{"omega": 0.0, "theta": theta + [0.0]}]},
-        }
-        for name, faulty_doc in faulty.items():
-            paths[name] = root / f"{name}.json"
-            paths[name].write_text(json.dumps(faulty_doc))
-        return paths
-
-    @pytest.mark.parametrize(
-        "command, split, kind",
-        [
-            (["train-base", "--rounds", "5"], "--train", "one-class"),
-            (["mitigate"], "--train", "one-class"),
-            (["mitigate"], "--test", "one-class"),
-            (["baseline-rescale", "--iterations", "5"], "--test", "one-class"),
-            (["baseline-ot", "--rounds", "5"], "--train", "one-class"),
-            (["evaluate"], "--test", "one-class"),
-            (["train-base", "--rounds", "5"], "--train", "non-finite"),
-            (["mitigate", "--method", "additive"], "--train", "non-finite"),
-            (["mitigate", "--method", "tree-pca"], "--test", "non-finite"),
-            # the feature count once went unchecked until the tree walk, whose
-            # error named neither the file nor the model
-            (["encode", "--method", "tree-pca"], "--train", "short"),
-            (["mitigate"], "--train", "short"),
-            (["mitigate", "--method", "additive"], "--test", "short"),
-            (["baseline-rescale", "--iterations", "5"], "--test", "short"),
-            (["baseline-ot", "--rounds", "5"], "--train", "short"),
-            (["evaluate"], "--test", "short"),
-            (["evaluate"], "--candidates", "no-candidates"),
-            (["evaluate"], "--candidates", "rescale-candidates"),
-            (["evaluate"], "--candidates", "no-theta"),
-            (["evaluate"], "--candidates", "wide-theta"),
-        ],
-        ids=lambda v: v if isinstance(v, str) else v[0],
-    )
-    def test_fails_before_any_stage(self, workspace, bad, run, tmp_path, capsys, command, split, kind):
-        _, data, model_dir = workspace
-        flags = ["--train", str(data / "train.csv")]
-        if command[0] != "encode":
-            flags += ["--test", str(data / "test.csv")]
-        if command[0] != "train-base":
-            flags += ["--base", str(model_dir / "model.json")]
-        if command[0] == "evaluate":
-            flags += ["--candidates", str(run / "candidates.json")]
-        out = tmp_path / "out"
-        assert main([*command, *flags, split, str(bad[kind]), "--out", str(out)]) == 1
-        if kind == "one-class":
-            error = f"{bad[kind]}: every record has label 1 in column 'label'; both 0 and 1 are needed"
-        elif kind == "short":
-            error = f"{bad[kind]} has 4 features, but the model {model_dir / 'model.json'} has n_features 5"
-        elif kind == "no-candidates":
-            error = f"{bad[kind]}: the candidates list is empty, so there is no frontier to score"
-        elif kind == "rescale-candidates":
-            error = f"{bad[kind]} lacks 'label', 'group': it is not the candidates.json of a mitigate run"
-        elif kind == "no-theta":
-            error = f"{bad[kind]}: candidate 0 needs an 'omega' and a 'theta'"
-        elif kind == "wide-theta":
-            width = len(json.loads((run / "candidates.json").read_text())["candidates"][0]["theta"])
-            error = (
-                f"{bad[kind]}: candidate 0 has {width + 1} theta values, but the encoders "
-                f"{bad[kind].parent / 'encoders'}.csv have {width} columns"
-            )
-        else:
-            error = f"{bad[kind]}: non-finite cell 'inf' at row 5, column 'x2'"
-        assert f"error: {error}\n" in capsys.readouterr().err
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["status"] == "error" and manifest["error"] == error
-        assert manifest["timings"] == {}
-        assert [p.name for p in out.iterdir()] == ["manifest.json"]
-
-    def test_encode_reads_a_one_class_split(self, workspace, bad, tmp_path):
-        # shapley-encode builds on a small slice, which may hold one class
-        _, _, model_dir = workspace
-        out = tmp_path / "out"
-        flags = ["--train", str(bad["one-class"]), "--base", str(model_dir / "model.json"), "--out", str(out)]
-        assert main(["encode", "--method", "tree-pca", "--components", "2", *flags]) == 0
 
 
 class TestMismatchedReevaluation:

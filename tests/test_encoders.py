@@ -600,6 +600,34 @@ class TestPersistence:
         assert (tmp_path / "enc.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
         assert (tmp_path / "enc.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            (("parts", 1, "parts", 0, "kind"), "provenance part 1 part 0: unknown kind 'pca'"),
+            (("parts", 0, "lo"), "provenance part 0: missing key 'lo'"),
+            (("parts", 1, "parts", 1, "phi_centers"), "provenance part 1 part 1: missing key 'phi_centers'"),
+        ],
+    )
+    def test_load_checks_a_combined_provenance_part_by_part(self, tmp_path, path, error):
+        rng = np.random.default_rng(17)
+        model, X = small_ensemble(rng, n=60, rounds=4)
+        add = additive_encoders(X, degree=1, basis="monomial")
+        shap = shapley_encoders(model, X, background_size=5)
+        enc = combine_encoders(add, combine_encoders(tree_pca_encoders(model, X, r=2), shap))
+        enc.save(tmp_path / "enc.csv", tmp_path / "enc.json")
+        sidecar = json.loads((tmp_path / "enc.json").read_text())
+        state = sidecar["provenance"]
+        for step in path[:-1]:
+            state = state[step]
+        if path[-1] == "kind":
+            state["kind"] = "pca"
+        else:
+            del state[path[-1]]
+        (tmp_path / "enc.json").write_text(json.dumps(sidecar))
+        with pytest.raises(ValueError) as caught:
+            EncoderMatrix.load(tmp_path / "enc.csv", tmp_path / "enc.json")
+        assert str(caught.value) == f"{tmp_path / 'enc.json'} {error}"
+
     def test_standardization_round_trip(self):
         rng = np.random.default_rng(15)
         X = rng.normal(size=(50, 2)) * 40.0

@@ -490,7 +490,8 @@ class TestParamChecks:
             ({"min_leaf": float("inf")}, "min_leaf must be finite and nonnegative"),
             ({"min_leaf": -1.0}, "min_leaf must be finite and nonnegative"),
             ({"early_stop_rounds": -1}, "early_stop_rounds must be nonnegative"),
-            ({"depth": 0}, "invalid gbdt params"),
+            ({"depth": 0}, "depth must be at least 1, got 0"),
+            ({"rounds": -1}, "rounds must be nonnegative, got -1"),
         ],
     )
     def test_bad_params_rejected(self, kwargs, message):

@@ -168,6 +168,8 @@ class TestSweepConfig:
             ({"n_epochs": -1}, "n_epochs must be nonnegative, got -1"),
             ({"n_batches": 0}, "n_batches must be at least 1, got 0"),
             ({"n_batches": -3}, "n_batches must be at least 1, got -3"),
+            ({"learning_rate": 0.0}, "learning rate must be positive, got 0.0"),
+            ({"batch_size": 0}, "batch_size must be at least 1, got 0"),
         ],
     )
     def test_non_finite_settings_rejected(self, setting, match):
