@@ -6,7 +6,7 @@ scores each sampled transformation under the exact penalized objective.  The
 transport route first replaces each group's score distribution with the
 probability-weighted quantile mixture of all groups (which needs the group
 label), then projects the label away by regressing the repaired score on the
-features alone through a weighted duplicated dataset, and finally exposes a
+features alone, one soft-label row per record, and finally exposes a
 one-parameter interpolation family between the base and projected models.
 
 Both produce candidates only: their frontiers are scored, like the sweep's,
@@ -163,10 +163,12 @@ def ot_projection(
 ) -> OtProjection:
     """Demographically blind projection of the repaired scores.
 
-    Trains the weight-capable boosted trees on the duplicated dataset
-    (X, 0, 1 - repaired) concatenated with (X, 1, repaired), which regresses
-    the repaired probability on the features alone; the one-parameter family
-    interpolates probabilities between the base and projected models.
+    Trains the boosted trees on the features alone with each record's
+    repaired probability as its soft label, which regresses the repaired
+    probability on the features; the one-parameter family interpolates
+    probabilities between the base and projected models.  A repair that
+    sends every score to 0, or every one to 1, leaves nothing to regress and
+    raises ``ValueError``.
     """
     X = np.asarray(X, dtype=float)
     groups = np.asarray(groups).ravel()
@@ -175,10 +177,7 @@ def ot_projection(
         thetas = np.linspace(0.0, 1.0, DEFAULT_THETA_GRID)
     base_probs = base.predict_proba(X)
     repaired = repair_scores_by_label(base_probs, groups)
-    weights = np.concatenate([1.0 - repaired, repaired])
-    if weights[: X.shape[0]].sum() <= 0 or weights[X.shape[0] :].sum() <= 0:
-        raise ValueError("degenerate repair weights: one label copy carries no mass")
-    stacked_X = np.vstack([X, X])
-    stacked_y = np.concatenate([np.zeros(X.shape[0]), np.ones(X.shape[0])])
-    projected = train(stacked_X, stacked_y, sample_weight=weights, params=params)
+    if np.all(repaired == 0.0) or np.all(repaired == 1.0):
+        raise ValueError("degenerate repair: every repaired score is 0, or every one is 1")
+    projected = train(X, repaired, params=params)
     return OtProjection(projected, np.asarray(thetas, dtype=float), base_probs)

@@ -621,7 +621,7 @@ FLAGS = {
     "depth": _typed(int, "tree depth"),
     "rounds": _typed(int, "boosting rounds"),
     "learning-rate": _typed(float, "boosting learning rate"),
-    "min-leaf": _typed(float, "least sample weight in a leaf"),
+    "min-leaf": _typed(float, "least number of records in a leaf"),
     "early-stop": _typed(int, "stop after this many rounds without test improvement; 0 never stops"),
     # encoders
     "method": _choice(("tree-pca", "additive", "shapley"), "encoder family"),

@@ -143,24 +143,28 @@ class EncoderMatrix:
     @classmethod
     def load(cls, csv_path, sidecar_path) -> "EncoderMatrix":
         """The encoders saved by ``save``.  A sidecar without the centres,
-        scales or provenance, or whose provenance is of an unknown kind or
-        lacks a field its columns are rebuilt from, raises ``ValueError``
-        naming the sidecar."""
+        scales or provenance, whose provenance is of an unknown kind or
+        lacks a field its columns are rebuilt from, or with an array that
+        holds a value that is not a number, raises ``ValueError`` naming the
+        sidecar and the key; a cell of the CSV that is not a number names
+        the CSV and the row."""
         meta = read_json(sidecar_path)
-        centers, scales = (json_field(meta, key, sidecar_path, list) for key in ("centers", "scales"))
-        provenance = _unjsonify(json_field(meta, "provenance", sidecar_path, dict))
-        _check_state(provenance, f"{sidecar_path} provenance")
+        centers, scales = (
+            _float_array(json_field(meta, key, sidecar_path, list), sidecar_path, key) for key in ("centers", "scales")
+        )
+        where = f"{sidecar_path} provenance"
+        provenance = _unjsonify(json_field(meta, "provenance", sidecar_path, dict), where)
+        _check_state(provenance, where)
+        rows = []
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)
             names = next(reader)
-            rows = [[float(v) for v in row] for row in reader]
-        return cls(
-            np.asarray(rows, dtype=float),
-            names,
-            provenance,
-            np.asarray(centers, dtype=float),
-            np.asarray(scales, dtype=float),
-        )
+            for r, row in enumerate(reader, 2):
+                try:
+                    rows.append([float(v) for v in row])
+                except ValueError as exc:
+                    raise ValueError(f"{csv_path}: row {r}: {exc}") from None
+        return cls(np.asarray(rows, dtype=float), names, provenance, centers, scales)
 
 
 def _jsonify(obj):
@@ -175,14 +179,29 @@ def _jsonify(obj):
     return obj
 
 
-def _unjsonify(obj):
+def _unjsonify(obj, where, key=None):
+    """Invert ``_jsonify``; ``where`` and the enclosing key name an array
+    that does not convert."""
     if isinstance(obj, dict):
         if "__array__" in obj:
-            return np.asarray(obj["__array__"], dtype=float)
-        return {k: _unjsonify(v) for k, v in obj.items()}
+            return _float_array(obj["__array__"], where, key)
+        return {k: _unjsonify(v, where, k) for k, v in obj.items()}
     if isinstance(obj, list):
-        return [_unjsonify(v) for v in obj]
+        return [_unjsonify(v, where, key) for v in obj]
     return obj
+
+
+def _float_array(values, where, key):
+    """The nested list ``values`` as a float array; one that holds anything
+    but numbers, or is ragged, raises ``ValueError`` naming ``where`` and
+    ``key``."""
+    try:
+        array = np.asarray(values)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {key!r} is not an array ({exc})") from None
+    if array.dtype.kind not in "iuf":
+        raise ValueError(f"{where}: {key!r} holds a value that is not a number")
+    return array.astype(float)
 
 
 # the provenance fields that each kind's columns are rebuilt from

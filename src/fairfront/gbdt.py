@@ -1,15 +1,16 @@
 """Minimal deterministic gradient-boosted decision trees.
 
 Logistic-loss boosting with squared-error regression trees fit to the
-gradients, second-order leaf values, sample weights, and optional early
-stopping on a validation split.  Split search is exact over sorted unique
-feature values, with ties broken by lowest feature index then lowest
-threshold, so training is bit-reproducible.  Each feature is sorted once per
-``train`` call; a node's rows stay in that order, filtered from its
-parent's, and one node searches all features at once.  Each round's update
-of the training margins reads every row's leaf from the fit.  The per-tree
-output matrix is exposed for rebalancing, and ensembles serialize to a
-self-describing JSON document.
+gradients, second-order leaf values, and optional early stopping on a
+validation split.  Training labels may be soft, anywhere in [0, 1], one row
+per record: the loss and its gradients are those of the label read as a
+probability.  Split search is exact over sorted unique feature values, with
+ties broken by lowest feature index then lowest threshold, so training is
+bit-reproducible.  Each feature is sorted once per ``train`` call; a node's
+rows stay in that order, filtered from its parent's, and one node searches
+all features at once.  Each round's update of the training margins reads
+every row's leaf from the fit.  The per-tree output matrix is exposed for
+rebalancing, and ensembles serialize to a self-describing JSON document.
 
 Prediction from a whole ensemble packs every tree into one node table and
 walks all trees at once, a chunk of rows at a time; ``Tree.predict`` walks
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cross_entropy, json_field, logit, sigmoid
+from ._util import cross_entropy, json_field, logit, read_json, sigmoid
 
 _LAMBDA = 1.0          # ridge term on leaf values
 _MARGIN_CLAMP = 10.0
@@ -41,7 +42,7 @@ class GBDTParams:
     depth: int = 4
     rounds: int = 300
     learning_rate: float = 0.08
-    min_leaf: float = 16.0       # minimum total sample weight per child
+    min_leaf: float = 16.0       # minimum number of records per child
     early_stop_rounds: int = 25  # 0 disables early stopping
 
     def __post_init__(self):
@@ -275,7 +276,10 @@ class Ensemble:
     def from_json(cls, text: str) -> "Ensemble":
         """Parse an ensemble document, rejecting a malformed one with a
         ``ValueError`` before any prediction runs."""
-        doc = json.loads(text)
+        return cls._from_doc(json.loads(text))
+
+    @classmethod
+    def _from_doc(cls, doc) -> "Ensemble":
         if not isinstance(doc, dict) or doc.get("kind") != "fairfront-gbdt":
             raise ValueError("not an ensemble document")
         link = json_field(doc, "link", "ensemble", str)
@@ -304,8 +308,9 @@ class Ensemble:
 
     @classmethod
     def load(cls, path) -> "Ensemble":
-        with open(path) as fh:
-            return cls.from_json(fh.read())
+        """The ensemble saved at ``path``; a file that is not JSON raises
+        ``ValueError`` naming it."""
+        return cls._from_doc(read_json(path))
 
 
 _TREE_FIELDS = (("feature", np.intp), ("threshold", float), ("left", np.intp), ("right", np.intp), ("value", float))
@@ -362,30 +367,27 @@ def leaf_boxes(ensemble: Ensemble):
     return packed.value[node], lo, hi
 
 
-def _best_split(xs, ws, wgs, w_total, wg_total, min_leaf):
-    """Exact split search on one node, every feature at once.
+def _best_split(xs, gs, g_total, n, min_leaf):
+    """Exact split search on one node of ``n`` records, every feature at once.
 
-    Row ``f`` of the (F, n) matrices ``xs``, ``ws`` and ``wgs`` holds the
-    node's values of feature ``f`` in ascending order, ties by row index, and
-    the weights and weighted gradients of the same rows.  Maximizes the
-    weighted-SSE reduction of the gradient targets, which only depends on
-    weighted first moments, so integer-weight duplication yields identical
-    trees.  A boundary between distinct consecutive values is a candidate
-    when both sides keep ``min_leaf`` weight; each feature takes its first
-    best candidate, and a feature wins only by a strictly larger gain, so
-    ties go to the lowest feature, then the lowest threshold.  Returns
-    (gain, feature, threshold) or None.
+    Row ``f`` of the (F, n) matrices ``xs`` and ``gs`` holds the node's
+    values of feature ``f`` in ascending order, ties by row index, and the
+    gradients of the same rows.  Maximizes the SSE reduction of the gradient
+    targets, which only depends on the gradient sums and record counts of
+    the two sides.  A boundary between distinct consecutive values is a
+    candidate when both sides keep ``min_leaf`` records; each feature takes
+    its first best candidate, and a feature wins only by a strictly larger
+    gain, so ties go to the lowest feature, then the lowest threshold.
+    Returns (gain, feature, threshold) or None.
     """
-    if xs.shape[1] < 2:
+    if n < 2:
         return None
-    wl = np.cumsum(ws, axis=1)[:, :-1]
-    gl = np.cumsum(wgs, axis=1)[:, :-1]
-    wr = w_total - wl
-    gr = wg_total - gl
-    cand = (xs[:, 1:] > xs[:, :-1]) & (wl >= min_leaf) & (wr >= min_leaf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        parent_score = wg_total * wg_total / w_total
-        gain = np.where(cand, gl * gl / wl + gr * gr / wr - parent_score, -np.inf)
+    nl = np.arange(1.0, n)
+    gl = np.cumsum(gs, axis=1)[:, :-1]
+    nr = n - nl
+    gr = g_total - gl
+    cand = (xs[:, 1:] > xs[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
+    gain = np.where(cand, gl * gl / nl + gr * gr / nr - g_total * g_total / n, -np.inf)
     at = np.argmax(gain, axis=1)
     best = None
     for f, (top, k) in enumerate(zip(gain[np.arange(gain.shape[0]), at].tolist(), at.tolist())):
@@ -397,20 +399,17 @@ def _best_split(xs, ws, wgs, w_total, wg_total, min_leaf):
     return top, f, 0.5 * (xs[f, k] + xs[f, k + 1])
 
 
-def _fit_tree(X, presorted, g, h, w, depth, min_leaf):
+def _fit_tree(X, presorted, g, h, depth, min_leaf):
     """Fit one regression tree to the gradients ``g``; returns the tree and
     the leaf of every training row.
 
-    ``presorted`` is the root's (rows, values, weights) triple of (F, n)
-    tables, each feature's row in that feature's stable ascending order
-    (NaN last).  A node keeps its rows twice: in ascending row order, over
-    which every sum is taken, and in that triple.  A child's rows are its
-    parent's filtered by the split test, which keeps both orders, so no node
-    sorts anything.
+    ``presorted`` is the root's (rows, values) pair of (F, n) tables, each
+    feature's row in that feature's stable ascending order (NaN last).  A
+    node keeps its rows twice: in ascending row order, over which every sum
+    is taken, and in that pair.  A child's rows are its parent's filtered by
+    the split test, which keeps both orders, so no node sorts anything.
     """
     feature, threshold, left, right, value = [], [], [], [], []
-    wg = w * g
-    wh = w * h
     leaf_of = np.empty(X.shape[0], dtype=np.intp)
 
     def build(node_rows, sorted_node, level):
@@ -420,13 +419,13 @@ def _fit_tree(X, presorted, g, h, w, depth, min_leaf):
         left.append(-1)
         right.append(-1)
         value.append(0.0)
-        wg_total = wg[node_rows].sum()
+        g_total = g[node_rows].sum()
         split = None
         if level < depth:
-            order, xs, ws = sorted_node
-            split = _best_split(xs, ws, wg[order], w[node_rows].sum(), wg_total, min_leaf)
+            order, xs = sorted_node
+            split = _best_split(xs, g[order], g_total, node_rows.size, min_leaf)
         if split is None:
-            value[node_id] = -wg_total / (wh[node_rows].sum() + _LAMBDA)
+            value[node_id] = -g_total / (h[node_rows].sum() + _LAMBDA)
             leaf_of[node_rows] = node_id
             return node_id
         _, f, thr = split
@@ -453,27 +452,23 @@ def _fit_tree(X, presorted, g, h, w, depth, min_leaf):
     return tree, leaf_of
 
 
-def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> Ensemble:
-    """Boost logistic-loss trees on (X, y), optionally early-stopping on
-    ``valid = (X_val, y_val)``.
+def train(X, y, params: GBDTParams = None, valid=None) -> Ensemble:
+    """Boost logistic-loss trees on (X, y), one record per row, optionally
+    early-stopping on ``valid = (X_val, y_val)``.
 
-    The base margin is the clamped logit of the weighted label mean; an
-    all-one-class target yields a margin-only ensemble with zero trees.
+    Training labels lie in [0, 1]; validation labels are 0/1.  The base
+    margin is the clamped logit of the label mean; labels all 0 or all 1
+    yield a margin-only ensemble with zero trees.
     """
     params = params or GBDTParams()
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     if X.ndim != 2 or X.shape[0] != y.size:
         raise ValueError("X and y must be row-aligned")
-    if not np.all((y == 0) | (y == 1)):
-        raise ValueError("labels must be binary 0/1")
-    w = np.ones(y.size) if sample_weight is None else np.asarray(sample_weight, dtype=float).ravel()
-    if w.size != y.size:
-        raise ValueError(f"expected {y.size} weights, got {w.size}")
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    if np.any(w < 0) or w.sum() <= 0:
-        raise ValueError("weights must be nonnegative with positive total")
+    if y.size == 0:
+        raise ValueError("no training records")
+    if not np.all((y >= 0) & (y <= 1)):  # NaN fails both
+        raise ValueError("labels must lie in [0, 1]")
     if valid is not None:
         X_val = np.asarray(valid[0], dtype=float)
         y_val = np.asarray(valid[1], dtype=float).ravel()
@@ -484,14 +479,14 @@ def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> En
         if not np.all((y_val == 0) | (y_val == 1)):
             raise ValueError("validation labels must be binary 0/1")
 
-    p_bar = float((w * y).sum() / w.sum())
+    p_bar = float(y.mean())
     base_margin = float(np.clip(logit(p_bar), -_MARGIN_CLAMP, _MARGIN_CLAMP))
     ensemble = Ensemble(base_margin, params.learning_rate, [], X.shape[1])
     if p_bar in (0.0, 1.0) or params.rounds == 0:
         return ensemble
 
     order = np.argsort(X.T, axis=1, kind="stable")  # X is the same in every round
-    presorted = (order, np.take_along_axis(X.T, order, axis=1), w[order])
+    presorted = (order, np.take_along_axis(X.T, order, axis=1))
     raw = np.full(y.size, base_margin)
     use_valid = valid is not None and params.early_stop_rounds > 0
     if use_valid:
@@ -504,7 +499,7 @@ def train(X, y, sample_weight=None, params: GBDTParams = None, valid=None) -> En
         p = sigmoid(raw)
         g = p - y
         h = p * (1.0 - p)
-        tree, leaf_of = _fit_tree(X, presorted, g, h, w, params.depth, params.min_leaf)
+        tree, leaf_of = _fit_tree(X, presorted, g, h, params.depth, params.min_leaf)
         ensemble.trees.append(tree)
         raw += params.learning_rate * tree.value[leaf_of]
         if use_valid:

@@ -13,7 +13,7 @@ from fairfront.baselines import (
 from fairfront.bias_metrics import GroupedScores
 from fairfront.data import generate_m1, split
 from fairfront.distributions import EmpiricalDistribution, wasserstein1
-from fairfront.gbdt import GBDTParams, train
+from fairfront.gbdt import Ensemble, GBDTParams, train
 
 
 def w1_by_group(scores, groups):
@@ -177,6 +177,14 @@ class TestOtProjection:
         for theta in (0.2, 0.7):
             lhs = blend(proj, base_probs, train_ds.X, theta)
             assert np.allclose(lhs, base_probs - theta * w, atol=1e-12)
+
+    @pytest.mark.parametrize("margin", [40.0, -800.0])
+    def test_degenerate_repair_rejected(self, margin):
+        # the model's probability rounds to exactly 1 (0), and so does every repaired score
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(50, 5))
+        with pytest.raises(ValueError, match="degenerate repair: every repaired score is 0, or every one is 1"):
+            ot_projection(Ensemble(margin, 0.1, [], 5), X, np.arange(50) % 2)
 
     def test_theta_grid_default(self, m1_projection):
         proj = m1_projection

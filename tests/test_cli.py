@@ -344,8 +344,11 @@ class TestBaselines:
         points = read_frontier_csv(out / "frontier.csv")
         assert all(p.method == "ot" for p in points)
 
-    # sha256 of each baseline's artifacts on the test workspace, as they were
-    # when each baseline still had a scoring loop of its own
+    # sha256 of each baseline's artifacts on the test workspace.  The rescale
+    # hashes are as they were when each baseline still had a scoring loop of
+    # its own; the transport hashes are those of the projection fit on one
+    # soft-label row per record, whose trees differ from the 2n-row weighted
+    # stack's where the stack's weight sums rounded across min_leaf or a gain tied
     PINNED = {
         "baseline-rescale": (
             ["--features", "0,1,2", "--iterations", "40", "--omegas", "5"],
@@ -358,9 +361,9 @@ class TestBaselines:
         "baseline-ot": (
             ["--rounds", "60", "--thetas", "5"],
             {
-                "frontier.csv": "9eb6ad9160cf9fb8d2239dccd7b5f20673363e5f1951109adcb167c59e11030f",
-                "frontier.svg": "37771a467ca46e3b77858e025e96ec1d51957dd4192bd90c826f2b532a4b79ed",
-                "projected_model.json": "316ea116683f4d79114d4c18ccd529bee3ab87c8ab8184d7760a8b5d6eb2cd6c",
+                "frontier.csv": "f09450871a4f86c78e1c440b200c4a13926d8517950f3e07e2f322e7f2df1602",
+                "frontier.svg": "7ea6d8dd0535c273e9e4bd590a18d29c2c4f5ac5287efcfaa0d3347631366528",
+                "projected_model.json": "8967908206a8981a5c7fe626c9d1305581dd186b6f1d6b1df878764de2092c8e",
             },
         ),
     }

@@ -54,6 +54,7 @@ SHORT = "{short} has 4 features, but the model {base} has n_features 5"
 THREE_GROUPS = "{three_groups}: 3 groups in column 'group'; only two are supported"
 DEEP_PATH = "a tree path tests 10 distinct features; TreeSHAP tables grow as 4^10, more than 8 are not supported"
 SWITCH = "option {!r}: expected true, false, 0 or 1, got {!r}"
+BAD_MODEL = "{bad_model}: invalid JSON (Expecting value: line 1 column 1 (char 0))"
 
 CELLS = [
     # --- option resolution ---------------------------------------------------
@@ -235,6 +236,15 @@ CELLS = [
           "{no_loadings}.json provenance: missing key 'loadings'", id="evaluate-encoders-without-loadings"),
     fails("evaluate", [*EVALUATE, "--encoders", "{unknown_kind}"], 1,
           "{unknown_kind}.json provenance: unknown kind 'pca'", id="evaluate-encoders-unknown-kind"),
+    # these named neither the file nor the row or key
+    fails("evaluate", [*EVALUATE, "--encoders", "{cell_x}"], 1,
+          "{cell_x}.csv: row 4: could not convert string to float: 'x'", id="evaluate-encoders-non-numeric-cell"),
+    fails("evaluate", [*EVALUATE, "--encoders", "{loading_x}"], 1,
+          "{loading_x}.json provenance: 'loadings' holds a value that is not a number",
+          id="evaluate-encoders-non-numeric-loading"),
+    # --- a base model that is not JSON: this named no file
+    fails("encode", [*TRAIN, "--base", "{bad_model}", "--method", "tree-pca"], 1, BAD_MODEL, id="encode-base-not-json"),
+    fails("baseline-ot", [*TRAIN, "--base", "{bad_model}"], 1, BAD_MODEL, id="baseline-ot-base-not-json"),
     # --- report's frontier.csv files: a missing column escaped as a KeyError
     # traceback, a bad cell named no file, and no points failed after the
     # load stage, leaving a header-only frontier.csv
@@ -339,18 +349,27 @@ class TestEnvelope:
             paths[name] = write_json(root / f"{name}.json", faulty_doc)
         paths["not_json"] = root / "not_json.json"
         paths["not_json"].write_text("not json")
+        paths["bad_model"] = root / "bad_model.json"
+        paths["bad_model"].write_text("not json")
         sidecar = json.loads((run / "encoders.json").read_text())
         provenance = sidecar["provenance"]
+        loadings_x = json.loads(json.dumps(provenance["loadings"]))
+        loadings_x["__array__"][0][0] = "x"
         sidecars = {
             "no_provenance": {k: v for k, v in sidecar.items() if k != "provenance"},
             "no_scales": {k: v for k, v in sidecar.items() if k != "scales"},
             "no_loadings": {**sidecar, "provenance": {k: v for k, v in provenance.items() if k != "loadings"}},
             "unknown_kind": {**sidecar, "provenance": {**provenance, "kind": "pca"}},
+            "loading_x": {**sidecar, "provenance": {**provenance, "loadings": loadings_x}},
+            "cell_x": sidecar,
         }
         for name, faulty_sidecar in sidecars.items():
             paths[name] = root / name
             (root / f"{name}.csv").write_bytes((run / "encoders.csv").read_bytes())
             write_json(root / f"{name}.json", faulty_sidecar)
+        cells = list(csv.reader((run / "encoders.csv").open()))
+        cells[3][1] = "x"
+        write_csv(root / "cell_x.csv", cells)
 
         # frontier files
         frontier = list(csv.reader((run / "frontier.csv").open()))

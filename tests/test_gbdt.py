@@ -213,10 +213,10 @@ class TestTraining:
         assert model.predict_proba(X[:5])[0] == pytest.approx(y.mean(), rel=1e-12)
 
     def test_weighted_base_margin(self):
-        X = np.zeros((4, 1))
-        y = np.array([0.0, 0.0, 1.0, 1.0])
-        w = np.array([1.0, 1.0, 1.0, 3.0])
-        model = train(X, y, sample_weight=w, params=GBDTParams(rounds=0))
+        # soft labels weigh each record toward 1 by its label
+        X = np.zeros((6, 1))
+        y = np.array([0.0, 0.5, 1.0, 1.0, 0.8, 0.7])
+        model = train(X, y, params=GBDTParams(rounds=0))
         assert model.predict_proba(X)[0] == pytest.approx(4 / 6, rel=1e-12)
 
     def test_all_one_class_margin_only(self):
@@ -249,22 +249,26 @@ class TestTraining:
         b = train(X, y, params=GBDTParams(depth=3, rounds=25))
         assert a.to_json() == b.to_json()
 
-    def test_duplicated_vs_weighted_equivalence(self):
-        # integer weights must reproduce training on the expanded dataset
-        rng = np.random.default_rng(5)
-        X = rng.normal(size=(40, 2))
-        y = (rng.random(40) < 0.5).astype(float)
-        reps = rng.integers(1, 4, size=40)
-        w = reps.astype(float)
-        expanded_X = np.repeat(X, reps, axis=0)
-        expanded_y = np.repeat(y, reps)
-        params = GBDTParams(depth=3, rounds=12, min_leaf=2.0)
-        weighted = train(X, y, sample_weight=w, params=params)
-        duplicated = train(expanded_X, expanded_y, params=params)
-        assert weighted.n_trees == duplicated.n_trees
-        for ta, tb in zip(weighted.trees, duplicated.trees):
-            assert np.allclose(ta.value, tb.value, atol=1e-10)
-            assert np.array_equal(ta.feature, tb.feature)
+    def test_soft_labels_match_the_weighted_stack(self):
+        # one row with soft label r per record grows the trees of the 2n-row
+        # stack (X, 0, 1 - r) and (X, 1, r): per record the copies' weights
+        # sum to 1, w*g to p - r and w*h to p(1 - p); only their rounding differs
+        params = GBDTParams(depth=2, rounds=8, learning_rate=0.3, min_leaf=10.5)
+        n = 200
+        for seed in range(100):
+            rng = np.random.default_rng(seed)
+            X = rng.normal(size=(n, 3))
+            r = rng.random(n)
+            r[rng.random(n) < 0.1] = 0.0
+            r[rng.random(n) < 0.1] = 1.0
+            model = train(X, r, params=params)
+            stacked = oracle_train(np.vstack([X, X]), np.r_[np.zeros(n), np.ones(n)], np.r_[1.0 - r, r], params)
+            assert model.base_margin == pytest.approx(stacked.base_margin, abs=1e-12)
+            assert model.n_trees == stacked.n_trees
+            for mine, theirs in zip(model.trees, stacked.trees):
+                for name in ("feature", "threshold", "left", "right"):
+                    assert np.array_equal(getattr(mine, name), getattr(theirs, name)), (seed, name)
+                assert np.allclose(mine.value, theirs.value, rtol=0, atol=1e-10), seed
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -273,14 +277,14 @@ class TestTraining:
         n_features=st.integers(1, 6),
         depth=st.integers(1, 5),
         min_leaf=st.integers(0, 8),
-        weighted=st.booleans(),
+        soft=st.booleans(),
         early_stop=st.booleans(),
     )
     # an unstable sort of these ties sums them in another order, and another feature wins
-    @example(seed=86, n_rows=44, n_features=3, depth=1, min_leaf=0, weighted=False, early_stop=False)
-    @example(seed=76, n_rows=76, n_features=3, depth=1, min_leaf=0, weighted=False, early_stop=False)
+    @example(seed=86, n_rows=44, n_features=3, depth=1, min_leaf=0, soft=False, early_stop=False)
+    @example(seed=76, n_rows=76, n_features=3, depth=1, min_leaf=0, soft=False, early_stop=False)
     def test_presorted_training_is_bitwise_the_per_node_sort(
-        self, seed, n_rows, n_features, depth, min_leaf, weighted, early_stop
+        self, seed, n_rows, n_features, depth, min_leaf, soft, early_stop
     ):
         rng = np.random.default_rng(seed)
         X = mixed_features(rng, n_rows + 40, n_features)
@@ -288,31 +292,30 @@ class TestTraining:
         y = (rng.random(X.shape[0]) < sigmoid(signal - np.median(signal))).astype(float)
         valid = (X[n_rows:], y[n_rows:]) if early_stop else None
         X, y = X[:n_rows], y[:n_rows]
-        w = None
-        if weighted:
-            w = rng.integers(0, 4, size=n_rows).astype(float)
-            w[0] = max(w[0], 1.0)
+        if soft:  # uniform labels, some of them exactly 0 or 1
+            y = np.where(rng.random(n_rows) < 0.2, y, rng.random(n_rows))
         params = GBDTParams(depth=depth, rounds=12, learning_rate=0.3, min_leaf=float(min_leaf), early_stop_rounds=2)
-        model = train(X, y, sample_weight=w, params=params, valid=valid)
-        with np.errstate(divide="ignore", invalid="ignore"):  # zero-weight nodes, as in train
-            reference = oracle_train(X, y, np.ones(n_rows) if w is None else w, params, valid)
+        model = train(X, y, params=params, valid=valid)
+        reference = oracle_train(X, y, np.ones(n_rows), params, valid)
         assert model.to_json() == reference.to_json()
 
     @pytest.mark.parametrize(
-        "weights, message",
+        "labels, message",
         [
-            (lambda w: np.r_[w[:5], np.nan, w[6:]], "weights must be finite"),
-            (lambda w: np.r_[w[:5], np.inf, w[6:]], "weights must be finite"),
-            (lambda w: np.r_[w[:5], -np.inf, w[6:]], "weights must be finite"),
-            (lambda w: w[:-1], "expected 400 weights, got 399"),
-            (lambda w: np.r_[w, 1.0], "expected 400 weights, got 401"),
+            pytest.param(lambda X, y, v=v: (X, np.r_[y[:5], v, y[6:]]), "labels must lie in [0, 1]", id=str(v))
+            for v in (1.5, -0.1, np.nan, np.inf, -np.inf)
+        ]
+        + [
+            pytest.param(lambda X, y: (X, y[:-1]), "X and y must be row-aligned", id="one-short"),
+            pytest.param(lambda X, y: (X, np.r_[y, 1.0]), "X and y must be row-aligned", id="one-long"),
+            pytest.param(lambda X, y: (X[:0], y[:0]), "no training records", id="empty"),
         ],
     )
-    def test_bad_weights_rejected(self, weights, message):
+    def test_bad_labels_rejected(self, labels, message):
         rng = np.random.default_rng(10)
         X, y = toy_data(rng)
         with pytest.raises(ValueError, match=re.escape(message)):
-            train(X, y, sample_weight=weights(np.ones(y.size)), params=GBDTParams(rounds=5))
+            train(*labels(X, y), params=GBDTParams(rounds=5))
 
     def test_early_stopping_improves_validation_loss(self):
         rng = np.random.default_rng(6)
