@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import sys
 import time
@@ -91,6 +92,18 @@ def _load_config(path_str) -> dict:
     return doc
 
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas() -> str:
+    """Name and version of the BLAS numpy was built with, or "unknown"."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"{blas.get('name')} {blas.get('version')}"
+    except (TypeError, KeyError):
+        return "unknown"
+
+
 class Manifest:
     def __init__(self, command: str, resolved: dict, out_dir: Path):
         self.doc = {
@@ -101,6 +114,10 @@ class Manifest:
                 "fairfront": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
+                # the BLAS and its thread count set the last bits of the
+                # tree-pca columns
+                "blas": _blas(),
+                "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
             },
             "timings": {},
             "artifacts": [],

@@ -13,8 +13,11 @@ every row's leaf from the fit.  The per-tree output matrix is exposed for
 rebalancing, and ensembles serialize to a self-describing JSON document.
 
 Prediction from a whole ensemble packs every tree into one node table and
-walks all trees at once, a chunk of rows at a time; ``Tree.predict`` walks
-one tree and serves early stopping's update of the validation margins.
+walks all trees at once, a chunk of rows at a time: each distinct test is
+compared once, the top two levels of every tree are read at once from its
+three top tests' outcomes, and only an ensemble deeper than two walks on,
+a level per step.  ``Tree.predict`` walks one tree and serves early
+stopping's update of the validation margins.
 One walk gives both the margins and the tree-pca columns: ``predict_raw``
 hands each (trees, rows) block to an optional ``each_block`` callback (the
 columns) before adding it into the margins.  ``per_tree_outputs`` copies
@@ -25,6 +28,7 @@ moments from such matrices of bounded blocks of rows.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,30 +83,36 @@ class Tree:
             active = self.feature[idx] >= 0
         return self.value[idx]
 
-    @property
-    def n_nodes(self) -> int:
-        return self.feature.size
-
 
 @dataclass(frozen=True)
 class _PackedTrees:
-    """Every tree of an ensemble in one flat node table.
+    """Every tree of an ensemble in one flat node table, and each tree's
+    top two levels in tables of four.
 
-    Tree ``t`` owns the ``width`` slots from ``t * width``; node ``i`` of it
-    sits at slot ``t * width + i``.  An internal node's test is an index into
-    the ensemble's distinct (feature, threshold) pairs, so a chunk of rows
+    The trees' nodes lie end to end: node ``i`` of tree ``t`` sits at slot
+    ``roots[t] + i``.  An internal node's test is an index into the
+    ensemble's distinct (feature, threshold) pairs, so a chunk of rows
     compares each distinct test once.  A leaf is its own left and right
-    child, so after ``depth`` steps every row rests on its leaf in every
-    tree, whatever the depth of that leaf and whichever way a NaN row goes.
+    child, and tests row ``U`` of the outcomes, a constant that goes left:
+    so a row that reaches a leaf, NaN rows included, stays on it however
+    many steps the walk takes.
+
+    The walk reads a tree's top two levels at once: the outcomes of its
+    root's test and of its two children's tests make a 2-bit code, root
+    then child, 1 for right, and ``4 t + code`` indexes the slot two levels
+    down (``slot``) and its value (``leaf``, used when no tree is deeper).
     """
 
     feature: np.ndarray    # (U,) distinct tests: x[feature] <= threshold goes left
     threshold: np.ndarray  # (U,)
-    test: np.ndarray       # (T * width,) test of each internal node
-    child: np.ndarray      # (2 * T * width,) slot of the left, then right, child
-    value: np.ndarray      # (T * width,) leaf values
+    test: np.ndarray       # (nodes,) test of each internal node, U for a leaf
+    child: np.ndarray      # (2 * nodes,) slot of the left, then right, child
+    value: np.ndarray      # (nodes,) leaf values
     roots: np.ndarray      # (T,) slot of each root
     depth: int             # deepest leaf over all trees
+    top: np.ndarray        # (3, T) tests of each root and of its left and right child
+    slot: np.ndarray       # (4 T,) slot two levels below each root, by code
+    leaf: np.ndarray       # (4 T,) value at that slot
 
     def blocks(self, X):
         """Yield ``(rows, outputs)`` per chunk of rows of ``X``: a row slice
@@ -113,86 +123,133 @@ class _PackedTrees:
         before asking for the next chunk.
         """
         n_trees, n_tests = self.roots.size, self.feature.size
+        threshold = self.threshold[:, None]
+        quad = 4 * np.arange(n_trees)[:, None]
         work = None
         for start in range(0, X.shape[0], _CHUNK_ROWS):
-            chunk = X[start:start + _CHUNK_ROWS]
-            n_rows = chunk.shape[0]
+            chunk = X[start:start + _CHUNK_ROWS].T
+            n_rows = chunk.shape[1]
             if work is None or work[0].shape[1] != n_rows:
-                work = (np.empty((n_trees, n_rows), np.intp), np.empty((n_trees, n_rows), np.intp),
-                        np.empty((n_trees, n_rows), bool), np.empty((n_rows, n_tests)),
-                        np.empty((n_rows, n_tests), bool))
-            node, index, right, tested, outcome = work
-            # (rows, U) outcomes; NaN fails <= and goes right, as in Tree.predict
-            np.take(chunk, self.feature, axis=1, out=tested, mode="clip")
-            np.less_equal(tested, self.threshold, out=outcome)
-            np.logical_not(outcome, out=outcome)
-            go_right = outcome.ravel()
-            row_offset = np.arange(n_rows) * n_tests
-            node[:] = self.roots[:, None]
-            # packing only stores valid slots, so "clip" never clips; it
+                work = (np.zeros((n_tests + 1, n_rows), bool), np.empty((n_tests, n_rows)),
+                        np.empty((3, n_trees, n_rows), bool), np.empty((n_trees, n_rows), np.intp),
+                        np.empty((n_trees, n_rows), np.intp), self.test * n_rows, np.arange(n_rows))
+            outcome, tested, top, index, node, row_test, column = work
+            # (U + 1, rows) outcomes, 1 for right; NaN fails <= and goes
+            # right, as in Tree.predict; the last row stays 0
+            np.take(chunk, self.feature, axis=0, out=tested, mode="clip")
+            np.less_equal(tested, threshold, out=outcome[:-1])
+            np.logical_not(outcome[:-1], out=outcome[:-1])
+            # packing only stores valid indices, so "clip" never clips; it
             # lets take write into the work arrays without a copy
-            for _ in range(self.depth):
-                np.take(self.test, node, out=index, mode="clip")
-                index += row_offset
-                np.take(go_right, index, out=right, mode="clip")
-                np.left_shift(node, 1, out=index)
-                index += right
-                np.take(self.child, index, out=node, mode="clip")
-            outputs = index.view(float)
-            np.take(self.value, node, out=outputs, mode="clip")
+            np.take(outcome, self.top, axis=0, out=top, mode="clip")
+            root, left, right = top
+            right ^= left
+            right &= root
+            left ^= right  # the outcome of the child the root sends the row to
+            code = root.view(np.uint8)
+            np.add(code, code, out=code)
+            np.add(code, left.view(np.uint8), out=code)
+            np.add(code, quad, out=index)
+            if self.depth <= 2:
+                outputs = node.view(float)
+                np.take(self.leaf, index, out=outputs, mode="clip")
+            else:
+                # the per-level walk from two levels down, in the same arrays
+                np.take(self.slot, index, out=node, mode="clip")
+                go_right = outcome.ravel()
+                for _ in range(self.depth - 2):
+                    np.take(row_test, node, out=index, mode="clip")
+                    index += column
+                    np.take(go_right, index, out=right, mode="clip")
+                    np.left_shift(node, 1, out=index)
+                    index += right
+                    np.take(self.child, index, out=node, mode="clip")
+                outputs = index.view(float)
+                np.take(self.value, node, out=outputs, mode="clip")
             yield slice(start, start + n_rows), outputs
 
 
-def _pack(trees, n_features) -> _PackedTrees:
-    """Pack ``trees`` for the joint walk, rejecting a malformed tree.
+def _node_counts(counts) -> np.ndarray:
+    """The node count of each tree from ``counts``, the (5, T) lengths of
+    its node arrays (-1 for an array that is not flat); a tree whose arrays
+    are empty or of unequal length raises ``ValueError`` naming it."""
+    bad = (counts[0] <= 0) | np.any(counts != counts[0], axis=0)
+    if bad.any():
+        raise ValueError(f"tree {int(np.argmax(bad))}: node arrays must be nonempty, flat and of equal length")
+    return counts[0]
 
-    Each tree is walked from its root, so a feature index outside
-    ``[0, n_features)``, a child index out of range, a cycle and arrays of
-    unequal length raise ``ValueError`` naming the tree.
+
+def _pack(sizes, feature, threshold, left, right, value, n_features) -> _PackedTrees:
+    """Pack trees for the joint walk, rejecting a malformed one.
+
+    ``sizes`` holds each tree's node count and the node arrays hold the
+    trees' nodes end to end.  The trees are walked together from their
+    roots, a level at a time: a feature index outside ``[0, n_features)``, a
+    child index out of range and a node reached twice (a cycle or a shared
+    child) raise ``ValueError`` naming the lowest faulty tree and, within
+    it, the shallowest faulty node.
     """
-    width = max((tree.n_nodes for tree in trees), default=1)
-    pairs = {}
-    test = np.zeros(len(trees) * width, dtype=np.intp)
-    child = np.zeros(2 * len(trees) * width, dtype=np.intp)
-    value = np.zeros(len(trees) * width)
-    depth = 0
-    for t, tree in enumerate(trees):
-        n = tree.n_nodes
-        if n == 0 or any(a.shape != (n,) for a in (tree.feature, tree.threshold, tree.left, tree.right, tree.value)):
-            raise ValueError(f"tree {t}: node arrays must be nonempty, flat and of equal length")
-        feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-        left, right, leaf = tree.left.tolist(), tree.right.tolist(), tree.value.tolist()
-        offset = t * width
-        seen = [False] * n
-        stack = [(0, 0)]
-        while stack:
-            node, level = stack.pop()
-            if seen[node]:
-                raise ValueError(f"tree {t}: node {node} is reached twice (a cycle or a shared child)")
-            seen[node] = True
-            slot = offset + node
-            f = feature[node]
-            if f == -1:
-                child[2 * slot] = child[2 * slot + 1] = slot
-                value[slot] = leaf[node]
-                depth = max(depth, level)
-                continue
-            if not 0 <= f < n_features:
-                raise ValueError(f"tree {t}: node {node} splits on feature {f}, outside [0, {n_features})")
-            kids = (left[node], right[node])
-            if not all(0 <= k < n for k in kids):
-                raise ValueError(f"tree {t}: node {node} has children {kids}, outside [0, {n})")
-            test[slot] = pairs.setdefault((f, threshold[node]), len(pairs))
-            child[2 * slot], child[2 * slot + 1] = offset + kids[0], offset + kids[1]
-            stack += [(kids[0], level + 1), (kids[1], level + 1)]
+    n_trees, n_nodes = sizes.size, feature.size
+    roots = np.cumsum(sizes) - sizes
+    tree_of = np.repeat(np.arange(n_trees), sizes)
+    child = np.repeat(np.arange(n_nodes), 2)  # a leaf, or a node no path reaches, is its own child
+    seen = np.zeros(n_nodes, bool)
+    inner = [np.empty(0, np.intp)]
+    node, level, depth, fault = roots, 0, 0, None
+    while node.size:
+        t = tree_of[node]
+        f = feature[node]
+        kids = np.stack([left[node], right[node]])
+        again = seen[node]
+        seen[node] = True
+        order = np.argsort(node, kind="stable")
+        again[order[1:][node[order[1:]] == node[order[:-1]]]] = True  # twice in this level
+        split = f != -1
+        bad_feature = split & ((f < 0) | (f >= n_features))
+        bad_kids = split & np.any((kids < 0) | (kids >= sizes[t]), axis=0)
+        faulty = again | bad_feature | bad_kids
+        if faulty.any():
+            k = np.flatnonzero(faulty & (t == t[faulty].min()))[0]  # the first in level order
+            i = int(node[k] - roots[t[k]])
+            if again[k]:
+                message = f"node {i} is reached twice (a cycle or a shared child)"
+            elif bad_feature[k]:
+                message = f"node {i} splits on feature {f[k]}, outside [0, {n_features})"
+            else:
+                message = f"node {i} has children {tuple(kids[:, k].tolist())}, outside [0, {sizes[t[k]]})"
+            fault = f"tree {t[k]}: {message}"
+            keep = t < t[k]  # a lower tree's fault, however deep, comes first
+            node, t, kids, split = node[keep], t[keep], kids[:, keep], split[keep]
+        if not split.all():
+            depth = level
+        node, kids = node[split], kids[:, split] + roots[t[split]]
+        inner.append(node)
+        child[2 * node], child[2 * node + 1] = kids
+        node = kids.T.ravel()  # each node's left child, then its right
+        level += 1
+    if fault is not None:
+        raise ValueError(fault)
+    inner = np.concatenate(inner)
+    # distinct (feature, threshold) pairs; -0.0 and 0.0 are one test
+    order = inner[np.lexsort((threshold[inner], feature[inner]))]
+    f, thr = feature[order], threshold[order]
+    first = np.ones(order.size, bool)
+    first[1:] = (f[1:] != f[:-1]) | (thr[1:] != thr[:-1])
+    test = np.full(n_nodes, int(first.sum()), dtype=np.intp)
+    test[order] = np.cumsum(first) - 1
+    level1 = child[2 * roots[:, None] + [0, 1]]
+    slot = child[2 * level1[:, :, None] + [0, 1]].reshape(-1)
     return _PackedTrees(
-        np.asarray([f for f, _ in pairs], dtype=np.intp),
-        np.asarray([thr for _, thr in pairs], dtype=float),
+        f[first],
+        thr[first],
         test,
         child,
         value,
-        np.arange(len(trees), dtype=np.intp) * width,
+        roots,
         depth,
+        np.stack([test[roots], test[level1[:, 0]], test[level1[:, 1]]]),
+        slot,
+        value[slot],
     )
 
 
@@ -215,7 +272,12 @@ class Ensemble:
         trees = tuple(self.trees)
         cached = self._packing
         if cached is None or len(cached[0]) != len(trees) or any(a is not b for a, b in zip(cached[0], trees)):
-            self._packing = cached = (trees, _pack(trees, self.n_features))
+            columns = [[getattr(tree, name) for tree in trees] for name, _ in _TREE_FIELDS]
+            counts = np.array([[a.size if a.ndim == 1 else -1 for a in column] for column in columns], np.intp)
+            sizes = _node_counts(counts.reshape(len(columns), -1))
+            arrays = (np.concatenate([*column, np.empty(0, dtype)]).astype(dtype, copy=False)
+                      for column, (_, dtype) in zip(columns, _TREE_FIELDS))
+            self._packing = cached = (trees, _pack(sizes, *arrays, self.n_features))
         return cached[1]
 
     def predict_raw(self, X, each_block=None) -> np.ndarray:
@@ -285,21 +347,34 @@ class Ensemble:
         link = json_field(doc, "link", "ensemble", str)
         if link != "logistic":
             raise ValueError(f"ensemble: 'link' must be 'logistic', got {link!r}")
-        trees = [
-            Tree(*(_node_array(t, i, name, dtype) for name, dtype in _TREE_FIELDS))
-            for i, t in enumerate(json_field(doc, "trees", "ensemble", list))
+        columns = [[] for _ in _TREE_FIELDS]
+        for t, tree_doc in enumerate(json_field(doc, "trees", "ensemble", list)):
+            where = f"tree {t}"
+            for column, (name, _) in zip(columns, _TREE_FIELDS):
+                column.append(json_field(tree_doc, name, where, list))
+        # each field of every tree in one array, checked at once; the
+        # trees are views of these arrays
+        counts = np.array([[len(values) for values in column] for column in columns], np.intp)
+        counts = counts.reshape(len(columns), -1)
+        arrays = [_node_column(column, dtype) for column, (_, dtype) in zip(columns, _TREE_FIELDS)]
+        if any(a is None for a in arrays):
+            _tree_fault(columns)
+        ends = np.cumsum(counts, axis=1)
+        faults = [
+            (int(np.searchsorted(ends[k], np.argmin(finite), side="right")), name)
+            for k, name in ((1, "threshold"), (4, "value"))
+            if not (finite := np.isfinite(arrays[k])).all()
         ]
-        for t, tree in enumerate(trees):
-            for name in ("threshold", "value"):
-                if not np.all(np.isfinite(getattr(tree, name))):
-                    raise ValueError(f"tree {t}: non-finite {name}")
-        ensemble = cls(
-            json_field(doc, "base_margin", "ensemble", _NUMBER),
-            json_field(doc, "learning_rate", "ensemble", _NUMBER),
-            trees,
-            json_field(doc, "n_features", "ensemble", int),
-        )
-        ensemble._packed()  # checks the structure of every tree
+        if faults:
+            raise ValueError("tree {}: non-finite {}".format(*min(faults)))
+        base_margin = json_field(doc, "base_margin", "ensemble", _NUMBER)
+        learning_rate = json_field(doc, "learning_rate", "ensemble", _NUMBER)
+        n_features = json_field(doc, "n_features", "ensemble", int)
+        sizes = _node_counts(counts)
+        bounds = list(zip((ends[0] - sizes).tolist(), ends[0].tolist()))
+        trees = [Tree(*(a[start:end] for a in arrays)) for start, end in bounds]
+        ensemble = cls(base_margin, learning_rate, trees, n_features)
+        ensemble._packing = (tuple(trees), _pack(sizes, *arrays, n_features))
         return ensemble
 
     def save(self, path):
@@ -308,22 +383,41 @@ class Ensemble:
 
     @classmethod
     def load(cls, path) -> "Ensemble":
-        """The ensemble saved at ``path``; a file that is not JSON raises
-        ``ValueError`` naming it."""
-        return cls._from_doc(read_json(path))
+        """The ensemble saved at ``path``; a file that is not JSON, or not
+        a well-formed ensemble document, raises ``ValueError`` naming it."""
+        doc = read_json(path)
+        try:
+            return cls._from_doc(doc)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
 
 
 _TREE_FIELDS = (("feature", np.intp), ("threshold", float), ("left", np.intp), ("right", np.intp), ("value", float))
 _NUMBER = (int, float)
 
 
-def _node_array(tree_doc, t, name, dtype):
-    """One node array of tree ``t`` from its document."""
-    values = json_field(tree_doc, name, f"tree {t}", list)
+def _node_column(column, dtype):
+    """One field of every tree as one flat array, or None when the field
+    does not convert as a whole."""
     try:
-        return np.asarray(values, dtype=dtype)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"tree {t}: bad {name!r} ({exc})") from None
+        values = np.asarray(list(chain.from_iterable(column)), dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return values if values.ndim == 1 else None
+
+
+def _tree_fault(columns):
+    """Raise the fault of the first tree, in tree then field order, whose
+    field does not convert to a flat array."""
+    for t, fields in enumerate(zip(*columns)):
+        for values, (name, dtype) in zip(fields, _TREE_FIELDS):
+            try:
+                np.asarray(values, dtype=dtype)
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValueError(f"tree {t}: bad {name!r} ({exc})") from None
+    for t, fields in enumerate(zip(*columns)):
+        if any(np.asarray(values).ndim != 1 for values in fields):
+            raise ValueError(f"tree {t}: node arrays must be nonempty, flat and of equal length")
 
 
 def per_tree_outputs(ensemble: Ensemble, X) -> np.ndarray:

@@ -258,7 +258,7 @@ class TestEncode:
             ]
         )
         assert code == 1
-        assert "error: tree 2: missing key 'threshold'" in capsys.readouterr().err
+        assert f"error: {tampered}: tree 2: missing key 'threshold'\n" in capsys.readouterr().err
         assert not (out / "encoders.csv").exists()
 
     def test_shapley_past_the_enumeration_cap(self, tmp_path):
@@ -483,6 +483,26 @@ class TestFailedRunManifest:
         assert manifest["status"] == "error"
         assert manifest["error"] == "RuntimeError: the sweep broke"
         assert sorted(manifest["timings"]) == ["encoders", "load"]
+
+class TestManifestVersions:
+    """Every manifest, a failed run's too, records the BLAS that numpy was
+    built with and the thread settings the process saw: with more than one
+    BLAS thread the tree-pca columns change in their last bits."""
+
+    def test_blas_and_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        ok, failed = tmp_path / "ok", tmp_path / "failed"
+        assert main(["generate", "--n", "200", "--out", str(ok)]) == 0
+        assert main(["generate", "--n", "200", "--seed", "-1", "--out", str(failed)]) == 2
+        for out, status in ((ok, "ok"), (failed, "error")):
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["status"] == status
+            versions = manifest["versions"]
+            assert versions["threads"] == {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": None}
+            assert versions["blas"] == cli._blas() != ""
+
 
 class TestOneWalkPerSplit:
     """``evaluate`` walks the trees once per split: the rows that go through

@@ -245,6 +245,12 @@ CELLS = [
     # --- a base model that is not JSON: this named no file
     fails("encode", [*TRAIN, "--base", "{bad_model}", "--method", "tree-pca"], 1, BAD_MODEL, id="encode-base-not-json"),
     fails("baseline-ot", [*TRAIN, "--base", "{bad_model}"], 1, BAD_MODEL, id="baseline-ot-base-not-json"),
+    # --- a base model that is JSON but not a well-formed ensemble: these
+    # named no file
+    fails("encode", [*TRAIN, "--base", "{empty_model}", "--method", "tree-pca"], 1,
+          "{empty_model}: not an ensemble document", id="encode-base-empty-object"),
+    fails("encode", [*TRAIN, "--base", "{feature_99}", "--method", "tree-pca"], 1,
+          "{feature_99}: tree 0: node 0 splits on feature 99, outside [0, 5)", id="encode-base-feature-99"),
     # --- report's frontier.csv files: a missing column escaped as a KeyError
     # traceback, a bad cell named no file, and no points failed after the
     # load stage, leaving a header-only frontier.csv
@@ -351,6 +357,10 @@ class TestEnvelope:
         paths["not_json"].write_text("not json")
         paths["bad_model"] = root / "bad_model.json"
         paths["bad_model"].write_text("not json")
+        paths["empty_model"] = write_json(root / "empty_model.json", {})
+        model_doc = json.loads(paths["base"].read_text())
+        model_doc["trees"][0]["feature"][0] = 99
+        paths["feature_99"] = write_json(root / "feature_99.json", model_doc)
         sidecar = json.loads((run / "encoders.json").read_text())
         provenance = sidecar["provenance"]
         loadings_x = json.loads(json.dumps(provenance["loadings"]))

@@ -46,9 +46,10 @@ def loop_outputs(model, X):
     return np.column_stack([tree.predict(X) for tree in model.trees])
 
 
-def random_tree(rng, depth, n_features, thresholds) -> Tree:
+def random_tree(rng, depth, n_features, thresholds, full=False) -> Tree:
     """Unbalanced tree of at most ``depth`` levels, leaves at mixed depths,
-    node ids shuffled away from preorder (the root stays node 0)."""
+    node ids shuffled away from preorder (the root stays node 0); a
+    ``full`` tree has every leaf at ``depth``."""
     feature, threshold, left, right, value = [], [], [], [], []
 
     def build(level):
@@ -58,7 +59,7 @@ def random_tree(rng, depth, n_features, thresholds) -> Tree:
         left.append(-1)
         right.append(-1)
         value.append(float(rng.normal()))  # internal values must never be returned
-        if level < depth and rng.random() < (0.9 if level == 0 else 0.7):
+        if level < depth and (full or rng.random() < (0.9 if level == 0 else 0.7)):
             feature[node] = int(rng.integers(n_features))
             threshold[node] = float(rng.choice(thresholds))
             left[node] = build(level + 1)
@@ -362,23 +363,37 @@ class TestPrediction:
     @settings(max_examples=60, deadline=None)
     @given(
         seed=st.integers(0, 2**32 - 1),
-        depth=st.integers(1, 6),
+        depth=st.integers(0, 6),
         n_trees=st.integers(0, 12),
         n_rows=st.sampled_from([0, 1, 2, 255, 300]),
+        deep=st.booleans(),
     )
-    @example(seed=0, depth=3, n_trees=0, n_rows=5)
-    @example(seed=1, depth=6, n_trees=6, n_rows=0)
-    @example(seed=2, depth=6, n_trees=6, n_rows=1)
-    def test_packed_walk_is_bitwise_the_tree_loop(self, seed, depth, n_trees, n_rows):
+    @example(seed=0, depth=3, n_trees=0, n_rows=5, deep=False)
+    @example(seed=1, depth=6, n_trees=6, n_rows=0, deep=False)
+    @example(seed=2, depth=6, n_trees=6, n_rows=1, deep=False)
+    # single leaves only: no distinct test, so the outcome block has no rows
+    @example(seed=4, depth=0, n_trees=5, n_rows=300, deep=False)
+    # depth-2 trees and one of depth 6: the top two levels, then four more
+    @example(seed=5, depth=2, n_trees=8, n_rows=300, deep=True)
+    def test_packed_walk_is_bitwise_the_tree_loop(self, seed, depth, n_trees, n_rows, deep):
         rng = np.random.default_rng(seed)
         n_features = 3
         grid = np.array([-1.0, -0.0, 0.0, 0.5, 1.0])  # shared tests across trees
-        trees = [random_tree(rng, int(rng.integers(1, depth + 1)), n_features, grid) for _ in range(n_trees)]
+        trees = [random_tree(rng, int(rng.integers(min(depth, 1), depth + 1)), n_features, grid)
+                 for _ in range(n_trees)]
+        if deep:
+            trees.insert(int(rng.integers(n_trees + 1)), random_tree(rng, 6, n_features, grid, full=True))
         model = Ensemble(float(rng.normal()), float(rng.uniform(0.01, 1.0)), trees, n_features)
         pool = np.r_[grid, rng.normal(size=8), np.nan, np.inf, -np.inf]
         X = rng.choice(pool, size=(n_rows, n_features))
-        assert np.array_equal(model.predict_raw(X), loop_raw(model, X))
-        assert np.array_equal(per_tree_outputs(model, X), loop_outputs(model, X))
+        raw, outputs = loop_raw(model, X), loop_outputs(model, X)
+        assert np.array_equal(model.predict_raw(X), raw)
+        assert np.array_equal(per_tree_outputs(model, X), outputs)
+        blocks = []
+        assert np.array_equal(model.predict_raw(X, lambda rows, block: blocks.append((rows, block.copy()))), raw)
+        assert sum(rows.stop - rows.start for rows, _ in blocks) == n_rows
+        for rows, block in blocks:
+            assert np.array_equal(block, outputs[rows].T)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6), n_trees=st.integers(0, 8))
@@ -430,6 +445,23 @@ class TestSerialization:
         with pytest.raises(ValueError):
             Ensemble.from_json('{"kind": "something-else"}')
 
+    # (feature, threshold, left, right, value) of a stump, of a tree whose
+    # node 2 splits again, and of one whose node 4, two levels down, splits
+    # again
+    STUMP = ([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 2.0])
+    TWO_LEVEL = (
+        [0, -1, 1, -1, -1], [0.0, 0.0, 1.5, 0.0, 0.0], [1, -1, 3, -1, -1], [2, -1, 4, -1, -1],
+        [0.0, -1.0, 0.0, 0.5, 1.5],
+    )
+    THREE_LEVEL = (
+        [0, -1, 1, -1, 0, -1, -1], [0.0, 0.0, 1.5, 0.0, -0.5, 0.0, 0.0], [1, -1, 3, -1, 5, -1, -1],
+        [2, -1, 4, -1, 6, -1, -1], [0.0, -1.0, 0.0, 0.5, 0.0, 2.0, 2.5],
+    )
+
+    def document(self):
+        trees = [Tree(*(np.asarray(a) for a in arrays)) for arrays in (self.STUMP, self.TWO_LEVEL, self.THREE_LEVEL)]
+        return json.loads(Ensemble(0.1, 0.5, trees, n_features=2).to_json())
+
     @pytest.mark.parametrize(
         "field, index, bad, message",
         [
@@ -440,23 +472,30 @@ class TestSerialization:
             ("threshold", 2, float("nan"), "tree 1: non-finite threshold"),
             ("value", 3, float("inf"), "tree 1: non-finite value"),
             ("right", None, None, "tree 1: node arrays must be nonempty, flat and of equal length"),
+            # below level 1
+            ("feature", 4, 7, "tree 2: node 4 splits on feature 7, outside [0, 2)"),
+            ("right", 4, 9, "tree 2: node 4 has children (5, 9), outside [0, 7)"),
+            ("right", 4, 5, "tree 2: node 5 is reached twice (a cycle or a shared child)"),
+            ("left", 4, 2, "tree 2: node 2 is reached twice (a cycle or a shared child)"),
         ],
     )
     def test_rejects_malformed_trees(self, field, index, bad, message):
-        # (feature, threshold, left, right, value) of a stump and of a tree
-        # whose node 2 splits again
-        stump = ([0, -1, -1], [0.5, 0.0, 0.0], [1, -1, -1], [2, -1, -1], [0.0, 1.0, 2.0])
-        two_level = (
-            [0, -1, 1, -1, -1], [0.0, 0.0, 1.5, 0.0, 0.0], [1, -1, 3, -1, -1], [2, -1, 4, -1, -1],
-            [0.0, -1.0, 0.0, 0.5, 1.5],
-        )
-        trees = [Tree(*(np.asarray(a) for a in arrays)) for arrays in (stump, two_level)]
-        doc = json.loads(Ensemble(0.1, 0.5, trees, n_features=2).to_json())
+        tree = int(re.match(r"tree (\d+):", message).group(1))  # the tree the fault is put in
+        doc = self.document()
         if index is None:
-            doc["trees"][1][field].pop()
+            doc["trees"][tree][field].pop()
         else:
-            doc["trees"][1][field][index] = bad
+            doc["trees"][tree][field][index] = bad
         with pytest.raises(ValueError, match=re.escape(message)):
+            Ensemble.from_json(json.dumps(doc))
+
+    def test_names_the_lowest_tree_and_its_shallowest_fault(self):
+        doc = self.document()
+        doc["trees"].append(json.loads(json.dumps(doc["trees"][2])))
+        doc["trees"][3]["feature"][0] = 9  # the root of the last tree
+        doc["trees"][2]["feature"][4] = 9  # two levels down
+        doc["trees"][2]["feature"][1] = 9  # a leaf one level down
+        with pytest.raises(ValueError, match=re.escape("tree 2: node 1 splits on feature 9, outside [0, 2)")):
             Ensemble.from_json(json.dumps(doc))
 
     @pytest.mark.parametrize(
