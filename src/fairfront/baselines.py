@@ -54,6 +54,7 @@ class RescaleCandidate:
 class RescaleSearchResult:
     candidates: list
     best_per_omega: dict = field(default_factory=dict)  # omega -> candidate index
+    train_probs: dict = field(default_factory=dict)  # picked candidate index -> its probabilities on X
 
 
 def random_search_rescaling(
@@ -71,7 +72,9 @@ def random_search_rescaling(
     Candidate 0 is always the identity.  Anchors are drawn around each
     feature's mean, extended by 5% of the distance to the observed min and
     max.  Every candidate is scored with the exact train cross-entropy and
-    W1 bias; ``best_per_omega`` minimizes ``ce + omega * w1``.
+    W1 bias; ``best_per_omega`` holds the first candidate of least
+    ``ce + omega * w1``, and ``train_probs`` the probabilities on ``X`` of
+    each candidate it holds, so a frontier on ``X`` walks the model no more.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
@@ -93,17 +96,23 @@ def random_search_rescaling(
             x_star = rng.uniform(anchor_lo, anchor_hi)
             candidates.append(RescaleCandidate(a, x_star))
 
-    for cand in candidates:
+    omegas = np.asarray(omegas, dtype=float).ravel()
+    best = [None] * omegas.size  # (objective, index) of each weight's first best candidate so far
+    kept = {}
+    for i, cand in enumerate(candidates):
         probs = model.predict_proba(cand.apply(X, selected))
         cand.train_ce = cross_entropy(probs, y)
-        gs = GroupedScores.from_labels(probs, groups)
-        cand.train_w1 = wasserstein1(gs.distribution(0), gs.distribution(1))
+        d0, d1 = GroupedScores.from_labels(probs, groups).distributions()[:2]
+        cand.train_w1 = wasserstein1(d0, d1)
+        for j, omega in enumerate(omegas):
+            objective = cand.train_ce + omega * cand.train_w1
+            if best[j] is None or objective < best[j][0]:
+                best[j] = (objective, i)
+        kept[i] = probs
+        picked = {index for _, index in best}
+        kept = {index: p for index, p in kept.items() if index in picked}
 
-    result = RescaleSearchResult(candidates)
-    for omega in np.asarray(omegas, dtype=float).ravel():
-        scores = [c.train_ce + omega * c.train_w1 for c in candidates]
-        result.best_per_omega[float(omega)] = int(np.argmin(scores))
-    return result
+    return RescaleSearchResult(candidates, {float(o): index for o, (_, index) in zip(omegas, best)}, kept)
 
 
 def ot_repair(g: GroupedScores) -> list:

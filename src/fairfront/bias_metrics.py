@@ -5,6 +5,14 @@ distribution-invariant bias, and the weighted multi-attribute extension.
 These are the non-relaxed reference metrics: evaluation here is exact
 (breakpoint-grid integration), so the stochastic estimators can be validated
 against them.
+
+The invariant bias has one implementation, ``_snapped_invariant``, which
+takes each group's scores as sorted indices of the pooled atoms and merges
+every distribution it needs from values already in sorted order.
+``invariant_bias`` finds those indices by a search of the pooled atoms;
+``frontier.score_metrics`` reads them from the stable sort that builds the
+pooled distribution (``GroupedScores._pooled_sort``), along with everything
+else it scores.
 """
 
 from __future__ import annotations
@@ -65,13 +73,34 @@ class GroupedScores:
     def distribution(self, k: int) -> EmpiricalDistribution:
         return EmpiricalDistribution.from_samples(self.scores_by_group[k])
 
+    def distributions(self) -> tuple:
+        """Every group's ``distribution(k)``, read from one stable sort of
+        the scores laid end to end."""
+        values = np.concatenate(self.scores_by_group)
+        order = np.argsort(values, kind="stable")
+        return tuple(map(EmpiricalDistribution._uniform_sorted, self._by_group(order, values[order])))
+
     def pooled(self) -> EmpiricalDistribution:
         """Probability-weighted mixture of the group score distributions."""
+        return self._pooled_sort()[0]
+
+    def _pooled_sort(self):
+        """``pooled()`` with the sort it is read from: the distribution, the
+        stable order of the scores laid end to end (group 0's, then group
+        1's, ...), the scores in that order and each one's pooled atom
+        index (``EmpiricalDistribution._sorted_samples``)."""
         values = np.concatenate(self.scores_by_group)
         weights = np.concatenate(
             [np.full(g.size, p / g.size) for g, p in zip(self.scores_by_group, self.group_probs)]
         )
-        return EmpiricalDistribution.from_samples(values, weights)
+        return EmpiricalDistribution._sorted_samples(values, weights)
+
+    def _by_group(self, order, sorted_values) -> tuple:
+        """``sorted_values``, one per score in ``order`` (a stable sort of the
+        scores laid end to end), split by group: each group's values in its
+        own stable sorted order."""
+        group = np.repeat(np.arange(self.n_groups), [g.size for g in self.scores_by_group])[order]
+        return tuple(sorted_values[group == k] for k in range(self.n_groups))
 
 
 @dataclass(frozen=True)
@@ -141,17 +170,10 @@ def cost_bias(g: GroupedScores, c: CostFunction, mu: ThresholdMeasure) -> float:
     return float(np.sum(seg * vals))
 
 
-def _transformed_group_w1(g: GroupedScores, pooled: EmpiricalDistribution, left: bool = True) -> float:
-    """W1 between the group scores pushed through the pooled CDF.
-
-    ``left=True`` uses the left-continuous realization of the pooled CDF,
-    which is the transform that stays consistent with threshold averaging
-    when the pooled distribution has atoms.
-    """
-    transform = pooled.left_cdf if left else pooled.cdf
-    t0 = EmpiricalDistribution.from_samples(transform(g.scores_by_group[0]))
-    t1 = EmpiricalDistribution.from_samples(transform(g.scores_by_group[1]))
-    return wasserstein1(t0, t1)
+def _atom_index(pooled: EmpiricalDistribution, scores) -> np.ndarray:
+    """The index of the pooled atom each score was merged into: the largest
+    atom at or below it (the first atom, for a score below all of them)."""
+    return np.maximum(np.searchsorted(pooled.values, scores, side="right") - 1, 0)
 
 
 def snap_to_pooled(g: GroupedScores, pooled: EmpiricalDistribution) -> GroupedScores:
@@ -163,38 +185,47 @@ def snap_to_pooled(g: GroupedScores, pooled: EmpiricalDistribution) -> GroupedSc
     pooled atoms.  Where no two distinct scores lie that close, every score
     is its own atom and nothing moves.
     """
-    snapped = []
-    for scores in g.scores_by_group:
-        below = np.searchsorted(pooled.values, scores, side="right") - 1
-        snapped.append(pooled.values[np.maximum(below, 0)])
-    return GroupedScores(tuple(snapped), g.group_probs)
+    return GroupedScores(tuple(pooled.values[_atom_index(pooled, s)] for s in g.scores_by_group), g.group_probs)
 
 
-def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
-    """Distribution-invariant bias, exact for atomic score distributions.
+def _snapped_invariant(pooled: EmpiricalDistribution, atoms):
+    """The invariant bias of two groups whose scores, snapped, are the atoms
+    of ``pooled`` at the sorted indices ``atoms`` (one array per group),
+    with what it is read from: each group's snapped distribution and its
+    CDF at the pooled atoms.
 
     Computed two ways and cross-checked: (a) the threshold average of
-    |F0 - F1| against the pooled score distribution, and (b) the W1 distance
-    between the groups after the left-continuous pooled-CDF transform.  The
-    two must agree to 1e-10; the transform path is returned.
-
-    ``pooled`` is the pooled sample of ``g`` (or its image under a monotone
-    transform).  The group scores are snapped onto its atoms
-    (``snap_to_pooled``), so both paths see the same atoms.
+    |F0 - F1| against the pooled distribution, and (b) the W1 distance
+    between the groups after the left-continuous pooled-CDF transform, which
+    sends atom ``a`` to the pooled weight below it.  The two must agree to
+    1e-10; the transform path is returned.  Every distribution is merged
+    from values already in sorted order, so nothing here sorts.
     """
-    _require_two_groups(g)
-    g = snap_to_pooled(g, pooled)
-    d0, d1 = g.distribution(0), g.distribution(1)
-    threshold_path = float(
-        np.sum(pooled.weights * np.abs(d0.cdf(pooled.values) - d1.cdf(pooled.values)))
-    )
-    transform_path = _transformed_group_w1(g, pooled, left=True)
+    snapped = [EmpiricalDistribution._uniform_sorted(pooled.values[a]) for a in atoms]
+    cdfs = [d.cdf(pooled.values) for d in snapped]
+    threshold_path = float(np.sum(pooled.weights * np.abs(cdfs[0] - cdfs[1])))
+    below = np.concatenate(([0.0], pooled.cum_weights))
+    transform_path = wasserstein1(*(EmpiricalDistribution._uniform_sorted(below[a]) for a in atoms))
     if abs(threshold_path - transform_path) > _PATH_AGREEMENT_TOL:
         raise AssertionError(
             "invariant-bias computation paths disagree: "
             f"threshold average {threshold_path!r} vs transform {transform_path!r}"
         )
-    return transform_path
+    return snapped, cdfs, transform_path
+
+
+def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
+    """Distribution-invariant bias, exact for atomic score distributions.
+
+    ``pooled`` is the pooled sample of ``g`` (or its image under a monotone
+    transform).  The group scores are snapped onto its atoms
+    (``snap_to_pooled``), so both paths of ``_snapped_invariant`` see the
+    same atoms: the threshold average of |F0 - F1| against ``pooled``, and
+    the W1 distance after the left-continuous pooled-CDF transform.
+    """
+    _require_two_groups(g)
+    atoms = [np.sort(_atom_index(pooled, s)) for s in g.scores_by_group]
+    return _snapped_invariant(pooled, atoms)[2]
 
 
 def multi_attribute_bias(

@@ -528,8 +528,9 @@ def cmd_baseline_rescale(resolved, manifest, out):
 
     def scored(ds):
         # each weight's best candidate, its theta the slopes then the anchors;
-        # weights that pick the same candidate share one walk of the model
-        probs = {}
+        # train reuses the search's probabilities, and on test the weights
+        # that pick the same candidate share one walk of the model
+        probs = dict(result.train_probs) if ds is train_ds else {}
         for omega in omegas:
             index = result.best_per_omega[float(omega)]
             cand = result.candidates[index]

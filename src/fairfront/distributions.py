@@ -115,6 +115,13 @@ class EmpiricalDistribution:
     @classmethod
     def from_samples(cls, values, weights=None) -> "EmpiricalDistribution":
         """Build from raw samples: sort, merge near-equal atoms, normalize."""
+        return cls._sorted_samples(values, weights)[0]
+
+    @classmethod
+    def _sorted_samples(cls, values, weights=None):
+        """``from_samples``, with the sort it reads the atoms from: the
+        distribution, the stable order of ``values``, the values in that
+        order, and the atom index of each."""
         values = np.asarray(values, dtype=float).ravel()
         if values.size == 0:
             raise ValueError("empty distribution")
@@ -131,16 +138,28 @@ class EmpiricalDistribution:
                 raise ValueError("weights sum to zero")
             weights = weights / total
         order = np.argsort(values, kind="stable")
-        v, w = values[order], weights[order]
-        # merge runs of atoms within MERGE_TOL of their predecessor
+        v = values[order]
+        dist, atom = cls._merged(v, weights[order])
+        return dist, order, v, atom
+
+    @classmethod
+    def _merged(cls, v, w):
+        """The distribution of the sorted samples ``v`` with weights ``w``
+        (summing to one), and the atom index of each sample.  A run of
+        samples each within ``MERGE_TOL`` of its predecessor is one atom, at
+        the run's first value, weighing the run's weights added in order."""
         keep = np.empty(v.size, dtype=bool)
         keep[0] = True
         keep[1:] = np.diff(v) > MERGE_TOL
-        idx = np.cumsum(keep) - 1
-        mv = v[keep]
-        mw = np.zeros(mv.size)
-        np.add.at(mw, idx, w)
-        return cls(mv, mw)
+        atom = np.cumsum(keep) - 1
+        mw = np.zeros(atom[-1] + 1)
+        np.add.at(mw, atom, w)
+        return cls(v[keep], mw), atom
+
+    @classmethod
+    def _uniform_sorted(cls, v):
+        """``from_samples(v)`` for samples ``v`` already in sorted order."""
+        return cls._merged(v, np.full(v.size, 1.0 / v.size))[0]
 
     @property
     def size(self) -> int:

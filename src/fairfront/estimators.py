@@ -11,7 +11,8 @@ threshold-discrete-trapezoid
 energy                    V-statistic of the pairwise absolute gaps, equal to
                           twice the squared Cramer distance of the groups;
                           computed from the merged sorted sample in
-                          O(n log n), never from the n0 x n1 gap matrix.
+                          O(n log n), never from the n0 x n1 gap matrix,
+                          its cotangents counted from the same sort.
 invariant-mc              thresholds are themselves model scores drawn from a
                           held-out pool, making the metric invariant to
                           monotone score transforms.
@@ -235,15 +236,6 @@ def _threshold_average(spec, u0, u1, thresholds, weights, need_grad=True, scored
     return value, (coef[:m0], coef[m0:], tcoef, hvals - variance)
 
 
-def _sign_sums(S, sorted_other):
-    """``sum_j sign(S_i - other_j)`` for every i, as the integer count
-    ``#{other < S_i} - #{other > S_i}`` read from the sorted other sample;
-    a tie counts 0, as it does in ``np.sign``."""
-    below = np.searchsorted(sorted_other, S, side="left")
-    above = sorted_other.size - np.searchsorted(sorted_other, S, side="right")
-    return below - above
-
-
 def _energy_vstat(S0, S1, need_grad=True):
     """Energy V-statistic of two transformed samples with its cotangents.
 
@@ -252,25 +244,41 @@ def _energy_vstat(S0, S1, need_grad=True):
     empirical CDFs.  The value is that integral, summed over the gaps of the
     merged sorted sample, so every term is nonnegative.  The cotangent of
     ``S_i`` is its sign sums ``sum_j sign(S_i - S'_j)`` against the other
-    group and its own, each counted from a sorted sample and scaled by the
-    pair count.  Time O(n log n), memory O(n0 + n1).
+    group and its own, scaled by the pair count: each is the integer count
+    of that group below ``S_i``'s run of ties in the same sorted sample,
+    less the count above it, so a tie counts 0, as in ``np.sign``.  Time
+    O(n log n) for the one sort, memory O(n0 + n1).
     """
     m0, m1 = S0.size, S1.size
+    n = m0 + m1
     merged = np.concatenate((S0, S1))
     order = np.argsort(merged)
     merged = merged[order]
     in0 = order < m0
     # F0 - F1 on [merged_k, merged_k+1) from the counts of each group so far;
     # inside a run of ties the width is 0, so the order among them is moot
-    n0 = np.cumsum(in0)[:-1]
-    n1 = np.arange(1, m0 + m1) - n0
+    upto0 = np.cumsum(in0)
+    n0 = upto0[:-1]
+    n1 = np.arange(1, n) - n0
     gap = n0 / m0 - n1 / m1
     value = 2.0 * float(np.sum(gap * gap * np.diff(merged)))
     if not need_grad:
         return value, None
-    sorted0, sorted1 = merged[in0], merged[~in0]
-    c0 = (2.0 / (m0 * m1)) * _sign_sums(S0, sorted1) - (2.0 / (m0 * m0)) * _sign_sums(S0, sorted0)
-    c1 = (2.0 / (m0 * m1)) * _sign_sums(S1, sorted0) - (2.0 / (m1 * m1)) * _sign_sums(S1, sorted1)
+    # each run of ties: its first position, the position past its end, and
+    # the count of group 0 below and above it; group 1's counts are the rest
+    first = np.r_[True, merged[1:] != merged[:-1]]
+    start = np.flatnonzero(first)
+    end = np.r_[start[1:], n]
+    below0 = upto0[start] - in0[start]
+    above0 = m0 - upto0[end - 1]
+    sums0 = below0 - above0
+    sums1 = (start - below0) - (n - end - above0)
+    # each score's run, scattered back from the sorted positions
+    run = np.empty(n, np.intp)
+    run[order] = np.cumsum(first) - 1
+    run0, run1 = run[:m0], run[m0:]
+    c0 = (2.0 / (m0 * m1)) * sums1[run0] - (2.0 / (m0 * m0)) * sums0[run0]
+    c1 = (2.0 / (m0 * m1)) * sums0[run1] - (2.0 / (m1 * m1)) * sums1[run1]
     return value, (c0, c1)
 
 

@@ -2,7 +2,9 @@
 
 Candidates are scored with the exact metrics (cross-entropy, rank AUC with
 midrank ties, and the W1 / Kolmogorov-Smirnov / invariant biases of the
-probability scores by group), then weakly dominated points are removed.
+probability scores by group), all but the cross-entropy read from one
+stable sort of the candidate's scores, then weakly dominated points are
+removed.
 The raw nondominated frontier is reported, without a convex envelope, which
 would discard achievable non-convex trade-offs.
 """
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import cross_entropy, fmt_float
-from .bias_metrics import GroupedScores, invariant_bias, snap_to_pooled
-from .distributions import ks_distance, wasserstein1
+from .bias_metrics import GroupedScores, _require_two_groups, _snapped_invariant
+from .distributions import EmpiricalDistribution, wasserstein1
 
 _METRIC_FIELDS = ("ce", "auc", "w1_bias", "ks_bias", "inv_bias")
 
@@ -46,6 +48,16 @@ class FrontierPoint:
                 raise ValueError(f"negative bias metric {name}")
 
 
+def _sorted_midranks(ordered) -> np.ndarray:
+    """The midranks of the sorted values ``ordered``, in that order: 1-based
+    positions with each tie run given its mean."""
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    dense = np.cumsum(starts)
+    # count[k - 1] .. count[k] - 1 are the 0-based sorted positions of run k
+    count = np.r_[np.flatnonzero(starts), ordered.size]
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def _midranks(values) -> np.ndarray:
     """1-based ranks of ``values`` with each tie group given its mean rank
     (``scipy.stats.rankdata(method="average")``); NaN anywhere makes every
@@ -54,41 +66,67 @@ def _midranks(values) -> np.ndarray:
     if np.isnan(values).any():
         return np.full(values.size, np.nan)
     order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.r_[True, ordered[1:] != ordered[:-1]]
-    dense = np.empty(values.size, dtype=np.intp)
-    dense[order] = np.cumsum(starts)
-    # count[k - 1] .. count[k] - 1 are the 0-based sorted positions of group k
-    count = np.r_[np.flatnonzero(starts), values.size]
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
+    ranks = np.empty(values.size)
+    ranks[order] = _sorted_midranks(values[order])
+    return ranks
+
+
+def _class_counts(labels):
+    """The positives of ``labels`` and the two class counts, or ``ValueError``
+    when a class is missing."""
+    pos = np.asarray(labels) == 1
+    n_pos = int(pos.sum())
+    n_neg = pos.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise ValueError("AUC needs both classes")
+    return pos, n_pos, n_neg
+
+
+def _auc(ranks, pos, n_pos, n_neg) -> float:
+    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
 def rank_auc(scores, labels) -> float:
     """Probability a positive outranks a negative, with midrank ties."""
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both classes")
-    ranks = _midranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    counts = _class_counts(labels)
+    return _auc(_midranks(scores), *counts)
 
 
 def score_metrics(probs, labels, groups) -> dict:
-    """Exact metric block for one candidate's probability scores."""
+    """Exact metric block for one candidate's probability scores.
+
+    Every metric but the cross-entropy is read from one stable sort of the
+    scores, group 0's then group 1's (the sort of ``GroupedScores.pooled``):
+    each group's sorted scores and their pooled atoms, the midranks, and the
+    W1, KS and invariant biases.  The KS distance reads the group scores on
+    the pooled atoms, as the invariant bias does, so scores crowded within
+    ``MERGE_TOL`` read as one atom.  Non-finite scores, a single class and
+    more than two groups raise ``ValueError`` before the sort.
+    """
     g = GroupedScores.from_labels(probs, groups)
-    pooled = g.pooled()
-    # the KS distance reads the group scores on the pooled atoms, as the
-    # invariant bias does, so scores crowded within MERGE_TOL read as one atom
-    snapped = snap_to_pooled(g, pooled)
+    if not all(np.isfinite(s).all() for s in g.scores_by_group):
+        raise ValueError("non-finite atom or weight")
+    counts = _class_counts(labels)
+    _require_two_groups(g)
+    pooled, order, ordered, atom = g._pooled_sort()
+    atoms = g._by_group(order, atom)
+    snapped, cdfs, inv_bias = _snapped_invariant(pooled, atoms)
+    # a group none of whose scores moved onto another value (sign of zero
+    # included) has its snapped distribution as its own
+    raw = [
+        d if pooled.values[a].tobytes() == v.tobytes() else EmpiricalDistribution._uniform_sorted(v)
+        for d, a, v in zip(snapped, atoms, g._by_group(order, ordered))
+    ]
+    groups = np.asarray(groups).ravel()
+    record = np.concatenate([np.flatnonzero(groups == k) for k in (0, 1)])
+    ranks = np.empty(ordered.size)
+    ranks[record[order]] = _sorted_midranks(ordered)
     return {
         "ce": cross_entropy(probs, labels),
-        "auc": rank_auc(probs, labels),
-        "w1_bias": wasserstein1(g.distribution(0), g.distribution(1)),
-        "ks_bias": ks_distance(snapped.distribution(0), snapped.distribution(1)),
-        "inv_bias": invariant_bias(g, pooled),
+        "auc": _auc(ranks, *counts),
+        "w1_bias": wasserstein1(*raw),
+        "ks_bias": float(np.max(np.abs(cdfs[0] - cdfs[1]))),
+        "inv_bias": inv_bias,
     }
 
 

@@ -11,6 +11,12 @@ statistical behaviour:
   transport cost, the single-threshold bias and the relaxed empirical CDF;
 * ``r_and_prime``: a relaxation and its derivative pointwise, the reference
   for ``RelaxationFamily.grid``;
+* ``reference_score_metrics``: a candidate's exact metric block composed
+  metric by metric (``snap_to_pooled``, ``from_samples`` per distribution,
+  ``rank_auc``, ``ks_distance``), each sorting its own sample, with
+  ``reference_invariant_bias`` and ``transformed_group_w1`` (which also
+  takes the right-continuous transform); the reference for the one-sort
+  ``score_metrics``;
 * ``frontier_value`` and ``embedded_svg_table``: reading a frontier at a bias
   budget, and the data table a frontier SVG embeds;
 * ``enumerated_marginal_shapley``: marginal Shapley values of any predict
@@ -27,11 +33,12 @@ import math
 
 import numpy as np
 
-from fairfront._util import fmt_float
-from fairfront.bias_metrics import GroupedScores, _require_two_groups
-from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, _merged_levels
+from fairfront._util import cross_entropy, fmt_float
+from fairfront.bias_metrics import GroupedScores, _require_two_groups, snap_to_pooled
+from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, _merged_levels, ks_distance, wasserstein1
 from fairfront.encoders import ExplanationSet
 from fairfront.estimators import BiasEstimatorSpec
+from fairfront.frontier import rank_auc
 from fairfront.gbdt import per_tree_outputs
 from fairfront.relaxation import RelaxationFamily
 
@@ -90,6 +97,48 @@ def relaxed_cdf(scores, t, family: RelaxationFamily):
     t = np.asarray(t, dtype=float)
     vals = 1.0 - family.grid(scores, t, np.empty((t.size, scores.size)))[0].mean(axis=1)
     return float(vals[0]) if t.ndim == 0 else vals
+
+
+def transformed_group_w1(g: GroupedScores, pooled: EmpiricalDistribution, left: bool = True) -> float:
+    """W1 between the group scores pushed through the pooled CDF.
+
+    ``left=True`` uses the left-continuous realization of the pooled CDF,
+    which is the transform that stays consistent with threshold averaging
+    when the pooled distribution has atoms.
+    """
+    transform = pooled.left_cdf if left else pooled.cdf
+    t0 = EmpiricalDistribution.from_samples(transform(g.scores_by_group[0]))
+    t1 = EmpiricalDistribution.from_samples(transform(g.scores_by_group[1]))
+    return wasserstein1(t0, t1)
+
+
+def reference_invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
+    """The invariant bias by its two paths on the snapped scores, each
+    distribution sorted from its samples: the threshold average of |F0 - F1|
+    against ``pooled`` and the W1 distance after the left-continuous
+    pooled-CDF transform, cross-checked to 1e-10."""
+    _require_two_groups(g)
+    g = snap_to_pooled(g, pooled)
+    d0, d1 = g.distribution(0), g.distribution(1)
+    threshold_path = float(np.sum(pooled.weights * np.abs(d0.cdf(pooled.values) - d1.cdf(pooled.values))))
+    transform_path = transformed_group_w1(g, pooled, left=True)
+    if abs(threshold_path - transform_path) > 1e-10:
+        raise AssertionError(f"paths disagree: {threshold_path!r} vs {transform_path!r}")
+    return transform_path
+
+
+def reference_score_metrics(probs, labels, groups) -> dict:
+    """A candidate's exact metric block, one metric at a time."""
+    g = GroupedScores.from_labels(probs, groups)
+    pooled = g.pooled()
+    snapped = snap_to_pooled(g, pooled)
+    return {
+        "ce": cross_entropy(probs, labels),
+        "auc": rank_auc(probs, labels),
+        "w1_bias": wasserstein1(g.distribution(0), g.distribution(1)),
+        "ks_bias": ks_distance(snapped.distribution(0), snapped.distribution(1)),
+        "inv_bias": reference_invariant_bias(g, pooled),
+    }
 
 
 def frontier_value(points, bias_axis: str, perf_axis: str, budget: float) -> float:

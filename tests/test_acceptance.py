@@ -15,7 +15,6 @@ from fairfront._util import sigmoid
 from fairfront.bias_metrics import (
     GroupedScores,
     ThresholdMeasure,
-    _transformed_group_w1,
     cost_bias,
     invariant_bias,
 )
@@ -34,7 +33,7 @@ from fairfront.optimizer import (
     sgd_sweep,
 )
 from fairfront.relaxation import logistic, ramp
-from oracles import estimator_rate_probe, fit_loglog_slope, frontier_value, grid_bias_ladder
+from oracles import estimator_rate_probe, fit_loglog_slope, frontier_value, grid_bias_ladder, transformed_group_w1
 
 UNIFORM = ThresholdMeasure.uniform01()
 
@@ -262,7 +261,7 @@ def test_criterion_4_invariant_bias_atoms():
     g = GroupedScores((np.zeros(n), np.arange(1, n + 1) / n), [0.5, 0.5])
     pooled = g.pooled()
     left = invariant_bias(g, pooled)
-    right = _transformed_group_w1(g, pooled, left=False)
+    right = transformed_group_w1(g, pooled, left=False)
     rng = np.random.default_rng(17)
     agree = True
     for _ in range(50):

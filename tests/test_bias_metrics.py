@@ -5,7 +5,6 @@ from fairfront._util import sigmoid
 from fairfront.bias_metrics import (
     GroupedScores,
     ThresholdMeasure,
-    _transformed_group_w1,
     cost_bias,
     invariant_bias,
     multi_attribute_bias,
@@ -17,7 +16,7 @@ from fairfront.distributions import (
     EmpiricalDistribution,
     wasserstein1,
 )
-from oracles import classifier_bias, transport_cost
+from oracles import classifier_bias, transformed_group_w1, transport_cost
 
 UNIFORM = ThresholdMeasure.uniform01()
 
@@ -141,7 +140,7 @@ class TestInvariantBias:
 
     def test_right_continuous_transform_differs(self):
         g, pooled = example_e1_groups()
-        right = _transformed_group_w1(g, pooled, left=False)
+        right = transformed_group_w1(g, pooled, left=False)
         assert right == pytest.approx(0.25, abs=0.01)
 
     def test_identical_groups(self):

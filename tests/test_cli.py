@@ -547,8 +547,9 @@ class TestOneWalkPerSplit:
         assert sum(walked) == 2 * (n_train + n_test)
 
     def test_baseline_rescale(self, workspace, walked, tmp_path):
-        # the search walks train once per candidate; then each split is
-        # walked once per distinct candidate that some weight picks
+        # the search walks train once per candidate and keeps the train
+        # probabilities of the candidates that some weight picks; then test is
+        # walked once per distinct picked candidate
         _, data, model_dir = workspace
         n_train, n_test = (load_csv(data / f"{name}.csv").n_records for name in ("train", "test"))
         flags = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv"),
@@ -558,7 +559,7 @@ class TestOneWalkPerSplit:
         assert main(["baseline-rescale", *flags, "--out", str(out)]) == 0
         picked = set(json.loads((out / "candidates.json").read_text())["best_per_omega"].values())
         assert len(picked) < 5  # two weights pick the same candidate
-        assert sum(walked) == 41 * n_train + len(picked) * (n_train + n_test)
+        assert sum(walked) == 41 * n_train + len(picked) * n_test
 
 
 class TestMismatchedReevaluation:

@@ -303,14 +303,18 @@ SIZES = st.sampled_from([1, 2, 3, 7, 40, 129])
 
 class TestSortedEnergyOracle:
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m0=SIZES, m1=SIZES, ties=st.booleans())
-    @example(seed=0, m0=1, m1=1, ties=True)
-    @example(seed=1, m0=1, m1=40, ties=True)
-    @example(seed=2, m0=129, m1=7, ties=True)
-    def test_matches_the_pairwise_statistic(self, seed, m0, m1, ties):
+    @given(seed=st.integers(0, 2**32 - 1), m0=SIZES, m1=SIZES, ties=st.booleans(), signed_zero=st.booleans())
+    @example(seed=0, m0=1, m1=1, ties=True, signed_zero=False)
+    @example(seed=1, m0=1, m1=40, ties=True, signed_zero=False)
+    @example(seed=2, m0=129, m1=7, ties=True, signed_zero=False)
+    # one run of ties at zero, -0.0 in group 0 and 0.0 in group 1
+    @example(seed=5, m0=40, m1=40, ties=True, signed_zero=True)
+    def test_matches_the_pairwise_statistic(self, seed, m0, m1, ties, signed_zero):
         rng = np.random.default_rng(seed)
         S0 = np.clip(tied_scores(rng, m0, ties), 0.0, 1.0)
         S1 = np.clip(tied_scores(rng, m1, ties), 0.0, 1.0)
+        if signed_zero:
+            S0[S0 == 0.0] = -0.0
         dS0, dS1 = rng.normal(size=(m0, 4)), rng.normal(size=(m1, 4))
         value, (c0, c1) = estimators._energy_vstat(S0, S1)
         oracle_c0, oracle_c1 = pairwise_cotangents(S0, S1)

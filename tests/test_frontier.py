@@ -1,5 +1,6 @@
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fairfront.frontier import (
@@ -14,7 +15,7 @@ from fairfront.frontier import (
     write_frontier_svg,
 )
 from fairfront.linear_family import LinearFamily
-from oracles import embedded_svg_table, frontier_value
+from oracles import embedded_svg_table, frontier_value, reference_score_metrics
 
 
 def point(bias, loss, method="m", omega=0.0):
@@ -99,6 +100,86 @@ class TestEvaluate:
         m = score_metrics(*self.crowded_scores())
         assert m["inv_bias"] == 0.0
         assert m["ks_bias"] == 0.0
+
+
+def metric_inputs(kind, seed, n, share):
+    """``(probs, labels, groups)`` of ``n`` records of one kind, both classes
+    and both groups present, about ``share`` of them in group 1."""
+    rng = np.random.default_rng(seed)
+    if kind == "crowded":
+        return TestEvaluate.crowded_scores()
+    if kind == "grid":
+        probs = rng.integers(0, 6, n) / 5.0  # ties within and across groups
+    elif kind == "equal":
+        probs = np.full(n, rng.uniform())
+    elif kind == "signed-zero":
+        probs = rng.choice([0.0, -0.0, 0.25, 1.0], n)
+    elif kind == "near-ties":
+        # runs within MERGE_TOL of 0.3 among exact ties, so some scores snap
+        probs = np.where(rng.random(n) < 0.5, 0.3 + rng.integers(0, 4, n) * 7e-13, rng.integers(0, 4, n) / 3.0)
+    else:
+        probs = 1.0 / (1.0 + np.exp(-rng.normal(0.0, 3.0, n)))
+    groups = (rng.random(n) < share).astype(int)
+    groups[0], groups[-1] = 0, 1
+    labels = (rng.random(n) < 0.5).astype(float)
+    labels[0], labels[-1] = rng.permutation([0.0, 1.0])
+    return probs, labels, groups
+
+
+class TestOneSortMetrics:
+    """``score_metrics`` reads every metric from one sort; the reference
+    composes them one metric at a time, each from its own sorts."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        kind=st.sampled_from(["grid", "crowded", "equal", "signed-zero", "near-ties", "logistic"]),
+        seed=st.integers(0, 2**32 - 1),
+        n=st.sampled_from([2, 3, 17, 300]),
+        share=st.sampled_from([0.0, 0.02, 0.5, 0.98, 1.0]),
+    )
+    @example(kind="signed-zero", seed=0, n=300, share=0.5)
+    @example(kind="equal", seed=1, n=17, share=0.5)
+    @example(kind="grid", seed=2, n=300, share=0.0)  # one record in group 1
+    @example(kind="logistic", seed=3, n=300, share=1.0)  # one record in group 0
+    @example(kind="near-ties", seed=4, n=300, share=0.02)
+    @example(kind="crowded", seed=0, n=2, share=0.5)
+    def test_equals_the_metric_by_metric_reference(self, kind, seed, n, share):
+        probs, labels, groups = metric_inputs(kind, seed, n, share)
+        got, want = score_metrics(probs, labels, groups), reference_score_metrics(probs, labels, groups)
+        assert got == want
+        assert {k: repr(v) for k, v in got.items()} == {k: repr(v) for k, v in want.items()}
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("inf", "non-finite atom or weight"),
+            ("-inf", "non-finite atom or weight"),
+            ("one-class", "AUC needs both classes"),
+            ("three-groups", "metric defined for two groups, got 3"),
+            ("inf-and-one-class", "non-finite atom or weight"),
+            ("one-class-and-three-groups", "AUC needs both classes"),
+        ],
+    )
+    def test_rejections_keep_their_messages(self, fault, message):
+        probs, labels, groups = metric_inputs("logistic", 5, 40, 0.5)
+        if "inf" in fault:
+            probs[7] = float(fault.split("-and")[0])
+        if "one-class" in fault:
+            labels[:] = 1.0
+        if "three-groups" in fault:
+            groups[3] = 2
+        for metrics in (reference_score_metrics, score_metrics):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                metrics(probs, labels, groups)
+
+    def test_nan_scores_are_rejected_before_the_sort(self):
+        # the reference's merge folds a NaN into the top atom and returns a
+        # NaN AUC, which FrontierPoint rejects only afterwards
+        probs, labels, groups = metric_inputs("logistic", 5, 40, 0.5)
+        probs[7] = np.nan
+        assert np.isnan(reference_score_metrics(probs, labels, groups)["auc"])
+        with pytest.raises(ValueError, match="^non-finite atom or weight$"):
+            score_metrics(probs, labels, groups)
 
 
 class TestParetoFilter:
