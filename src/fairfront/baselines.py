@@ -102,8 +102,8 @@ def random_search_rescaling(
     for i, cand in enumerate(candidates):
         probs = model.predict_proba(cand.apply(X, selected))
         cand.train_ce = cross_entropy(probs, y)
-        d0, d1 = GroupedScores.from_labels(probs, groups).distributions()[:2]
-        cand.train_w1 = wasserstein1(d0, d1)
+        gs = GroupedScores.from_labels(probs, groups)
+        cand.train_w1 = wasserstein1(gs.distribution(0), gs.distribution(1))
         for j, omega in enumerate(omegas):
             objective = cand.train_ce + omega * cand.train_w1
             if best[j] is None or objective < best[j][0]:

@@ -73,13 +73,6 @@ class GroupedScores:
     def distribution(self, k: int) -> EmpiricalDistribution:
         return EmpiricalDistribution.from_samples(self.scores_by_group[k])
 
-    def distributions(self) -> tuple:
-        """Every group's ``distribution(k)``, read from one stable sort of
-        the scores laid end to end."""
-        values = np.concatenate(self.scores_by_group)
-        order = np.argsort(values, kind="stable")
-        return tuple(map(EmpiricalDistribution._uniform_sorted, self._by_group(order, values[order])))
-
     def pooled(self) -> EmpiricalDistribution:
         """Probability-weighted mixture of the group score distributions."""
         return self._pooled_sort()[0]
@@ -191,8 +184,7 @@ def snap_to_pooled(g: GroupedScores, pooled: EmpiricalDistribution) -> GroupedSc
 def _snapped_invariant(pooled: EmpiricalDistribution, atoms):
     """The invariant bias of two groups whose scores, snapped, are the atoms
     of ``pooled`` at the sorted indices ``atoms`` (one array per group),
-    with what it is read from: each group's snapped distribution and its
-    CDF at the pooled atoms.
+    with each group's snapped CDF at the pooled atoms, which it is read from.
 
     Computed two ways and cross-checked: (a) the threshold average of
     |F0 - F1| against the pooled distribution, and (b) the W1 distance
@@ -211,7 +203,7 @@ def _snapped_invariant(pooled: EmpiricalDistribution, atoms):
             "invariant-bias computation paths disagree: "
             f"threshold average {threshold_path!r} vs transform {transform_path!r}"
         )
-    return snapped, cdfs, transform_path
+    return cdfs, transform_path
 
 
 def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
@@ -225,7 +217,7 @@ def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
     """
     _require_two_groups(g)
     atoms = [np.sort(_atom_index(pooled, s)) for s in g.scores_by_group]
-    return _snapped_invariant(pooled, atoms)[2]
+    return _snapped_invariant(pooled, atoms)[1]
 
 
 def multi_attribute_bias(

@@ -110,13 +110,8 @@ def score_metrics(probs, labels, groups) -> dict:
     _require_two_groups(g)
     pooled, order, ordered, atom = g._pooled_sort()
     atoms = g._by_group(order, atom)
-    snapped, cdfs, inv_bias = _snapped_invariant(pooled, atoms)
-    # a group none of whose scores moved onto another value (sign of zero
-    # included) has its snapped distribution as its own
-    raw = [
-        d if pooled.values[a].tobytes() == v.tobytes() else EmpiricalDistribution._uniform_sorted(v)
-        for d, a, v in zip(snapped, atoms, g._by_group(order, ordered))
-    ]
+    cdfs, inv_bias = _snapped_invariant(pooled, atoms)
+    raw = [EmpiricalDistribution._uniform_sorted(v) for v in g._by_group(order, ordered)]
     groups = np.asarray(groups).ravel()
     record = np.concatenate([np.flatnonzero(groups == k) for k in (0, 1)])
     ranks = np.empty(ordered.size)

@@ -20,8 +20,7 @@ a level per step.  ``Tree.predict`` walks one tree and serves early
 stopping's update of the validation margins.
 One walk gives both the margins and the tree-pca columns: ``predict_raw``
 hands each (trees, rows) block to an optional ``each_block`` callback (the
-columns) before scaling it and adding it into the margins; without a
-callback it walks leaf tables already scaled by the learning rate.  ``per_tree_outputs`` copies
+columns) before adding it into the margins.  ``per_tree_outputs`` copies
 the blocks into a records x trees matrix; the tree-pca build takes its
 moments from such matrices of bounded blocks of rows.
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import json
 from itertools import chain
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -262,8 +261,6 @@ class Ensemble:
     n_features: int = 0
     # (trees packed, their packing); trees are not modified once added
     _packing: tuple = field(default=None, init=False, repr=False, compare=False)
-    # (packing, learning rate, that packing with its values scaled by it)
-    _scaled_packing: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
@@ -283,32 +280,18 @@ class Ensemble:
             self._packing = cached = (trees, _pack(sizes, *arrays, self.n_features))
         return cached[1]
 
-    def _scaled(self) -> _PackedTrees:
-        """The packing with its ``value`` and ``leaf`` tables multiplied by
-        ``learning_rate``: its walk yields the scaled outputs directly, the
-        same products that scaling the raw outputs gives."""
-        packed, cached = self._packed(), self._scaled_packing
-        if cached is None or cached[0] is not packed or cached[1] != self.learning_rate:
-            lr = self.learning_rate
-            scaled = replace(packed, value=packed.value * lr, leaf=packed.leaf * lr)
-            self._scaled_packing = cached = (packed, lr, scaled)
-        return cached[2]
-
     def predict_raw(self, X, each_block=None) -> np.ndarray:
         """Raw margins of the records ``X``.  ``each_block(rows, outputs)``,
         when given, is handed each block of the same walk first: a row slice
-        and the (trees, rows) raw outputs, which it must not modify, so a
-        caller that needs the per-tree outputs walks the records once.
-        Without it the walk reads leaf values already scaled by the learning
-        rate."""
+        and the (trees, rows) outputs, which it must not modify, so a
+        caller that needs the per-tree outputs walks the records once."""
         X = np.asarray(X, dtype=float)
         self._check_features(X)
         raw = np.full(X.shape[0], self.base_margin)
-        packed = self._scaled() if each_block is None else self._packed()
-        for rows, outputs in packed.blocks(X):
+        for rows, outputs in self._packed().blocks(X):
             if each_block is not None:
                 each_block(rows, outputs)
-                outputs *= self.learning_rate
+            outputs *= self.learning_rate
             part = raw[rows]
             if outputs.shape[0] == 0 or outputs.shape[1] < 2:
                 # one add per tree in tree order: on a single row numpy's

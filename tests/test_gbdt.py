@@ -394,12 +394,6 @@ class TestPrediction:
         assert sum(rows.stop - rows.start for rows, _ in blocks) == n_rows
         for rows, block in blocks:
             assert np.array_equal(block, outputs[rows].T)
-        # the pre-scaled leaf tables give the bits of scaling each raw block,
-        # also after the learning rate changes
-        for _ in range(2):
-            noop = model.predict_raw(X, each_block=lambda rows, block: None)
-            assert model.predict_raw(X).tobytes() == noop.tobytes()
-            model.learning_rate *= 0.5
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), depth=st.integers(1, 6), n_trees=st.integers(0, 8))
