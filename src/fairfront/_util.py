@@ -43,6 +43,23 @@ def fmt_floats(values) -> list:
     return list(map(repr, values))
 
 
+def row_indices(values, name, n_records=None):
+    """``values`` as a flat ``intp`` array of row indices.  A ValueError
+    naming ``name`` rejects an index that is not a whole number, a negative
+    one and, given ``n_records``, one at or past it."""
+    arr = np.asarray(values).ravel()
+    if arr.dtype.kind not in "iu":
+        whole = np.isfinite(arr) & (arr == np.floor(arr)) if arr.dtype.kind == "f" else np.zeros(arr.shape, bool)
+        if not np.all(whole):
+            raise ValueError(f"{name}: row index {arr[~whole][0].item()!r} is not an integer")
+    if arr.size:
+        if arr.min() < 0:
+            raise ValueError(f"{name}: negative row index {arr.min().item()!r}")
+        if n_records is not None and arr.max() >= n_records:
+            raise ValueError(f"{name}: row index {arr.max().item()!r} is out of range for {n_records} records")
+    return arr.astype(np.intp, copy=False)
+
+
 def config_hash(config: dict) -> str:
     blob = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

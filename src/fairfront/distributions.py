@@ -194,21 +194,29 @@ class EmpiricalDistribution:
         return float(out) if p.ndim == 0 else out
 
 
-def _merged_levels(d0: EmpiricalDistribution, d1: EmpiricalDistribution):
-    """Union of both cumulative-weight grids; quantiles are constant between
-    consecutive levels, so integrals over p reduce to finite sums."""
-    ps = np.union1d(d0.cum_weights, d1.cum_weights)
-    widths = np.diff(np.concatenate(([0.0], ps)))
-    return ps, widths
-
-
 def wasserstein1(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
     """W1 distance: the integral of the absolute quantile gap over (0, 1].
 
-    Computed exactly on the merged breakpoint grid of both weight vectors.
+    Computed exactly on the union of both cumulative-weight grids, where the
+    quantiles are constant between consecutive levels.  The grids are
+    already sorted, so one stable merge (a run merge in O(n)) gives the
+    levels and, at each, the count of each grid's levels below it: the atom
+    index of each quantile.
     """
-    ps, widths = _merged_levels(d0, d1)
-    gap = d0.quantile(ps) - d1.quantile(ps)
+    c0, c1 = d0.cum_weights, d1.cum_weights
+    levels = np.concatenate((c0, c1))
+    order = np.argsort(levels, kind="stable")
+    merged = levels[order]
+    from0 = order < c0.size
+    first = np.empty(merged.size, dtype=bool)
+    first[0] = True
+    np.not_equal(merged[1:], merged[:-1], out=first[1:])
+    ps = merged[first]
+    # levels of each grid strictly below each union level
+    below0 = (np.cumsum(from0) - from0)[first]
+    below1 = np.arange(merged.size)[first] - below0
+    gap = d0.values[np.minimum(below0, d0.size - 1)] - d1.values[np.minimum(below1, d1.size - 1)]
+    widths = np.diff(np.concatenate(([0.0], ps)))
     return float(np.sum(widths * np.abs(gap)))
 
 

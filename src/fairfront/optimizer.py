@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cross_entropy, fmt_float, sigmoid
+from ._util import cross_entropy, fmt_float, row_indices, sigmoid
 from .estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from .linear_family import LinearFamily
 
@@ -153,9 +153,10 @@ def penalized_objective(
     rng=None,
 ):
     """Objective value and analytic gradient on explicit batches (see
-    ``_objective``)."""
+    ``_objective``).  A row of either batch that is not an index of the
+    family's records raises a ValueError naming its batch part."""
     theta = np.asarray(theta, dtype=float)
-    perf_batch = np.asarray(perf_batch, dtype=np.intp).ravel()
+    perf_batch = row_indices(perf_batch, "perf_batch", family.n_records)
     if perf_batch.size == 0:
         raise ValueError("empty performance batch")
     if loss == "cross-entropy" and labels is None:

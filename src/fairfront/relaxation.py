@@ -54,37 +54,51 @@ class RelaxationFamily:
         slope r_s' / s there into ``P``; returns ``(R, P)``.  The slope is
         the derivative in the scaled difference ``s (u_i - t_j)``: a caller
         folds the factor s into the vector it contracts ``P`` with, so no
-        pass over the grid scales it.  A caller that forms many grids writes
-        them all into the same two arrays.
+        pass over the grid scales it.  ``grid_writer`` forms many grids of
+        the same scores."""
+        return self.grid_writer(u)(t, R, P)
+
+    def grid_writer(self, u):
+        """``write(t, R, P=None)``: ``grid(u, t, R, P)`` for many threshold
+        blocks ``t`` of the same scores ``u``, whose side of the grid is
+        computed once.  A caller that forms many grids writes them all into
+        the same two arrays.
 
         The logistic kinds are separable: ``r_s(u - t) = 1 / (1 + e^{s t + c}
-        e^{-s u})`` with ``c`` the shift, so the grid costs m + T exponentials
-        in place of T m.  A ramp, a non-finite score or threshold, or an
-        exponent beyond ``_EXP_BOUND`` takes ``r`` on the difference grid
-        instead.
+        e^{-s u})`` with ``c`` the shift, so a grid costs T exponentials in
+        place of T m once the m score factors are made.  A ramp, a
+        non-finite score or threshold, or an exponent beyond ``_EXP_BOUND``
+        takes ``r`` on the difference grid instead: the score side is
+        checked once, each threshold block on its own.
         """
         u = np.asarray(u, dtype=float).ravel()
-        t = np.asarray(t, dtype=float).ravel()
         s = self.scale
-        separable = False
+        score_factors = None
         if self.kind != "ramp":
-            a = s * t + (np.sqrt(s) if self.kind == "shifted-logistic" else 0.0)
             b = -s * u
-            separable = np.all(np.abs(a) <= _EXP_BOUND) and np.all(np.abs(b) <= _EXP_BOUND)
-        if separable:
-            np.multiply.outer(np.exp(a), np.exp(b), out=R)
-            R += 1.0
-            np.reciprocal(R, out=R)
-        else:
-            R[...] = self.r(u[None, :] - t[:, None])
-        if P is None:
-            return R, None
-        if self.kind == "ramp":
-            P[...] = (R > 0.0) & (R < 1.0)
-        else:
-            np.subtract(1.0, R, out=P)
-            P *= R
-        return R, P
+            if np.all(np.abs(b) <= _EXP_BOUND):
+                score_factors = np.exp(b)
+        shift = np.sqrt(s) if self.kind == "shifted-logistic" else 0.0
+
+        def write(t, R, P=None):
+            t = np.asarray(t, dtype=float).ravel()
+            a = s * t + shift if score_factors is not None else None
+            if a is not None and np.all(np.abs(a) <= _EXP_BOUND):
+                np.multiply.outer(np.exp(a), score_factors, out=R)
+                R += 1.0
+                np.reciprocal(R, out=R)
+            else:
+                R[...] = self.r(u[None, :] - t[:, None])
+            if P is None:
+                return R, None
+            if self.kind == "ramp":
+                P[...] = (R > 0.0) & (R < 1.0)
+            else:
+                np.subtract(1.0, R, out=P)
+                P *= R
+            return R, P
+
+        return write
 
 
 def ramp(scale: float) -> RelaxationFamily:

@@ -9,6 +9,9 @@ statistical behaviour:
   population (acceptance criterion 3), with inverse-CDF ``sample``;
 * ``transport_cost``, ``classifier_bias`` and ``relaxed_cdf``: the monotone
   transport cost, the single-threshold bias and the relaxed empirical CDF;
+* ``reference_wasserstein1``: W1 with each quantile binary-searched on the
+  sorted union of both weight grids, the reference for the merge in
+  ``wasserstein1``;
 * ``r_and_prime``: a relaxation and its derivative pointwise, the reference
   for ``RelaxationFamily.grid``;
 * ``reference_score_metrics``: a candidate's exact metric block composed
@@ -35,7 +38,7 @@ import numpy as np
 
 from fairfront._util import cross_entropy, fmt_float
 from fairfront.bias_metrics import GroupedScores, _require_two_groups, snap_to_pooled
-from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, _merged_levels, ks_distance, wasserstein1
+from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, ks_distance, wasserstein1
 from fairfront.encoders import ExplanationSet
 from fairfront.estimators import BiasEstimatorSpec
 from fairfront.frontier import rank_auc
@@ -47,6 +50,22 @@ def sample(dist: EmpiricalDistribution, rng: np.random.Generator, n: int) -> np.
     """Inverse-CDF sampling of ``n`` draws."""
     u = rng.random(n)
     return dist.quantile(np.clip(u, np.finfo(float).tiny, 1.0))
+
+
+def _merged_levels(d0: EmpiricalDistribution, d1: EmpiricalDistribution):
+    """Union of both cumulative-weight grids; quantiles are constant between
+    consecutive levels, so integrals over p reduce to finite sums."""
+    ps = np.union1d(d0.cum_weights, d1.cum_weights)
+    widths = np.diff(np.concatenate(([0.0], ps)))
+    return ps, widths
+
+
+def reference_wasserstein1(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
+    """W1 on the sorted union of both cumulative-weight grids, each quantile
+    binary-searched: the reference for the merge in ``wasserstein1``."""
+    ps, widths = _merged_levels(d0, d1)
+    gap = d0.quantile(ps) - d1.quantile(ps)
+    return float(np.sum(widths * np.abs(gap)))
 
 
 def transport_cost(d0: EmpiricalDistribution, d1: EmpiricalDistribution, h: CostFunction) -> float:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from fairfront.distributions import (
@@ -11,7 +13,7 @@ from fairfront.distributions import (
     ks_distance,
     wasserstein1,
 )
-from oracles import transport_cost
+from oracles import reference_wasserstein1, transport_cost
 
 
 def dist(values, weights=None):
@@ -156,6 +158,44 @@ class TestWasserstein:
             d0 = random_dist(rng, max_atoms=5)
             d1 = random_dist(rng, max_atoms=5)
             assert wasserstein1(d0, d1) == pytest.approx(lp_transport(d0, d1, abs), abs=1e-10)
+
+
+def weighted_dist(rng, n, weights):
+    """``n`` increasing atoms with uniform weights, or random weights: small
+    integers (zero inside, never at either end, so levels repeat within a
+    grid and often match across grids) or floats."""
+    values = np.cumsum(rng.uniform(0.01, 1.0, n)) - 1.0
+    if weights == "uniform":
+        w = np.ones(n)
+    elif weights == "integer":
+        w = rng.integers(0, 4, n).astype(float)
+        w[[0, -1]] = rng.integers(1, 4, 2)
+    else:
+        w = rng.uniform(0.05, 1.0, n)
+    return EmpiricalDistribution(values, w / w.sum())
+
+
+class TestWassersteinMerge:
+    """``wasserstein1`` reads both quantile indices from one merge of the
+    sorted weight grids; its bits are those of the binary searches on their
+    sorted union."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n0=st.integers(1, 12),
+        n1=st.integers(1, 12),
+        weights=st.sampled_from(["uniform", "integer", "float"]),
+    )
+    # equal levels across the grids: 0.5 and 1 in both
+    @example(seed=0, n0=4, n1=2, weights="uniform")
+    @example(seed=1, n0=6, n1=3, weights="uniform")
+    @example(seed=2, n0=1, n1=9, weights="integer")
+    def test_is_bitwise_the_union_search(self, seed, n0, n1, weights):
+        rng = np.random.default_rng(seed)
+        d0, d1 = weighted_dist(rng, n0, weights), weighted_dist(rng, n1, weights)
+        for a, b in ((d0, d1), (d1, d0), (d0, d0)):
+            assert repr(wasserstein1(a, b)) == repr(reference_wasserstein1(a, b))
 
 
 class TestTransportCost:

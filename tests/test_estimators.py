@@ -40,6 +40,25 @@ def batch_of(n0, n1, pool=None):
     return EstimatorBatch(np.arange(n0), np.arange(n0, n0 + n1), pool)
 
 
+DRAWS = st.sampled_from(["distinct", "repeats", "one-row", "shared"])
+
+
+def drawn_batch(rng, m0, m1, pool, draws):
+    """``m0`` and ``m1`` group draws on rows ``[0, m0)`` and ``[m0, m0 +
+    m1)`` and the ``pool`` rows: each row once ("distinct"); every part drawn
+    with replacement from its rows ("repeats"); group 0's first row drawn
+    for the whole group ("one-row"); or half of group 1 drawn from group
+    0's rows, so equal scores fall in both groups ("shared")."""
+    g0, g1 = np.arange(m0), np.arange(m0, m0 + m1)
+    if draws == "repeats":
+        g0, g1, pool = rng.choice(g0, m0), rng.choice(g1, m1), rng.choice(pool, pool.size)
+    elif draws == "one-row":
+        g0 = np.zeros(m0, np.intp)
+    elif draws == "shared":
+        g1 = np.r_[g1[: m1 // 2], rng.choice(g0, m1 - m1 // 2)]
+    return EstimatorBatch(g0, g1, pool)
+
+
 def jacobian(family, theta, rows=None):
     """The (k, d) Jacobian d u_i / d theta_j of the link-space scores on
     ``rows``: ``-W`` scaled by the link slope u (1 - u).  The oracle of the
@@ -274,6 +293,14 @@ def pairwise_cotangents(S0, S1):
     return c0, c1
 
 
+def counted_cotangents(S0, S1, k0, k1):
+    """``pairwise_cotangents`` of the draws, the values ``S0`` and ``S1``
+    repeated ``k0`` and ``k1`` times, summed onto each value: a draw's
+    cotangent times its count."""
+    c0, c1 = pairwise_cotangents(np.repeat(S0, k0), np.repeat(S1, k1))
+    return k0 * c0[np.cumsum(k0) - k0], k1 * c1[np.cumsum(k1) - k1]
+
+
 def pairwise_energy(S0, dS0, S1, dS1):
     """The energy V-statistic and its gradient from the full pairwise gap
     and sign matrices and the (m, d) Jacobians of the samples: the quadratic
@@ -301,29 +328,55 @@ def tied_scores(rng, m, ties):
 SIZES = st.sampled_from([1, 2, 3, 7, 40, 129])
 
 
+def value_counts(rng, m, draws):
+    """Counts of ``m`` values: each drawn once ("distinct"), 1 to 4 times
+    ("repeats"), or only the first, drawn m times ("one-row")."""
+    if draws == "repeats":
+        return rng.integers(1, 5, m)
+    if draws == "one-row":
+        return np.r_[m, np.zeros(m - 1, int)]
+    return np.ones(m, int)
+
+
 class TestSortedEnergyOracle:
     @settings(max_examples=80, deadline=None)
-    @given(seed=st.integers(0, 2**32 - 1), m0=SIZES, m1=SIZES, ties=st.booleans(), signed_zero=st.booleans())
-    @example(seed=0, m0=1, m1=1, ties=True, signed_zero=False)
-    @example(seed=1, m0=1, m1=40, ties=True, signed_zero=False)
-    @example(seed=2, m0=129, m1=7, ties=True, signed_zero=False)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m0=SIZES,
+        m1=SIZES,
+        ties=st.booleans(),
+        signed_zero=st.booleans(),
+        draws=st.sampled_from(["distinct", "repeats", "one-row"]),
+    )
+    @example(seed=0, m0=1, m1=1, ties=True, signed_zero=False, draws="distinct")
+    @example(seed=1, m0=1, m1=40, ties=True, signed_zero=False, draws="distinct")
+    @example(seed=2, m0=129, m1=7, ties=True, signed_zero=False, draws="distinct")
     # one run of ties at zero, -0.0 in group 0 and 0.0 in group 1
-    @example(seed=5, m0=40, m1=40, ties=True, signed_zero=True)
-    def test_matches_the_pairwise_statistic(self, seed, m0, m1, ties, signed_zero):
+    @example(seed=5, m0=40, m1=40, ties=True, signed_zero=True, draws="distinct")
+    # one value drawn for the whole of group 0; equal values in both groups
+    @example(seed=6, m0=40, m1=7, ties=False, signed_zero=False, draws="one-row")
+    @example(seed=7, m0=7, m1=40, ties=True, signed_zero=False, draws="repeats")
+    def test_matches_the_pairwise_statistic(self, seed, m0, m1, ties, signed_zero, draws):
+        # distinct values with counts against the pairwise oracle on the draws
         rng = np.random.default_rng(seed)
         S0 = np.clip(tied_scores(rng, m0, ties), 0.0, 1.0)
         S1 = np.clip(tied_scores(rng, m1, ties), 0.0, 1.0)
         if signed_zero:
             S0[S0 == 0.0] = -0.0
-        dS0, dS1 = rng.normal(size=(m0, 4)), rng.normal(size=(m1, 4))
-        value, (c0, c1) = estimators._energy_vstat(S0, S1)
-        oracle_c0, oracle_c1 = pairwise_cotangents(S0, S1)
+        k0, k1 = value_counts(rng, m0, draws), value_counts(rng, m1, draws)
+        S0, k0 = S0[k0 > 0], k0[k0 > 0]
+        S1, k1 = S1[k1 > 0], k1[k1 > 0]
+        dS0, dS1 = rng.normal(size=(S0.size, 4)), rng.normal(size=(S1.size, 4))
+        value, (c0, c1) = estimators._energy_vstat(S0, S1, k0, k1)
+        oracle_c0, oracle_c1 = counted_cotangents(S0, S1, k0, k1)
         assert np.array_equal(c0, oracle_c0) and np.array_equal(c1, oracle_c1)
-        oracle_value, oracle_grad = pairwise_energy(S0, dS0, S1, dS1)
+        oracle_value, oracle_grad = pairwise_energy(
+            np.repeat(S0, k0), np.repeat(dS0, k0, axis=0), np.repeat(S1, k1), np.repeat(dS1, k1, axis=0)
+        )
         assert np.allclose(c0 @ dS0 + c1 @ dS1, oracle_grad, rtol=1e-12, atol=1e-12)
         assert value >= 0.0
         assert abs(value - oracle_value) <= 1e-12
-        assert estimators._energy_vstat(S0, S1, need_grad=False) == (value, None)
+        assert estimators._energy_vstat(S0, S1, k0, k1, need_grad=False) == (value, None)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -332,20 +385,23 @@ class TestSortedEnergyOracle:
         m1=SIZES,
         ties=st.booleans(),
         variant=st.sampled_from(["energy", "invariant-energy-relaxed"]),
+        draws=DRAWS,
     )
-    @example(seed=3, m0=1, m1=7, ties=True, variant="energy")
-    @example(seed=4, m0=40, m1=3, ties=True, variant="invariant-energy-relaxed")
-    def test_variants_feed_the_statistic(self, seed, m0, m1, ties, variant):
+    @example(seed=3, m0=1, m1=7, ties=True, variant="energy", draws="distinct")
+    @example(seed=4, m0=40, m1=3, ties=True, variant="invariant-energy-relaxed", draws="distinct")
+    @example(seed=5, m0=40, m1=3, ties=False, variant="invariant-energy-relaxed", draws="one-row")
+    @example(seed=6, m0=7, m1=40, ties=False, variant="energy", draws="shared")
+    def test_variants_feed_the_statistic(self, seed, m0, m1, ties, variant, draws):
         # both energy variants return the statistic of the samples they
         # transform, with the sign-sum cotangents bitwise, and a gradient equal
         # to the Jacobian form: the transformed samples' (m, d) Jacobians
-        # through the pairwise oracle
+        # through the pairwise oracle on the draws
         rng = np.random.default_rng(seed)
         scores = np.concatenate([tied_scores(rng, m0, ties), tied_scores(rng, m1, ties), rng.uniform(0, 1, 9)])
         fam = identity_family(scores, n_extra=2, rng=rng)
         theta = np.zeros(3) if ties else rng.normal(0.0, 0.1, 3)  # theta = 0 keeps the ties
         spec = BiasEstimatorSpec(variant, logistic(8.0), SQUARE, 16)
-        batch = batch_of(m0, m1, np.arange(m0 + m1, scores.size))
+        batch = drawn_batch(rng, m0, m1, np.arange(m0 + m1, scores.size), draws)
         sorted_vstat = estimators._energy_vstat
         seen = []
 
@@ -357,8 +413,8 @@ class TestSortedEnergyOracle:
         with mock.patch.object(estimators, "_energy_vstat", spy):
             value, grad = bias_value_and_grad(spec, fam, theta, batch)
         ((args, (_, (c0, c1))),) = seen
-        S0, S1 = args[:2]
-        oracle_c0, oracle_c1 = pairwise_cotangents(S0, S1)
+        S0, S1, k0, k1 = args[:4]
+        oracle_c0, oracle_c1 = counted_cotangents(S0, S1, k0, k1)
         assert np.array_equal(c0, oracle_c0) and np.array_equal(c1, oracle_c1)
         dS = []
         for rows in (batch.group0, batch.group1):
@@ -370,7 +426,11 @@ class TestSortedEnergyOracle:
                 up, dup = fam.scores(theta, batch.pool), jacobian(fam, theta, batch.pool)
                 _, P = r_and_prime(spec.relaxation, up[None, :] - u[:, None])
                 dS.append(-(P @ dup) / up.size + P.mean(axis=1)[:, None] * du)
-        oracle_value, oracle_grad = pairwise_energy(S0, dS[0], S1, dS[1])
+        # the draws' Jacobians in the order of the distinct rows
+        oracle_value, oracle_grad = pairwise_energy(
+            np.repeat(S0, k0), dS[0][np.argsort(batch.group0, kind="stable")],
+            np.repeat(S1, k1), dS[1][np.argsort(batch.group1, kind="stable")],
+        )
         assert np.allclose(grad, oracle_grad, rtol=1e-12, atol=1e-12)
         assert value >= 0.0
         assert abs(value - oracle_value) <= 1e-12
@@ -466,7 +526,9 @@ def per_threshold_grid(spec, family, theta, batch):
             weights = np.full(up.size, 1.0 / up.size)
         else:  # invariant-kde-discrete, which takes no variance correction
             thresholds = dt * np.arange(1, T + 1)
-            bw = spec.kde_bandwidth if spec.kde_bandwidth is not None else estimators._silverman_bandwidth(up)
+            bw = spec.kde_bandwidth
+            if bw is None:  # Silverman's rule on the pool's draws
+                bw = max(1.06 * np.std(up, ddof=1) * up.size ** (-0.2), estimators._MIN_BANDWIDTH)
             z = (thresholds[:, None] - up[None, :]) / bw
             kern = np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
             rho = kern.mean(axis=1) / bw
@@ -522,35 +584,43 @@ class TestContractedGridOracle:
         thresholds=st.sampled_from([16, 1 / 33, 1 / 129]),
         link=st.sampled_from(["logistic", "identity"]),
         cells=st.sampled_from([1 << 16, 64, 1]),
+        draws=DRAWS,
     )
     @example(seed=0, variant="invariant-mc", unbiased=True, m0=2, m1=40, kind="logistic", scale=20.0,
-             cost=SQUARE, thresholds=1 / 129, link="logistic", cells=1 << 16)
+             cost=SQUARE, thresholds=1 / 129, link="logistic", cells=1 << 16, draws="distinct")
     @example(seed=1, variant="threshold-discrete-trapezoid", unbiased=True, m0=129, m1=2, kind="logistic",
-             scale=200.0, cost=SQUARE, thresholds=1 / 129, link="identity", cells=64)
+             scale=200.0, cost=SQUARE, thresholds=1 / 129, link="identity", cells=64, draws="distinct")
     @example(seed=2, variant="invariant-kde-discrete", unbiased=True, m0=7, m1=40, kind="shifted-logistic",
-             scale=6.0, cost=ABS, thresholds=16, link="logistic", cells=1)
+             scale=6.0, cost=ABS, thresholds=16, link="logistic", cells=1, draws="distinct")
     # the joint (u0 | u1) grid: unequal groups, the smallest unbiased group
     # (m = 2) on either side, the ramp's difference grid and the logistic
     # fallback past _EXP_BOUND (identity scores at s = 200), scored
     # thresholds and the KDE weights' cotangents
     @example(seed=3, variant="threshold-discrete-trapezoid", unbiased=True, m0=2, m1=129, kind="ramp",
-             scale=20.0, cost=SQUARE, thresholds=1 / 129, link="logistic", cells=1 << 16)
+             scale=20.0, cost=SQUARE, thresholds=1 / 129, link="logistic", cells=1 << 16, draws="distinct")
     @example(seed=4, variant="threshold-discrete", unbiased=True, m0=40, m1=2, kind="ramp",
-             scale=6.0, cost=SQUARE, thresholds=1 / 33, link="identity", cells=64)
+             scale=6.0, cost=SQUARE, thresholds=1 / 33, link="identity", cells=64, draws="distinct")
     @example(seed=5, variant="threshold-mc", unbiased=True, m0=3, m1=2, kind="logistic",
-             scale=200.0, cost=SQUARE, thresholds=16, link="identity", cells=1 << 16)
+             scale=200.0, cost=SQUARE, thresholds=16, link="identity", cells=1 << 16, draws="distinct")
     @example(seed=6, variant="invariant-mc", unbiased=True, m0=2, m1=7, kind="shifted-logistic",
-             scale=200.0, cost=SQUARE, thresholds=16, link="identity", cells=64)
+             scale=200.0, cost=SQUARE, thresholds=16, link="identity", cells=64, draws="distinct")
     @example(seed=7, variant="invariant-mc", unbiased=True, m0=129, m1=3, kind="ramp",
-             scale=20.0, cost=SQUARE, thresholds=16, link="logistic", cells=1)
+             scale=20.0, cost=SQUARE, thresholds=16, link="logistic", cells=1, draws="distinct")
     @example(seed=8, variant="invariant-kde-discrete", unbiased=False, m0=2, m1=129, kind="logistic",
-             scale=200.0, cost=SQUARE, thresholds=1 / 33, link="identity", cells=64)
+             scale=200.0, cost=SQUARE, thresholds=1 / 33, link="identity", cells=64, draws="distinct")
+    # one row drawn for the whole of group 0; equal scores in both groups
+    @example(seed=9, variant="threshold-discrete-trapezoid", unbiased=True, m0=40, m1=7, kind="logistic",
+             scale=20.0, cost=SQUARE, thresholds=1 / 129, link="logistic", cells=64, draws="one-row")
+    @example(seed=10, variant="invariant-mc", unbiased=True, m0=7, m1=40, kind="logistic",
+             scale=20.0, cost=SQUARE, thresholds=16, link="logistic", cells=64, draws="shared")
+    @example(seed=11, variant="invariant-kde-discrete", unbiased=False, m0=40, m1=40, kind="ramp",
+             scale=20.0, cost=ABS, thresholds=1 / 33, link="identity", cells=1, draws="repeats")
     def test_matches_the_per_threshold_form(
-        self, seed, variant, unbiased, m0, m1, kind, scale, cost, thresholds, link, cells
+        self, seed, variant, unbiased, m0, m1, kind, scale, cost, thresholds, link, cells, draws
     ):
         # identity-link scores spread over [-2, 2] so that s = 200 takes the
         # overflow fallback of the separable grid; small cell budgets split
-        # the thresholds over many blocks
+        # the thresholds over many blocks; the oracle reads every draw
         rng = np.random.default_rng(seed)
         n_pool = int(rng.integers(1, 30))
         n = m0 + m1 + n_pool
@@ -559,7 +629,7 @@ class TestContractedGridOracle:
         theta = rng.normal(0.0, 0.3, 4)
         spec = BiasEstimatorSpec(variant, RelaxationFamily(kind, scale), cost, thresholds, rng_seed=seed % 97,
                                  unbiased=unbiased, kde_bandwidth=0.2)
-        batch = batch_of(m0, m1, np.arange(m0 + m1, n))
+        batch = drawn_batch(rng, m0, m1, np.arange(m0 + m1, n), draws)
         with mock.patch.object(estimators, "_GRID_CELLS", cells):
             value, grad = bias_value_and_grad(spec, fam, theta, batch)
             lean, _ = bias_value_and_grad(spec, fam, theta, batch, need_grad=False)
@@ -569,6 +639,111 @@ class TestContractedGridOracle:
         assert lean == value
         assert abs(value - oracle_value) <= 1e-12 * max(abs(oracle_value), 1.0)
         assert np.linalg.norm(grad - oracle_grad) <= 1e-12 * max(np.linalg.norm(oracle_grad), 1.0)
+
+
+class TestMultisetBatches:
+    """Every part of a batch is a multiset of rows: the estimator scores each
+    distinct row once and weighs it by its count, and equals the estimator
+    on an expanded family in which every draw is a row of its own."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        variant=st.sampled_from(estimators._VARIANTS),
+        unbiased=st.booleans(),
+        m0=GROUP_SIZES,
+        m1=GROUP_SIZES,
+        n_pool=st.sampled_from([1, 2, 9, 40]),
+        n_rows=st.sampled_from([1, 3, 12, 200]),
+        kind=st.sampled_from(["logistic", "ramp"]),
+        link=st.sampled_from(["logistic", "identity"]),
+        bandwidth=st.sampled_from([None, 0.2]),
+    )
+    # one row for everything, a pool of one draw, Silverman's rule on one row
+    @example(seed=0, variant="invariant-kde-discrete", unbiased=False, m0=2, m1=3, n_pool=9, n_rows=1,
+             kind="logistic", link="logistic", bandwidth=None)
+    @example(seed=1, variant="invariant-energy-relaxed", unbiased=False, m0=129, m1=2, n_pool=1, n_rows=3,
+             kind="logistic", link="identity", bandwidth=None)
+    @example(seed=2, variant="threshold-discrete-trapezoid", unbiased=True, m0=2, m1=129, n_pool=2, n_rows=3,
+             kind="ramp", link="logistic", bandwidth=None)
+    @example(seed=3, variant="invariant-mc", unbiased=True, m0=40, m1=7, n_pool=40, n_rows=12,
+             kind="logistic", link="logistic", bandwidth=None)
+    @example(seed=4, variant="energy", unbiased=False, m0=129, m1=129, n_pool=2, n_rows=12,
+             kind="logistic", link="identity", bandwidth=None)
+    def test_matches_the_expanded_family(
+        self, seed, variant, unbiased, m0, m1, n_pool, n_rows, kind, link, bandwidth
+    ):
+        rng = np.random.default_rng(seed)
+        base = rng.normal(0.0, 1.0, n_rows) if link == "logistic" else rng.uniform(-0.5, 1.5, n_rows)
+        fam = LinearFamily(base, np.column_stack([np.ones(n_rows), rng.normal(size=(n_rows, 2))]), link=link)
+        theta = rng.normal(0.0, 0.3, 3)
+        batch = EstimatorBatch(*(rng.choice(n_rows, m) for m in (m0, m1, n_pool)))
+        draws = np.concatenate((batch.group0, batch.group1, batch.pool))
+        expanded = LinearFamily(fam.base_scores[draws], fam.encoder_matrix[draws], link=link)
+        flat = batch_of(m0, m1, np.arange(m0 + m1, draws.size))
+        spec = BiasEstimatorSpec(variant, RelaxationFamily(kind, 8.0), SQUARE, 16, rng_seed=seed % 97,
+                                 unbiased=unbiased, kde_bandwidth=bandwidth)
+        value, grad = bias_value_and_grad(spec, fam, theta, batch)
+        oracle_value, oracle_grad = bias_value_and_grad(spec, expanded, theta, flat)
+        assert bias_value_and_grad(spec, fam, theta, batch, need_grad=False)[0] == value
+        assert abs(value - oracle_value) <= 1e-12 * max(abs(oracle_value), 1.0)
+        assert np.linalg.norm(grad - oracle_grad) <= 1e-12 * max(np.linalg.norm(oracle_grad), 1.0)
+
+    def test_each_distinct_row_is_scored_once(self):
+        rng = np.random.default_rng(5)
+        fam = logistic_family(rng, 10)
+        batch = EstimatorBatch([3, 3, 1, 3], [7, 2, 7], [0, 0, 9])
+        seen = []
+        scores_and_grad = fam.scores_and_grad
+
+        def spy(theta, rows):
+            seen.append(rows)
+            return scores_and_grad(theta, rows)
+
+        with mock.patch.object(fam, "scores_and_grad", spy):
+            bias_value_and_grad(BiasEstimatorSpec("invariant-mc", logistic(6.0), SQUARE, 16), fam, [0.0] * 4, batch)
+        assert [list(rows) for rows in seen] == [[1, 3, 2, 7, 0, 9]]
+
+
+class TestRowIndices:
+    """Batch rows are checked where they are read: a non-integer or negative
+    index when the batch is made, an index past the family's records when it
+    is scored, each named by its part."""
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            (([0.7, 0], [1]), "group0: row index 0.7 is not an integer"),
+            (([0], [True, False]), "group1: row index True is not an integer"),
+            (([0], [1], [np.nan]), "pool: row index nan is not an integer"),
+            (([-1, 0], [1, 2]), "group0: negative row index -1"),
+            (([0], [1], [2, -3]), "pool: negative row index -3"),
+        ],
+        ids=["fraction", "bool", "nan", "negative-group", "negative-pool"],
+    )
+    def test_batch_rejects(self, parts, message):
+        with pytest.raises(ValueError) as info:
+            EstimatorBatch(*parts)
+        assert str(info.value) == message
+
+    def test_whole_floats_are_rows(self):
+        assert EstimatorBatch([2.0, 0.0], [1]).group0.tolist() == [2, 0]
+
+    @pytest.mark.parametrize(
+        "parts, message",
+        [
+            (([0, 4], [1], [2]), "group0: row index 4 is out of range for 4 records"),
+            (([0], [1, 9], [2]), "group1: row index 9 is out of range for 4 records"),
+            (([0], [1], [3, 4]), "pool: row index 4 is out of range for 4 records"),
+        ],
+        ids=["group0", "group1", "pool"],
+    )
+    def test_scoring_rejects_rows_past_the_family(self, parts, message):
+        fam = identity_family([0.1, 0.4, 0.6, 0.9])
+        spec = BiasEstimatorSpec("invariant-mc", logistic(6.0), SQUARE, 16)
+        with pytest.raises(ValueError) as info:
+            bias_value_and_grad(spec, fam, [0.0], EstimatorBatch(*parts))
+        assert str(info.value) == message
 
 
 class TestBlockedSnapshotMemory:

@@ -83,6 +83,22 @@ class TestPenalizedObjective:
         value, grad = penalized_objective(fam, SPEC, [0.0], 0.0, perf, batch, labels=y)
         assert abs(grad[0]) < 1e-12
 
+    @pytest.mark.parametrize(
+        "perf, message",
+        [
+            ([0, 1.5], "perf_batch: row index 1.5 is not an integer"),
+            ([3, -1], "perf_batch: negative row index -1"),
+            ([0, 8], "perf_batch: row index 8 is out of range for 8 records"),
+        ],
+        ids=["fraction", "negative", "past-the-end"],
+    )
+    def test_bad_performance_rows_rejected(self, perf, message):
+        fam = LinearFamily(np.zeros(8), np.ones((8, 1)))
+        batch = EstimatorBatch(np.arange(4), np.arange(4, 8))
+        with pytest.raises(ValueError) as info:
+            penalized_objective(fam, SPEC, [0.0], 0.5, perf, batch, labels=np.zeros(8))
+        assert str(info.value) == message
+
     @pytest.mark.parametrize("raw", [40.0, -40.0])
     def test_saturated_rows_keep_the_loss_gradient(self, raw):
         # at raw = 40 the probability rounds to 1, so p (1 - p) is 0 (at -40 it
