@@ -6,7 +6,6 @@ from .distributions import (
     SQUARE,
     CostFunction,
     EmpiricalDistribution,
-    ks_distance,
     wasserstein1,
 )
 from .bias_metrics import (
@@ -23,9 +22,7 @@ from .encoders import (
     EncoderMatrix,
     ExplanationSet,
     additive_encoders,
-    combine_encoders,
     exact_marginal_shapley,
-    reconstruct_explanations,
     shapley_encoders,
     tree_pca_encoders,
 )
@@ -44,7 +41,6 @@ from .frontier import (
     FrontierPoint,
     evaluate,
     pareto_filter,
-    rank_auc,
     read_frontier_csv,
     score_metrics,
     write_frontier_csv,

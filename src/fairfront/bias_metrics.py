@@ -169,18 +169,6 @@ def _atom_index(pooled: EmpiricalDistribution, scores) -> np.ndarray:
     return np.maximum(np.searchsorted(pooled.values, scores, side="right") - 1, 0)
 
 
-def snap_to_pooled(g: GroupedScores, pooled: EmpiricalDistribution) -> GroupedScores:
-    """``g`` with each score read as the pooled atom it was merged into, the
-    largest atom of ``pooled`` at or below it.
-
-    Where scores crowd within ``MERGE_TOL``, each group's own merge would keep
-    another representative than the pool's; snapped, every group sees the
-    pooled atoms.  Where no two distinct scores lie that close, every score
-    is its own atom and nothing moves.
-    """
-    return GroupedScores(tuple(pooled.values[_atom_index(pooled, s)] for s in g.scores_by_group), g.group_probs)
-
-
 def _snapped_invariant(pooled: EmpiricalDistribution, atoms):
     """The invariant bias of two groups whose scores, snapped, are the atoms
     of ``pooled`` at the sorted indices ``atoms`` (one array per group),
@@ -210,10 +198,11 @@ def invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) -> float:
     """Distribution-invariant bias, exact for atomic score distributions.
 
     ``pooled`` is the pooled sample of ``g`` (or its image under a monotone
-    transform).  The group scores are snapped onto its atoms
-    (``snap_to_pooled``), so both paths of ``_snapped_invariant`` see the
-    same atoms: the threshold average of |F0 - F1| against ``pooled``, and
-    the W1 distance after the left-continuous pooled-CDF transform.
+    transform).  Each group score is snapped onto the pooled atom it was
+    merged into (``_atom_index``), so both paths of ``_snapped_invariant``
+    see the same atoms: the threshold average of |F0 - F1| against
+    ``pooled``, and the W1 distance after the left-continuous pooled-CDF
+    transform.
     """
     _require_two_groups(g)
     atoms = [np.sort(_atom_index(pooled, s)) for s in g.scores_by_group]

@@ -431,11 +431,6 @@ def cmd_mitigate(resolved, manifest, out):
     manifest.stage("evaluate")
 
 
-def _uses_shapley(state) -> bool:
-    """Whether the encoder provenance ``state`` holds Shapley columns."""
-    return state["kind"] == "shapley" or any(_uses_shapley(part) for part in state.get("parts", ()))
-
-
 def _read_candidates(path):
     """A mitigate run's candidates.json: the document and its ``(omega,
     theta)`` pairs, checked before any stage for the fields that ``evaluate``
@@ -479,7 +474,7 @@ def cmd_evaluate(resolved, manifest, out):
             )
     splits, model = _load_inputs(
         {**resolved, "label": doc["label"], "group": doc["group"]}, base_path, scored=True,
-        shapley=_uses_shapley(enc.provenance),
+        shapley=enc.provenance["kind"] == "shapley",
     )
     manifest.stage("load")
 

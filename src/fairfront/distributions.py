@@ -1,8 +1,8 @@
 """Exact empirical-distribution machinery.
 
 Weighted discrete distributions on the real line: the CDF and its left
-limit, the generalized inverse (quantile), the Wasserstein-1 distance via the
-monotone (quantile) coupling, and the Kolmogorov-Smirnov distance.
+limit, the generalized inverse (quantile), and the Wasserstein-1 distance via
+the monotone (quantile) coupling.
 
 Every integral here is evaluated exactly on a merged breakpoint grid, where
 the integrand is piecewise constant; nothing is sampled.  That makes these
@@ -218,9 +218,3 @@ def wasserstein1(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
     gap = d0.values[np.minimum(below0, d0.size - 1)] - d1.values[np.minimum(below1, d1.size - 1)]
     widths = np.diff(np.concatenate(([0.0], ps)))
     return float(np.sum(widths * np.abs(gap)))
-
-
-def ks_distance(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
-    """Kolmogorov-Smirnov distance: sup over breakpoints of |F0 - F1|."""
-    grid = np.union1d(d0.values, d1.values)
-    return float(np.max(np.abs(d0.cdf(grid) - d1.cdf(grid))))

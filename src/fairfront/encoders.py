@@ -17,7 +17,8 @@ its inputs and that provenance to the non-constant columns.  The builder
 applies the function to the inputs it already holds; ``reevaluate`` applies
 the same function, through ``_state_columns``, to new records, so the
 columns of build and re-evaluation come from one formula.  A new kind
-supplies both and one branch in ``_state_columns``.  The non-constant
+supplies both, one branch in ``_state_columns``, and its fields and shapes
+for ``_check_state``, which checks a loaded sidecar.  The non-constant
 columns carry a stored unit-variance scale so optimization is well
 conditioned while coefficients remain reportable in original units.
 
@@ -116,7 +117,7 @@ class EncoderMatrix:
 
     def reevaluate(self, X, model=None) -> "EncoderMatrix":
         """Rebuild the same columns on new records from the frozen state;
-        tree-pca and Shapley columns (alone or combined) read ``model``.
+        tree-pca and Shapley columns read ``model``.
         Tree-pca columns come from one walk of the model, which also gives
         the result its ``raw_scores``."""
         X = np.asarray(X, dtype=float)
@@ -144,27 +145,44 @@ class EncoderMatrix:
     def load(cls, csv_path, sidecar_path) -> "EncoderMatrix":
         """The encoders saved by ``save``.  A sidecar without the centres,
         scales or provenance, whose provenance is of an unknown kind or
-        lacks a field its columns are rebuilt from, or with an array that
-        holds a value that is not a number, raises ``ValueError`` naming the
-        sidecar and the key; a cell of the CSV that is not a number names
-        the CSV and the row."""
+        lacks a field its columns are rebuilt from, with an array that holds
+        a value that is not a number, with an array whose shape does not fit
+        the CSV or the other arrays, or with kept trees or features that are
+        not indices (``_check_state``), raises ``ValueError`` naming the
+        sidecar and the key; a CSV without rows, with a row that is not one
+        number per name of its header, or with a non-finite cell or a first
+        column that is not all 1, names the CSV and, where it can, the
+        row."""
         meta = read_json(sidecar_path)
         centers, scales = (
             _float_array(json_field(meta, key, sidecar_path, list), sidecar_path, key) for key in ("centers", "scales")
         )
         where = f"{sidecar_path} provenance"
         provenance = _unjsonify(json_field(meta, "provenance", sidecar_path, dict), where)
-        _check_state(provenance, where)
         rows = []
         with open(csv_path, newline="") as fh:
             reader = csv.reader(fh)
-            names = next(reader)
+            names = next(reader, [])
             for r, row in enumerate(reader, 2):
+                if len(row) != len(names):
+                    raise ValueError(f"{csv_path}: row {r}: {len(row)} cells under a header of {len(names)}")
                 try:
                     rows.append([float(v) for v in row])
                 except ValueError as exc:
                     raise ValueError(f"{csv_path}: row {r}: {exc}") from None
-        return cls(np.asarray(rows, dtype=float), names, provenance, centers, scales)
+        if not rows:
+            raise ValueError(f"{csv_path}: no rows of encoder columns")
+        for key, values in (("centers", centers), ("scales", scales)):
+            if values.shape != (len(names),):
+                raise ValueError(
+                    f"{sidecar_path}: {key!r} has shape {values.shape}, not ({len(names)},): one entry per column "
+                    f"of {csv_path}"
+                )
+        _check_state(provenance, where, len(names) - 1, csv_path)
+        try:
+            return cls(np.asarray(rows, dtype=float), names, provenance, centers, scales)
+        except ValueError as exc:  # a constant column that is not 1, a non-finite cell
+            raise ValueError(f"{csv_path}: {exc}") from None
 
 
 def _jsonify(obj):
@@ -174,8 +192,6 @@ def _jsonify(obj):
         return {"__array__": obj.tolist()}
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
     return obj
 
 
@@ -186,8 +202,6 @@ def _unjsonify(obj, where, key=None):
         if "__array__" in obj:
             return _float_array(obj["__array__"], where, key)
         return {k: _unjsonify(v, where, k) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_unjsonify(v, where, key) for v in obj]
     return obj
 
 
@@ -209,20 +223,58 @@ _STATE_FIELDS = {
     "additive": {"basis": str, "degree": int, "kept_features": np.ndarray, "lo": np.ndarray, "hi": np.ndarray},
     "tree-pca": {"kept_trees": np.ndarray, "tree_means": np.ndarray, "loadings": np.ndarray},
     "shapley": {"background": np.ndarray, "phi_centers": np.ndarray},
-    "combined": {"parts": list},
 }
 
 
-def _check_state(state, where):
-    """Reject a provenance of an unknown kind, or one without a field of
-    its kind, naming ``where``; a combined provenance part by part."""
+def _check_state(state, where, width, csv_path):
+    """Reject a provenance of an unknown kind, one without a field of its
+    kind, one whose arrays do not fit each other and the ``width``
+    non-constant columns of ``csv_path``, or one whose kept trees or
+    features are not indices, naming ``where`` and the key.  A kept tree
+    past the model's last is rejected at re-evaluation, which has the
+    model."""
     kind = json_field(state, "kind", where, str)
     if kind not in _STATE_FIELDS:
         raise ValueError(f"{where}: unknown kind {kind!r}")
     for key, kind_of_value in _STATE_FIELDS[kind].items():
         json_field(state, key, where, kind_of_value)
-    for k, part in enumerate(state.get("parts", ())):
-        _check_state(part, f"{where} part {k}")
+    per_column = f"per non-constant column of {csv_path}"
+    if kind == "tree-pca":
+        kept = state["kept_trees"].size
+        shapes = [
+            ("kept_trees", (kept,), "one index per kept tree"),
+            ("tree_means", (kept,), "one entry per kept tree"),
+            ("loadings", (kept, width), f"one row per kept tree, one column {per_column}"),
+        ]
+        indices = ("kept_trees", np.inf, "a tree index")
+    elif kind == "additive":
+        n_features, kept, degree = state["lo"].size, state["kept_features"].size, state["degree"]
+        if kept * degree != width:
+            raise ValueError(
+                f"{where}: 'kept_features' holds {kept} features of degree {degree}, so {kept * degree} columns, "
+                f"but {csv_path} has {width} non-constant columns"
+            )
+        shapes = [
+            ("kept_features", (kept,), "one index per kept feature"),
+            ("lo", (n_features,), "one entry per feature"),
+            ("hi", (n_features,), "one entry per feature, as 'lo'"),
+        ]
+        indices = ("kept_features", n_features, f"the index of one of the {n_features} features")
+    else:
+        shapes = [
+            ("background", state["background"].shape[:1] + (width,), f"one column {per_column}"),
+            ("phi_centers", (width,), "one entry per background column"),
+        ]
+        indices = None
+    for key, shape, rule in shapes:
+        if state[key].shape != shape:
+            raise ValueError(f"{where}: {key!r} has shape {state[key].shape}, not {shape}: {rule}")
+    if indices is not None:
+        key, bound, what = indices
+        values = state[key]
+        bad = ~((values >= 0) & (values < bound) & (values == np.floor(values)))
+        if bad.any():
+            raise ValueError(f"{where}: {key!r} holds {values[bad][0].item()!r}, not {what}")
 
 
 def _finish(columns, names, provenance, centers, raw_scores=None) -> EncoderMatrix:
@@ -241,10 +293,6 @@ def _state_columns(state, X, model):
     kind = state["kind"]
     if kind == "additive":
         return _additive_columns(X, state), None
-    if kind == "combined":
-        parts = [_state_columns(part, X, model) for part in state["parts"]]
-        raw = next((raw for _, raw in parts if raw is not None), None)
-        return np.column_stack([columns for columns, _ in parts]), raw
     if kind not in ("tree-pca", "shapley"):
         raise ValueError(f"unknown provenance kind {kind!r}")
     if model is None:
@@ -573,46 +621,3 @@ def shapley_encoders(
 def _shapley_columns(values, state) -> np.ndarray:
     """Attributions centred by the build records' means."""
     return values - state["phi_centers"]
-
-
-def combine_encoders(*encoders: EncoderMatrix) -> EncoderMatrix:
-    """Concatenate encoder families column-wise (one shared constant column).
-
-    The result keeps each part's provenance so re-evaluation rebuilds every
-    block with its own frozen state.
-    """
-    if len(encoders) < 2:
-        raise ValueError("need at least two encoder matrices to combine")
-    rows = encoders[0].columns.shape[0]
-    if any(e.columns.shape[0] != rows for e in encoders):
-        raise ValueError("encoder matrices must cover the same records")
-    columns = np.column_stack([encoders[0].columns] + [e.columns[:, 1:] for e in encoders[1:]])
-    names = list(encoders[0].names) + [n for e in encoders[1:] for n in e.names[1:]]
-    centers = np.concatenate([encoders[0].centers] + [e.centers[1:] for e in encoders[1:]])
-    scales = np.concatenate([encoders[0].scales] + [e.scales[1:] for e in encoders[1:]])
-    provenance = {"kind": "combined", "parts": [e.provenance for e in encoders]}
-    return EncoderMatrix(columns, names, provenance, centers, scales)
-
-
-# --------------------------------------------------------------------------
-# explanation reconstruction for the linear family
-# --------------------------------------------------------------------------
-
-
-def reconstruct_explanations(base: ExplanationSet, encoder_expl, theta) -> ExplanationSet:
-    """Explanations of a family member from precomputed parts.
-
-    E(x; f_theta) = E(x; f_*) - sum_j theta_j E(x; w_j), with theta_0
-    shifting only the reference expectation.
-    """
-    theta = np.asarray(theta, dtype=float)
-    if theta.size != len(encoder_expl) + 1:
-        raise ValueError("theta must have one entry per encoder column")
-    values = base.values.copy()
-    reference = base.reference - float(theta[0])
-    for coef, expl in zip(theta[1:], encoder_expl):
-        if expl.values.shape != base.values.shape:
-            raise ValueError("explanation shapes disagree")
-        values -= coef * expl.values
-        reference -= coef * expl.reference
-    return ExplanationSet(values, reference)

@@ -58,19 +58,6 @@ def _sorted_midranks(ordered) -> np.ndarray:
     return 0.5 * (count[dense] + count[dense - 1] + 1)
 
 
-def _midranks(values) -> np.ndarray:
-    """1-based ranks of ``values`` with each tie group given its mean rank
-    (``scipy.stats.rankdata(method="average")``); NaN anywhere makes every
-    rank NaN."""
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        return np.full(values.size, np.nan)
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.size)
-    ranks[order] = _sorted_midranks(values[order])
-    return ranks
-
-
 def _class_counts(labels):
     """The positives of ``labels`` and the two class counts, or ``ValueError``
     when a class is missing."""
@@ -84,12 +71,6 @@ def _class_counts(labels):
 
 def _auc(ranks, pos, n_pos, n_neg) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
-def rank_auc(scores, labels) -> float:
-    """Probability a positive outranks a negative, with midrank ties."""
-    counts = _class_counts(labels)
-    return _auc(_midranks(scores), *counts)
 
 
 def score_metrics(probs, labels, groups) -> dict:

@@ -48,21 +48,16 @@ class RelaxationFamily:
             return sigmoid(s * z)
         return sigmoid(s * z - np.sqrt(s))
 
-    def grid(self, u, t, R, P=None):
-        """Write the (T, m) grid ``R[j, i] = r_s(u_i - t_j)`` of scores ``u``
-        against thresholds ``t`` into ``R`` and, when ``P`` is given, the
-        slope r_s' / s there into ``P``; returns ``(R, P)``.  The slope is
-        the derivative in the scaled difference ``s (u_i - t_j)``: a caller
-        folds the factor s into the vector it contracts ``P`` with, so no
-        pass over the grid scales it.  ``grid_writer`` forms many grids of
-        the same scores."""
-        return self.grid_writer(u)(t, R, P)
-
     def grid_writer(self, u):
-        """``write(t, R, P=None)``: ``grid(u, t, R, P)`` for many threshold
-        blocks ``t`` of the same scores ``u``, whose side of the grid is
-        computed once.  A caller that forms many grids writes them all into
-        the same two arrays.
+        """``write(t, R, P=None)``, which writes the (T, m) grid
+        ``R[j, i] = r_s(u_i - t_j)`` of the scores ``u`` against thresholds
+        ``t`` into ``R`` and, when ``P`` is given, the slope r_s' / s there
+        into ``P``, and returns ``(R, P)``.  The slope is the derivative in
+        the scaled difference ``s (u_i - t_j)``: a caller folds the factor s
+        into the vector it contracts ``P`` with, so no pass over the grid
+        scales it.  The score side of the grid is computed once, for every
+        threshold block ``t``; a caller that forms many grids writes them
+        all into the same two arrays.
 
         The logistic kinds are separable: ``r_s(u - t) = 1 / (1 + e^{s t + c}
         e^{-s u})`` with ``c`` the shift, so a grid costs T exponentials in

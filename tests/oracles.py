@@ -13,10 +13,12 @@ statistical behaviour:
   sorted union of both weight grids, the reference for the merge in
   ``wasserstein1``;
 * ``r_and_prime``: a relaxation and its derivative pointwise, the reference
-  for ``RelaxationFamily.grid``;
+  for ``RelaxationFamily.grid_writer``;
 * ``reference_score_metrics``: a candidate's exact metric block composed
-  metric by metric (``snap_to_pooled``, ``from_samples`` per distribution,
-  ``rank_auc``, ``ks_distance``), each sorting its own sample, with
+  metric by metric, each sorting its own sample: ``snap_to_pooled`` (group
+  scores read as their pooled atoms), ``from_samples`` per distribution,
+  ``rank_auc`` (from ``_midranks``, scipy's average ranks), ``ks_distance``
+  (the Kolmogorov-Smirnov distance on the merged atoms), with
   ``reference_invariant_bias`` and ``transformed_group_w1`` (which also
   takes the right-continuous transform); the reference for the one-sort
   ``score_metrics``;
@@ -24,6 +26,9 @@ statistical behaviour:
   budget, and the data table a frontier SVG embeds;
 * ``enumerated_marginal_shapley``: marginal Shapley values of any predict
   function by enumerating all 2^n coalitions, the reference for TreeSHAP;
+* ``reconstruct_explanations``: the explanations of a linear family member
+  from those of the base model and of each encoder column,
+  E(f_theta) = E(f*) - sum_j theta_j E(w_j);
 * ``per_cell_csv``: a dataset's CSV written one cell and one row at a time,
   the reference for the block writer ``save_csv``;
 * ``whole_matrix_tree_pca``: the tree-pca state from the whole records x
@@ -37,11 +42,11 @@ import math
 import numpy as np
 
 from fairfront._util import cross_entropy, fmt_float
-from fairfront.bias_metrics import GroupedScores, _require_two_groups, snap_to_pooled
-from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, ks_distance, wasserstein1
+from fairfront.bias_metrics import GroupedScores, _atom_index, _require_two_groups
+from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, wasserstein1
 from fairfront.encoders import ExplanationSet
 from fairfront.estimators import BiasEstimatorSpec
-from fairfront.frontier import rank_auc
+from fairfront.frontier import _auc, _class_counts, _sorted_midranks
 from fairfront.gbdt import per_tree_outputs
 from fairfront.relaxation import RelaxationFamily
 
@@ -114,7 +119,7 @@ def relaxed_cdf(scores, t, family: RelaxationFamily):
     if scores.size == 0:
         raise ValueError("empty scores")
     t = np.asarray(t, dtype=float)
-    vals = 1.0 - family.grid(scores, t, np.empty((t.size, scores.size)))[0].mean(axis=1)
+    vals = 1.0 - family.grid_writer(scores)(t, np.empty((t.size, scores.size)))[0].mean(axis=1)
     return float(vals[0]) if t.ndim == 0 else vals
 
 
@@ -144,6 +149,43 @@ def reference_invariant_bias(g: GroupedScores, pooled: EmpiricalDistribution) ->
     if abs(threshold_path - transform_path) > 1e-10:
         raise AssertionError(f"paths disagree: {threshold_path!r} vs {transform_path!r}")
     return transform_path
+
+
+def snap_to_pooled(g: GroupedScores, pooled: EmpiricalDistribution) -> GroupedScores:
+    """``g`` with each score read as the pooled atom it was merged into, the
+    largest atom of ``pooled`` at or below it.
+
+    Where scores crowd within ``MERGE_TOL``, each group's own merge would keep
+    another representative than the pool's; snapped, every group sees the
+    pooled atoms.  Where no two distinct scores lie that close, every score
+    is its own atom and nothing moves.
+    """
+    return GroupedScores(tuple(pooled.values[_atom_index(pooled, s)] for s in g.scores_by_group), g.group_probs)
+
+
+def ks_distance(d0: EmpiricalDistribution, d1: EmpiricalDistribution) -> float:
+    """Kolmogorov-Smirnov distance: sup over breakpoints of |F0 - F1|."""
+    grid = np.union1d(d0.values, d1.values)
+    return float(np.max(np.abs(d0.cdf(grid) - d1.cdf(grid))))
+
+
+def _midranks(values) -> np.ndarray:
+    """1-based ranks of ``values`` with each tie group given its mean rank
+    (``scipy.stats.rankdata(method="average")``); NaN anywhere makes every
+    rank NaN."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.size, np.nan)
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size)
+    ranks[order] = _sorted_midranks(values[order])
+    return ranks
+
+
+def rank_auc(scores, labels) -> float:
+    """Probability a positive outranks a negative, with midrank ties."""
+    counts = _class_counts(labels)
+    return _auc(_midranks(scores), *counts)
 
 
 def reference_score_metrics(probs, labels, groups) -> dict:
@@ -391,6 +433,25 @@ def enumerated_marginal_shapley(predict, X, background) -> ExplanationSet:
                 size = bin(mask).count("1")
                 phi[rows, i] += weights[size] * (v[:, mask | (1 << i)] - v[:, mask])
     return ExplanationSet(phi, reference)
+
+
+def reconstruct_explanations(base: ExplanationSet, encoder_expl, theta) -> ExplanationSet:
+    """Explanations of a family member from precomputed parts.
+
+    E(x; f_theta) = E(x; f_*) - sum_j theta_j E(x; w_j), with theta_0
+    shifting only the reference expectation.
+    """
+    theta = np.asarray(theta, dtype=float)
+    if theta.size != len(encoder_expl) + 1:
+        raise ValueError("theta must have one entry per encoder column")
+    values = base.values.copy()
+    reference = base.reference - float(theta[0])
+    for coef, expl in zip(theta[1:], encoder_expl):
+        if expl.values.shape != base.values.shape:
+            raise ValueError("explanation shapes disagree")
+        values -= coef * expl.values
+        reference -= coef * expl.reference
+    return ExplanationSet(values, reference)
 
 
 def per_cell_csv(dataset, path, label_column="label", group_column="group"):

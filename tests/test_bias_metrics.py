@@ -8,7 +8,6 @@ from fairfront.bias_metrics import (
     cost_bias,
     invariant_bias,
     multi_attribute_bias,
-    snap_to_pooled,
 )
 from fairfront.distributions import (
     ABS,
@@ -16,7 +15,7 @@ from fairfront.distributions import (
     EmpiricalDistribution,
     wasserstein1,
 )
-from oracles import classifier_bias, transformed_group_w1, transport_cost
+from oracles import classifier_bias, snap_to_pooled, transformed_group_w1, transport_cost
 
 UNIFORM = ThresholdMeasure.uniform01()
 

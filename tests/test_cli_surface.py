@@ -4,8 +4,8 @@ config and config hash of the benchmark workloads' flags.  The literals were
 recorded from the CLI as it stood before its option table, except that
 mitigate has since recorded ``kde-bandwidth`` (null by default), which moved
 the two mitigate hashes.  A change to any of them changes what a manifest
-records for the same flags.  The last pin is the set of names the library
-exports."""
+records for the same flags.  The last pins are the set of names the library
+exports and the encoder kinds that a sidecar may hold."""
 
 import types
 
@@ -13,6 +13,7 @@ import pytest
 
 import fairfront
 import fairfront.cli as cli
+from fairfront.encoders import _STATE_FIELDS
 
 FLAG_SETS = {
     "generate": {"--config", "--model", "--n", "--out", "--seed", "--split"},
@@ -197,16 +198,15 @@ def test_workload_config_and_hash(capture, workload):
 # every public name of the library, so an export added or dropped shows here
 EXPORTS = {
     "ABS", "ABS_LOG_RATIO", "BiasEstimatorSpec", "CostFunction", "Dataset", "EmpiricalDistribution",
-    "EncoderMatrix", "Ensemble", "EstimatorBatch", "ExplanationSet", "FrontierPoint", "GBDTParams",
-    "GroupedScores", "LinearFamily", "MitigationTrace", "OtProjection", "RelaxationFamily", "SQUARE",
-    "SweepConfig", "ThresholdMeasure", "Tree", "additive_encoders", "apply_preprocessor", "bias_value_and_grad",
-    "combine_encoders", "cost_bias", "default_omegas", "distill_loss", "evaluate", "exact_marginal_shapley",
-    "fit_preprocessor", "generate_m1", "generate_m2", "invariant_bias", "ks_distance", "load_csv", "logistic",
-    "loss_bias_ratio_scale", "multi_attribute_bias", "ot_projection", "ot_repair", "pareto_filter",
-    "penalized_objective", "per_tree_outputs", "ramp", "random_search_rescaling", "rank_auc", "read_frontier_csv",
-    "reconstruct_explanations", "repair_scores_by_label", "rescale_transform", "save_csv", "score_metrics",
-    "sgd_sweep", "shapley_encoders", "shifted_logistic", "split", "train_gbdt", "tree_pca_encoders",
-    "wasserstein1", "write_frontier_csv", "write_frontier_svg",
+    "EncoderMatrix", "Ensemble", "EstimatorBatch", "ExplanationSet", "FrontierPoint", "GBDTParams", "GroupedScores",
+    "LinearFamily", "MitigationTrace", "OtProjection", "RelaxationFamily", "SQUARE", "SweepConfig",
+    "ThresholdMeasure", "Tree", "additive_encoders", "apply_preprocessor", "bias_value_and_grad", "cost_bias",
+    "default_omegas", "distill_loss", "evaluate", "exact_marginal_shapley", "fit_preprocessor", "generate_m1",
+    "generate_m2", "invariant_bias", "load_csv", "logistic", "loss_bias_ratio_scale", "multi_attribute_bias",
+    "ot_projection", "ot_repair", "pareto_filter", "penalized_objective", "per_tree_outputs", "ramp",
+    "random_search_rescaling", "read_frontier_csv", "repair_scores_by_label", "rescale_transform", "save_csv",
+    "score_metrics", "sgd_sweep", "shapley_encoders", "shifted_logistic", "split", "train_gbdt",
+    "tree_pca_encoders", "wasserstein1", "write_frontier_csv", "write_frontier_svg",
 }
 
 
@@ -217,3 +217,9 @@ def test_library_exports():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert public == EXPORTS
+
+
+def test_sidecar_kinds_are_the_method_choices():
+    # a kind that EncoderMatrix.load accepts but no subcommand writes is a
+    # path that nothing in the pipeline reaches
+    assert set(_STATE_FIELDS) == set(cli.FLAGS["method"][0]["choices"])

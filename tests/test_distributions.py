@@ -10,10 +10,9 @@ from fairfront.distributions import (
     SQUARE,
     CostFunction,
     EmpiricalDistribution,
-    ks_distance,
     wasserstein1,
 )
-from oracles import reference_wasserstein1, transport_cost
+from oracles import ks_distance, reference_wasserstein1, transport_cost
 
 
 def dist(values, weights=None):

@@ -11,9 +11,7 @@ from fairfront.encoders import (
     EncoderMatrix,
     ExplanationSet,
     additive_encoders,
-    combine_encoders,
     exact_marginal_shapley,
-    reconstruct_explanations,
     shapley_encoders,
     tree_pca_encoders,
 )
@@ -26,7 +24,7 @@ from fairfront.gbdt import (
     per_tree_outputs,
     train,
 )
-from oracles import enumerated_marginal_shapley, whole_matrix_tree_pca
+from oracles import enumerated_marginal_shapley, reconstruct_explanations, whole_matrix_tree_pca
 from test_gbdt import random_tree
 
 
@@ -280,9 +278,9 @@ class TestSharedWalk:
         additive = additive_encoders(X, degree=2)
         assert additive.raw_scores is None
         assert additive.reevaluate(X, model=model).raw_scores is None
-        both = combine_encoders(additive, tree_pca_encoders(model, X, r=2))
-        assert both.raw_scores is None  # combining forms no columns
-        assert np.array_equal(both.reevaluate(X, model=model).raw_scores, model.predict_raw(X))
+        pca = tree_pca_encoders(model, X, r=2)
+        assert np.array_equal(pca.raw_scores, model.predict_raw(X))
+        assert np.array_equal(pca.reevaluate(X, model=model).raw_scores, model.predict_raw(X))
 
 
 class TestShapley:
@@ -522,54 +520,6 @@ class TestReconstruction:
             reconstruct_explanations(base, bad, [0.0, 1.0])
 
 
-class TestCombination:
-    def test_column_concatenation_and_reevaluation(self):
-        rng = np.random.default_rng(20)
-        model, X = small_ensemble(rng, rounds=10)
-        pca = tree_pca_encoders(model, X, r=2)
-        add = additive_encoders(X, degree=1, basis="monomial")
-        both = combine_encoders(pca, add)
-        assert both.n_columns == pca.n_columns + add.n_columns - 1
-        assert both.names[0] == "const"
-        assert np.array_equal(both.columns[:, 1:3], pca.columns[:, 1:])
-        assert np.array_equal(both.columns[:, 3:], add.columns[:, 1:])
-        rebuilt = both.reevaluate(X, model=model)
-        assert np.array_equal(rebuilt.columns, both.columns)
-
-    def test_nested_combination_reevaluates(self, tmp_path):
-        rng = np.random.default_rng(22)
-        model, X = small_ensemble(rng, n=120, rounds=8)
-        pca = tree_pca_encoders(model, X, r=2)
-        add = additive_encoders(X, degree=2, basis="monomial")
-        legendre = additive_encoders(X, degree=2, basis="legendre")
-        shap = shapley_encoders(model, X, background_size=10, seed=1)
-        nested = combine_encoders(combine_encoders(pca, add), legendre, shap)
-        assert nested.n_columns == 1 + 2 + 6 + 6 + 3
-        rebuilt = nested.reevaluate(X, model=model)
-        assert np.array_equal(rebuilt.columns, nested.columns)
-        assert rebuilt.names == nested.names
-        assert np.array_equal(rebuilt.scales, nested.scales)
-        # new records, after a save/load round trip of the nested provenance
-        nested.save(tmp_path / "enc.csv", tmp_path / "enc.json")
-        loaded = EncoderMatrix.load(tmp_path / "enc.csv", tmp_path / "enc.json")
-        X_new = rng.normal(size=(30, 3))
-        assert np.array_equal(
-            loaded.reevaluate(X_new, model=model).columns,
-            combine_encoders(
-                combine_encoders(pca.reevaluate(X_new, model=model), add.reevaluate(X_new)),
-                legendre.reevaluate(X_new),
-                shap.reevaluate(X_new, model=model),
-            ).columns,
-        )
-
-    def test_row_mismatch_rejected(self):
-        rng = np.random.default_rng(21)
-        a = additive_encoders(rng.normal(size=(10, 2)), degree=1, basis="monomial")
-        b = additive_encoders(rng.normal(size=(12, 2)), degree=1, basis="monomial")
-        with pytest.raises(ValueError):
-            combine_encoders(a, b)
-
-
 class TestPersistence:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(14)
@@ -584,49 +534,62 @@ class TestPersistence:
 
     def test_save_writes_the_csv_writer_bytes(self, tmp_path):
         # the same bytes as one csv.writer row of repr(float) cells per record
-        # and json.dump of the sidecar
+        # and json.dump of the sidecar, for each kind that needs no background
         rng = np.random.default_rng(16)
         model, X = small_ensemble(rng, rounds=8)
         X[0, 0] = -1e-300  # its square underflows to 0.0 and its cube to -0.0
-        enc = combine_encoders(tree_pca_encoders(model, X, r=2), additive_encoders(X, degree=3, basis="monomial"))
-        enc.save(tmp_path / "enc.csv", tmp_path / "enc.json")
-        with open(tmp_path / "want.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(enc.names)
-            for row in enc.columns:
-                writer.writerow([repr(float(v)) for v in row])
-        with open(tmp_path / "want.json", "w") as fh:
-            json.dump(json.loads((tmp_path / "enc.json").read_text()), fh)
-        assert (tmp_path / "enc.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-        assert (tmp_path / "enc.json").read_bytes() == (tmp_path / "want.json").read_bytes()
+        for enc in (tree_pca_encoders(model, X, r=2), additive_encoders(X, degree=3, basis="monomial")):
+            enc.save(tmp_path / "enc.csv", tmp_path / "enc.json")
+            with open(tmp_path / "want.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(enc.names)
+                for row in enc.columns:
+                    writer.writerow([repr(float(v)) for v in row])
+            with open(tmp_path / "want.json", "w") as fh:
+                json.dump(json.loads((tmp_path / "enc.json").read_text()), fh)
+            assert (tmp_path / "enc.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+            assert (tmp_path / "enc.json").read_bytes() == (tmp_path / "want.json").read_bytes()
 
     @pytest.mark.parametrize(
-        "path, error",
+        "kind, key, edit, error",
         [
-            (("parts", 1, "parts", 0, "kind"), "provenance part 1 part 0: unknown kind 'pca'"),
-            (("parts", 0, "lo"), "provenance part 0: missing key 'lo'"),
-            (("parts", 1, "parts", 1, "phi_centers"), "provenance part 1 part 1: missing key 'phi_centers'"),
+            ("additive", "hi", lambda v: v[:-1], "'hi' has shape (2,), not (3,): one entry per feature, as 'lo'"),
+            ("additive", "kept_features", lambda v: v[:-1],
+             "'kept_features' holds 2 features of degree 2, so 4 columns, but {csv} has 6 non-constant columns"),
+            ("additive", "degree", lambda v: v + 1,
+             "'kept_features' holds 3 features of degree 3, so 9 columns, but {csv} has 6 non-constant columns"),
+            ("additive", "kept_features", lambda v: v[:-1] + [99],
+             "'kept_features' holds 99.0, not the index of one of the 3 features"),
+            ("tree-pca", "kept_trees", lambda v: [-1] + v[1:], "'kept_trees' holds -1.0, not a tree index"),
+            ("tree-pca", "kept_trees", lambda v: [0.5] + v[1:], "'kept_trees' holds 0.5, not a tree index"),
+            ("shapley", "phi_centers", lambda v: v[:-1],
+             "'phi_centers' has shape (2,), not (3,): one entry per background column"),
+            ("shapley", "background", lambda v: [row[:-1] for row in v],
+             "'background' has shape (5, 2), not (5, 3): one column per non-constant column of {csv}"),
         ],
     )
-    def test_load_checks_a_combined_provenance_part_by_part(self, tmp_path, path, error):
+    def test_load_checks_the_arrays_of_a_provenance(self, tmp_path, kind, key, edit, error):
+        # tree-pca's shapes, and the centres and scales, are cells of test_envelope
         rng = np.random.default_rng(17)
         model, X = small_ensemble(rng, n=60, rounds=4)
-        add = additive_encoders(X, degree=1, basis="monomial")
-        shap = shapley_encoders(model, X, background_size=5)
-        enc = combine_encoders(add, combine_encoders(tree_pca_encoders(model, X, r=2), shap))
-        enc.save(tmp_path / "enc.csv", tmp_path / "enc.json")
-        sidecar = json.loads((tmp_path / "enc.json").read_text())
-        state = sidecar["provenance"]
-        for step in path[:-1]:
-            state = state[step]
-        if path[-1] == "kind":
-            state["kind"] = "pca"
+        if kind == "additive":
+            enc = additive_encoders(X, degree=2, basis="monomial")
+        elif kind == "tree-pca":
+            enc = tree_pca_encoders(model, X, r=2)
         else:
-            del state[path[-1]]
-        (tmp_path / "enc.json").write_text(json.dumps(sidecar))
+            enc = shapley_encoders(model, X, background_size=5)
+        csv_path, sidecar_path = tmp_path / "enc.csv", tmp_path / "enc.json"
+        enc.save(csv_path, sidecar_path)
+        sidecar = json.loads(sidecar_path.read_text())
+        state = sidecar["provenance"]
+        if isinstance(state[key], dict):
+            state[key]["__array__"] = edit(state[key]["__array__"])
+        else:
+            state[key] = edit(state[key])
+        sidecar_path.write_text(json.dumps(sidecar))
         with pytest.raises(ValueError) as caught:
-            EncoderMatrix.load(tmp_path / "enc.csv", tmp_path / "enc.json")
-        assert str(caught.value) == f"{tmp_path / 'enc.json'} {error}"
+            EncoderMatrix.load(csv_path, sidecar_path)
+        assert str(caught.value) == f"{sidecar_path} provenance: {error.format(csv=csv_path)}"
 
     def test_standardization_round_trip(self):
         rng = np.random.default_rng(15)

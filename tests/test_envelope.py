@@ -236,6 +236,31 @@ CELLS = [
           "{no_loadings}.json provenance: missing key 'loadings'", id="evaluate-encoders-without-loadings"),
     fails("evaluate", [*EVALUATE, "--encoders", "{unknown_kind}"], 1,
           "{unknown_kind}.json provenance: unknown kind 'pca'", id="evaluate-encoders-unknown-kind"),
+    # no subcommand writes combined encoders, so no sidecar may hold them
+    fails("evaluate", [*EVALUATE, "--encoders", "{combined_kind}"], 1,
+          "{combined_kind}.json provenance: unknown kind 'combined'", id="evaluate-encoders-combined-kind"),
+    # --- shapes and cells that do not fit: these failed after the load stage
+    # with numpy's message or named no file, and a short centres list went
+    # unseen
+    *[fails("evaluate", [*EVALUATE, "--encoders", f"{{short_{key}}}"], 1,
+            f"{{short_{key}}}.json: '{key}' has shape ({{narrower}},), not ({{width}},): one entry per column of "
+            f"{{short_{key}}}.csv", id=f"evaluate-encoders-{key}-short")
+      for key in ("scales", "centers")],
+    fails("evaluate", [*EVALUATE, "--encoders", "{short_tree_means}"], 1,
+          "{short_tree_means}.json provenance: 'tree_means' has shape ({fewer_kept},), not ({kept},): one entry per "
+          "kept tree", id="evaluate-encoders-tree-means-short"),
+    fails("evaluate", [*EVALUATE, "--encoders", "{narrow_loadings}"], 1,
+          "{narrow_loadings}.json provenance: 'loadings' has shape ({kept}, {narrowest}), not ({kept}, {narrower}): "
+          "one row per kept tree, one column per non-constant column of {narrow_loadings}.csv",
+          id="evaluate-encoders-loadings-narrow"),
+    fails("evaluate", [*EVALUATE, "--encoders", "{ragged}"], 1, "{ragged}.csv: row 4: {narrower} cells under a header of "
+          "{width}", id="evaluate-encoders-ragged-row"),
+    fails("evaluate", [*EVALUATE, "--encoders", "{header_only}"], 1, "{header_only}.csv: no rows of encoder columns",
+          id="evaluate-encoders-header-only"),
+    fails("evaluate", [*EVALUATE, "--encoders", "{const_2}"], 1, "{const_2}.csv: column 0 must be identically 1",
+          id="evaluate-encoders-constant-column-2"),
+    fails("evaluate", [*EVALUATE, "--encoders", "{cell_inf}"], 1, "{cell_inf}.csv: non-finite encoder column",
+          id="evaluate-encoders-infinite-cell"),
     # these named neither the file nor the row or key
     fails("evaluate", [*EVALUATE, "--encoders", "{cell_x}"], 1,
           "{cell_x}.csv: row 4: could not convert string to float: 'x'", id="evaluate-encoders-non-numeric-cell"),
@@ -365,21 +390,39 @@ class TestEnvelope:
         provenance = sidecar["provenance"]
         loadings_x = json.loads(json.dumps(provenance["loadings"]))
         loadings_x["__array__"][0][0] = "x"
+        loadings, means = provenance["loadings"]["__array__"], provenance["tree_means"]["__array__"]
+        paths["kept"], paths["fewer_kept"] = len(means), len(means) - 1
+        paths["narrower"], paths["narrowest"] = paths["width"] - 1, paths["width"] - 2
         sidecars = {
             "no_provenance": {k: v for k, v in sidecar.items() if k != "provenance"},
             "no_scales": {k: v for k, v in sidecar.items() if k != "scales"},
             "no_loadings": {**sidecar, "provenance": {k: v for k, v in provenance.items() if k != "loadings"}},
             "unknown_kind": {**sidecar, "provenance": {**provenance, "kind": "pca"}},
+            "combined_kind": {**sidecar, "provenance": {"kind": "combined", "parts": [provenance]}},
             "loading_x": {**sidecar, "provenance": {**provenance, "loadings": loadings_x}},
+            "short_scales": {**sidecar, "scales": sidecar["scales"][:-1]},
+            "short_centers": {**sidecar, "centers": sidecar["centers"][:-1]},
+            "short_tree_means": {**sidecar, "provenance": {**provenance, "tree_means": {"__array__": means[:-1]}}},
+            "narrow_loadings": {
+                **sidecar, "provenance": {**provenance, "loadings": {"__array__": [row[:-1] for row in loadings]}},
+            },
             "cell_x": sidecar,
+            "ragged": sidecar,
+            "header_only": sidecar,
+            "const_2": sidecar,
+            "cell_inf": sidecar,
         }
         for name, faulty_sidecar in sidecars.items():
             paths[name] = root / name
             (root / f"{name}.csv").write_bytes((run / "encoders.csv").read_bytes())
             write_json(root / f"{name}.json", faulty_sidecar)
         cells = list(csv.reader((run / "encoders.csv").open()))
-        cells[3][1] = "x"
-        write_csv(root / "cell_x.csv", cells)
+        write_csv(root / "header_only.csv", cells[:1])
+        write_csv(root / "ragged.csv", cells[:3] + [cells[3][:-1]] + cells[4:])
+        for name, column, value in (("cell_x", 1, "x"), ("const_2", 0, "2.0"), ("cell_inf", 1, "inf")):
+            faulty_cells = [list(row) for row in cells]
+            faulty_cells[3][column] = value
+            write_csv(root / f"{name}.csv", faulty_cells)
 
         # frontier files
         frontier = list(csv.reader((run / "frontier.csv").open()))

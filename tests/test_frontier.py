@@ -5,17 +5,15 @@ from hypothesis import strategies as st
 
 from fairfront.frontier import (
     FrontierPoint,
-    _midranks,
     evaluate,
     pareto_filter,
-    rank_auc,
     read_frontier_csv,
     score_metrics,
     write_frontier_csv,
     write_frontier_svg,
 )
 from fairfront.linear_family import LinearFamily
-from oracles import embedded_svg_table, frontier_value, reference_score_metrics
+from oracles import _midranks, embedded_svg_table, frontier_value, rank_auc, reference_score_metrics
 
 
 def point(bias, loss, method="m", omega=0.0):

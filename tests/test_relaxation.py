@@ -116,13 +116,13 @@ class TestConvergence:
 
 
 def fresh_grid(fam, u, t, prime=True):
-    """``fam.grid`` written into new arrays."""
+    """``fam.grid_writer(u)`` written into new arrays."""
     shape = (np.size(t), np.size(u))
-    return fam.grid(u, t, np.empty(shape), np.empty(shape) if prime else None)
+    return fam.grid_writer(u)(t, np.empty(shape), np.empty(shape) if prime else None)
 
 
 class TestGrid:
-    """``grid`` against ``r``/``r_and_prime`` on the difference grid; its
+    """``grid_writer`` against ``r``/``r_and_prime`` on the difference grid; its
     slope ``P`` is r_s' / s."""
 
     @pytest.mark.parametrize("fam", [ramp(7.0), logistic(20.0), shifted_logistic(20.0)], ids=lambda f: f.kind)
@@ -158,8 +158,8 @@ class TestGrid:
         rng = np.random.default_rng(4)
         u = rng.uniform(-0.5, 1.5, 21)
         R_work, P_work = np.full((2, 9, 21), np.nan)
-        fam.grid(rng.uniform(-0.5, 1.5, 21), np.linspace(0.5, 1.5, 9), R_work, P_work)
-        R, P = fam.grid(u, np.linspace(0.0, 1.0, 9), R_work, P_work)
+        fam.grid_writer(rng.uniform(-0.5, 1.5, 21))(np.linspace(0.5, 1.5, 9), R_work, P_work)
+        R, P = fam.grid_writer(u)(np.linspace(0.0, 1.0, 9), R_work, P_work)
         assert R is R_work and P is P_work
         expected = fresh_grid(fam, u, np.linspace(0.0, 1.0, 9))
         assert np.array_equal(R, expected[0]) and np.array_equal(P, expected[1])
