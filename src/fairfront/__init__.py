@@ -15,12 +15,11 @@ from .bias_metrics import (
     invariant_bias,
     multi_attribute_bias,
 )
-from .relaxation import RelaxationFamily, logistic, ramp, shifted_logistic
+from .relaxation import RelaxationFamily
 from .linear_family import LinearFamily
 from .estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from .encoders import (
     EncoderMatrix,
-    ExplanationSet,
     additive_encoders,
     exact_marginal_shapley,
     shapley_encoders,

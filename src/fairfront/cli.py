@@ -434,7 +434,7 @@ def cmd_mitigate(resolved, manifest, out):
 def _read_candidates(path):
     """A mitigate run's candidates.json: the document and its ``(omega,
     theta)`` pairs, checked before any stage for the fields that ``evaluate``
-    reads: each ω a number and each θ a list of numbers."""
+    reads: each ω a finite number and each θ a list of finite numbers."""
     doc = read_json(path)
     keys = doc if isinstance(doc, dict) else {}
     missing = [key for key in ("method", "label", "group", "candidates") if key not in keys]
@@ -448,10 +448,15 @@ def _read_candidates(path):
             raise ValueError(f"{path}: candidate {k} needs an 'omega' and a 'theta'")
         where = f"{path}: candidate {k}"
         omega = json_field(cand, "omega", where, (int, float))
+        if not np.isfinite(omega):
+            raise ValueError(f"{where}: 'omega' must be finite, got {omega}")
         theta = json_field(cand, "theta", where, list)
         if not all(isinstance(v, (int, float)) for v in theta):
             raise ValueError(f"{where}: 'theta' holds a value that is not a number")
-        pairs.append((omega, np.asarray(theta, dtype=float)))
+        theta = np.asarray(theta, dtype=float)
+        if not np.isfinite(theta).all():
+            raise ValueError(f"{where}: 'theta' holds {theta[~np.isfinite(theta)][0]}, not a finite number")
+        pairs.append((omega, theta))
     return doc, pairs
 
 
@@ -466,6 +471,9 @@ def cmd_evaluate(resolved, manifest, out):
         raise CliError(f"base model not found at {base_path}; pass --base")
     enc_prefix = Path(resolved["encoders"]) if resolved["encoders"] else run_dir / "encoders"
     enc = EncoderMatrix.load(f"{enc_prefix}.csv", f"{enc_prefix}.json")
+    kind = enc.provenance["kind"]
+    if doc["method"] != kind:
+        raise ValueError(f"{cand_path}: method {doc['method']!r}, but {enc_prefix}.json holds {kind!r} encoders")
     for k, (_, theta) in enumerate(candidates):
         if theta.shape != (enc.n_columns,):
             raise ValueError(
@@ -474,7 +482,7 @@ def cmd_evaluate(resolved, manifest, out):
             )
     splits, model = _load_inputs(
         {**resolved, "label": doc["label"], "group": doc["group"]}, base_path, scored=True,
-        shapley=enc.provenance["kind"] == "shapley",
+        shapley=kind == "shapley",
     )
     manifest.stage("load")
 
@@ -777,7 +785,9 @@ COMMANDS = {
 
 def _resolve_options(name, args) -> dict:
     """Each option of the command from its flag, else the config document,
-    else the table's default, then through the flag's conversion."""
+    else the table's default, then through the flag's conversion; a
+    missing required flag, or a group column that is the label, is an
+    error."""
     command = COMMANDS[name]
     config = _load_config(args.config)
     resolved = {}
@@ -797,6 +807,10 @@ def _resolve_options(name, args) -> dict:
     for flag in command.needs:
         if not resolved[flag]:
             raise CliError(f"{name} needs --{flag}")
+    # the group is used only to mitigate and to evaluate; named as the
+    # label, the real group column would be left among the features
+    if "group" in resolved and resolved["group"] == resolved["label"]:
+        raise CliError(f"--label and --group both name column {resolved['label']!r}")
     return resolved
 
 

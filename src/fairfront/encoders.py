@@ -20,7 +20,9 @@ columns of build and re-evaluation come from one formula.  A new kind
 supplies both, one branch in ``_state_columns``, and its fields and shapes
 for ``_check_state``, which checks a loaded sidecar.  The non-constant
 columns carry a stored unit-variance scale so optimization is well
-conditioned while coefficients remain reportable in original units.
+conditioned while coefficients remain reportable in original units.  A
+saved sidecar holds only the scales and the provenance; the CSV header holds
+the names.
 
 Tree-pca columns ride on the model's tree walk: they are formed block by
 block inside ``predict_raw``'s walk, which also gives the records' raw
@@ -60,24 +62,12 @@ _PCA_BLOCK_CELLS = 1 << 20
 
 
 @dataclass
-class ExplanationSet:
-    """Per-record, per-feature attributions plus the reference expectation."""
-
-    values: np.ndarray   # (records, features)
-    reference: float
-
-    def totals(self) -> np.ndarray:
-        return self.values.sum(axis=1)
-
-
-@dataclass
 class EncoderMatrix:
     """Named encoder columns with column 0 identically one.
 
-    ``centers`` are construction-time centering constants (zero where the
-    construction does not center); ``scales`` are the stored standard
-    deviations used to standardize the optimization columns.  ``provenance``
-    carries everything needed to rebuild the columns on new records.
+    ``scales`` are the stored standard deviations used to standardize the
+    optimization columns.  ``provenance`` carries everything needed to
+    rebuild the columns on new records, the centres of ``centers`` included.
     ``raw_scores`` are the model's raw margins on the same records, read off
     the tree walk that formed tree-pca columns (bitwise ``predict_raw``);
     None where no walk formed them.  They are not saved.
@@ -86,7 +76,6 @@ class EncoderMatrix:
     columns: np.ndarray
     names: list
     provenance: dict
-    centers: np.ndarray
     scales: np.ndarray
     raw_scores: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -104,6 +93,15 @@ class EncoderMatrix:
     @property
     def n_columns(self) -> int:
         return self.columns.shape[1]
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The construction-time centre of each column: the build records'
+        mean attributions for Shapley columns (0 for the constant), zero
+        where the construction does not center."""
+        if self.provenance["kind"] == "shapley":
+            return np.concatenate(([0.0], self.provenance["phi_centers"]))
+        return np.zeros(self.n_columns)
 
     def standardized_columns(self) -> np.ndarray:
         return self.columns / self.scales[None, :]
@@ -124,7 +122,7 @@ class EncoderMatrix:
         # the constant column is made after the others, so it is not held while they are formed
         columns, raw = _state_columns(self.provenance, X, model)
         columns = np.column_stack([np.ones(X.shape[0]), columns])
-        return EncoderMatrix(columns, self.names, self.provenance, self.centers, self.scales, raw)
+        return EncoderMatrix(columns, self.names, self.provenance, self.scales, raw)
 
     # --- persistence --------------------------------------------------
 
@@ -132,31 +130,24 @@ class EncoderMatrix:
         with open(csv_path, "w", newline="") as fh:
             csv.writer(fh, lineterminator="\n").writerow(self.names)
             fh.writelines(",".join(fmt_floats(row)) + "\n" for row in self.columns.tolist())
-        meta = {
-            "names": list(self.names),
-            "centers": self.centers.tolist(),
-            "scales": self.scales.tolist(),
-            "provenance": _jsonify(self.provenance),
-        }
+        meta = {"scales": self.scales.tolist(), "provenance": _jsonify(self.provenance)}
         with open(sidecar_path, "w") as fh:
             fh.write(json.dumps(meta))  # json.dump never takes the C encoder
 
     @classmethod
     def load(cls, csv_path, sidecar_path) -> "EncoderMatrix":
-        """The encoders saved by ``save``.  A sidecar without the centres,
-        scales or provenance, whose provenance is of an unknown kind or
-        lacks a field its columns are rebuilt from, with an array that holds
-        a value that is not a number, with an array whose shape does not fit
-        the CSV or the other arrays, or with kept trees or features that are
-        not indices (``_check_state``), raises ``ValueError`` naming the
-        sidecar and the key; a CSV without rows, with a row that is not one
-        number per name of its header, or with a non-finite cell or a first
-        column that is not all 1, names the CSV and, where it can, the
-        row."""
+        """The encoders saved by ``save``.  A sidecar without the scales or
+        provenance, whose provenance is of an unknown kind or lacks a field
+        its columns are rebuilt from, with an array that holds a value that
+        is not a number, with an array whose shape does not fit the CSV or
+        the other arrays, or with kept trees or features that are not
+        indices (``_check_state``), raises ``ValueError`` naming the sidecar
+        and the key; a CSV without rows, with a row that is not one number
+        per name of its header, or with a non-finite cell or a first column
+        that is not all 1, names the CSV and, where it can, the row.  Other
+        keys of the sidecar are not read."""
         meta = read_json(sidecar_path)
-        centers, scales = (
-            _float_array(json_field(meta, key, sidecar_path, list), sidecar_path, key) for key in ("centers", "scales")
-        )
+        scales = _float_array(json_field(meta, "scales", sidecar_path, list), sidecar_path, "scales")
         where = f"{sidecar_path} provenance"
         provenance = _unjsonify(json_field(meta, "provenance", sidecar_path, dict), where)
         rows = []
@@ -172,15 +163,14 @@ class EncoderMatrix:
                     raise ValueError(f"{csv_path}: row {r}: {exc}") from None
         if not rows:
             raise ValueError(f"{csv_path}: no rows of encoder columns")
-        for key, values in (("centers", centers), ("scales", scales)):
-            if values.shape != (len(names),):
-                raise ValueError(
-                    f"{sidecar_path}: {key!r} has shape {values.shape}, not ({len(names)},): one entry per column "
-                    f"of {csv_path}"
-                )
+        if scales.shape != (len(names),):
+            raise ValueError(
+                f"{sidecar_path}: 'scales' has shape {scales.shape}, not ({len(names)},): one entry per column "
+                f"of {csv_path}"
+            )
         _check_state(provenance, where, len(names) - 1, csv_path)
         try:
-            return cls(np.asarray(rows, dtype=float), names, provenance, centers, scales)
+            return cls(np.asarray(rows, dtype=float), names, provenance, scales)
         except ValueError as exc:  # a constant column that is not 1, a non-finite cell
             raise ValueError(f"{csv_path}: {exc}") from None
 
@@ -277,13 +267,13 @@ def _check_state(state, where, width, csv_path):
             raise ValueError(f"{where}: {key!r} holds {values[bad][0].item()!r}, not {what}")
 
 
-def _finish(columns, names, provenance, centers, raw_scores=None) -> EncoderMatrix:
+def _finish(columns, names, provenance, raw_scores=None) -> EncoderMatrix:
     """The constant column plus the non-constant ``columns``, with their scales."""
     columns = np.column_stack([np.ones(columns.shape[0]), columns])
     scales = columns.std(axis=0)
     scales = np.where(scales > _ZERO_VAR, scales, 1.0)
     scales[0] = 1.0
-    return EncoderMatrix(columns, names, provenance, np.asarray(centers, dtype=float), scales, raw_scores)
+    return EncoderMatrix(columns, names, provenance, scales, raw_scores)
 
 
 def _state_columns(state, X, model):
@@ -301,7 +291,7 @@ def _state_columns(state, X, model):
         columns = np.empty((X.shape[0], state["loadings"].shape[1]))
         raw = model.predict_raw(X, _tree_pca_writer(state, model.n_trees, columns))
         return columns, raw
-    return _shapley_columns(exact_marginal_shapley(model, X, state["background"]).values, state), None
+    return _shapley_columns(exact_marginal_shapley(model, X, state["background"]), state), None
 
 
 # --------------------------------------------------------------------------
@@ -342,7 +332,7 @@ def additive_encoders(X, degree: int, basis: str = "legendre", feature_names=Non
         "lo": lo,
         "hi": hi,
     }
-    return _finish(_additive_columns(X, provenance), names, provenance, np.zeros(len(names)))
+    return _finish(_additive_columns(X, provenance), names, provenance)
 
 
 def _additive_columns(X, state) -> np.ndarray:
@@ -407,7 +397,7 @@ def tree_pca_encoders(ensemble: Ensemble, X, r: int) -> EncoderMatrix:
     names = ["const"] + [f"tree-pc{k + 1}" for k in range(r)]
     # centering happens in tree-output space (tree_means), not per column
     columns, raw = _state_columns(provenance, X, ensemble)
-    return _finish(columns, names, provenance, np.zeros(r + 1), raw)
+    return _finish(columns, names, provenance, raw)
 
 
 def _tree_components(ensemble, X, r):
@@ -489,8 +479,9 @@ def _tree_pca_writer(state, n_trees, columns):
 # --------------------------------------------------------------------------
 
 
-def exact_marginal_shapley(model: Ensemble, X, background) -> ExplanationSet:
-    """Exact Shapley attributions of the marginal-expectation game.
+def exact_marginal_shapley(model: Ensemble, X, background) -> np.ndarray:
+    """Exact Shapley attributions of the marginal-expectation game, one row
+    per record of ``X`` and one column per feature.
 
     The game value of a coalition S at record x is the background average of
     the model with the S-features pinned to x.  This is the interventional
@@ -516,7 +507,7 @@ def exact_marginal_shapley(model: Ensemble, X, background) -> ExplanationSet:
     if background.ndim != 2 or background.shape[0] == 0:
         raise ValueError("background must be a nonempty record matrix")
     model._check_features(X)
-    reference = float(np.mean(model.predict_raw(background)))
+    model._check_features(background)
     values, lo, hi, tested, depth = treeshap_leaves(model)
     # slot d of leaf l: its d-th tested feature, then untested ones (met by every record)
     feature = np.argsort(~tested, axis=1, kind="stable")[:, :depth]
@@ -549,7 +540,7 @@ def exact_marginal_shapley(model: Ensemble, X, background) -> ExplanationSet:
             phi[start:start + rows] += np.bincount(
                 cell.ravel(), gathered.ravel(), minlength=masks.shape[0] * n_features
             ).reshape(-1, n_features)
-    return ExplanationSet(phi, reference)
+    return phi
 
 
 def treeshap_leaves(model: Ensemble):
@@ -603,19 +594,18 @@ def shapley_encoders(
 ) -> EncoderMatrix:
     """Columns {1} U {phi_i(x)} of exact marginal Shapley values of ``model``.
 
-    Columns are centered to mean zero on the build records (the centering
-    constants are stored).  The background is ``background_size`` build
-    records drawn with ``seed``.
+    Columns are centered to mean zero on the build records (the centres are
+    the provenance's ``phi_centers``).  The background is ``background_size``
+    build records drawn with ``seed``.
     """
     X = np.asarray(X, dtype=float)
     rng = np.random.default_rng(seed)
     take = min(background_size, X.shape[0])
     background = X[rng.choice(X.shape[0], size=take, replace=False)]
-    values = exact_marginal_shapley(model, X, background).values
-    centers = values.mean(axis=0)
+    values = exact_marginal_shapley(model, X, background)
     names = ["const"] + [f"shapley:x{i}" for i in range(X.shape[1])]
-    provenance = {"kind": "shapley", "background": background, "phi_centers": centers}
-    return _finish(_shapley_columns(values, provenance), names, provenance, np.concatenate(([0.0], centers)))
+    provenance = {"kind": "shapley", "background": background, "phi_centers": values.mean(axis=0)}
+    return _finish(_shapley_columns(values, provenance), names, provenance)
 
 
 def _shapley_columns(values, state) -> np.ndarray:

@@ -369,6 +369,11 @@ class Ensemble:
             raise ValueError("tree {}: non-finite {}".format(*min(faults)))
         base_margin = json_field(doc, "base_margin", "ensemble", _NUMBER)
         learning_rate = json_field(doc, "learning_rate", "ensemble", _NUMBER)
+        # the rules of GBDTParams, which trained the model
+        if not (np.isfinite(learning_rate) and learning_rate > 0):
+            raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
+        if not np.isfinite(base_margin):
+            raise ValueError(f"base_margin must be finite, got {base_margin}")
         n_features = json_field(doc, "n_features", "ensemble", int)
         sizes = _node_counts(counts)
         bounds = list(zip((ends[0] - sizes).tolist(), ends[0].tolist()))

@@ -94,15 +94,3 @@ class RelaxationFamily:
             return R, P
 
         return write
-
-
-def ramp(scale: float) -> RelaxationFamily:
-    return RelaxationFamily("ramp", scale)
-
-
-def logistic(scale: float) -> RelaxationFamily:
-    return RelaxationFamily("logistic", scale)
-
-
-def shifted_logistic(scale: float) -> RelaxationFamily:
-    return RelaxationFamily("shifted-logistic", scale)

@@ -25,7 +25,8 @@ statistical behaviour:
 * ``frontier_value`` and ``embedded_svg_table``: reading a frontier at a bias
   budget, and the data table a frontier SVG embeds;
 * ``enumerated_marginal_shapley``: marginal Shapley values of any predict
-  function by enumerating all 2^n coalitions, the reference for TreeSHAP;
+  function by enumerating all 2^n coalitions, the reference for TreeSHAP,
+  with the reference expectation, as an ``ExplanationSet``;
 * ``reconstruct_explanations``: the explanations of a linear family member
   from those of the base model and of each encoder column,
   E(f_theta) = E(f*) - sum_j theta_j E(w_j);
@@ -38,13 +39,13 @@ statistical behaviour:
 
 import csv
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from fairfront._util import cross_entropy, fmt_float
 from fairfront.bias_metrics import GroupedScores, _atom_index, _require_two_groups
 from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, wasserstein1
-from fairfront.encoders import ExplanationSet
 from fairfront.estimators import BiasEstimatorSpec
 from fairfront.frontier import _auc, _class_counts, _sorted_midranks
 from fairfront.gbdt import per_tree_outputs
@@ -388,6 +389,17 @@ def grid_bias_ladder(
         ]
         out.append({"s": float(s), "T": T, "mean_abs_bias": float(np.mean(errs))})
     return out
+
+
+@dataclass
+class ExplanationSet:
+    """Per-record, per-feature attributions plus the reference expectation."""
+
+    values: np.ndarray   # (records, features)
+    reference: float
+
+    def totals(self) -> np.ndarray:
+        return self.values.sum(axis=1)
 
 
 EXACT_SHAPLEY_MAX_FEATURES = 16

@@ -32,14 +32,14 @@ from fairfront.optimizer import (
     penalized_objective,
     sgd_sweep,
 )
-from fairfront.relaxation import logistic, ramp
+from fairfront.relaxation import RelaxationFamily
 from oracles import estimator_rate_probe, fit_loglog_slope, frontier_value, grid_bias_ladder, transformed_group_w1
 
 UNIFORM = ThresholdMeasure.uniform01()
 
 BASE_PARAMS = GBDTParams(depth=2, rounds=800, learning_rate=0.04, min_leaf=64.0, early_stop_rounds=30)
 ESTIMATOR = BiasEstimatorSpec(
-    "threshold-discrete-trapezoid", logistic(20.0), SQUARE, 1.0 / 129.0, unbiased=True
+    "threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 1.0 / 129.0, unbiased=True
 )
 OMEGA_SCALE_MULT = 1.5
 
@@ -108,9 +108,9 @@ def run_sweep(pipe, method, seed):
 def test_criterion_1_estimator_oracle_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(11)
-    trap_sq = BiasEstimatorSpec("threshold-discrete-trapezoid", ramp(500.0), SQUARE, 1.0 / 4096.0)
-    trap_abs = BiasEstimatorSpec("threshold-discrete-trapezoid", ramp(500.0), ABS, 1.0 / 4096.0)
-    energy = BiasEstimatorSpec("energy", ramp(500.0), SQUARE, 16)
+    trap_sq = BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("ramp", 500.0), SQUARE, 1.0 / 4096.0)
+    trap_abs = BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("ramp", 500.0), ABS, 1.0 / 4096.0)
+    energy = BiasEstimatorSpec("energy", RelaxationFamily("ramp", 500.0), SQUARE, 16)
     worst_sq = worst_abs = worst_en = 0.0
     for _ in range(50):
         n0, n1 = rng.integers(2, 11, 2)
@@ -151,7 +151,7 @@ def test_criterion_2_gradient_correctness():
     family = LinearFamily(base, cols, link="logistic")
     rows = rng.permutation(n)
     batch = EstimatorBatch(rows[:40], rows[40:80], rows[80:])
-    rel = logistic(12.0)
+    rel = RelaxationFamily("logistic", 12.0)
     specs = [
         BiasEstimatorSpec("threshold-mc", rel, SQUARE, 33, rng_seed=5),
         BiasEstimatorSpec("threshold-discrete", rel, SQUARE, 33),
@@ -227,9 +227,9 @@ def test_criterion_3_rate_reproduction():
     pop0 = EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, 6))
     pop1 = EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, 6))
     ladder = [2**k for k in range(6, 13)]
-    spec_mc = BiasEstimatorSpec("threshold-mc", ramp(40.0), SQUARE, 64)
+    spec_mc = BiasEstimatorSpec("threshold-mc", RelaxationFamily("ramp", 40.0), SQUARE, 64)
     slope_mc = fit_loglog_slope(estimator_rate_probe(spec_mc, pop0, pop1, ladder, n_reps=200, seed=1))
-    spec_d = BiasEstimatorSpec("threshold-discrete", ramp(10.0), SQUARE, 64)
+    spec_d = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 10.0), SQUARE, 64)
     slope_d = fit_loglog_slope(
         estimator_rate_probe(spec_d, pop0, pop1, ladder, n_reps=200, seed=2, coupling=0.4)
     )
@@ -390,7 +390,7 @@ def test_criterion_7_relaxation_convergence():
         probes = np.unique(np.concatenate([d.values, mids]))
         errs = np.array(
             [
-                [abs(1.0 - np.sum(d.weights * ramp(s).r(d.values - t)) - d.cdf(t)) for t in probes]
+                [abs(1.0 - np.sum(d.weights * RelaxationFamily("ramp", s).r(d.values - t)) - d.cdf(t)) for t in probes]
                 for s in ladder
             ]
         )
@@ -400,7 +400,7 @@ def test_criterion_7_relaxation_convergence():
         errs_log = np.array(
             [
                 [
-                    abs(1.0 - np.sum(d.weights * logistic(s).r(d.values - t)) - target[j])
+                    abs(1.0 - np.sum(d.weights * RelaxationFamily("logistic", s).r(d.values - t)) - target[j])
                     for j, t in enumerate(d.values)
                 ]
                 for s in ladder

@@ -198,14 +198,14 @@ def test_workload_config_and_hash(capture, workload):
 # every public name of the library, so an export added or dropped shows here
 EXPORTS = {
     "ABS", "ABS_LOG_RATIO", "BiasEstimatorSpec", "CostFunction", "Dataset", "EmpiricalDistribution",
-    "EncoderMatrix", "Ensemble", "EstimatorBatch", "ExplanationSet", "FrontierPoint", "GBDTParams", "GroupedScores",
+    "EncoderMatrix", "Ensemble", "EstimatorBatch", "FrontierPoint", "GBDTParams", "GroupedScores",
     "LinearFamily", "MitigationTrace", "OtProjection", "RelaxationFamily", "SQUARE", "SweepConfig",
     "ThresholdMeasure", "Tree", "additive_encoders", "apply_preprocessor", "bias_value_and_grad", "cost_bias",
     "default_omegas", "distill_loss", "evaluate", "exact_marginal_shapley", "fit_preprocessor", "generate_m1",
-    "generate_m2", "invariant_bias", "load_csv", "logistic", "loss_bias_ratio_scale", "multi_attribute_bias",
-    "ot_projection", "ot_repair", "pareto_filter", "penalized_objective", "per_tree_outputs", "ramp",
+    "generate_m2", "invariant_bias", "load_csv", "loss_bias_ratio_scale", "multi_attribute_bias",
+    "ot_projection", "ot_repair", "pareto_filter", "penalized_objective", "per_tree_outputs",
     "random_search_rescaling", "read_frontier_csv", "repair_scores_by_label", "rescale_transform", "save_csv",
-    "score_metrics", "sgd_sweep", "shapley_encoders", "shifted_logistic", "split", "train_gbdt",
+    "score_metrics", "sgd_sweep", "shapley_encoders", "split", "train_gbdt",
     "tree_pca_encoders", "wasserstein1", "write_frontier_csv", "write_frontier_svg",
 }
 

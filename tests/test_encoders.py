@@ -9,7 +9,6 @@ from fairfront import encoders
 from fairfront.encoders import (
     PCA_ROW_CAP,
     EncoderMatrix,
-    ExplanationSet,
     additive_encoders,
     exact_marginal_shapley,
     shapley_encoders,
@@ -24,7 +23,7 @@ from fairfront.gbdt import (
     per_tree_outputs,
     train,
 )
-from oracles import enumerated_marginal_shapley, reconstruct_explanations, whole_matrix_tree_pca
+from oracles import ExplanationSet, enumerated_marginal_shapley, reconstruct_explanations, whole_matrix_tree_pca
 from test_gbdt import random_tree
 
 
@@ -361,8 +360,7 @@ class TestTreeShap:
     def assert_agrees(model, X, background):
         got = exact_marginal_shapley(model, X, background)
         want = enumerated_marginal_shapley(model.predict_raw, X, background)
-        assert got.reference == want.reference
-        assert np.max(np.abs(got.values - want.values), initial=0.0) <= 1e-9
+        assert np.max(np.abs(got - want.values), initial=0.0) <= 1e-9
 
     @pytest.mark.parametrize("n_features", range(2, 9))
     @pytest.mark.parametrize("depth", range(2, 6))
@@ -400,9 +398,7 @@ class TestTreeShap:
     def test_zero_trees_give_zero_attributions(self):
         model = Ensemble(0.4, 0.1, [], 3)
         X = np.random.default_rng(32).normal(size=(5, 3))
-        expl = exact_marginal_shapley(model, X, X[:2])
-        assert np.array_equal(expl.values, np.zeros((5, 3)))
-        assert expl.reference == 0.4
+        assert np.array_equal(exact_marginal_shapley(model, X, X[:2]), np.zeros((5, 3)))
         self.assert_agrees(model, X, X[:2])
 
     def test_efficiency_past_the_enumeration_cap(self):
@@ -410,24 +406,25 @@ class TestTreeShap:
         X = rng.normal(size=(400, 24))
         y = (rng.random(400) < 0.3 + 0.4 * (X[:, 5] > 0)).astype(float)
         model = train(X, y, params=GBDTParams(depth=4, rounds=30, min_leaf=4.0))
-        expl = exact_marginal_shapley(model, X[:50], X[200:300])
-        assert np.max(np.abs(expl.totals() + expl.reference - model.predict_raw(X[:50]))) <= 1e-9
+        phi = exact_marginal_shapley(model, X[:50], X[200:300])
+        reference = np.mean(model.predict_raw(X[200:300]))
+        assert np.max(np.abs(phi.sum(axis=1) + reference - model.predict_raw(X[:50]))) <= 1e-9
 
     def test_rows_do_not_depend_on_their_block(self, monkeypatch):
         rng = np.random.default_rng(34)
         model = Ensemble(0.0, 0.3, [random_tree(rng, 4, 5, rng.normal(size=5)) for _ in range(40)], 5)
         X = rng.normal(size=(60, 5))
         X[rng.random(X.shape) < 0.1] = np.nan
-        whole = exact_marginal_shapley(model, X, X[:9]).values
+        whole = exact_marginal_shapley(model, X, X[:9])
         for i in (0, 17, 59):
-            assert np.array_equal(exact_marginal_shapley(model, X[i:i + 1], X[:9]).values[0], whole[i])
+            assert np.array_equal(exact_marginal_shapley(model, X[i:i + 1], X[:9])[0], whole[i])
         order = rng.permutation(60)
-        assert np.array_equal(exact_marginal_shapley(model, X[order], X[:9]).values, whole[order])
+        assert np.array_equal(exact_marginal_shapley(model, X[order], X[:9]), whole[order])
         # blocks of a few records and a few leaves: the same bits per leaf block
         monkeypatch.setattr(encoders, "_TREESHAP_CELLS", 200)
-        small = exact_marginal_shapley(model, X, X[:9]).values
+        small = exact_marginal_shapley(model, X, X[:9])
         assert np.max(np.abs(small - whole)) <= 1e-12
-        assert np.array_equal(exact_marginal_shapley(model, X[order], X[:9]).values, small[order])
+        assert np.array_equal(exact_marginal_shapley(model, X[order], X[:9]), small[order])
 
     def test_works_in_blocks_of_rows(self, monkeypatch):
         # no (records x leaves x slots) array: peak well under one of them
@@ -463,8 +460,11 @@ class TestTreeShap:
 
     def test_feature_count_checked(self):
         model = Ensemble(0.0, 1.0, [stump(0, 0.0, 1.0, 2.0)], 2)
-        with pytest.raises(ValueError, match="expected 2 features"):
+        with pytest.raises(ValueError, match=r"^expected 2 features, got shape \(3, 3\)$"):
             exact_marginal_shapley(model, np.zeros((3, 3)), np.zeros((2, 2)))
+        # the background is checked too, though no walk of the model reads it
+        with pytest.raises(ValueError, match=r"^expected 2 features, got shape \(2, 3\)$"):
+            exact_marginal_shapley(model, np.zeros((3, 2)), np.zeros((2, 3)))
 
 
 class TestReconstruction:
@@ -532,6 +532,44 @@ class TestPersistence:
         again = loaded.reevaluate(X, model=model)
         assert np.array_equal(again.columns, enc.columns)
 
+    @staticmethod
+    def each_kind(rng):
+        model, X = small_ensemble(rng, n=60, rounds=4)
+        return model, X, {
+            "additive": additive_encoders(X, degree=2, basis="monomial"),
+            "tree-pca": tree_pca_encoders(model, X, r=2),
+            "shapley": shapley_encoders(model, X, background_size=5),
+        }
+
+    def test_sidecar_holds_only_what_load_reads(self, tmp_path):
+        # each key save writes is read by load: without it, load names it
+        model, X, built = self.each_kind(np.random.default_rng(18))
+        for kind, enc in built.items():
+            csv_path, sidecar_path = tmp_path / f"{kind}.csv", tmp_path / f"{kind}.json"
+            enc.save(csv_path, sidecar_path)
+            sidecar = json.loads(sidecar_path.read_text())
+            assert sorted(sidecar) == ["provenance", "scales"]
+            for key in sidecar:
+                sidecar_path.write_text(json.dumps({k: v for k, v in sidecar.items() if k != key}))
+                with pytest.raises(ValueError) as caught:
+                    EncoderMatrix.load(csv_path, sidecar_path)
+                assert str(caught.value) == f"{sidecar_path}: missing key {key!r}"
+
+    def test_centers_come_from_the_provenance(self, tmp_path):
+        # the Shapley centres are the build records' mean attributions, and
+        # survive a round trip though the sidecar does not hold them
+        model, X, built = self.each_kind(np.random.default_rng(19))
+        for kind, enc in built.items():
+            enc.save(tmp_path / "enc.csv", tmp_path / "enc.json")
+            loaded = EncoderMatrix.load(tmp_path / "enc.csv", tmp_path / "enc.json")
+            assert np.array_equal(loaded.centers, enc.centers) and enc.centers.shape == (enc.n_columns,)
+            if kind == "shapley":
+                phi = exact_marginal_shapley(model, X, enc.provenance["background"])
+                assert np.array_equal(enc.centers, np.concatenate(([0.0], phi.mean(axis=0))))
+                assert np.allclose(enc.columns[:, 1:] + enc.centers[1:], phi, rtol=0.0, atol=1e-12)
+            else:
+                assert not enc.centers.any()
+
     def test_save_writes_the_csv_writer_bytes(self, tmp_path):
         # the same bytes as one csv.writer row of repr(float) cells per record
         # and json.dump of the sidecar, for each kind that needs no background
@@ -569,15 +607,8 @@ class TestPersistence:
         ],
     )
     def test_load_checks_the_arrays_of_a_provenance(self, tmp_path, kind, key, edit, error):
-        # tree-pca's shapes, and the centres and scales, are cells of test_envelope
-        rng = np.random.default_rng(17)
-        model, X = small_ensemble(rng, n=60, rounds=4)
-        if kind == "additive":
-            enc = additive_encoders(X, degree=2, basis="monomial")
-        elif kind == "tree-pca":
-            enc = tree_pca_encoders(model, X, r=2)
-        else:
-            enc = shapley_encoders(model, X, background_size=5)
+        # tree-pca's shapes, and the scales, are cells of test_envelope
+        enc = self.each_kind(np.random.default_rng(17))[2][kind]
         csv_path, sidecar_path = tmp_path / "enc.csv", tmp_path / "enc.json"
         enc.save(csv_path, sidecar_path)
         sidecar = json.loads(sidecar_path.read_text())

@@ -3,8 +3,9 @@ an input at the edge of what a subcommand supports, and the outcome it
 must have.
 
 - *rejected at resolution*: a missing required flag, a value that its
-  flag's conversion refuses, or a bad ``--config``; exit 2, an ``error:``
-  line, and no output directory.
+  flag's conversion refuses, a bad ``--config``, or ``--label`` and
+  ``--group`` naming one column; exit 2, an ``error:`` line, and no output
+  directory.
 - *fails before any stage*: a value outside its flag's range rule (exit 2),
   or a setting, split, model, candidates file, encoder sidecar or frontier
   file that the run cannot use (exit 1 or 2); the exact ``error:`` line,
@@ -74,6 +75,11 @@ CELLS = [
     rejected("generate", ["--config", "{cfg_not_json}"],
              "config {cfg_not_json}: invalid JSON (Expecting value: line 1 column 1 (char 0))",
              id="generate-config-not-json"),
+    # the group as the label once made the real group column a model feature
+    *[rejected(command, [*TRAIN, *base, "--group", "label"], "--label and --group both name column 'label'",
+               id=f"{command}-group-is-label")
+      for command, base in (("train-base", []), ("encode", []), ("mitigate", BASE), ("baseline-rescale", BASE),
+                            ("baseline-ot", BASE))],
     # --- range rules of FLAGS: exit 2 ----------------------------------------
     # a train share outside (0, 1) once failed after the generate stage
     *[fails("generate", ["--n", "200", "--split", v], 2, f"--split must lie in (0, 1), got {float(v)}",
@@ -226,6 +232,16 @@ CELLS = [
     fails("evaluate", [*EVALUATE, "--candidates", "{theta_strings}"], 1,
           "{theta_strings}: candidate 2: 'theta' holds a value that is not a number",
           id="evaluate-candidate-theta-strings"),
+    # a NaN omega once wrote a nan row into frontier.csv; a NaN theta failed
+    # after the load stage, naming no file
+    fails("evaluate", [*EVALUATE, "--candidates", "{omega_nan}"], 1,
+          "{omega_nan}: candidate 1: 'omega' must be finite, got nan", id="evaluate-candidate-omega-nan"),
+    fails("evaluate", [*EVALUATE, "--candidates", "{theta_nan}"], 1,
+          "{theta_nan}: candidate 2: 'theta' holds nan, not a finite number", id="evaluate-candidate-theta-nan"),
+    # these labelled every frontier row with the candidates' method
+    fails("evaluate", [*EVALUATE, "--candidates", "{method_additive}"], 1,
+          "{method_additive}: method 'additive', but {encoders}.json holds 'tree-pca' encoders",
+          id="evaluate-candidates-method-not-the-encoders-kind"),
     # --- evaluate's encoders.json: these escaped as KeyError tracebacks, or
     # failed after the load stage
     fails("evaluate", [*EVALUATE, "--encoders", "{no_provenance}"], 1, "{no_provenance}.json: missing key 'provenance'",
@@ -239,13 +255,14 @@ CELLS = [
     # no subcommand writes combined encoders, so no sidecar may hold them
     fails("evaluate", [*EVALUATE, "--encoders", "{combined_kind}"], 1,
           "{combined_kind}.json provenance: unknown kind 'combined'", id="evaluate-encoders-combined-kind"),
+    # --- a sidecar written while it also held the column names and the
+    # centres evaluates: load reads neither, whatever they hold
+    completes("evaluate", [*EVALUATE, "--encoders", "{legacy_keys}"], id="evaluate-encoders-legacy-keys"),
     # --- shapes and cells that do not fit: these failed after the load stage
-    # with numpy's message or named no file, and a short centres list went
-    # unseen
-    *[fails("evaluate", [*EVALUATE, "--encoders", f"{{short_{key}}}"], 1,
-            f"{{short_{key}}}.json: '{key}' has shape ({{narrower}},), not ({{width}},): one entry per column of "
-            f"{{short_{key}}}.csv", id=f"evaluate-encoders-{key}-short")
-      for key in ("scales", "centers")],
+    # with numpy's message or named no file
+    fails("evaluate", [*EVALUATE, "--encoders", "{short_scales}"], 1,
+          "{short_scales}.json: 'scales' has shape ({narrower},), not ({width},): one entry per column of "
+          "{short_scales}.csv", id="evaluate-encoders-scales-short"),
     fails("evaluate", [*EVALUATE, "--encoders", "{short_tree_means}"], 1,
           "{short_tree_means}.json provenance: 'tree_means' has shape ({fewer_kept},), not ({kept},): one entry per "
           "kept tree", id="evaluate-encoders-tree-means-short"),
@@ -276,6 +293,13 @@ CELLS = [
           "{empty_model}: not an ensemble document", id="encode-base-empty-object"),
     fails("encode", [*TRAIN, "--base", "{feature_99}", "--method", "tree-pca"], 1,
           "{feature_99}: tree 0: node 0 splits on feature 99, outside [0, 5)", id="encode-base-feature-99"),
+    # a learning rate of -1 once evaluated; NaN, and a base margin of inf,
+    # failed after the load stage, naming no file
+    *[fails("evaluate", [*EVALUATE, "--base", f"{{{name}}}"], 1, f"{{{name}}}: {error}",
+            id=f"evaluate-base-{name}".replace("_", "-"))
+      for name, error in (("learning_rate_negative", "learning_rate must be finite and positive, got -1"),
+                          ("learning_rate_nan", "learning_rate must be finite and positive, got nan"),
+                          ("base_margin_inf", "base_margin must be finite, got inf"))],
     # --- report's frontier.csv files: a missing column escaped as a KeyError
     # traceback, a bad cell named no file, and no points failed after the
     # load stage, leaving a header-only frontier.csv
@@ -375,6 +399,9 @@ class TestEnvelope:
             "candidate_not_object": {**doc, "candidates": [5]},
             "omega_string": {**doc, "candidates": [good, {**good, "omega": "x"}]},
             "theta_strings": {**doc, "candidates": [good, good, {**good, "theta": ["x"] * len(good["theta"])}]},
+            "omega_nan": {**doc, "candidates": [good, {**good, "omega": float("nan")}]},
+            "theta_nan": {**doc, "candidates": [good, good, {**good, "theta": good["theta"][:-1] + [float("nan")]}]},
+            "method_additive": {**doc, "method": "additive"},
         }
         for name, faulty_doc in faulty.items():
             paths[name] = write_json(root / f"{name}.json", faulty_doc)
@@ -386,6 +413,11 @@ class TestEnvelope:
         model_doc = json.loads(paths["base"].read_text())
         model_doc["trees"][0]["feature"][0] = 99
         paths["feature_99"] = write_json(root / "feature_99.json", model_doc)
+        model_doc = json.loads(paths["base"].read_text())
+        for name, key, value in (("learning_rate_negative", "learning_rate", -1),
+                                 ("learning_rate_nan", "learning_rate", float("nan")),
+                                 ("base_margin_inf", "base_margin", float("inf"))):
+            paths[name] = write_json(root / f"{name}.json", {**model_doc, key: value})
         sidecar = json.loads((run / "encoders.json").read_text())
         provenance = sidecar["provenance"]
         loadings_x = json.loads(json.dumps(provenance["loadings"]))
@@ -401,7 +433,9 @@ class TestEnvelope:
             "combined_kind": {**sidecar, "provenance": {"kind": "combined", "parts": [provenance]}},
             "loading_x": {**sidecar, "provenance": {**provenance, "loadings": loadings_x}},
             "short_scales": {**sidecar, "scales": sidecar["scales"][:-1]},
-            "short_centers": {**sidecar, "centers": sidecar["centers"][:-1]},
+            # the keys a sidecar also held before: names that are not the
+            # CSV header's, and a centres list one short
+            "legacy_keys": {**sidecar, "names": ["x"], "centers": [0.0] * (paths["width"] - 1)},
             "short_tree_means": {**sidecar, "provenance": {**provenance, "tree_means": {"__array__": means[:-1]}}},
             "narrow_loadings": {
                 **sidecar, "provenance": {**provenance, "loadings": {"__array__": [row[:-1] for row in loadings]}},

@@ -12,7 +12,7 @@ from fairfront.bias_metrics import GroupedScores, ThresholdMeasure, cost_bias
 from fairfront.distributions import ABS, SQUARE, EmpiricalDistribution
 from fairfront.estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from fairfront.linear_family import LinearFamily
-from fairfront.relaxation import RelaxationFamily, logistic, ramp
+from fairfront.relaxation import RelaxationFamily
 from oracles import (
     discrete_grid_value,
     estimator_rate_probe,
@@ -144,11 +144,11 @@ class TestSpecValidation:
 
     def test_degenerate_relaxation_rejected(self):
         with pytest.raises(ValueError):
-            BiasEstimatorSpec(relaxation=logistic(-2.0))
+            BiasEstimatorSpec(relaxation=RelaxationFamily("logistic", -2.0))
 
 
 def _all_variant_specs(seed=0):
-    rel = logistic(6.0)
+    rel = RelaxationFamily("logistic", 6.0)
     return [
         BiasEstimatorSpec("threshold-mc", rel, SQUARE, 64, rng_seed=seed),
         BiasEstimatorSpec("threshold-discrete", rel, SQUARE, 64),
@@ -177,14 +177,14 @@ class TestEstimatorValues:
 
     def test_energy_point_masses(self):
         fam = identity_family([0.0, 1.0])
-        spec = BiasEstimatorSpec("energy", logistic(5.0), SQUARE, 16)
+        spec = BiasEstimatorSpec("energy", RelaxationFamily("logistic", 5.0), SQUARE, 16)
         value, _ = bias_value_and_grad(spec, fam, [0.0], batch_of(1, 1))
         assert value == pytest.approx(2.0)
 
     def test_energy_nonnegative(self):
         rng = np.random.default_rng(11)
         fam = identity_family(rng.uniform(0, 1, 40))
-        spec = BiasEstimatorSpec("energy", logistic(5.0), SQUARE, 16)
+        spec = BiasEstimatorSpec("energy", RelaxationFamily("logistic", 5.0), SQUARE, 16)
         for _ in range(10):
             value, _ = bias_value_and_grad(spec, fam, [rng.normal() * 0.1], batch_of(20, 20))
             assert value >= 0.0
@@ -196,14 +196,14 @@ class TestEstimatorValues:
             s0 = rng.uniform(0, 1, rng.integers(3, 9))
             s1 = rng.uniform(0, 1, rng.integers(3, 9))
             fam = identity_family(np.concatenate([s0, s1]))
-            spec = BiasEstimatorSpec("energy", logistic(5.0), SQUARE, 16)
+            spec = BiasEstimatorSpec("energy", RelaxationFamily("logistic", 5.0), SQUARE, 16)
             value, _ = bias_value_and_grad(spec, fam, [0.0], batch_of(s0.size, s1.size))
             oracle = 2.0 * cost_bias(GroupedScores((s0, s1), [0.5, 0.5]), SQUARE, UNIFORM)
             assert value == pytest.approx(oracle, abs=1e-10)
 
     def test_discrete_matches_exact_oracle(self):
         rng = np.random.default_rng(23)
-        spec = BiasEstimatorSpec("threshold-discrete", ramp(200.0), SQUARE, 1 / 1024)
+        spec = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 200.0), SQUARE, 1 / 1024)
         for _ in range(10):
             s0 = rng.uniform(0, 1, 8)
             s1 = rng.uniform(0, 1, 8)
@@ -222,7 +222,7 @@ class TestEstimatorValues:
         oracle = cost_bias(GroupedScores((s0, s1), [0.5, 0.5]), ABS, UNIFORM)
         errs = []
         for k in (1, 2, 3):
-            spec = BiasEstimatorSpec("threshold-discrete", ramp(10.0**k), ABS, 10.0 ** -(k + 1))
+            spec = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 10.0**k), ABS, 10.0 ** -(k + 1))
             value, _ = bias_value_and_grad(spec, fam, [0.0], batch_of(8, 8))
             errs.append(abs(value - oracle))
         # halving per rung, down to the floating-point noise floor
@@ -232,7 +232,7 @@ class TestEstimatorValues:
     def test_mc_is_seed_reproducible(self):
         rng = np.random.default_rng(31)
         fam = identity_family(rng.uniform(0, 1, 20))
-        spec = BiasEstimatorSpec("threshold-mc", logistic(6.0), SQUARE, 64, rng_seed=7)
+        spec = BiasEstimatorSpec("threshold-mc", RelaxationFamily("logistic", 6.0), SQUARE, 64, rng_seed=7)
         v1, g1 = bias_value_and_grad(spec, fam, [0.1], batch_of(10, 10))
         v2, g2 = bias_value_and_grad(spec, fam, [0.1], batch_of(10, 10))
         assert v1 == v2 and np.array_equal(g1, g2)
@@ -248,7 +248,7 @@ class TestEstimatorValues:
         batch = EstimatorBatch(rows[:40], rows[40:80], rows[80:])
         theta = rng.normal(0, 0.3, 4)
         for spec in _all_variant_specs(seed=1) + [
-            BiasEstimatorSpec("threshold-discrete", logistic(6.0), SQUARE, 64, unbiased=True)
+            BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 6.0), SQUARE, 64, unbiased=True)
         ]:
             full_value, grad = bias_value_and_grad(spec, fam, theta, batch)
             lean_value, no_grad = bias_value_and_grad(spec, fam, theta, batch, need_grad=False)
@@ -258,7 +258,7 @@ class TestEstimatorValues:
 
     def test_pool_required_for_invariant_variants(self):
         fam = identity_family([0.2, 0.8])
-        spec = BiasEstimatorSpec("invariant-mc", logistic(6.0), SQUARE, 16)
+        spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16)
         with pytest.raises(ValueError):
             bias_value_and_grad(spec, fam, [0.0], batch_of(1, 1))
 
@@ -269,8 +269,8 @@ class TestEstimatorValues:
         pop0 = EmpiricalDistribution.from_samples(rng.uniform(0, 1, 6))
         pop1 = EmpiricalDistribution.from_samples(rng.uniform(0, 1, 6))
         truth = exact_relaxed_bias_uniform(pop0, pop1, 50.0, SQUARE)
-        spec_raw = BiasEstimatorSpec("threshold-discrete", ramp(50.0), SQUARE, 128)
-        spec_unb = BiasEstimatorSpec("threshold-discrete", ramp(50.0), SQUARE, 128, unbiased=True)
+        spec_raw = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 50.0), SQUARE, 128)
+        spec_unb = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 50.0), SQUARE, 128, unbiased=True)
         m = 24
         raw_err = unb_err = 0.0
         for _ in range(400):
@@ -400,7 +400,7 @@ class TestSortedEnergyOracle:
         scores = np.concatenate([tied_scores(rng, m0, ties), tied_scores(rng, m1, ties), rng.uniform(0, 1, 9)])
         fam = identity_family(scores, n_extra=2, rng=rng)
         theta = np.zeros(3) if ties else rng.normal(0.0, 0.1, 3)  # theta = 0 keeps the ties
-        spec = BiasEstimatorSpec(variant, logistic(8.0), SQUARE, 16)
+        spec = BiasEstimatorSpec(variant, RelaxationFamily("logistic", 8.0), SQUARE, 16)
         batch = drawn_batch(rng, m0, m1, np.arange(m0 + m1, scores.size), draws)
         sorted_vstat = estimators._energy_vstat
         seen = []
@@ -462,7 +462,7 @@ class TestExactRelaxedOracle:
         pop0 = EmpiricalDistribution.from_samples(z0)
         pop1 = EmpiricalDistribution.from_samples(z1)
         fam = identity_family(np.concatenate([z0, z1]))
-        spec = BiasEstimatorSpec("threshold-discrete", ramp(25.0), SQUARE, 64)
+        spec = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 25.0), SQUARE, 64)
         generic, _ = bias_value_and_grad(spec, fam, [0.0], batch_of(7, 7))
         fast = discrete_grid_value(pop0, pop1, 25.0, SQUARE, 64)
         assert generic == pytest.approx(fast, abs=1e-12)
@@ -473,7 +473,7 @@ class TestRateProbe:
         rng = np.random.default_rng(53)
         pop0 = EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, 6))
         pop1 = EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, 6))
-        spec = BiasEstimatorSpec("threshold-mc", ramp(40.0), SQUARE, 64)
+        spec = BiasEstimatorSpec("threshold-mc", RelaxationFamily("ramp", 40.0), SQUARE, 64)
         rows = estimator_rate_probe(spec, pop0, pop1, [2**k for k in range(6, 11)], n_reps=100, seed=1)
         slope = fit_loglog_slope(rows)
         assert -1.3 <= slope <= -0.7
@@ -482,7 +482,7 @@ class TestRateProbe:
         rng = np.random.default_rng(59)
         pop0 = EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, 6))
         pop1 = EmpiricalDistribution.from_samples(rng.uniform(0.05, 0.95, 6))
-        spec = BiasEstimatorSpec("threshold-discrete", ramp(10.0), SQUARE, 64)
+        spec = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 10.0), SQUARE, 64)
         rows = estimator_rate_probe(
             spec, pop0, pop1, [2**k for k in range(6, 11)], n_reps=100, seed=2, coupling=0.4
         )
@@ -701,7 +701,8 @@ class TestMultisetBatches:
             return scores_and_grad(theta, rows)
 
         with mock.patch.object(fam, "scores_and_grad", spy):
-            bias_value_and_grad(BiasEstimatorSpec("invariant-mc", logistic(6.0), SQUARE, 16), fam, [0.0] * 4, batch)
+            spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16)
+            bias_value_and_grad(spec, fam, [0.0] * 4, batch)
         assert [list(rows) for rows in seen] == [[1, 3, 2, 7, 0, 9]]
 
 
@@ -740,7 +741,7 @@ class TestRowIndices:
     )
     def test_scoring_rejects_rows_past_the_family(self, parts, message):
         fam = identity_family([0.1, 0.4, 0.6, 0.9])
-        spec = BiasEstimatorSpec("invariant-mc", logistic(6.0), SQUARE, 16)
+        spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16)
         with pytest.raises(ValueError) as info:
             bias_value_and_grad(spec, fam, [0.0], EstimatorBatch(*parts))
         assert str(info.value) == message
@@ -758,7 +759,7 @@ class TestBlockedSnapshotMemory:
         n = 2400
         fam = LinearFamily(rng.normal(size=n), np.column_stack([np.ones(n), rng.normal(size=n)]))
         batch = EstimatorBatch.full((np.arange(n) >= n // 2).astype(int))
-        spec = BiasEstimatorSpec(variant, logistic(20.0), SQUARE, 64, unbiased=True)
+        spec = BiasEstimatorSpec(variant, RelaxationFamily("logistic", 20.0), SQUARE, 64, unbiased=True)
         theta = np.array([0.1, -0.2])
         tracemalloc.start()
         try:
@@ -814,6 +815,6 @@ class TestUnbiasedRecordsWhatApplies:
         ],
     )
     def test_normalised(self, variant, cost, applied):
-        spec = BiasEstimatorSpec(variant, logistic(20.0), cost, 64, unbiased=True)
-        assert spec.unbiased is applied
-        assert BiasEstimatorSpec(variant, logistic(20.0), cost, 64, unbiased=False).unbiased is False
+        relaxation = RelaxationFamily("logistic", 20.0)
+        assert BiasEstimatorSpec(variant, relaxation, cost, 64, unbiased=True).unbiased is applied
+        assert BiasEstimatorSpec(variant, relaxation, cost, 64, unbiased=False).unbiased is False

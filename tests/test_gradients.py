@@ -8,7 +8,7 @@ import pytest
 from fairfront.distributions import ABS, SQUARE
 from fairfront.estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from fairfront.linear_family import LinearFamily
-from fairfront.relaxation import logistic, shifted_logistic
+from fairfront.relaxation import RelaxationFamily
 
 
 def make_family(rng, n=90, m=4, link="logistic"):
@@ -44,24 +44,25 @@ def check_gradient(spec, family, batch, theta, rel_tol=1e-5):
 
 
 SMOOTH_SPECS = [
-    BiasEstimatorSpec("threshold-mc", logistic(12.0), SQUARE, 48, rng_seed=3),
-    BiasEstimatorSpec("threshold-mc", shifted_logistic(12.0), SQUARE, 48, rng_seed=3),
-    BiasEstimatorSpec("threshold-discrete", logistic(12.0), SQUARE, 48),
-    BiasEstimatorSpec("threshold-discrete", logistic(12.0), ABS, 48),
-    BiasEstimatorSpec("threshold-discrete-trapezoid", logistic(12.0), SQUARE, 48),
-    BiasEstimatorSpec("threshold-discrete-trapezoid", logistic(20.0), SQUARE, 1 / 129),
-    BiasEstimatorSpec("energy", logistic(12.0), SQUARE, 48),
-    BiasEstimatorSpec("invariant-mc", logistic(12.0), SQUARE, 48),
-    BiasEstimatorSpec("invariant-kde-discrete", logistic(12.0), SQUARE, 48, kde_bandwidth=0.12),
+    BiasEstimatorSpec("threshold-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48, rng_seed=3),
+    BiasEstimatorSpec("threshold-mc", RelaxationFamily("shifted-logistic", 12.0), SQUARE, 48, rng_seed=3),
+    BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+    BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 12.0), ABS, 48),
+    BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+    BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 1 / 129),
+    BiasEstimatorSpec("energy", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+    BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+    BiasEstimatorSpec("invariant-kde-discrete", RelaxationFamily("logistic", 12.0), SQUARE, 48, kde_bandwidth=0.12),
     # Silverman's bandwidth, which moves with theta
     pytest.param(
-        BiasEstimatorSpec("invariant-kde-discrete", logistic(12.0), SQUARE, 48), id="invariant-kde-discrete-silverman"
+        BiasEstimatorSpec("invariant-kde-discrete", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+        id="invariant-kde-discrete-silverman",
     ),
-    BiasEstimatorSpec("invariant-energy-relaxed", logistic(12.0), SQUARE, 48),
-    BiasEstimatorSpec("threshold-discrete", logistic(12.0), SQUARE, 48, unbiased=True),
-    BiasEstimatorSpec("threshold-discrete-trapezoid", logistic(12.0), SQUARE, 48, unbiased=True),
-    BiasEstimatorSpec("threshold-mc", logistic(12.0), SQUARE, 48, rng_seed=5, unbiased=True),
-    BiasEstimatorSpec("invariant-mc", logistic(12.0), SQUARE, 48, unbiased=True),
+    BiasEstimatorSpec("invariant-energy-relaxed", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+    BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 12.0), SQUARE, 48, unbiased=True),
+    BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 12.0), SQUARE, 48, unbiased=True),
+    BiasEstimatorSpec("threshold-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48, rng_seed=5, unbiased=True),
+    BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48, unbiased=True),
 ]
 
 
@@ -78,9 +79,9 @@ def test_gradient_matches_finite_difference_logistic_link(spec):
 @pytest.mark.parametrize(
     "spec",
     [
-        BiasEstimatorSpec("threshold-discrete", logistic(10.0), SQUARE, 48),
-        BiasEstimatorSpec("energy", logistic(10.0), SQUARE, 48),
-        BiasEstimatorSpec("invariant-mc", logistic(10.0), SQUARE, 48),
+        BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 10.0), SQUARE, 48),
+        BiasEstimatorSpec("energy", RelaxationFamily("logistic", 10.0), SQUARE, 48),
+        BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 10.0), SQUARE, 48),
     ],
     ids=lambda s: s.variant,
 )

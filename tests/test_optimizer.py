@@ -13,9 +13,9 @@ from fairfront.optimizer import (
     penalized_objective,
     sgd_sweep,
 )
-from fairfront.relaxation import logistic
+from fairfront.relaxation import RelaxationFamily
 
-SPEC = BiasEstimatorSpec("threshold-discrete-trapezoid", logistic(20.0), SQUARE, 33)
+SPEC = BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 33)
 
 
 def biased_problem(rng, n=600):
