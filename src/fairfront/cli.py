@@ -124,10 +124,10 @@ class Manifest:
             "status": "incomplete",
         }
         self.out_dir = out_dir
-        self._stage_start = time.time()
+        self._stage_start = time.perf_counter()
 
     def stage(self, name: str):
-        now = time.time()
+        now = time.perf_counter()
         self.doc["timings"][name] = round(now - self._stage_start, 3)
         self._stage_start = now
 
@@ -222,7 +222,7 @@ def cmd_generate(resolved, manifest, out):
     manifest.stage("write")
 
 
-# GBDT flag -> GBDTParams field
+# flag -> field of the config object it fills, in the flags' order
 _GBDT_FIELDS = {
     "depth": "depth",
     "rounds": "rounds",
@@ -230,14 +230,26 @@ _GBDT_FIELDS = {
     "min-leaf": "min_leaf",
     "early-stop": "early_stop_rounds",
 }
+# the omegas wait for the encoders, and the seed is every command's own flag
+_SWEEP_FIELDS = {
+    "objective": "objective",
+    "loss": "loss",
+    "epochs": "n_epochs",
+    "batches": "n_batches",
+    "batch-size": "batch_size",
+    "sgd-rate": "learning_rate",
+    "theta-box": "theta_box",
+}
 
 
-def _tree_params(resolved) -> GBDTParams:
-    return GBDTParams(**{name: resolved[flag] for flag, name in _GBDT_FIELDS.items()})
+def _from_flags(kind, fields, resolved, **others):
+    """A ``kind`` config object, each field in ``fields`` from its flag."""
+    return kind(**{name: resolved[flag] for flag, name in fields.items()}, **others)
 
 
-def _gbdt(params: GBDTParams) -> dict:
-    return {flag: getattr(params, name) for flag, name in _GBDT_FIELDS.items()}
+def _flag_defaults(fields, config) -> dict:
+    """The flags of ``fields``, each defaulting to its field of ``config``."""
+    return {flag: getattr(config, name) for flag, name in fields.items()}
 
 
 GRID = [
@@ -258,7 +270,7 @@ def _select_by_gap_rule(entries):
 
 
 def cmd_train_base(resolved, manifest, out):
-    params = _tree_params(resolved)
+    params = _from_flags(GBDTParams, _GBDT_FIELDS, resolved)
     train_ds, test_ds = _load_splits(resolved)
     _both_classes(train_ds, resolved["train"], resolved["label"])
     valid = (test_ds.X, test_ds.y) if test_ds is not None else None
@@ -349,33 +361,11 @@ def _write_frontier(method, splits, scored, out, manifest):
     _write_frontier_artifacts(points, out, manifest)
 
 
-def _linear_family(enc, model, ds):
-    """The linear family of ``enc``'s columns on the split ``ds`` they hold;
-    its base scores come from the tree walk that formed the columns, or from
-    a walk of their own where none did."""
-    raw = enc.raw_scores if enc.raw_scores is not None else model.predict_raw(ds.X)
-    return enc.to_linear_family(raw)
-
-
-def _reevaluated_family(enc, model, ds):
-    """The linear family of ``enc``'s columns rebuilt on another split."""
-    return _linear_family(enc.reevaluate(ds.X, model=model), model, ds)
-
-
 def cmd_mitigate(resolved, manifest, out):
     # the estimator and the sweep settings are checked before any stage; the
     # omega ladder waits for the encoders when it is scaled by the loss/bias ratio
     spec = _estimator_spec(resolved)
-    sweep_cfg = SweepConfig(
-        learning_rate=resolved["sgd-rate"],
-        n_epochs=resolved["epochs"],
-        n_batches=resolved["batches"],
-        batch_size=resolved["batch-size"],
-        theta_box=resolved["theta-box"],
-        objective=resolved["objective"],
-        loss=resolved["loss"],
-        seed=resolved["seed"],
-    )
+    sweep_cfg = _from_flags(SweepConfig, _SWEEP_FIELDS, resolved, seed=resolved["seed"])
     (train_ds, test_ds), model = _load_inputs(
         resolved, resolved["base"], scored=True, shapley=resolved["method"] == "shapley"
     )
@@ -385,7 +375,7 @@ def cmd_mitigate(resolved, manifest, out):
     _save_encoders(enc, out, manifest)
     manifest.stage("encoders")
 
-    fam_train = _linear_family(enc, model, train_ds)
+    fam_train = enc.family(model, train_ds.X)
     scale = resolved["omega-scale-mult"]
     if resolved["omega-scale"] == "ratio":
         scale *= loss_bias_ratio_scale(fam_train, spec, train_ds.y, train_ds.g)
@@ -424,7 +414,7 @@ def cmd_mitigate(resolved, manifest, out):
 
     def scored(ds):
         # the train family is the sweep's; the test split gets its columns rebuilt
-        family = fam_train if ds is train_ds else _reevaluated_family(enc, model, ds)
+        family = fam_train if ds is train_ds else enc.reevaluate(ds.X, model=model).family(model, ds.X)
         return ((omega, theta, family.scores(theta)) for omega, theta in candidates)
 
     _write_frontier(resolved["method"], (train_ds, test_ds), scored, out, manifest)
@@ -487,7 +477,7 @@ def cmd_evaluate(resolved, manifest, out):
     manifest.stage("load")
 
     def scored(ds):
-        family = _reevaluated_family(enc, model, ds)
+        family = enc.reevaluate(ds.X, model=model).family(model, ds.X)
         return ((omega, theta, family.scores(theta)) for omega, theta in candidates)
 
     _write_frontier(doc["method"], splits, scored, out, manifest)
@@ -562,7 +552,7 @@ def cmd_baseline_rescale(resolved, manifest, out):
 
 def cmd_baseline_ot(resolved, manifest, out):
     thetas = np.linspace(0.0, 1.0, resolved["thetas"])
-    params = _tree_params(resolved)
+    params = _from_flags(GBDTParams, _GBDT_FIELDS, resolved)
     (train_ds, test_ds), model = _load_inputs(resolved, resolved["base"], scored=True)
     manifest.stage("load")
     proj = ot_projection(model, train_ds.X, train_ds.g, params=params, thetas=thetas)
@@ -713,7 +703,7 @@ COMMANDS = {
     "generate": Command(cmd_generate, {"model": "m1", "n": 20_000, **_SEED, "split": None, "out": "data"}),
     "train-base": Command(
         cmd_train_base,
-        {**_DATA, "grid": False, **_gbdt(_BASE_MODEL), **_SEED, "out": "model"},
+        {**_DATA, "grid": False, **_flag_defaults(_GBDT_FIELDS, _BASE_MODEL), **_SEED, "out": "model"},
         needs=("train",),
     ),
     "encode": Command(
@@ -740,13 +730,7 @@ COMMANDS = {
             "omega-scale": "ratio",
             "omega-scale-mult": 1.5,
             # the ratio-scaled ladder passes omega = 1, where the penalized loss weight 1 - omega turns negative
-            "objective": "lagrangian",
-            "loss": SweepConfig.loss,
-            "epochs": SweepConfig.n_epochs,
-            "batches": SweepConfig.n_batches,
-            "batch-size": SweepConfig.batch_size,
-            "sgd-rate": SweepConfig.learning_rate,
-            "theta-box": SweepConfig.theta_box,
+            **_flag_defaults(_SWEEP_FIELDS, SweepConfig(objective="lagrangian")),
             **_SEED,
             "out": "run",
         },
@@ -768,7 +752,10 @@ COMMANDS = {
     ),
     "baseline-ot": Command(
         cmd_baseline_ot,
-        {**_DATA, "base": None, "thetas": DEFAULT_THETA_GRID, **_gbdt(OT_REGRESSOR_PARAMS), **_SEED, "out": "ot"},
+        {
+            **_DATA, "base": None, "thetas": DEFAULT_THETA_GRID,
+            **_flag_defaults(_GBDT_FIELDS, OT_REGRESSOR_PARAMS), **_SEED, "out": "ot",
+        },
         needs=("train", "base"),
     ),
     "evaluate": Command(

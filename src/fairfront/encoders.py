@@ -26,11 +26,12 @@ the names.
 
 Tree-pca columns ride on the model's tree walk: they are formed block by
 block inside ``predict_raw``'s walk, which also gives the records' raw
-margins (``EncoderMatrix.raw_scores``), bitwise ``predict_raw``.  The build
-walks its records twice, first for the moments of the per-tree outputs, in
-bounded blocks of rows, then for the columns as re-evaluation does; no
-records x trees matrix is formed, and the build holds one trees x trees
-co-moment.
+margins (``EncoderMatrix.raw_scores``), bitwise ``predict_raw``;
+``EncoderMatrix.family`` takes a split's base scores from there and walks
+the model itself only for the other kinds.  The build walks its records
+twice, first for the moments of the per-tree outputs, in bounded blocks of
+rows, then for the columns as re-evaluation does; no records x trees matrix
+is formed, and the build holds one trees x trees co-moment.
 """
 
 from __future__ import annotations
@@ -70,7 +71,9 @@ class EncoderMatrix:
     rebuild the columns on new records, the centres of ``centers`` included.
     ``raw_scores`` are the model's raw margins on the same records, read off
     the tree walk that formed tree-pca columns (bitwise ``predict_raw``);
-    None where no walk formed them.  They are not saved.
+    None where no walk formed them.  They are not saved.  ``family`` makes
+    the linear family of a split: the build's matrix for the build records,
+    ``reevaluate``'s for any other split.
     """
 
     columns: np.ndarray
@@ -103,15 +106,17 @@ class EncoderMatrix:
             return np.concatenate(([0.0], self.provenance["phi_centers"]))
         return np.zeros(self.n_columns)
 
-    def standardized_columns(self) -> np.ndarray:
-        return self.columns / self.scales[None, :]
-
     def original_theta(self, theta) -> np.ndarray:
         """Map a parameter fit on standardized columns to original units."""
         return np.asarray(theta, dtype=float) / self.scales
 
-    def to_linear_family(self, base_scores) -> LinearFamily:
-        return LinearFamily(base_scores, self.standardized_columns())
+    def family(self, model, X) -> LinearFamily:
+        """The linear family of these columns on ``X``, the records they
+        were formed on: the columns divided by their scales, over the base
+        scores of the tree walk that formed them (``raw_scores``), or of one
+        walk of ``model`` where none did."""
+        raw = self.raw_scores if self.raw_scores is not None else model.predict_raw(X)
+        return LinearFamily(raw, self.columns / self.scales[None, :])
 
     def reevaluate(self, X, model=None) -> "EncoderMatrix":
         """Rebuild the same columns on new records from the frozen state;

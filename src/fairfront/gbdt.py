@@ -369,9 +369,7 @@ class Ensemble:
             raise ValueError("tree {}: non-finite {}".format(*min(faults)))
         base_margin = json_field(doc, "base_margin", "ensemble", _NUMBER)
         learning_rate = json_field(doc, "learning_rate", "ensemble", _NUMBER)
-        # the rules of GBDTParams, which trained the model
-        if not (np.isfinite(learning_rate) and learning_rate > 0):
-            raise ValueError(f"learning_rate must be finite and positive, got {learning_rate}")
+        GBDTParams(learning_rate=learning_rate)  # its rule, as when the model was trained
         if not np.isfinite(base_margin):
             raise ValueError(f"base_margin must be finite, got {base_margin}")
         n_features = json_field(doc, "n_features", "ensemble", int)
@@ -475,11 +473,12 @@ def _best_split(xs, gs, g_total, n, min_leaf):
     targets, which only depends on the gradient sums and record counts of
     the two sides.  A boundary between distinct consecutive values is a
     candidate when both sides keep ``min_leaf`` records; each feature takes
-    its first best candidate, and a feature wins only by a strictly larger
-    gain, so ties go to the lowest feature, then the lowest threshold.
-    Returns (gain, feature, threshold) or None.
+    its first best candidate, and the first feature with the largest of
+    those gains wins, so ties go to the lowest feature, then the lowest
+    threshold.  Returns (gain, feature, threshold), or None where no gain
+    exceeds ``_MIN_GAIN``.
     """
-    if n < 2:
+    if n < 2 or xs.shape[0] == 0:
         return None
     nl = np.arange(1.0, n)
     gl = np.cumsum(gs, axis=1)[:, :-1]
@@ -488,14 +487,12 @@ def _best_split(xs, gs, g_total, n, min_leaf):
     cand = (xs[:, 1:] > xs[:, :-1]) & (nl >= min_leaf) & (nr >= min_leaf)
     gain = np.where(cand, gl * gl / nl + gr * gr / nr - g_total * g_total / n, -np.inf)
     at = np.argmax(gain, axis=1)
-    best = None
-    for f, (top, k) in enumerate(zip(gain[np.arange(gain.shape[0]), at].tolist(), at.tolist())):
-        if top > _MIN_GAIN and (best is None or top > best[0]):
-            best = (top, f, k)
-    if best is None:
+    tops = gain[np.arange(gain.shape[0]), at]
+    f = int(np.argmax(tops))
+    if not tops[f] > _MIN_GAIN:
         return None
-    top, f, k = best
-    return top, f, 0.5 * (xs[f, k] + xs[f, k + 1])
+    k = at[f]
+    return float(tops[f]), f, 0.5 * (xs[f, k] + xs[f, k + 1])
 
 
 def _fit_tree(X, presorted, g, h, depth, min_leaf):

@@ -25,12 +25,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import cross_entropy, fmt_float, row_indices, sigmoid
+from ._util import cross_entropy, fmt_float, logit, row_indices, sigmoid
 from .estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from .linear_family import LinearFamily
 
 _LOSSES = ("cross-entropy", "distill")
 _FORMS = ("penalized", "lagrangian")
+_DISTILL_EPS = 1e-7   # the distillation loss and its cotangent clamp p to [eps, 1 - eps]
 
 
 @dataclass
@@ -90,8 +91,8 @@ def loss_bias_ratio_scale(family, spec, labels, groups) -> float:
 def distill_loss(p, q) -> float:
     """Bernoulli Kullback-Leibler divergence of p from q, clamped inside
     [1e-7, 1 - 1e-7]; zero exactly when p equals q and nonnegative always."""
-    p = np.clip(np.asarray(p, dtype=float), 1e-7, 1.0 - 1e-7)
-    q = np.clip(np.asarray(q, dtype=float), 1e-7, 1.0 - 1e-7)
+    p = np.clip(np.asarray(p, dtype=float), _DISTILL_EPS, 1.0 - _DISTILL_EPS)
+    q = np.clip(np.asarray(q, dtype=float), _DISTILL_EPS, 1.0 - _DISTILL_EPS)
     return float(np.mean(p * (np.log(p) - np.log(q)) + (1 - p) * (np.log1p(-p) - np.log1p(-q))))
 
 
@@ -115,9 +116,7 @@ def _loss_and_cotangent(family, p, rows, labels, loss_kind):
         y = labels[rows]
         return cross_entropy(p, y), p - y
     teacher = sigmoid(family.base_scores[rows])
-    pc = np.clip(p, 1e-7, 1.0 - 1e-7)
-    qc = np.clip(teacher, 1e-7, 1.0 - 1e-7)
-    dldp = np.log(pc) - np.log1p(-pc) - (np.log(qc) - np.log1p(-qc))
+    dldp = logit(p, _DISTILL_EPS) - logit(teacher, _DISTILL_EPS)
     return distill_loss(p, teacher), dldp * p * (1 - p)
 
 

@@ -91,8 +91,8 @@ def run_sweep(pipe, method, seed):
         enc = tree_pca_encoders(model, train_ds.X, r=40)
     else:
         enc = additive_encoders(train_ds.X, degree=1, basis="monomial", feature_names=train_ds.feature_names)
-    fam_tr = enc.to_linear_family(pipe["base_raw_train"])
-    fam_te = enc.reevaluate(test_ds.X, model=model).to_linear_family(pipe["base_raw_test"])
+    fam_tr = enc.family(model, train_ds.X)
+    fam_te = enc.reevaluate(test_ds.X, model=model).family(model, test_ds.X)
     scale = OMEGA_SCALE_MULT * loss_bias_ratio_scale(fam_tr, ESTIMATOR, train_ds.y, train_ds.g)
     cfg = SweepConfig(omegas=default_omegas(scale), objective="lagrangian", seed=seed)
     candidates, _ = sgd_sweep(fam_tr, ESTIMATOR, cfg, train_ds.y, train_ds.g)

@@ -5,8 +5,10 @@ recorded from the CLI as it stood before its option table, except that
 mitigate has since recorded ``kde-bandwidth`` (null by default), which moved
 the two mitigate hashes.  A change to any of them changes what a manifest
 records for the same flags.  The last pins are the set of names the library
-exports and the encoder kinds that a sidecar may hold."""
+exports, the encoder kinds that a sidecar may hold, and the config fields
+that the flag tables fill."""
 
+import dataclasses
 import types
 
 import pytest
@@ -14,6 +16,8 @@ import pytest
 import fairfront
 import fairfront.cli as cli
 from fairfront.encoders import _STATE_FIELDS
+from fairfront.gbdt import GBDTParams
+from fairfront.optimizer import SweepConfig
 
 FLAG_SETS = {
     "generate": {"--config", "--model", "--n", "--out", "--seed", "--split"},
@@ -223,3 +227,14 @@ def test_sidecar_kinds_are_the_method_choices():
     # a kind that EncoderMatrix.load accepts but no subcommand writes is a
     # path that nothing in the pipeline reaches
     assert set(_STATE_FIELDS) == set(cli.FLAGS["method"][0]["choices"])
+
+
+def test_flag_tables_cover_their_config_objects():
+    # each field is filled from its one flag; a sweep's omegas wait for the
+    # encoders, and its seed is the command's own --seed
+    def names(kind):
+        return {f.name for f in dataclasses.fields(kind)}
+
+    assert set(cli._GBDT_FIELDS.values()) == names(GBDTParams)
+    assert set(cli._SWEEP_FIELDS.values()) == names(SweepConfig) - {"omegas", "seed"}
+    assert set(cli._GBDT_FIELDS) | set(cli._SWEEP_FIELDS) <= set(cli.FLAGS)

@@ -23,6 +23,7 @@ from fairfront.gbdt import (
     per_tree_outputs,
     train,
 )
+from fairfront.linear_family import LinearFamily
 from oracles import ExplanationSet, enumerated_marginal_shapley, reconstruct_explanations, whole_matrix_tree_pca
 from test_gbdt import random_tree
 
@@ -280,6 +281,33 @@ class TestSharedWalk:
         pca = tree_pca_encoders(model, X, r=2)
         assert np.array_equal(pca.raw_scores, model.predict_raw(X))
         assert np.array_equal(pca.reevaluate(X, model=model).raw_scores, model.predict_raw(X))
+
+    @pytest.mark.parametrize("kind", ["tree-pca", "additive", "shapley"])
+    def test_family_walks_only_where_no_walk_formed_the_columns(self, kind, monkeypatch):
+        rng = np.random.default_rng(14)
+        model, X = small_ensemble(rng, rounds=10)
+        new = rng.normal(size=(70, 3))
+        enc = {
+            "tree-pca": lambda: tree_pca_encoders(model, X, r=2),
+            "additive": lambda: additive_encoders(X, degree=2),
+            "shapley": lambda: shapley_encoders(model, X, background_size=20),
+        }[kind]()
+        splits = [(X, enc), (new, enc.reevaluate(new, model=model))]
+        predict_raw = Ensemble.predict_raw
+        walks = []
+
+        def counted(self, records, each_block=None):
+            walks.append(records.shape[0])
+            return predict_raw(self, records, each_block)
+
+        monkeypatch.setattr(Ensemble, "predict_raw", counted)
+        for records, matrix in splits:
+            walks.clear()
+            family = matrix.family(model, records)
+            assert walks == ([] if kind == "tree-pca" else [records.shape[0]])
+            expected = LinearFamily(predict_raw(model, records), matrix.columns / matrix.scales)
+            assert family.base_scores.tobytes() == expected.base_scores.tobytes()
+            assert family.encoder_matrix.tobytes() == expected.encoder_matrix.tobytes()
 
 
 class TestShapley:
@@ -626,7 +654,7 @@ class TestPersistence:
         rng = np.random.default_rng(15)
         X = rng.normal(size=(50, 2)) * 40.0
         enc = additive_encoders(X, degree=1, basis="monomial")
-        std = enc.standardized_columns()
+        std = enc.family(Ensemble(0.0, 0.1, [], 2), X).encoder_matrix
         assert np.allclose(std[:, 1:].std(axis=0), 1.0)
         theta_std = np.array([0.5, 1.2, -0.7])
         theta_orig = enc.original_theta(theta_std)

@@ -227,6 +227,13 @@ class TestTraining:
         assert model.n_trees == 0
         assert np.all(model.predict_proba(X) > 0.99)
 
+    def test_records_without_features_fit_single_leaves(self):
+        # nothing to split on: every round fits one leaf
+        y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
+        model = train(np.zeros((5, 0)), y, params=GBDTParams(rounds=3, early_stop_rounds=0))
+        assert model.n_trees == 3
+        assert all(tree.feature.tolist() == [-1] for tree in model.trees)
+
     def test_separable_data_fits_perfectly(self):
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, size=(200, 1))

@@ -314,7 +314,7 @@ class TestSweep:
                 params=GBDTParams(depth=2, rounds=200, learning_rate=0.08, min_leaf=16.0),
             )
             enc = tree_pca_encoders(model, train_ds.X, r=12)
-            fam = enc.to_linear_family(model.predict_raw(train_ds.X))
+            fam = enc.family(model, train_ds.X)
             scale = 1.5 * loss_bias_ratio_scale(fam, SPEC, train_ds.y, train_ds.g)
             cfg = SweepConfig(
                 omegas=default_omegas(scale, 9),
