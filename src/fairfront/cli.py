@@ -114,8 +114,8 @@ class Manifest:
                 "fairfront": __version__,
                 "python": sys.version.split()[0],
                 "numpy": np.__version__,
-                # the BLAS and its thread count set the last bits of the
-                # tree-pca columns
+                # the BLAS and its thread count can set the last bits of
+                # BLAS products, the tree-pca co-moment among them
                 "blas": _blas(),
                 "threads": {var: os.environ.get(var) for var in _THREAD_VARS},
             },

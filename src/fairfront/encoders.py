@@ -31,7 +31,9 @@ margins (``EncoderMatrix.raw_scores``), bitwise ``predict_raw``;
 the model itself only for the other kinds.  The build walks its records
 twice, first for the moments of the per-tree outputs, in bounded blocks of
 rows, then for the columns as re-evaluation does; no records x trees matrix
-is formed, and the build holds one trees x trees co-moment.
+is formed, and the build holds one trees x trees co-moment.  Its top r
+eigenvectors come from subspace iteration on 2r vectors, whose only
+``eigh`` is of a 2r x 2r matrix (``_top_eigenpairs``).
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,6 +63,18 @@ _ZERO_VAR = 1e-15
 # trees and 10k records, 2^21 raised the process peak by 6 MB over 2^20, and
 # 2^18 or fewer took a third longer (one trees x trees merge per block)
 _PCA_BLOCK_CELLS = 1 << 20
+# the tree-pca eigensolver (``_top_eigenpairs``) stops once every top-r Ritz
+# residual is at most _RITZ_TOL * theta_1, ten times its rounding floor
+# (about 1e-15 from 200 to 3000 trees), and gives up after _RITZ_STEPS
+# Rayleigh-Ritz steps.  At 800 trees and r = 40, filter degree 5 took 4 or 5
+# steps and less time than degrees 3, 4 and 6.  The filter stops short of
+# its degree where it would grow theta_1 over theta_r by more than
+# _FILTER_RANGE: past about 1 / eps, the rounding that a column carries in
+# the top directions outgrows the column's own eigenvector
+_RITZ_TOL = 1e-14
+_RITZ_STEPS = 100
+_FILTER_DEGREE = 5
+_FILTER_RANGE = 1e14
 
 
 @dataclass
@@ -155,18 +170,10 @@ class EncoderMatrix:
         scales = _float_array(json_field(meta, "scales", sidecar_path, list), sidecar_path, "scales")
         where = f"{sidecar_path} provenance"
         provenance = _unjsonify(json_field(meta, "provenance", sidecar_path, dict), where)
-        rows = []
         with open(csv_path, newline="") as fh:
-            reader = csv.reader(fh)
-            names = next(reader, [])
-            for r, row in enumerate(reader, 2):
-                if len(row) != len(names):
-                    raise ValueError(f"{csv_path}: row {r}: {len(row)} cells under a header of {len(names)}")
-                try:
-                    rows.append([float(v) for v in row])
-                except ValueError as exc:
-                    raise ValueError(f"{csv_path}: row {r}: {exc}") from None
-        if not rows:
+            names = next(csv.reader(fh), [])
+            cells = _csv_cells(fh, len(names), csv_path)
+        if not len(cells):
             raise ValueError(f"{csv_path}: no rows of encoder columns")
         if scales.shape != (len(names),):
             raise ValueError(
@@ -175,9 +182,45 @@ class EncoderMatrix:
             )
         _check_state(provenance, where, len(names) - 1, csv_path)
         try:
-            return cls(np.asarray(rows, dtype=float), names, provenance, scales)
+            return cls(cells, names, provenance, scales)
         except ValueError as exc:  # a constant column that is not 1, a non-finite cell
             raise ValueError(f"{csv_path}: {exc}") from None
+
+
+def _csv_cells(fh, width, csv_path) -> np.ndarray:
+    """The rows left in the open CSV ``fh`` as a (rows, ``width``) float
+    matrix, converted in one ``np.loadtxt`` over its lines.  Where that
+    fails, warns, or skips a line (it skips blank ones), ``csv_path`` is
+    read again row by row in Python, to name the first row that is not
+    ``width`` numbers."""
+    lines = 0
+
+    def counted():
+        nonlocal lines
+        for line in fh:
+            lines += 1
+            yield line
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # loadtxt warns where no line holds data
+        try:
+            cells = np.loadtxt(counted(), delimiter=",", comments=None, ndmin=2)
+            if cells.shape == (lines, width):
+                return cells
+        except (ValueError, UserWarning):
+            pass
+    rows = []
+    with open(csv_path, newline="") as again:
+        reader = csv.reader(again)
+        next(reader, None)
+        for r, row in enumerate(reader, 2):
+            if len(row) != width:
+                raise ValueError(f"{csv_path}: row {r}: {len(row)} cells under a header of {width}")
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                raise ValueError(f"{csv_path}: row {r}: {exc}") from None
+    return np.asarray(rows, dtype=float).reshape(len(rows), width)
 
 
 def _jsonify(obj):
@@ -409,7 +452,7 @@ def _tree_components(ensemble, X, r):
     """The trees with varying output on ``X``, their means, and the top-r
     eigenvalues and sign-fixed loadings of their covariance.  The co-moment
     is cut to the kept trees and divided in place, so it is the only
-    trees x trees array alive when ``eigh`` runs."""
+    trees x trees array alive while ``_top_eigenpairs`` runs."""
     means, comoment = _tree_moments(ensemble, X)
     kept = np.flatnonzero(np.diagonal(comoment) / X.shape[0] > _ZERO_VAR)
     if r > kept.size:
@@ -417,12 +460,94 @@ def _tree_components(ensemble, X, r):
     if kept.size < ensemble.n_trees:
         comoment = comoment[np.ix_(kept, kept)]
     comoment /= max(X.shape[0] - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(comoment)
-    order = np.argsort(eigvals)[::-1][:r]
-    loadings = eigvecs[:, order]
+    eigenvalues, loadings = _top_eigenpairs(comoment, r)
     flip = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(r)] < 0
     loadings[:, flip] *= -1.0
-    return kept, means[kept], eigvals[order], loadings
+    return kept, means[kept], eigenvalues, loadings
+
+
+def _top_eigenpairs(cov, r):
+    """The r largest eigenvalues of the positive semidefinite ``cov``, in
+    descending order, and their unit eigenvectors (n x r): subspace
+    iteration on a block of p = min(2r, n) orthonormal vectors Q, with a
+    Rayleigh-Ritz step on each (Saad, Numerical Methods for Large
+    Eigenvalue Problems, 2011, ch. 5).
+
+    The block starts from a fixed Gaussian draw.  A step forms C Q once:
+    the p x p ``eigh`` of Q^T (C Q) gives the Ritz values theta and vectors
+    X = Q S, and (C Q) S = C X their residuals.  Once every top-r residual
+    |C x - theta x| is at most ``_RITZ_TOL`` * theta_1, the top r Ritz pairs
+    are returned; with p = n the first step is exact.  Otherwise the QR of
+    the filtered Ritz vectors (``_chebyshev_filter``) is the next Q.  After
+    ``_RITZ_STEPS`` steps a ``ValueError`` names r, theta_r and theta_p,
+    whose ratio sets the rate.  The n x p work blocks are made once and
+    written in place; only each QR returns a new block."""
+    n = cov.shape[0]
+    p = min(2 * r, n)
+    basis = np.linalg.qr(np.random.default_rng(0).standard_normal((n, p)))[0]
+    product, ritz, ritz_product, work, spare = (np.empty((n, p)) for _ in range(5))
+    residual = work[:, :r]
+    for _ in range(_RITZ_STEPS):
+        np.matmul(cov, basis, out=product)
+        theta, rotation = np.linalg.eigh(basis.T @ product)
+        theta, rotation = theta[::-1], rotation[:, ::-1]
+        np.matmul(basis, rotation, out=ritz)
+        np.matmul(product, rotation, out=ritz_product)
+        np.multiply(ritz[:, :r], theta[:r], out=residual)
+        residual -= ritz_product[:, :r]
+        if np.max(np.einsum("ij,ij->j", residual, residual)) <= (_RITZ_TOL * theta[0]) ** 2:
+            return theta[:r].copy(), ritz[:, :r].copy()
+        basis = np.linalg.qr(_chebyshev_filter(cov, ritz, ritz_product, theta, r, work, spare))[0]
+    raise ValueError(
+        f"tree-pca: the top {r} eigenvectors of the trees' covariance did not converge in {_RITZ_STEPS} "
+        f"subspace steps of {p} vectors: theta_{r} = {theta[r - 1]:.6g} against theta_{p} = {theta[-1]:.6g}, "
+        "too close a gap between the kept components and the rest"
+    )
+
+
+def _chebyshev_filter(cov, ritz, ritz_product, theta, r, work, spare):
+    """f(C) X for the Ritz vectors X = ``ritz`` (C X = ``ritz_product``) and
+    the scaled Chebyshev filter of Zhou and Saad (2007),
+    f_m(t) = T_m((t - h) / h) / T_m((theta_1 - h) / h), h = theta_p / 2
+    (0 if theta_p < 0).  It damps [0, theta_p] and is 1 at theta_1, so an
+    eigenvalue lambda_k > theta_p gains about acosh(2 lambda_k / theta_p - 1)
+    nepers per product on those below, where a power step gains
+    ln(lambda_k / theta_p).  Each column holds one Ritz vector, so the
+    columns grow apart without mixing, until the rounding a column carries
+    in the top directions outgrows it (``_FILTER_RANGE``).
+
+    f_1 = g_1 (t - h) with g_1 = 1 / (theta_1 - h), then
+    f_{k+1} = 2 g_{k+1} ((t - h) f_k - h^2 g_k / 2 f_{k-1}) with
+    g_{k+1} = 1 / (2 (theta_1 - h) - h^2 g_k); written with g rather than
+    1 / h, it stays finite as theta_p goes to 0, where f_m(t) becomes
+    (t / theta_1)^m.  The degree is ``_FILTER_DEGREE``, or the last below it
+    whose |f(theta_r)| is at least 1 / ``_FILTER_RANGE`` (at least 1).
+    Overwrites ``ritz`` and the work blocks; returns the block that holds
+    the result."""
+    h = max(theta[-1], 0.0) / 2
+    top = theta[0] - h
+    g = 1.0 / top
+    shifted = theta[r - 1] - h
+    at_r = (1.0, g * shifted)  # f_{k-1}(theta_r), f_k(theta_r)
+    previous, current, following = ritz, work, spare
+    np.multiply(ritz, h, out=current)
+    np.subtract(ritz_product, current, out=current)
+    current *= g
+    for _ in range(_FILTER_DEGREE - 1):
+        g_next = 1.0 / (2.0 * top - h * h * g)
+        at_r = (at_r[1], 2.0 * g_next * (shifted * at_r[1] - h * h * g / 2.0 * at_r[0]))
+        if abs(at_r[1]) * _FILTER_RANGE < 1.0:
+            break
+        # following = 2 g_next ((C f_k - h^2 g / 2 f_{k-1}) - h f_k), with no temporaries
+        np.matmul(cov, current, out=following)
+        previous *= h * h * g / 2.0
+        following -= previous
+        np.multiply(current, h, out=previous)
+        following -= previous
+        following *= 2.0 * g_next
+        g = g_next
+        previous, current, following = current, following, previous
+    return current
 
 
 def _tree_moments(ensemble, X):

@@ -34,7 +34,9 @@ statistical behaviour:
   the reference for the block writer ``save_csv``;
 * ``whole_matrix_tree_pca``: the tree-pca state from the whole records x
   trees matrix, the reference for the streamed moments of
-  ``tree_pca_encoders``.
+  ``tree_pca_encoders``; its eigenpairs come from ``eigh_top_eigenpairs``,
+  the full ``np.linalg.eigh`` that is the reference for the subspace
+  iteration of ``encoders._top_eigenpairs``.
 """
 
 import csv
@@ -490,9 +492,15 @@ def whole_matrix_tree_pca(ensemble, X, r, row_cap) -> dict:
     means = sub.mean(axis=0)
     centered = sub - means
     cov = centered.T @ centered / max(sub.shape[0] - 1, 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1][:r]
-    loadings = eigvecs[:, order]
+    eigenvalues, loadings = eigh_top_eigenpairs(cov, r)
     flip = loadings[np.argmax(np.abs(loadings), axis=0), np.arange(r)] < 0
     loadings[:, flip] *= -1.0
-    return {"kept_trees": kept, "tree_means": means, "eigenvalues": eigvals[order], "loadings": loadings}
+    return {"kept_trees": kept, "tree_means": means, "eigenvalues": eigenvalues, "loadings": loadings}
+
+
+def eigh_top_eigenpairs(cov, r):
+    """The r largest eigenvalues of the symmetric ``cov``, in descending
+    order, and their unit eigenvectors, from the full ``np.linalg.eigh``."""
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1][:r]
+    return eigvals[order], eigvecs[:, order]

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairfront import cli, gbdt
+from fairfront import cli, encoders, gbdt
 from fairfront.cli import main
 from fairfront.data import load_csv
 from fairfront.encoders import EncoderMatrix
@@ -468,6 +468,22 @@ class TestFailedRunManifest:
         assert list(manifest["timings"]) == ["load"]
         assert not (out / "encoders.csv").exists()
 
+    def test_eigensolver_step_cap(self, workspace, tmp_path, monkeypatch, capsys):
+        # the tree-pca eigensolver never falls back to a full eigh: at its
+        # step cap the run fails after load, naming the gap
+        monkeypatch.setattr(encoders, "_RITZ_STEPS", 1)
+        _, data, model_dir = workspace
+        out = tmp_path / "out"
+        flags = ["--train", str(data / "train.csv"), "--base", str(model_dir / "model.json"), "--method", "tree-pca"]
+        assert main(["mitigate", *flags, "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: tree-pca: the top 40 eigenvectors")
+        assert "theta_40 = " in err[0] and "theta_80 = " in err[0]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["error"] == err[0][len("error: "):]
+        assert list(manifest["timings"]) == ["load"]
+        assert not (out / "encoders.csv").exists()
+
     def test_unexpected_exception_is_recorded_and_raised(self, workspace, tmp_path, monkeypatch):
         _, data, model_dir = workspace
         out = tmp_path / "out"
@@ -486,8 +502,9 @@ class TestFailedRunManifest:
 
 class TestManifestVersions:
     """Every manifest, a failed run's too, records the BLAS that numpy was
-    built with and the thread settings the process saw: with more than one
-    BLAS thread the tree-pca columns change in their last bits."""
+    built with and the thread settings the process saw: the BLAS thread
+    count can change the last bits of BLAS products, and with them of the
+    tree-pca columns."""
 
     def test_blas_and_threads(self, tmp_path, monkeypatch):
         monkeypatch.setenv("OMP_NUM_THREADS", "1")

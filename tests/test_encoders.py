@@ -24,7 +24,13 @@ from fairfront.gbdt import (
     train,
 )
 from fairfront.linear_family import LinearFamily
-from oracles import ExplanationSet, enumerated_marginal_shapley, reconstruct_explanations, whole_matrix_tree_pca
+from oracles import (
+    ExplanationSet,
+    eigh_top_eigenpairs,
+    enumerated_marginal_shapley,
+    reconstruct_explanations,
+    whole_matrix_tree_pca,
+)
 from test_gbdt import random_tree
 
 
@@ -225,6 +231,125 @@ class TestTreePcaMoments:
         finally:
             tracemalloc.stop()
         assert peak < n * model.n_trees * 8
+
+    def test_no_eigh_sees_more_than_the_block(self, monkeypatch):
+        # tracemalloc does not see LAPACK's workspace; a full eigh of the
+        # trees x trees covariance would take tens of MB at 800 trees
+        rng = np.random.default_rng(29)
+        model = random_ensemble(rng, 320, rng.normal(size=8))
+        X = rng.normal(size=(400, 3))
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", recording)
+        enc = tree_pca_encoders(model, X, r=8)
+        assert enc.provenance["kept_trees"].size > 250  # of 320 trees
+        assert shapes and all(shape == (16, 16) for shape in shapes)
+
+    def test_loadings_are_sign_fixed(self):
+        rng = np.random.default_rng(31)
+        model = random_ensemble(rng, 40, rng.normal(size=12))
+        loadings = tree_pca_encoders(model, rng.normal(size=(200, 3)), r=6).provenance["loadings"]
+        assert np.all(loadings[np.argmax(np.abs(loadings), axis=0), np.arange(6)] > 0)
+
+
+def random_psd(rng, values):
+    """V diag(values) V^T, V a random orthogonal matrix."""
+    basis = np.linalg.qr(rng.normal(size=(len(values), len(values))))[0]
+    cov = (basis * np.asarray(values, dtype=float)) @ basis.T
+    return (cov + cov.T) / 2
+
+
+class TestTopEigenpairs:
+    """Subspace iteration against the full ``eigh`` of ``oracles``: the same
+    eigenvalues, orthonormal vectors with residuals near rounding, and
+    loadings that span the oracle's eigenspaces (one vector each, up to
+    sign, where the spectrum is separated).  An eigenvector is only fixed
+    to about residual / gap, so the spans are compared across a gap of
+    1e-4 of the largest eigenvalue."""
+
+    @staticmethod
+    def assert_matches_eigh(cov, r):
+        values, vectors = encoders._top_eigenpairs(cov, r)
+        want, _ = eigh_top_eigenpairs(cov, r)
+        every, basis = eigh_top_eigenpairs(cov, cov.shape[0])
+        scale = every[0]
+        assert values.shape == (r,) and vectors.shape == (cov.shape[0], r)
+        assert np.max(np.abs(values - want)) <= 1e-12 * scale
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(r))) <= 1e-12
+        assert np.max(np.linalg.norm(cov @ vectors - vectors * values, axis=0)) <= 1e-13 * scale
+        # the eigenvectors above the r-th eigenvalue lie in the loadings' span,
+        # and the loadings in the span of those at or above it
+        cut = want[-1]
+        above = basis[:, every > cut + 1e-4 * scale]
+        within = basis[:, every >= cut - 1e-4 * scale]
+        assert np.max(np.abs(above - vectors @ (vectors.T @ above)), initial=0.0) <= 1e-9
+        assert np.max(np.abs(vectors - within @ (within.T @ vectors))) <= 1e-9
+        return values, vectors
+
+    @pytest.mark.parametrize("n, r, ratio", [(12, 1, 0.5), (40, 1, 0.9), (30, 3, 0.8), (60, 8, 0.85), (200, 20, 0.9)])
+    def test_separated_spectrum(self, n, r, ratio):
+        rng = np.random.default_rng(n + r)
+        cov = random_psd(rng, ratio ** np.arange(n))
+        _, vectors = self.assert_matches_eigh(cov, r)
+        _, want = eigh_top_eigenpairs(cov, r)
+        assert np.max(np.abs(np.abs(vectors.T @ want) - np.eye(r))) <= 1e-9
+
+    @pytest.mark.parametrize("r", [3, 4, 5])
+    def test_repeated_eigenvalue_across_the_cut(self, r):
+        # eigenvalue 5 three times, at positions 3 to 5: r = 3 and 4 cut it
+        values = np.concatenate(([10.0, 8.0, 5.0, 5.0, 5.0], 2.0 * 0.7 ** np.arange(25)))
+        got, _ = self.assert_matches_eigh(random_psd(np.random.default_rng(r), values), r)
+        assert np.allclose(got, values[:r], rtol=0, atol=1e-12 * values[0])
+
+    def test_rank_below_r_gives_zero_ritz_values(self):
+        values = np.zeros(20)
+        values[:2] = [3.0, 2.0]
+        got, _ = self.assert_matches_eigh(random_psd(np.random.default_rng(3), values), 5)
+        assert np.max(np.abs(got[2:])) <= 1e-12 * got[0]
+
+    def test_wide_spectrum_past_the_rank(self):
+        # 40 eigenvalues over ten decades, then zeros: a degree-5 filter
+        # would grow theta_1 over theta_30 by about 1e37, and lose theta_30's
+        # eigenvector in the rounding of the top ones
+        values = np.zeros(100)
+        values[:40] = 10.0 ** (-np.arange(40) / 4)
+        got, _ = self.assert_matches_eigh(random_psd(np.random.default_rng(4), values), 45)
+        assert np.max(np.abs(got[40:])) <= 1e-12 * got[0]
+
+    @pytest.mark.parametrize("n, r", [(6, 3), (7, 4), (5, 5)])
+    def test_a_block_of_every_vector_is_exact_in_one_step(self, monkeypatch, n, r):
+        calls = []
+        eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda a: calls.append(a.shape) or eigh(a))
+        cov = random_psd(np.random.default_rng(n), 1.0 + np.arange(n) ** 2)
+        values, _ = encoders._top_eigenpairs(cov, r)
+        assert calls == [(n, n)]
+        monkeypatch.undo()
+        self.assert_matches_eigh(cov, r)
+
+    def test_block_diagonal_start(self):
+        # the largest diagonal entries are all in the first block, the top
+        # eigenvalue (8, of a rank-one block of ones) in the second
+        cov = np.zeros((18, 18))
+        cov[:10, :10] = 3.0 * np.eye(10)
+        cov[10:, 10:] = 1.0
+        values, vectors = self.assert_matches_eigh(cov, 1)
+        assert values[0] == pytest.approx(8.0, rel=1e-12)
+
+    def test_step_cap_names_the_gap(self, monkeypatch):
+        monkeypatch.setattr(encoders, "_RITZ_STEPS", 1)
+        cov = random_psd(np.random.default_rng(8), 0.85 ** np.arange(60))
+        with pytest.raises(
+            ValueError,
+            match=r"top 8 eigenvectors .* did not converge in 1 subspace steps of 16 vectors: "
+            r"theta_8 = \S+ against theta_16 = \S+, too close a gap",
+        ):
+            encoders._top_eigenpairs(cov, 8)
 
 
 class TestSharedWalk:
@@ -559,6 +684,31 @@ class TestPersistence:
         assert loaded.names == enc.names
         again = loaded.reevaluate(X, model=model)
         assert np.array_equal(again.columns, enc.columns)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            # np.loadtxt skips a blank line; the row walk names it
+            (lambda lines: lines[:2] + [""] + lines[2:], "row 3: 0 cells under a header of 3"),
+            (lambda lines: lines[:2] + [lines[2] + ","] + lines[3:], "row 3: 4 cells under a header of 3"),
+            (lambda lines: lines[:3] + [lines[3].replace(",", ",x", 1)] + lines[4:], "row 4: could not convert"),
+            # a quoted number is one csv cell, which loadtxt does not read
+            (lambda lines: lines[:2] + ['"' + lines[2].replace(",", '","') + '"'] + lines[3:], None),
+            (lambda lines: lines[:-1], None),  # no newline after the last row
+        ],
+    )
+    def test_load_reads_the_cells_as_the_row_walk_does(self, tmp_path, edit, message):
+        rng = np.random.default_rng(14)
+        model, X = small_ensemble(rng, rounds=8)
+        enc = tree_pca_encoders(model, X, r=2)
+        csv_path, sidecar_path = tmp_path / "enc.csv", tmp_path / "enc.json"
+        enc.save(csv_path, sidecar_path)
+        csv_path.write_text("\n".join(edit(csv_path.read_text().split("\n"))))
+        if message is None:
+            assert np.array_equal(EncoderMatrix.load(csv_path, sidecar_path).columns, enc.columns)
+        else:
+            with pytest.raises(ValueError, match=f"^{csv_path}: {message}"):
+                EncoderMatrix.load(csv_path, sidecar_path)
 
     @staticmethod
     def each_kind(rng):
