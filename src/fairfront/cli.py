@@ -37,9 +37,9 @@ from .data import (
     generate_m1,
     generate_m2,
     load_csv,
-    save_csv,
+    save_csv_parts,
     save_sidecar,
-    split,
+    split_rows,
 )
 from .distributions import CostFunction
 from .encoders import (
@@ -169,14 +169,25 @@ def _load_dataset(path, label, group, scored=False) -> Dataset:
     return ds
 
 
-def _load_splits(resolved, scored=False) -> list:
-    """Load whichever of train and test is named, imputing missing cells with
-    means fitted on train (on test when there is no train), so every
-    downstream stage sees finite values."""
-    splits = [
+def _read_splits(resolved, scored=False) -> list:
+    """Whichever of train and test is named, as loaded (see ``_load_dataset``)."""
+    return [
         _load_dataset(path, resolved["label"], resolved["group"], scored) if path else None
         for path in (resolved["train"], resolved.get("test"))
     ]
+
+
+def _bind_splits(resolved, splits) -> list:
+    """Reject a test split whose feature names are not train's, in name and
+    order (a model reads its features by position), then impute missing
+    cells with means fitted on train (on test when there is no train), so
+    every downstream stage sees finite values."""
+    train_ds, test_ds = splits
+    if train_ds is not None and test_ds is not None and train_ds.feature_names != test_ds.feature_names:
+        raise ValueError(
+            f"{resolved['test']} has features {test_ds.feature_names}, but {resolved['train']} has "
+            f"{train_ds.feature_names}; a run's splits must name the same features in the same order"
+        )
     present = [ds for ds in splits if ds is not None]
     if any(np.isnan(ds.X).any() for ds in present):
         prep = fit_preprocessor(present[0])
@@ -185,11 +196,11 @@ def _load_splits(resolved, scored=False) -> list:
 
 
 def _load_inputs(resolved, base_path, scored=False, shapley=False):
-    """The named splits (see ``_load_splits``) and the base model at
+    """The named splits (see ``_bind_splits``) and the base model at
     ``base_path``, if one is named.  A split whose feature count is not the
     model's is rejected here, before any stage, and so is a model with a
     path too deep for TreeSHAP when ``shapley`` columns will be built."""
-    splits = _load_splits(resolved, scored)
+    splits = _read_splits(resolved, scored)
     model = Ensemble.load(base_path) if base_path else None
     if shapley:
         treeshap_leaves(model)
@@ -198,7 +209,7 @@ def _load_inputs(resolved, base_path, scored=False, shapley=False):
             raise ValueError(
                 f"{path} has {ds.X.shape[1]} features, but the model {base_path} has n_features {model.n_features}"
             )
-    return splits, model
+    return _bind_splits(resolved, splits), model
 
 
 # --------------------------------------------------------------------------
@@ -210,15 +221,15 @@ def cmd_generate(resolved, manifest, out):
     generator = {"m1": generate_m1, "m2": generate_m2}[resolved["model"]]
     ds = generator(resolved["n"], resolved["seed"])
     manifest.stage("generate")
-    save_csv(ds, out / "data.csv")
-    save_sidecar(ds, out / "data.json", extra={"model": resolved["model"], "seed": resolved["seed"]})
-    manifest.artifact(out / "data.csv")
-    manifest.artifact(out / "data.json")
+    # the split's rows are drawn and checked before any file is written
+    parts = {out / "data.csv": None}
     if resolved["split"] is not None:
-        train_ds, test_ds = split(ds, resolved["split"], seed=resolved["seed"])
-        for name, part in (("train", train_ds), ("test", test_ds)):
-            save_csv(part, out / f"{name}.csv")
-            manifest.artifact(out / f"{name}.csv")
+        train_rows, test_rows = split_rows(ds.g, resolved["split"], seed=resolved["seed"])
+        parts.update({out / "train.csv": train_rows, out / "test.csv": test_rows})
+    save_csv_parts(ds, parts)
+    save_sidecar(ds, out / "data.json", extra={"model": resolved["model"], "seed": resolved["seed"]})
+    for path in [*parts, out / "data.json"]:
+        manifest.artifact(path)
     manifest.stage("write")
 
 
@@ -271,7 +282,7 @@ def _select_by_gap_rule(entries):
 
 def cmd_train_base(resolved, manifest, out):
     params = _from_flags(GBDTParams, _GBDT_FIELDS, resolved)
-    train_ds, test_ds = _load_splits(resolved)
+    train_ds, test_ds = _bind_splits(resolved, _read_splits(resolved))
     _both_classes(train_ds, resolved["train"], resolved["label"])
     valid = (test_ds.X, test_ds.y) if test_ds is not None else None
     manifest.stage("load")

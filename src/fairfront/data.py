@@ -12,11 +12,15 @@ returns the same bits, so the package needs no scipy at run time.
 
 ``save_csv`` writes each feature cell in its shortest round-trip decimal
 form (``repr`` of the float, so a load gives back the same bits), a missing
-value as an empty cell, and the label and group as integers.  Both work
-through blocks of 256 rows; ``load_csv`` converts each column of a block in
-one pass and, where a file has several faults, reports the first in row
-order (in a row: its cell count, the feature cells left to right, the label,
-the group).
+value as an empty cell, and the label and group as integers.  It shares its
+record formatter with ``save_csv_parts``, which writes ``generate``'s
+data.csv, train.csv and test.csv: that formats each record once and keeps
+its line, in its block's text, until the last of the three files is
+written; the split's rows come from ``split_rows``, as ``split``'s do.  The
+writers and ``load_csv`` work through blocks of 256 rows; ``load_csv``
+converts each column of a block in one pass and, where a file has several
+faults, reports the first in row order (in a row: its cell count, the
+feature cells left to right, the label, the group).
 """
 
 from __future__ import annotations
@@ -166,18 +170,26 @@ def generate_m2(n_records: int, seed: int) -> Dataset:
     return _generate(n_records, seed, _M2_OFFSETS, _m2_variances)
 
 
-def split(dataset: Dataset, fraction: float = 0.5, seed: int = 0):
-    """Deterministic shuffle split into (train, test)."""
+def split_rows(groups, fraction: float = 0.5, seed: int = 0):
+    """The (train, test) row indices of ``split``: a deterministic shuffle
+    of the records, cut at ``fraction``; a part that lacks one of the
+    groups present raises."""
     if not 0.0 < fraction < 1.0:
         raise ValueError("fraction must lie in (0, 1)")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(dataset.n_records)
-    cut = int(round(fraction * dataset.n_records))
+    order = rng.permutation(groups.size)
+    cut = int(round(fraction * groups.size))
     tr, te = order[:cut], order[cut:]
+    n_groups = np.unique(groups).size
     for part in (tr, te):
-        present = np.unique(dataset.g[part])
-        if present.size < np.unique(dataset.g).size:
+        if np.unique(groups[part]).size < n_groups:
             raise ValueError("a split lost an entire group; adjust fraction or seed")
+    return tr, te
+
+
+def split(dataset: Dataset, fraction: float = 0.5, seed: int = 0):
+    """Deterministic shuffle split into (train, test)."""
+    tr, te = split_rows(dataset.g, fraction, seed)
     make = lambda rows: Dataset(
         dataset.X[rows], dataset.y[rows], dataset.g[rows], list(dataset.feature_names)
     )
@@ -208,26 +220,70 @@ def apply_preprocessor(dataset: Dataset, prep: dict) -> Dataset:
 _BLOCK_ROWS = 256
 
 
+def _blocks(n_rows):
+    return (slice(start, start + _BLOCK_ROWS) for start in range(0, n_rows, _BLOCK_ROWS))
+
+
+def _record_lines(X, y, g) -> list:
+    """The CSV line of each record of ``X``, ``y`` and ``g``: each feature
+    cell in its shortest round-trip decimal form, a missing (NaN) one empty,
+    then the label and the group as integers (a NaN or infinite label
+    raises)."""
+    lines = []
+    for cells, missing, label, group in zip(X.tolist(), np.isnan(X).any(axis=1).tolist(), y.tolist(), g.tolist()):
+        cells = fmt_floats(cells)
+        if missing:
+            cells = ["" if cell == "nan" else cell for cell in cells]
+        cells += (str(int(label)), str(group))
+        lines.append(",".join(cells))
+    return lines
+
+
+def _write_records(path, names, texts):
+    """A CSV file: the header ``names``, then each text of record lines."""
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(names)
+        fh.writelines(texts)
+
+
 def save_csv(dataset: Dataset, path, label_column="label", group_column="group"):
     """Write ``dataset`` as a numeric CSV with a header: each feature cell in
     its shortest round-trip decimal form, a missing (NaN) one empty, then the
     label and the group as integers (a NaN or infinite label raises)."""
     X, y, g = dataset.X, dataset.y, dataset.g
-    with open(path, "w", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(list(dataset.feature_names) + [label_column, group_column])
-        for start in range(0, dataset.n_records, _BLOCK_ROWS):
-            rows = slice(start, start + _BLOCK_ROWS)
-            block = X[rows]
-            lines = []
-            for cells, missing, label, group in zip(
-                block.tolist(), np.isnan(block).any(axis=1).tolist(), y[rows].tolist(), g[rows].tolist()
-            ):
-                cells = fmt_floats(cells)
-                if missing:
-                    cells = ["" if cell == "nan" else cell for cell in cells]
-                cells += (str(int(label)), str(group))
-                lines.append(",".join(cells))
-            fh.write("\n".join(lines) + "\n")
+    texts = ("\n".join(_record_lines(X[rows], y[rows], g[rows])) + "\n" for rows in _blocks(dataset.n_records))
+    _write_records(path, list(dataset.feature_names) + [label_column, group_column], texts)
+
+
+def save_csv_parts(dataset: Dataset, parts: dict):
+    """Write each ``path: rows`` of ``parts`` as ``save_csv`` writes the
+    records of ``dataset`` at ``rows``, in that order (all of them, in
+    order, where ``rows`` is None).  Each record is formatted once, however
+    many files hold it: each block's lines are kept as one text, with where
+    each line starts and ends in it, until the last file is written."""
+    X, y, g = dataset.X, dataset.y, dataset.g
+    texts, ends = [], np.empty(dataset.n_records, dtype=np.int32)
+    for rows in _blocks(dataset.n_records):
+        lines = _record_lines(X[rows], y[rows], g[rows])
+        texts.append("\n".join(lines) + "\n")
+        ends[rows] = np.cumsum([len(line) + 1 for line in lines])
+    starts = np.empty_like(ends)
+    starts[1:] = ends[:-1]
+    starts[::_BLOCK_ROWS] = 0
+    names = list(dataset.feature_names) + ["label", "group"]
+    for path, rows in parts.items():
+        _write_records(path, names, texts if rows is None else _gathered(texts, starts, ends, rows))
+
+
+def _gathered(texts, starts, ends, rows):
+    """The lines at ``rows`` of the block ``texts``, in that order, as one
+    text per block of ``rows``; line ``i`` is ``texts[i // _BLOCK_ROWS]``
+    from ``starts[i]`` to ``ends[i]``."""
+    for block in _blocks(len(rows)):
+        i = rows[block]
+        yield "".join([
+            texts[k][a:b] for k, a, b in zip((i // _BLOCK_ROWS).tolist(), starts[i].tolist(), ends[i].tolist())
+        ])
 
 
 def save_sidecar(dataset: Dataset, path, extra: dict = None):

@@ -15,12 +15,12 @@ import pytest
 
 from fairfront import cli, encoders, gbdt
 from fairfront.cli import main
-from fairfront.data import load_csv
+from fairfront.data import _BLOCK_ROWS, generate_m1, generate_m2, load_csv, split
 from fairfront.encoders import EncoderMatrix
 from fairfront.frontier import read_frontier_csv
 from fairfront.gbdt import Ensemble
 from conftest import run_mitigate
-from oracles import embedded_svg_table
+from oracles import embedded_svg_table, per_cell_csv
 
 
 class TestGenerate:
@@ -48,18 +48,53 @@ class TestGenerate:
         assert done.stdout.strip() == "[]"
         assert (tmp_path / "data.csv").exists()
 
-    def test_generated_files_keep_their_bytes(self, tmp_path):
-        # pins the generator and the CSV writer: any drift in either changes a hash
-        assert main(["generate", "--model", "m1", "--n", "500", "--seed", "3", "--split", "0.5",
+    # pin each generator and the CSV writer: any drift in either changes a hash
+    @staticmethod
+    def generated_hashes(tmp_path, model):
+        assert main(["generate", "--model", model, "--n", "500", "--seed", "3", "--split", "0.5",
                      "--out", str(tmp_path)]) == 0
-        hashes = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
-                  for name in ("data.csv", "train.csv", "test.csv", "data.json")}
-        assert hashes == {
+        return {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("data.csv", "train.csv", "test.csv", "data.json")}
+
+    def test_generated_files_keep_their_bytes(self, tmp_path):
+        assert self.generated_hashes(tmp_path, "m1") == {
             "data.csv": "757d199a2d52a113968993060b95d89b88d87a988cfd493649aaa2407d53e851",
             "train.csv": "821ec3b32a97d6cbd95325075d37a1f138e32a600aea562e2143ec75e60d41b3",
             "test.csv": "13f57ae8d8a7c6c778d281a57489a447e889698ae9cbbe470f57391a4b2b4c64",
             "data.json": "67ba682d5bdd87d1d56ffa7311815047b9971accfc67e188c8b93f50e897cc4c",
         }
+
+    def test_generated_m2_files_keep_their_bytes(self, tmp_path):
+        assert self.generated_hashes(tmp_path, "m2") == {
+            "data.csv": "c7640e9dcfab4aeb9d373c414fe04466a280cc7904aaed1c754b9dab4cb59000",
+            "train.csv": "7e701d37489d96f89638b476a3c5ba55c9a83c8e5736581abbef74207cf1a46f",
+            "test.csv": "b8645c0fd3064b4c0a052cc2393f1e7259f574727af7700b4d3c5cb9c6817464",
+            "data.json": "e9a1424936a22fbcd659ffbc5c389d5d4d27b6615c01880c31e74f98a0f7d32e",
+        }
+
+    # 255 to 257 records cross the 256-row block edge of the whole file, and
+    # 3000 crosses several in each part
+    @pytest.mark.parametrize("model", ["m1", "m2"])
+    @pytest.mark.parametrize("n", [_BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 3000])
+    def test_generated_files_equal_per_cell_writer(self, tmp_path, model, n):
+        out, ref = tmp_path / "out", tmp_path / "ref"
+        ref.mkdir()
+        assert main(["generate", "--model", model, "--n", str(n), "--seed", "6", "--split", "0.5",
+                     "--out", str(out)]) == 0
+        ds = {"m1": generate_m1, "m2": generate_m2}[model](n, 6)
+        train_ds, test_ds = split(ds, 0.5, seed=6)
+        for name, part in (("data", ds), ("train", train_ds), ("test", test_ds)):
+            per_cell_csv(part, ref / f"{name}.csv")
+            assert (out / f"{name}.csv").read_bytes() == (ref / f"{name}.csv").read_bytes(), name
+
+    def test_failed_split_writes_no_files(self, tmp_path, capsys):
+        # four records: one part of the split lacks a group
+        out = tmp_path / "out"
+        assert main(["generate", "--n", "4", "--split", "0.5", "--seed", "0", "--out", str(out)]) == 1
+        assert "error: a split lost an entire group" in capsys.readouterr().err
+        assert [p.name for p in out.iterdir()] == ["manifest.json"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "error" and manifest["artifacts"] == []
 
     def test_split_files_row_counts(self, workspace):
         _, data, _ = workspace

@@ -14,7 +14,9 @@ from fairfront.data import (
     generate_m2,
     load_csv,
     save_csv,
+    save_csv_parts,
     split,
+    split_rows,
 )
 from oracles import per_cell_csv
 
@@ -79,6 +81,19 @@ class TestSplit:
         assert np.array_equal(merged, np.sort(ds.X[:, 0]))
 
 
+    def test_parts_are_the_rows_of_split_rows(self):
+        # generate writes train.csv and test.csv from these rows
+        ds = generate_m2(1000, seed=2)
+        rows = split_rows(ds.g, 0.3, seed=1)
+        for part, part_rows in zip(split(ds, 0.3, seed=1), rows):
+            assert np.array_equal(part.X, ds.X[part_rows]) and np.array_equal(part.g, ds.g[part_rows])
+        assert np.array_equal(np.sort(np.concatenate(rows)), np.arange(ds.n_records))
+
+    def test_a_part_without_a_group_raises(self):
+        with pytest.raises(ValueError, match="a split lost an entire group"):
+            split_rows(np.array([0, 0, 0, 1]), 0.5, seed=0)
+
+
 class TestPreprocessing:
     def test_imputation_uses_train_means_only(self):
         X_train = np.array([[1.0, 10.0], [3.0, np.nan], [5.0, 30.0]])
@@ -127,6 +142,23 @@ class TestCsv:
         if np.unique(ds.g).size > 1:  # a file with one group does not load
             loaded = load_csv(tmp_path / "blocks.csv", group_column="g,roup")
             assert np.array_equal(loaded.X, X, equal_nan=True) and np.array_equal(loaded.y, ds.y)
+
+    def test_parts_equal_per_cell_writer_of_their_rows(self, tmp_path):
+        n = 2 * _BLOCK_ROWS + 3
+        rng = np.random.default_rng(5)
+        X = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-20, 20, size=(n, 3))
+        X[rng.random((n, 3)) < 0.2] = np.nan
+        ds = Dataset(X, rng.integers(0, 2, n), rng.integers(0, 3, n), ["a", 'b,"q"', "c"])
+        rows = rng.permutation(n)[:-40]
+        save_csv_parts(ds, {tmp_path / "all.csv": None, tmp_path / "part.csv": rows})
+        per_cell_csv(ds, tmp_path / "all_cells.csv")
+        per_cell_csv(Dataset(X[rows], ds.y[rows], ds.g[rows], ds.feature_names), tmp_path / "part_cells.csv")
+        for name in ("all", "part"):
+            written = (tmp_path / f"{name}.csv").read_bytes()
+            assert written == (tmp_path / f"{name}_cells.csv").read_bytes(), name
+            assert b",," in written and b"nan" not in written  # a missing cell is empty
+        loaded = load_csv(tmp_path / "part.csv")
+        assert np.array_equal(loaded.X, X[rows], equal_nan=True)
 
     @pytest.mark.parametrize("label, error", [(np.nan, ValueError), (np.inf, OverflowError)])
     def test_non_finite_label_raises_on_save(self, tmp_path, label, error):

@@ -52,6 +52,8 @@ SEED = "--seed must be finite and nonnegative, got -1"
 ONE_CLASS = "{one_class}: every record has label 1 in column 'label'; both 0 and 1 are needed"
 NON_FINITE = "{non_finite}: non-finite cell 'inf' at row 5, column 'x2'"
 SHORT = "{short} has 4 features, but the model {base} has n_features 5"
+SWAPPED = ("{swapped} has features ['x2', 'x1', 'x3', 'x4', 'x5'], but {train} has ['x1', 'x2', 'x3', 'x4', 'x5']; "
+           "a run's splits must name the same features in the same order")
 THREE_GROUPS = "{three_groups}: 3 groups in column 'group'; only two are supported"
 DEEP_PATH = "a tree path tests 10 distinct features; TreeSHAP tables grow as 4^10, more than 8 are not supported"
 SWITCH = "option {!r}: expected true, false, 0 or 1, got {!r}"
@@ -183,6 +185,15 @@ CELLS = [
           id="baseline-rescale-test-short"),
     fails("baseline-ot", [*SPLITS, *BASE, "--rounds", "5", "--train", "{short}"], 1, SHORT, id="baseline-ot-train-short"),
     fails("evaluate", [*EVALUATE, "--test", "{short}"], 1, SHORT, id="evaluate-test-short"),
+    # a model reads features by position: these once completed, scoring x2
+    # as x1 and x1 as x2
+    fails("train-base", [*SPLITS, "--rounds", "5", "--test", "{swapped}"], 1, SWAPPED, id="train-base-test-swapped"),
+    fails("mitigate", [*SPLITS, *BASE, "--test", "{swapped}"], 1, SWAPPED, id="mitigate-test-swapped"),
+    fails("baseline-rescale", [*SPLITS, *BASE, "--iterations", "5", "--test", "{swapped}"], 1, SWAPPED,
+          id="baseline-rescale-test-swapped"),
+    fails("baseline-ot", [*SPLITS, *BASE, "--rounds", "5", "--test", "{swapped}"], 1, SWAPPED,
+          id="baseline-ot-test-swapped"),
+    fails("evaluate", [*EVALUATE, "--test", "{swapped}"], 1, SWAPPED, id="evaluate-test-swapped"),
     # every stage after loading compares group 0 with group 1
     fails("mitigate", [*SPLITS, *BASE, "--method", "additive", "--estimator", "energy", "--test", "{three_groups}"], 1,
           THREE_GROUPS, id="mitigate-test-three-groups"),
@@ -377,9 +388,10 @@ class TestEnvelope:
         three_groups = [list(row) for row in csv.reader((data / "test.csv").open())]
         for row in three_groups[1::3]:
             row[group] = "7"
+        swapped = [[row[1], row[0], *row[2:]] for row in csv.reader((data / "test.csv").open())]
         for name, table in (("one_class", [rows[0]] + [row for row in rows[1:] if row[label] == "1"]),
                             ("non_finite", non_finite), ("short", [row[1:] for row in rows]),
-                            ("three_groups", three_groups)):
+                            ("three_groups", three_groups), ("swapped", swapped)):
             paths[name] = write_csv(root / f"{name}.csv", table)
 
         # candidates files, beside a copy of the run's encoders, where
