@@ -65,6 +65,10 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def file_sha256(path) -> str:
+    with open(path, "rb") as fh:
+        return hashlib.sha256(fh.read()).hexdigest()
+
 
 def read_json(path):
     """The JSON document in the file at ``path``; a file that is not JSON

@@ -17,6 +17,7 @@ artifacts.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import resource
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._util import config_hash, cross_entropy, fmt_float, json_field, read_json
+from ._util import config_hash, cross_entropy, file_sha256, fmt_float, json_field, read_json
 from .baselines import DEFAULT_THETA_GRID, OT_REGRESSOR_PARAMS, ot_projection, random_search_rescaling
 from .data import (
     Dataset,
@@ -44,6 +45,7 @@ from .data import (
 from .distributions import CostFunction
 from .encoders import (
     DEFAULT_BACKGROUND_SIZE,
+    DEFAULT_BASIS,
     EncoderMatrix,
     additive_encoders,
     shapley_encoders,
@@ -400,6 +402,7 @@ def cmd_mitigate(resolved, manifest, out):
         "method": resolved["method"],
         "label": resolved["label"],
         "group": resolved["group"],
+        "base_sha256": file_sha256(resolved["base"]),
         "theta_box": sweep_cfg.theta_box,
         "estimator": {
             "variant": spec.variant,
@@ -485,6 +488,9 @@ def cmd_evaluate(resolved, manifest, out):
         {**resolved, "label": doc["label"], "group": doc["group"]}, base_path, scored=True,
         shapley=kind == "shapley",
     )
+    # the sweep's thetas correct the scores of the model it ran on, and of no other
+    if file_sha256(base_path) != json_field(doc, "base_sha256", cand_path, str):
+        raise ValueError(f"{base_path} is not the model that {cand_path} was swept with: their sha256 digests differ")
     manifest.stage("load")
 
     def scored(ds):
@@ -701,20 +707,16 @@ _ENCODER = {
     "method": "tree-pca",
     "components": 40,
     "degree": 1,
-    # plain powers are the CLI's additive columns (the library's basis is legendre)
-    "basis": "monomial",
+    "basis": DEFAULT_BASIS,
     "background": DEFAULT_BACKGROUND_SIZE,
 }
-# the base model: shallow, slow-learning trees on large leaves keep its
-# scores smooth (GBDTParams is a general-purpose 4/300/0.08/16/25)
-_BASE_MODEL = GBDTParams(depth=2, rounds=800, learning_rate=0.04, min_leaf=64.0, early_stop_rounds=30)
 _OMEGA_COUNT = default_omegas().size
 
 COMMANDS = {
     "generate": Command(cmd_generate, {"model": "m1", "n": 20_000, **_SEED, "split": None, "out": "data"}),
     "train-base": Command(
         cmd_train_base,
-        {**_DATA, "grid": False, **_flag_defaults(_GBDT_FIELDS, _BASE_MODEL), **_SEED, "out": "model"},
+        {**_DATA, "grid": False, **_flag_defaults(_GBDT_FIELDS, GBDTParams()), **_SEED, "out": "model"},
         needs=("train",),
     ),
     "encode": Command(
@@ -735,13 +737,11 @@ COMMANDS = {
             "cost": BiasEstimatorSpec.cost.kind,
             "grid-step": BiasEstimatorSpec.thresholds,
             "kde-bandwidth": BiasEstimatorSpec.kde_bandwidth,
-            # a sweep scores small batches, whose squared gaps carry a sampling-variance inflation
-            "unbiased": True,
+            "unbiased": BiasEstimatorSpec.unbiased,
             "omegas": _OMEGA_COUNT,
             "omega-scale": "ratio",
             "omega-scale-mult": 1.5,
-            # the ratio-scaled ladder passes omega = 1, where the penalized loss weight 1 - omega turns negative
-            **_flag_defaults(_SWEEP_FIELDS, SweepConfig(objective="lagrangian")),
+            **_flag_defaults(_SWEEP_FIELDS, SweepConfig()),
             **_SEED,
             "out": "run",
         },
@@ -817,7 +817,11 @@ def _resolve_options(name, args) -> dict:
 # --------------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process and shared, so
+    callers read it and change nothing: each build leaves cyclic garbage
+    that only a full collection frees."""
     parser = argparse.ArgumentParser(
         prog="fairfront",
         description="Post-processing bias mitigation with efficient frontiers.",

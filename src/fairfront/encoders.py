@@ -53,6 +53,7 @@ from .linear_family import LinearFamily
 
 PCA_ROW_CAP = 50_000
 DEFAULT_BACKGROUND_SIZE = 256
+DEFAULT_BASIS = "monomial"   # additive columns: plain powers of each feature
 # TreeSHAP tabulates 4^D * D coalition weights and takes 4^D * D products per
 # leaf for paths testing D distinct features: past 8, minutes per hundred trees
 _MAX_PATH_FEATURES = 8
@@ -353,7 +354,7 @@ def _legendre_eval(t, degree):
     return npleg.legval(t, coeffs)
 
 
-def additive_encoders(X, degree: int, basis: str = "legendre", feature_names=None) -> EncoderMatrix:
+def additive_encoders(X, degree: int, basis: str = DEFAULT_BASIS, feature_names=None) -> EncoderMatrix:
     """Per-feature polynomial columns {1} U {q_j(x_i)} for j = 1..degree.
 
     The Legendre basis is evaluated after mapping each feature affinely from

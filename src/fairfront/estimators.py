@@ -77,11 +77,11 @@ class BiasEstimatorSpec:
 
     ``thresholds`` is either a count T (int) or a grid step (float in (0,1)).
     ``unbiased`` subtracts the within-group variance terms from squared-cost
-    threshold estimators so each term estimates h(B_s(t)) without the
-    sampling-variance inflation; it requires at least two records per group
-    and can make small values dip below zero.  It applies to threshold-mc,
-    threshold-discrete(-trapezoid) and invariant-mc with the square cost; for
-    any other estimator it is set to False, so the spec records what applies.
+    threshold estimators, so each term estimates h(B_s(t)) without the
+    variance inflation of a sweep's small batches; it needs two records per
+    group and can dip small values below zero.  It applies to threshold-mc,
+    threshold-discrete(-trapezoid) and invariant-mc with the square cost;
+    any other estimator sets it to False, so the spec records what applies.
     """
 
     variant: str = "threshold-discrete-trapezoid"
@@ -90,7 +90,7 @@ class BiasEstimatorSpec:
     thresholds: float = 1.0 / 129.0
     kde_bandwidth: float = None
     rng_seed: int = 0
-    unbiased: bool = False
+    unbiased: bool = True
 
     def __post_init__(self):
         if self.variant not in _VARIANTS:

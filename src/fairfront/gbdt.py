@@ -43,11 +43,13 @@ _CHUNK_ROWS = 256      # rows per packed walk: keeps the (trees x rows) blocks s
 
 @dataclass
 class GBDTParams:
-    depth: int = 4
-    rounds: int = 300
-    learning_rate: float = 0.08
-    min_leaf: float = 16.0       # minimum number of records per child
-    early_stop_rounds: int = 25  # 0 disables early stopping
+    """The base model's boosting: shallow, slow-learning trees on large leaves keep its scores smooth."""
+
+    depth: int = 2
+    rounds: int = 800
+    learning_rate: float = 0.04
+    min_leaf: float = 64.0       # minimum number of records per child
+    early_stop_rounds: int = 30  # 0 disables early stopping
 
     def __post_init__(self):
         if self.depth < 1:

@@ -42,7 +42,8 @@ class SweepConfig:
     n_batches: int = 10
     batch_size: int = 1024         # records per loss batch and per bias batch
     theta_box: float = 10.0        # every step clips each theta coordinate to [-b, b]
-    objective: str = "penalized"
+    # a ratio-scaled ladder passes omega = 1, where the penalized loss weight 1 - omega turns negative
+    objective: str = "lagrangian"
     loss: str = "cross-entropy"
     seed: int = 0
 
@@ -147,8 +148,8 @@ def penalized_objective(
     perf_batch,
     bias_batch: EstimatorBatch,
     labels=None,
-    objective: str = "penalized",
-    loss: str = "cross-entropy",
+    objective: str = SweepConfig.objective,
+    loss: str = SweepConfig.loss,
     rng=None,
 ):
     """Objective value and analytic gradient on explicit batches (see

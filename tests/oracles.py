@@ -37,6 +37,10 @@ statistical behaviour:
   ``tree_pca_encoders``; its eigenpairs come from ``eigh_top_eigenpairs``,
   the full ``np.linalg.eigh`` that is the reference for the subspace
   iteration of ``encoders._top_eigenpairs``.
+
+``GENERAL_GBDT`` is not a reference but a setting: the general-purpose
+boosting parameters the unit tests fit their small models with, where the
+library's default is the pipeline's base model.
 """
 
 import csv
@@ -50,8 +54,10 @@ from fairfront.bias_metrics import GroupedScores, _atom_index, _require_two_grou
 from fairfront.distributions import ABS, CostFunction, EmpiricalDistribution, wasserstein1
 from fairfront.estimators import BiasEstimatorSpec
 from fairfront.frontier import _auc, _class_counts, _sorted_midranks
-from fairfront.gbdt import per_tree_outputs
+from fairfront.gbdt import GBDTParams, per_tree_outputs
 from fairfront.relaxation import RelaxationFamily
+
+GENERAL_GBDT = GBDTParams(depth=4, rounds=300, learning_rate=0.08, min_leaf=16.0, early_stop_rounds=25)
 
 
 def sample(dist: EmpiricalDistribution, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -23,7 +23,7 @@ from fairfront.distributions import ABS, SQUARE, EmpiricalDistribution, wasserst
 from fairfront.encoders import additive_encoders, tree_pca_encoders
 from fairfront.estimators import BiasEstimatorSpec, EstimatorBatch, bias_value_and_grad
 from fairfront.frontier import evaluate, pareto_filter, score_metrics
-from fairfront.gbdt import GBDTParams, train
+from fairfront.gbdt import train
 from fairfront.linear_family import LinearFamily
 from fairfront.optimizer import (
     SweepConfig,
@@ -37,10 +37,6 @@ from oracles import estimator_rate_probe, fit_loglog_slope, frontier_value, grid
 
 UNIFORM = ThresholdMeasure.uniform01()
 
-BASE_PARAMS = GBDTParams(depth=2, rounds=800, learning_rate=0.04, min_leaf=64.0, early_stop_rounds=30)
-ESTIMATOR = BiasEstimatorSpec(
-    "threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 1.0 / 129.0, unbiased=True
-)
 OMEGA_SCALE_MULT = 1.5
 
 
@@ -68,7 +64,7 @@ def m1_pipeline():
             return cache[seed]
         data = generate_m1(20_000, seed=seed)
         train_ds, test_ds = split(data, 0.5, seed=seed)
-        model = train(train_ds.X, train_ds.y, params=BASE_PARAMS, valid=(test_ds.X, test_ds.y))
+        model = train(train_ds.X, train_ds.y, valid=(test_ds.X, test_ds.y))
         base_raw_tr = model.predict_raw(train_ds.X)
         base_raw_te = model.predict_raw(test_ds.X)
         cache[seed] = {
@@ -90,12 +86,13 @@ def run_sweep(pipe, method, seed):
     if method == "tree-pca":
         enc = tree_pca_encoders(model, train_ds.X, r=40)
     else:
-        enc = additive_encoders(train_ds.X, degree=1, basis="monomial", feature_names=train_ds.feature_names)
+        enc = additive_encoders(train_ds.X, degree=1, feature_names=train_ds.feature_names)
     fam_tr = enc.family(model, train_ds.X)
     fam_te = enc.reevaluate(test_ds.X, model=model).family(model, test_ds.X)
-    scale = OMEGA_SCALE_MULT * loss_bias_ratio_scale(fam_tr, ESTIMATOR, train_ds.y, train_ds.g)
-    cfg = SweepConfig(omegas=default_omegas(scale), objective="lagrangian", seed=seed)
-    candidates, _ = sgd_sweep(fam_tr, ESTIMATOR, cfg, train_ds.y, train_ds.g)
+    spec = BiasEstimatorSpec()
+    scale = OMEGA_SCALE_MULT * loss_bias_ratio_scale(fam_tr, spec, train_ds.y, train_ds.g)
+    cfg = SweepConfig(omegas=default_omegas(scale), seed=seed)
+    candidates, _ = sgd_sweep(fam_tr, spec, cfg, train_ds.y, train_ds.g)
     scored = ((omega, theta, fam_te.scores(theta)) for omega, theta in candidates)
     return evaluate(scored, test_ds.y, test_ds.g, "test", method)
 
@@ -108,7 +105,9 @@ def run_sweep(pipe, method, seed):
 def test_criterion_1_estimator_oracle_equivalence():
     t0 = time.time()
     rng = np.random.default_rng(11)
-    trap_sq = BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("ramp", 500.0), SQUARE, 1.0 / 4096.0)
+    trap_sq = BiasEstimatorSpec(
+        "threshold-discrete-trapezoid", RelaxationFamily("ramp", 500.0), SQUARE, 1.0 / 4096.0, unbiased=False
+    )
     trap_abs = BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("ramp", 500.0), ABS, 1.0 / 4096.0)
     energy = BiasEstimatorSpec("energy", RelaxationFamily("ramp", 500.0), SQUARE, 16)
     worst_sq = worst_abs = worst_en = 0.0
@@ -153,11 +152,11 @@ def test_criterion_2_gradient_correctness():
     batch = EstimatorBatch(rows[:40], rows[40:80], rows[80:])
     rel = RelaxationFamily("logistic", 12.0)
     specs = [
-        BiasEstimatorSpec("threshold-mc", rel, SQUARE, 33, rng_seed=5),
-        BiasEstimatorSpec("threshold-discrete", rel, SQUARE, 33),
+        BiasEstimatorSpec("threshold-mc", rel, SQUARE, 33, rng_seed=5, unbiased=False),
+        BiasEstimatorSpec("threshold-discrete", rel, SQUARE, 33, unbiased=False),
         BiasEstimatorSpec("threshold-discrete-trapezoid", rel, SQUARE, 33, unbiased=True),
         BiasEstimatorSpec("energy", rel, SQUARE, 33),
-        BiasEstimatorSpec("invariant-mc", rel, SQUARE, 33),
+        BiasEstimatorSpec("invariant-mc", rel, SQUARE, 33, unbiased=False),
         BiasEstimatorSpec("invariant-kde-discrete", rel, SQUARE, 33, kde_bandwidth=0.15),
         BiasEstimatorSpec("invariant-energy-relaxed", rel, SQUARE, 33),
     ]
@@ -189,10 +188,12 @@ def test_criterion_2_gradient_correctness():
             if spec == "objective":
                 def val(t):
                     return penalized_objective(
-                        family, specs[2], t, 0.4, perf, batch, labels=labels
+                        family, specs[2], t, 0.4, perf, batch, labels=labels, objective="penalized"
                     )[0]
 
-                _, grad = penalized_objective(family, specs[2], theta, 0.4, perf, batch, labels=labels)
+                _, grad = penalized_objective(
+                    family, specs[2], theta, 0.4, perf, batch, labels=labels, objective="penalized"
+                )
             else:
                 def val(t):
                     return bias_value_and_grad(spec, family, t, batch)[0]

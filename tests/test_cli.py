@@ -3,6 +3,7 @@ config/flag merging, determinism of CSV artifacts, and re-evaluation
 idempotence."""
 
 import csv
+import gc
 import hashlib
 import json
 import os
@@ -16,9 +17,11 @@ import pytest
 from fairfront import cli, encoders, gbdt
 from fairfront.cli import main
 from fairfront.data import _BLOCK_ROWS, generate_m1, generate_m2, load_csv, split
-from fairfront.encoders import EncoderMatrix
-from fairfront.frontier import read_frontier_csv
-from fairfront.gbdt import Ensemble
+from fairfront.encoders import EncoderMatrix, additive_encoders, tree_pca_encoders
+from fairfront.estimators import BiasEstimatorSpec
+from fairfront.frontier import evaluate, pareto_filter, read_frontier_csv, write_frontier_csv
+from fairfront.gbdt import Ensemble, train
+from fairfront.optimizer import SweepConfig, default_omegas, loss_bias_ratio_scale, sgd_sweep
 from conftest import run_mitigate
 from oracles import embedded_svg_table, per_cell_csv
 
@@ -473,6 +476,70 @@ class TestOptionTable:
         assert main(["mitigate", "--config", write_config(tmp_path / "cfg.json", doc), "--out", str(out)]) == 1
         assert json.loads((out / "manifest.json").read_text())["config"]["unbiased"] is applied
 
+
+class TestLibraryRoute:
+    """The library's defaults are the command line's: the README's library
+    route, given only what the commands were given, trains the same model
+    and scores the same test frontier."""
+
+    @pytest.fixture(scope="class")
+    def runs(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("library-route")
+        data, model_dir = root / "data", root / "model"
+        assert main(["generate", "--n", "2000", "--seed", "7", "--split", "0.5", "--out", str(data)]) == 0
+        splits = ["--train", str(data / "train.csv"), "--test", str(data / "test.csv")]
+        assert main(["train-base", *splits, "--out", str(model_dir)]) == 0
+        for method in ("tree-pca", "additive"):
+            assert main(["mitigate", "--method", method, *splits, "--base", str(model_dir / "model.json"),
+                         "--omegas", "3", "--epochs", "2", "--seed", "7", "--out", str(root / method)]) == 0
+        return root
+
+    def test_same_model_and_test_frontier(self, runs, tmp_path):
+        train_ds, test_ds = (load_csv(runs / "data" / f"{name}.csv") for name in ("train", "test"))
+        model = train(train_ds.X, train_ds.y, valid=(test_ds.X, test_ds.y))
+        model.save(tmp_path / "model.json")
+        assert (tmp_path / "model.json").read_bytes() == (runs / "model" / "model.json").read_bytes()
+        spec = BiasEstimatorSpec(rng_seed=7)
+        for method in ("tree-pca", "additive"):
+            if method == "tree-pca":
+                enc = tree_pca_encoders(model, train_ds.X, r=40)
+            else:
+                enc = additive_encoders(train_ds.X, degree=1, feature_names=train_ds.feature_names)
+            family = enc.family(model, train_ds.X)
+            scale = 1.5 * loss_bias_ratio_scale(family, spec, train_ds.y, train_ds.g)
+            config = SweepConfig(omegas=default_omegas(scale, 3), n_epochs=2, seed=7)
+            candidates, _ = sgd_sweep(family, spec, config, train_ds.y, train_ds.g)
+            test_family = enc.reevaluate(test_ds.X, model=model).family(model, test_ds.X)
+            scored = ((omega, theta, test_family.scores(theta)) for omega, theta in candidates)
+            points = pareto_filter(evaluate(scored, test_ds.y, test_ds.g, "test", method))
+            write_frontier_csv(points, tmp_path / "frontier.csv")
+            rows = (runs / method / "frontier.csv").read_text().splitlines()
+            cli_test_rows = [row for row in rows if row.split(",")[2] == "test"]
+            assert (tmp_path / "frontier.csv").read_text().splitlines()[1:] == cli_test_rows, method
+
+
+def test_main_leaves_no_argparse_garbage(tmp_path):
+    # main builds its parser once per process; each build left reference
+    # cycles (help formatters, actions, their lists) that only a full
+    # collection frees
+    argv = ["generate", "--n", "200", "--seed", "1", "--out"]
+    assert main([*argv, str(tmp_path / "warm-up")]) == 0
+    gc.collect()
+    debug, enabled = gc.get_debug(), gc.isenabled()
+    gc.disable()
+    try:
+        assert main([*argv, str(tmp_path / "again")]) == 0
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        freed = [type(obj).__name__ for obj in gc.garbage if type(obj).__module__ == "argparse"]
+    finally:
+        gc.set_debug(debug)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert freed == []
+
+
 class TestFailedRunManifest:
     """Once its output directory exists, a failed run still writes its
     manifest, with the error and the stages that completed."""
@@ -616,7 +683,8 @@ class TestOneWalkPerSplit:
 
 class TestMismatchedReevaluation:
     """``evaluate`` rebuilds the run's encoder columns from their frozen state;
-    a model or CSV that does not fit that state is a named error."""
+    a model or CSV that does not fit that state is a named error, also where
+    the run's candidates.json records that model as its own."""
 
     def run_small(self, workspace, out, method, extra=()):
         _, data, model_dir = workspace
@@ -624,6 +692,14 @@ class TestMismatchedReevaluation:
         flags += ["--omegas", "1", "--epochs", "1", "--batches", "1", "--batch-size", "64", *extra]
         assert main(["mitigate", *flags, "--out", str(out)]) == 0
         return out
+
+    @staticmethod
+    def record_base(run, model_path):
+        """Make ``model_path`` the base model that the run's candidates.json
+        records, so evaluate gets past its model check to the encoders'."""
+        doc = json.loads((run / "candidates.json").read_text())
+        doc["base_sha256"] = hashlib.sha256(model_path.read_bytes()).hexdigest()
+        (run / "candidates.json").write_text(json.dumps(doc))
 
     def failed_evaluate(self, run, flags, out, capsys):
         assert main(["evaluate", "--candidates", str(run / "candidates.json"), *flags, "--out", str(out)]) == 1
@@ -637,6 +713,7 @@ class TestMismatchedReevaluation:
         run = self.run_small(workspace, tmp_path / "run", "tree-pca", ["--components", "8"])
         small = tmp_path / "small"
         assert main(["train-base", "--train", str(data / "train.csv"), "--rounds", "5", "--out", str(small)]) == 0
+        self.record_base(run, small / "model.json")
         flags = ["--base", str(small / "model.json"), "--test", str(data / "test.csv")]
         error = self.failed_evaluate(run, flags, tmp_path / "reval", capsys)
         kept = json.loads((run / "encoders.json").read_text())["provenance"]["kept_trees"]["__array__"]
@@ -650,6 +727,7 @@ class TestMismatchedReevaluation:
         # a base model of those four features, so the split loads and the encoders reject it
         small = tmp_path / "small"
         assert main(["train-base", "--train", str(tmp_path / "test.csv"), "--rounds", "5", "--out", str(small)]) == 0
+        self.record_base(run, small / "model.json")
         flags = ["--base", str(small / "model.json"), "--test", str(tmp_path / "test.csv")]
         error = self.failed_evaluate(run, flags, tmp_path / "reval", capsys)
         assert error == "additive encoders were fit on 5 features, got 4"

@@ -6,16 +6,19 @@ mitigate has since recorded ``kde-bandwidth`` (null by default), which moved
 the two mitigate hashes.  A change to any of them changes what a manifest
 records for the same flags.  The last pins are the set of names the library
 exports, the encoder kinds that a sidecar may hold, and the config fields
-that the flag tables fill."""
+that the flag tables fill, with their defaults."""
 
 import dataclasses
+import inspect
 import types
 
 import pytest
 
 import fairfront
 import fairfront.cli as cli
-from fairfront.encoders import _STATE_FIELDS
+from fairfront.baselines import OT_REGRESSOR_PARAMS
+from fairfront.encoders import _STATE_FIELDS, additive_encoders, shapley_encoders
+from fairfront.estimators import BiasEstimatorSpec
 from fairfront.gbdt import GBDTParams
 from fairfront.optimizer import SweepConfig
 
@@ -238,3 +241,17 @@ def test_flag_tables_cover_their_config_objects():
     assert set(cli._GBDT_FIELDS.values()) == names(GBDTParams)
     assert set(cli._SWEEP_FIELDS.values()) == names(SweepConfig) - {"omegas", "seed"}
     assert set(cli._GBDT_FIELDS) | set(cli._SWEEP_FIELDS) <= set(cli.FLAGS)
+
+    # and each default of those flags is its object's default: the library
+    # route runs what the command line runs
+    for command, fields, config in (("train-base", cli._GBDT_FIELDS, GBDTParams()),
+                                    ("baseline-ot", cli._GBDT_FIELDS, OT_REGRESSOR_PARAMS),
+                                    ("mitigate", cli._SWEEP_FIELDS, SweepConfig())):
+        defaults = cli.COMMANDS[command].defaults
+        assert {flag: defaults[flag] for flag in fields} == cli._flag_defaults(fields, config), command
+    assert cli._estimator_spec(cli.COMMANDS["mitigate"].defaults) == BiasEstimatorSpec()
+    basis = inspect.signature(additive_encoders).parameters["basis"].default
+    background = inspect.signature(shapley_encoders).parameters["background_size"].default
+    for command in ("encode", "mitigate"):
+        assert cli.COMMANDS[command].defaults["basis"] == basis
+        assert cli.COMMANDS[command].defaults["background"] == background

@@ -1,6 +1,7 @@
 import csv
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,6 @@ from fairfront.encoders import (
 from fairfront.gbdt import (
     _CHUNK_ROWS,
     Ensemble,
-    GBDTParams,
     Tree,
     leaf_boxes,
     per_tree_outputs,
@@ -25,6 +25,7 @@ from fairfront.gbdt import (
 )
 from fairfront.linear_family import LinearFamily
 from oracles import (
+    GENERAL_GBDT,
     ExplanationSet,
     eigh_top_eigenpairs,
     enumerated_marginal_shapley,
@@ -37,7 +38,7 @@ from test_gbdt import random_tree
 def small_ensemble(rng, n=300, rounds=12):
     X = rng.normal(size=(n, 3))
     y = (rng.random(n) < 0.3 + 0.4 * (X[:, 0] > 0)).astype(float)
-    return train(X, y, params=GBDTParams(depth=2, rounds=rounds, min_leaf=4.0)), X
+    return train(X, y, params=replace(GENERAL_GBDT, depth=2, rounds=rounds, min_leaf=4.0)), X
 
 
 def stump(feature, threshold, left_value, right_value):
@@ -400,7 +401,7 @@ class TestSharedWalk:
     def test_margins_only_where_a_walk_formed_the_columns(self):
         rng = np.random.default_rng(13)
         model, X = small_ensemble(rng, rounds=10)
-        additive = additive_encoders(X, degree=2)
+        additive = additive_encoders(X, degree=2, basis="legendre")
         assert additive.raw_scores is None
         assert additive.reevaluate(X, model=model).raw_scores is None
         pca = tree_pca_encoders(model, X, r=2)
@@ -414,7 +415,7 @@ class TestSharedWalk:
         new = rng.normal(size=(70, 3))
         enc = {
             "tree-pca": lambda: tree_pca_encoders(model, X, r=2),
-            "additive": lambda: additive_encoders(X, degree=2),
+            "additive": lambda: additive_encoders(X, degree=2, basis="legendre"),
             "shapley": lambda: shapley_encoders(model, X, background_size=20),
         }[kind]()
         splits = [(X, enc), (new, enc.reevaluate(new, model=model))]
@@ -558,7 +559,7 @@ class TestTreeShap:
         rng = np.random.default_rng(33)
         X = rng.normal(size=(400, 24))
         y = (rng.random(400) < 0.3 + 0.4 * (X[:, 5] > 0)).astype(float)
-        model = train(X, y, params=GBDTParams(depth=4, rounds=30, min_leaf=4.0))
+        model = train(X, y, params=replace(GENERAL_GBDT, depth=4, rounds=30, min_leaf=4.0))
         phi = exact_marginal_shapley(model, X[:50], X[200:300])
         reference = np.mean(model.predict_raw(X[200:300]))
         assert np.max(np.abs(phi.sum(axis=1) + reference - model.predict_raw(X[:50]))) <= 1e-9

@@ -311,6 +311,11 @@ CELLS = [
       for name, error in (("learning_rate_negative", "learning_rate must be finite and positive, got -1"),
                           ("learning_rate_nan", "learning_rate must be finite and positive, got nan"),
                           ("base_margin_inf", "base_margin must be finite, got inf"))],
+    # a well-formed model that is not the run's once scored the run's thetas
+    # on its own scores
+    fails("evaluate", [*EVALUATE, "--base", "{other_model}"], 1,
+          "{other_model} is not the model that {run}/candidates.json was swept with: their sha256 digests differ",
+          id="evaluate-base-not-the-runs"),
     # --- report's frontier.csv files: a missing column escaped as a KeyError
     # traceback, a bad cell named no file, and no points failed after the
     # load stage, leaving a header-only frontier.csv
@@ -430,6 +435,7 @@ class TestEnvelope:
                                  ("learning_rate_nan", "learning_rate", float("nan")),
                                  ("base_margin_inf", "base_margin", float("inf"))):
             paths[name] = write_json(root / f"{name}.json", {**model_doc, key: value})
+        paths["other_model"] = write_json(root / "other_model.json", {**model_doc, "base_margin": 0.0})
         sidecar = json.loads((run / "encoders.json").read_text())
         provenance = sidecar["provenance"]
         loadings_x = json.loads(json.dumps(provenance["loadings"]))

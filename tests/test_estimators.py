@@ -150,11 +150,11 @@ class TestSpecValidation:
 def _all_variant_specs(seed=0):
     rel = RelaxationFamily("logistic", 6.0)
     return [
-        BiasEstimatorSpec("threshold-mc", rel, SQUARE, 64, rng_seed=seed),
-        BiasEstimatorSpec("threshold-discrete", rel, SQUARE, 64),
-        BiasEstimatorSpec("threshold-discrete-trapezoid", rel, SQUARE, 64),
+        BiasEstimatorSpec("threshold-mc", rel, SQUARE, 64, rng_seed=seed, unbiased=False),
+        BiasEstimatorSpec("threshold-discrete", rel, SQUARE, 64, unbiased=False),
+        BiasEstimatorSpec("threshold-discrete-trapezoid", rel, SQUARE, 64, unbiased=False),
         BiasEstimatorSpec("energy", rel, SQUARE, 64),
-        BiasEstimatorSpec("invariant-mc", rel, SQUARE, 64),
+        BiasEstimatorSpec("invariant-mc", rel, SQUARE, 64, unbiased=False),
         BiasEstimatorSpec("invariant-kde-discrete", rel, SQUARE, 64, kde_bandwidth=0.15),
         BiasEstimatorSpec("invariant-energy-relaxed", rel, SQUARE, 64),
     ]
@@ -203,7 +203,9 @@ class TestEstimatorValues:
 
     def test_discrete_matches_exact_oracle(self):
         rng = np.random.default_rng(23)
-        spec = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 200.0), SQUARE, 1 / 1024)
+        spec = BiasEstimatorSpec(
+            "threshold-discrete", RelaxationFamily("ramp", 200.0), SQUARE, 1 / 1024, unbiased=False
+        )
         for _ in range(10):
             s0 = rng.uniform(0, 1, 8)
             s1 = rng.uniform(0, 1, 8)
@@ -232,7 +234,9 @@ class TestEstimatorValues:
     def test_mc_is_seed_reproducible(self):
         rng = np.random.default_rng(31)
         fam = identity_family(rng.uniform(0, 1, 20))
-        spec = BiasEstimatorSpec("threshold-mc", RelaxationFamily("logistic", 6.0), SQUARE, 64, rng_seed=7)
+        spec = BiasEstimatorSpec(
+            "threshold-mc", RelaxationFamily("logistic", 6.0), SQUARE, 64, rng_seed=7, unbiased=False
+        )
         v1, g1 = bias_value_and_grad(spec, fam, [0.1], batch_of(10, 10))
         v2, g2 = bias_value_and_grad(spec, fam, [0.1], batch_of(10, 10))
         assert v1 == v2 and np.array_equal(g1, g2)
@@ -258,7 +262,7 @@ class TestEstimatorValues:
 
     def test_pool_required_for_invariant_variants(self):
         fam = identity_family([0.2, 0.8])
-        spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16)
+        spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16, unbiased=False)
         with pytest.raises(ValueError):
             bias_value_and_grad(spec, fam, [0.0], batch_of(1, 1))
 
@@ -269,7 +273,7 @@ class TestEstimatorValues:
         pop0 = EmpiricalDistribution.from_samples(rng.uniform(0, 1, 6))
         pop1 = EmpiricalDistribution.from_samples(rng.uniform(0, 1, 6))
         truth = exact_relaxed_bias_uniform(pop0, pop1, 50.0, SQUARE)
-        spec_raw = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 50.0), SQUARE, 128)
+        spec_raw = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 50.0), SQUARE, 128, unbiased=False)
         spec_unb = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 50.0), SQUARE, 128, unbiased=True)
         m = 24
         raw_err = unb_err = 0.0
@@ -462,7 +466,7 @@ class TestExactRelaxedOracle:
         pop0 = EmpiricalDistribution.from_samples(z0)
         pop1 = EmpiricalDistribution.from_samples(z1)
         fam = identity_family(np.concatenate([z0, z1]))
-        spec = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 25.0), SQUARE, 64)
+        spec = BiasEstimatorSpec("threshold-discrete", RelaxationFamily("ramp", 25.0), SQUARE, 64, unbiased=False)
         generic, _ = bias_value_and_grad(spec, fam, [0.0], batch_of(7, 7))
         fast = discrete_grid_value(pop0, pop1, 25.0, SQUARE, 64)
         assert generic == pytest.approx(fast, abs=1e-12)
@@ -701,7 +705,7 @@ class TestMultisetBatches:
             return scores_and_grad(theta, rows)
 
         with mock.patch.object(fam, "scores_and_grad", spy):
-            spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16)
+            spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16, unbiased=False)
             bias_value_and_grad(spec, fam, [0.0] * 4, batch)
         assert [list(rows) for rows in seen] == [[1, 3, 2, 7, 0, 9]]
 
@@ -741,7 +745,7 @@ class TestRowIndices:
     )
     def test_scoring_rejects_rows_past_the_family(self, parts, message):
         fam = identity_family([0.1, 0.4, 0.6, 0.9])
-        spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16)
+        spec = BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 6.0), SQUARE, 16, unbiased=False)
         with pytest.raises(ValueError) as info:
             bias_value_and_grad(spec, fam, [0.0], EstimatorBatch(*parts))
         assert str(info.value) == message

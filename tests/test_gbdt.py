@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fairfront.gbdt import (
     per_tree_outputs,
     train,
 )
+from oracles import GENERAL_GBDT
 
 
 def toy_data(rng, n=400, informative=True):
@@ -209,7 +211,7 @@ class TestTraining:
     def test_zero_rounds_predicts_label_mean(self):
         rng = np.random.default_rng(0)
         X, y = toy_data(rng)
-        model = train(X, y, params=GBDTParams(rounds=0))
+        model = train(X, y, params=replace(GENERAL_GBDT, rounds=0))
         assert model.n_trees == 0
         assert model.predict_proba(X[:5])[0] == pytest.approx(y.mean(), rel=1e-12)
 
@@ -217,20 +219,20 @@ class TestTraining:
         # soft labels weigh each record toward 1 by its label
         X = np.zeros((6, 1))
         y = np.array([0.0, 0.5, 1.0, 1.0, 0.8, 0.7])
-        model = train(X, y, params=GBDTParams(rounds=0))
+        model = train(X, y, params=replace(GENERAL_GBDT, rounds=0))
         assert model.predict_proba(X)[0] == pytest.approx(4 / 6, rel=1e-12)
 
     def test_all_one_class_margin_only(self):
         rng = np.random.default_rng(1)
         X = rng.normal(size=(50, 2))
-        model = train(X, np.ones(50), params=GBDTParams(rounds=20))
+        model = train(X, np.ones(50), params=replace(GENERAL_GBDT, rounds=20))
         assert model.n_trees == 0
         assert np.all(model.predict_proba(X) > 0.99)
 
     def test_records_without_features_fit_single_leaves(self):
         # nothing to split on: every round fits one leaf
         y = np.array([0.0, 0.0, 1.0, 1.0, 1.0])
-        model = train(np.zeros((5, 0)), y, params=GBDTParams(rounds=3, early_stop_rounds=0))
+        model = train(np.zeros((5, 0)), y, params=replace(GENERAL_GBDT, rounds=3, early_stop_rounds=0))
         assert model.n_trees == 3
         assert all(tree.feature.tolist() == [-1] for tree in model.trees)
 
@@ -238,7 +240,7 @@ class TestTraining:
         rng = np.random.default_rng(2)
         X = rng.uniform(-1, 1, size=(200, 1))
         y = (X[:, 0] > 0.1).astype(float)
-        model = train(X, y, params=GBDTParams(depth=1, rounds=60, learning_rate=0.5, min_leaf=1.0))
+        model = train(X, y, params=replace(GENERAL_GBDT, depth=1, rounds=60, learning_rate=0.5, min_leaf=1.0))
         assert np.mean((model.predict_proba(X) > 0.5) == y) == 1.0
 
     def test_pure_noise_stays_calibrated(self):
@@ -246,22 +248,22 @@ class TestTraining:
         X, y = toy_data(rng, n=3000, informative=False)
         X_hold, y_hold = toy_data(rng, n=1500, informative=False)
         model = train(
-            X, y, params=GBDTParams(depth=3, rounds=40, learning_rate=0.1, min_leaf=8.0),
+            X, y, params=replace(GENERAL_GBDT, depth=3, rounds=40, learning_rate=0.1, min_leaf=8.0),
         )
         assert np.abs(model.predict_proba(X_hold).mean() - 0.5) < 0.05
 
     def test_determinism(self):
         rng = np.random.default_rng(4)
         X, y = toy_data(rng)
-        a = train(X, y, params=GBDTParams(depth=3, rounds=25))
-        b = train(X, y, params=GBDTParams(depth=3, rounds=25))
+        a = train(X, y, params=replace(GENERAL_GBDT, depth=3, rounds=25))
+        b = train(X, y, params=replace(GENERAL_GBDT, depth=3, rounds=25))
         assert a.to_json() == b.to_json()
 
     def test_soft_labels_match_the_weighted_stack(self):
         # one row with soft label r per record grows the trees of the 2n-row
         # stack (X, 0, 1 - r) and (X, 1, r): per record the copies' weights
         # sum to 1, w*g to p - r and w*h to p(1 - p); only their rounding differs
-        params = GBDTParams(depth=2, rounds=8, learning_rate=0.3, min_leaf=10.5)
+        params = replace(GENERAL_GBDT, depth=2, rounds=8, learning_rate=0.3, min_leaf=10.5)
         n = 200
         for seed in range(100):
             rng = np.random.default_rng(seed)
@@ -323,14 +325,14 @@ class TestTraining:
         rng = np.random.default_rng(10)
         X, y = toy_data(rng)
         with pytest.raises(ValueError, match=re.escape(message)):
-            train(*labels(X, y), params=GBDTParams(rounds=5))
+            train(*labels(X, y), params=replace(GENERAL_GBDT, rounds=5))
 
     def test_early_stopping_improves_validation_loss(self):
         rng = np.random.default_rng(6)
         X, y = toy_data(rng, n=1200)
         Xv, yv = toy_data(rng, n=600)
         model = train(
-            X, y, params=GBDTParams(depth=3, rounds=150, early_stop_rounds=10), valid=(Xv, yv)
+            X, y, params=replace(GENERAL_GBDT, depth=3, rounds=150, early_stop_rounds=10), valid=(Xv, yv)
         )
         base_loss = cross_entropy(np.full(yv.size, y.mean()), yv)
         final_loss = cross_entropy(model.predict_proba(Xv), yv)
@@ -346,7 +348,7 @@ class TestPrediction:
     def test_rowsum_consistency(self):
         rng = np.random.default_rng(7)
         X, y = toy_data(rng)
-        model = train(X, y, params=GBDTParams(depth=3, rounds=30))
+        model = train(X, y, params=replace(GENERAL_GBDT, depth=3, rounds=30))
         Xq = rng.normal(size=(100, 3))
         outputs = per_tree_outputs(model, Xq)
         recomposed = model.base_margin + model.learning_rate * outputs.sum(axis=1)
@@ -355,7 +357,7 @@ class TestPrediction:
     def test_single_tree_split_direction(self):
         X = np.array([[0.0], [1.0], [0.0], [1.0]])
         y = np.array([0.0, 1.0, 0.0, 1.0])
-        model = train(X, y, params=GBDTParams(depth=1, rounds=1, min_leaf=1.0))
+        model = train(X, y, params=replace(GENERAL_GBDT, depth=1, rounds=1, min_leaf=1.0))
         tree = model.trees[0]
         below = tree.predict(np.array([[-5.0]]))[0]
         above = tree.predict(np.array([[5.0]]))[0]
@@ -423,10 +425,10 @@ class TestPrediction:
     def test_packing_follows_the_tree_list(self):
         rng = np.random.default_rng(9)
         X, y = toy_data(rng)
-        model = train(X, y, params=GBDTParams(depth=3, rounds=10))
+        model = train(X, y, params=replace(GENERAL_GBDT, depth=3, rounds=10))
         Xq = rng.normal(size=(50, 3))
         first = model.predict_raw(Xq)
-        extra = train(X, 1.0 - y, params=GBDTParams(depth=2, rounds=1)).trees[0]
+        extra = train(X, 1.0 - y, params=replace(GENERAL_GBDT, depth=2, rounds=1)).trees[0]
         model.trees.append(extra)  # training appends in place
         assert np.array_equal(model.predict_raw(Xq), loop_raw(model, Xq))
         assert not np.array_equal(model.predict_raw(Xq), first)
@@ -441,7 +443,7 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(8)
         X, y = toy_data(rng)
-        model = train(X, y, params=GBDTParams(depth=3, rounds=15))
+        model = train(X, y, params=replace(GENERAL_GBDT, depth=3, rounds=15))
         path = tmp_path / "model.json"
         model.save(path)
         loaded = Ensemble.load(path)
@@ -567,4 +569,4 @@ class TestParamChecks:
         Xv = rng.normal(size=(50, 3))
         yv = (Xv[:, 0] > 0).astype(float)
         with pytest.raises(ValueError, match=message):
-            train(X, y, params=GBDTParams(rounds=3), valid=make_valid(Xv, yv))
+            train(X, y, params=replace(GENERAL_GBDT, rounds=3), valid=make_valid(Xv, yv))

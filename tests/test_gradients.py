@@ -44,14 +44,14 @@ def check_gradient(spec, family, batch, theta, rel_tol=1e-5):
 
 
 SMOOTH_SPECS = [
-    BiasEstimatorSpec("threshold-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48, rng_seed=3),
-    BiasEstimatorSpec("threshold-mc", RelaxationFamily("shifted-logistic", 12.0), SQUARE, 48, rng_seed=3),
-    BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+    BiasEstimatorSpec("threshold-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48, rng_seed=3, unbiased=False),
+    BiasEstimatorSpec("threshold-mc", RelaxationFamily("shifted-logistic", 12.0), SQUARE, 48, rng_seed=3, unbiased=False),
+    BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 12.0), SQUARE, 48, unbiased=False),
     BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 12.0), ABS, 48),
-    BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 12.0), SQUARE, 48),
-    BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 1 / 129),
+    BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 12.0), SQUARE, 48, unbiased=False),
+    BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 1 / 129, unbiased=False),
     BiasEstimatorSpec("energy", RelaxationFamily("logistic", 12.0), SQUARE, 48),
-    BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48),
+    BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 12.0), SQUARE, 48, unbiased=False),
     BiasEstimatorSpec("invariant-kde-discrete", RelaxationFamily("logistic", 12.0), SQUARE, 48, kde_bandwidth=0.12),
     # Silverman's bandwidth, which moves with theta
     pytest.param(
@@ -79,9 +79,9 @@ def test_gradient_matches_finite_difference_logistic_link(spec):
 @pytest.mark.parametrize(
     "spec",
     [
-        BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 10.0), SQUARE, 48),
+        BiasEstimatorSpec("threshold-discrete", RelaxationFamily("logistic", 10.0), SQUARE, 48, unbiased=False),
         BiasEstimatorSpec("energy", RelaxationFamily("logistic", 10.0), SQUARE, 48),
-        BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 10.0), SQUARE, 48),
+        BiasEstimatorSpec("invariant-mc", RelaxationFamily("logistic", 10.0), SQUARE, 48, unbiased=False),
     ],
     ids=lambda s: s.variant,
 )

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,8 +16,9 @@ from fairfront.optimizer import (
     sgd_sweep,
 )
 from fairfront.relaxation import RelaxationFamily
+from oracles import GENERAL_GBDT
 
-SPEC = BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 33)
+SPEC = BiasEstimatorSpec("threshold-discrete-trapezoid", RelaxationFamily("logistic", 20.0), SQUARE, 33, unbiased=False)
 
 
 def biased_problem(rng, n=600):
@@ -65,7 +68,7 @@ class TestPenalizedObjective:
         batch = EstimatorBatch.full(g)
         perf = np.arange(fam.n_records)
         omega = 0.4
-        value, _ = penalized_objective(fam, SPEC, fam.zero_theta(), omega, perf, batch, labels=y)
+        value, _ = penalized_objective(fam, SPEC, fam.zero_theta(), omega, perf, batch, labels=y, objective="penalized")
         from fairfront.estimators import bias_value_and_grad
         from fairfront._util import cross_entropy
 
@@ -115,7 +118,7 @@ class TestPenalizedObjective:
         rows = np.arange(n)
         batch = EstimatorBatch(rows[: n // 2], rows[n // 2 :])
         for omega in (0.0, 0.5):
-            _, grad = penalized_objective(fam, SPEC, theta, omega, rows, batch, labels=y)
+            _, grad = penalized_objective(fam, SPEC, theta, omega, rows, batch, labels=y, objective="penalized")
             assert np.all(np.isfinite(grad))
             assert np.array_equal(grad, (1 - omega) * (((p - y) @ (-W)) / n))
 
@@ -203,6 +206,7 @@ class TestSweep:
             n_epochs=4,
             n_batches=4,
             batch_size=128,
+            objective="penalized",
             seed=0,
         )
         defaults.update(kw)
@@ -300,7 +304,7 @@ class TestSweep:
         from fairfront.data import generate_m1, split
         from fairfront.distributions import wasserstein1
         from fairfront.encoders import tree_pca_encoders
-        from fairfront.gbdt import GBDTParams, train
+        from fairfront.gbdt import train
         from fairfront.optimizer import default_omegas, loss_bias_ratio_scale
 
         curves = []
@@ -311,7 +315,7 @@ class TestSweep:
             model = train(
                 train_ds.X,
                 train_ds.y,
-                params=GBDTParams(depth=2, rounds=200, learning_rate=0.08, min_leaf=16.0),
+                params=replace(GENERAL_GBDT, depth=2, rounds=200, learning_rate=0.08, min_leaf=16.0),
             )
             enc = tree_pca_encoders(model, train_ds.X, r=12)
             fam = enc.family(model, train_ds.X)
